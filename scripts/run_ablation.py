@@ -9,32 +9,20 @@ Expect roughly six minutes for the default 5 variants x 3 seeds.
 import argparse
 import json
 import sys
+from dataclasses import asdict
 from pathlib import Path
 
 from maf.experiments import main as maf_main
+from maf.presets import GAP_MODEL, GAP_SEEDS, GAP_SPEC, GAP_TRAIN
+from maf.synthetic import GAP_VARIANTS
 
 CONFIG = {
-    "model": {
-        "d": 32,
-        "ffn": 64,
-        "d_c_audio": 8,
-        "d_c_video": 16,
-        "max_text_len": 24,
-    },
-    "train": {"lr": 5e-4, "epochs": 12, "batch_size": 16},
-    "synthetic": {
-        "num_instances": 600,
-        "speakers": 6,
-        "actions": 5,
-        "targets": 6,
-        "frames": 12,
-        "windows": 8,
-        "noise": 0.1,
-        "rich_templates": True,
-    },
+    "model": asdict(GAP_MODEL),
+    "train": asdict(GAP_TRAIN),
+    "synthetic": asdict(GAP_SPEC),
     "test_instances": 100,
-    "variants": ["TextOnly", "MAF", "Concat2", "DPA", "NoGIF"],
-    "seeds": [1, 2, 3],
+    "variants": list(GAP_VARIANTS),
+    "seeds": list(GAP_SEEDS),
 }
 
 

@@ -26,6 +26,7 @@ from .data import corpus_stats, instances_for, load_and_validate, save_corpus, s
 from .errors import ConfigError, MafError
 from .metrics import MetricReport
 from .model import VARIANTS, ModelConfig, TrainConfig, save_checkpoint, load_checkpoint, train
+from .presets import TEST_SEED_SALT
 from .synthetic import SyntheticSpec, evaluate_variant, generate
 
 __all__ = [
@@ -41,10 +42,6 @@ __all__ = [
     "cmd_report",
     "main",
 ]
-
-# distinct stream for held-out synthetic data so test instances never
-# collide with any training seed in a small grid
-_TEST_SEED_SALT = 0x9E3779B9
 
 
 @dataclass
@@ -168,7 +165,7 @@ def _prepare_data(cfg: ExperimentConfig, seed: int):
         ids = split(corpus, seed)
         return instances_for(corpus, ids.train), instances_for(corpus, ids.test)
     train_spec = replace(cfg.synthetic, seed=seed)
-    test_spec = replace(cfg.synthetic, seed=seed ^ _TEST_SEED_SALT,
+    test_spec = replace(cfg.synthetic, seed=seed ^ TEST_SEED_SALT,
                         num_instances=cfg.test_instances)
     return generate(train_spec), generate(test_spec)
 

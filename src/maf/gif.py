@@ -7,9 +7,9 @@ streams produced by the attention blocks:
     g_v = [H | H_v] W_v + b_v
     H'  = H + g_a * H_a + g_v * H_v
 
-The gates are linear by default (no squashing); ``sigmoid_gates`` bounds
-them to (0, 1) as a config variant. With all parameters at zero the layer
-is exactly the identity on H, which is how the adapter starts training.
+The gates are linear (no squashing), so with all parameters at zero the
+layer is exactly the identity on H, which is how the adapter starts
+training.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ShapeError
-from .tensor import Tensor, add, concat_last, matmul, mul, sigmoid, zeros
+from .tensor import Tensor, add, concat_last, matmul, mul, zeros
 
 __all__ = ["GifParams", "gif_fuse", "gif_fuse_single"]
 
@@ -53,9 +53,8 @@ def _check(h: Tensor, other: Tensor, label: str) -> None:
         raise ShapeError(f"{label} must match hidden states {h.shape}, got {other.shape}")
 
 
-def _gate(h: Tensor, stream: Tensor, w: Tensor, b: Tensor, squash: bool) -> Tensor:
-    g = add(matmul(concat_last(h, stream), w), b)
-    return sigmoid(g) if squash else g
+def _gate(h: Tensor, stream: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    return add(matmul(concat_last(h, stream), w), b)
 
 
 def gif_fuse(
@@ -64,7 +63,6 @@ def gif_fuse(
     h_video: Tensor,
     params: GifParams,
     *,
-    sigmoid_gates: bool = False,
     gates: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
     """Fuse both modality streams into the text stream; output is n x d.
@@ -77,22 +75,14 @@ def gif_fuse(
     if h.shape[1] != params.d:
         raise ShapeError(f"hidden width {h.shape[1]} does not match params d={params.d}")
     if gates is None:
-        g_audio = _gate(h, h_audio, params.w_audio, params.b_audio, sigmoid_gates)
-        g_video = _gate(h, h_video, params.w_video, params.b_video, sigmoid_gates)
+        g_audio = _gate(h, h_audio, params.w_audio, params.b_audio)
+        g_video = _gate(h, h_video, params.w_video, params.b_video)
     else:
         g_audio, g_video = gates
     return add(h, add(mul(g_audio, h_audio), mul(g_video, h_video)))
 
 
-def gif_fuse_single(
-    h: Tensor,
-    stream: Tensor,
-    w: Tensor,
-    b: Tensor,
-    *,
-    sigmoid_gates: bool = False,
-) -> Tensor:
+def gif_fuse_single(h: Tensor, stream: Tensor, w: Tensor, b: Tensor) -> Tensor:
     """One-modality degenerate form: H + g * H_m, the other term dropped."""
     _check(h, stream, "modality stream")
-    g = _gate(h, stream, w, b, sigmoid_gates)
-    return add(h, mul(g, stream))
+    return add(h, mul(_gate(h, stream, w, b), stream))

@@ -10,13 +10,14 @@ context:
     gate_v = logistic(V w_vt + (C U_v) w_vc)        (n x 1)
     K' = (1 - gate_k) * K + gate_k * (C U_k)
     V' = (1 - gate_v) * V + gate_v * (C U_v)
-    out = softmax(Q K'^T / sqrt(d_k)) V'
+    out = softmax(Q K'^T / sqrt(d)) V'
 
 The gates are scalars per sequence position, broadcast across feature
 columns, so each position decides how much of its key/value content is
 replaced by modality context. With the gate weights at zero every gate
 is exactly 0.5; pinning the gates to zero recovers plain self-attention
 over (Q, K, V), pinning them to one attends purely over projected context.
+The last line is the shared kernel ``tensor.attention`` with one head.
 """
 
 from __future__ import annotations
@@ -26,23 +27,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import (
-    Tensor,
-    add,
-    concat_last,
-    glorot_uniform,
-    matmul,
-    mul,
-    scale,
-    sigmoid,
-    slice_cols,
-    softmax_rows,
-    sub,
-    transpose,
-    zeros,
-)
+from .tensor import Tensor, add, attention, glorot_uniform, matmul, mul, sigmoid, sub, zeros
 
-__all__ = ["Mca2Params", "AttentionTrace", "project_qkv", "gate_lambda", "condition_kv", "attend", "mca2_forward"]
+__all__ = ["Mca2Params", "AttentionTrace", "project_qkv", "gate_lambda", "condition_kv", "mca2_forward"]
 
 
 @dataclass
@@ -54,9 +41,6 @@ class Mca2Params:
     gate_k_text          d x 1      gate contribution from the textual key
     gate_k_ctx           d x 1      gate contribution from the projected context
     gate_v_text, gate_v_ctx         same, for the value gate
-
-    ``heads`` splits attention into column blocks of width d // heads; the
-    single-head default uses d_k = d in the attention scale.
     """
 
     w_q: Tensor
@@ -70,19 +54,12 @@ class Mca2Params:
     gate_v_ctx: Tensor
     d: int
     d_c: int
-    heads: int = 1
-
-    @property
-    def d_k(self) -> int:
-        return self.d // self.heads
 
     @classmethod
-    def init(cls, d: int, d_c: int, rng: np.random.Generator, heads: int = 1) -> "Mca2Params":
+    def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "Mca2Params":
         """Fan-balanced projections; gate weights start at zero (gates 0.5)."""
         if d <= 0 or d_c <= 0:
             raise ContractError(f"widths must be positive, got d={d}, d_c={d_c}")
-        if heads < 1 or d % heads != 0:
-            raise ContractError(f"heads must divide d, got d={d}, heads={heads}")
         return cls(
             w_q=glorot_uniform(rng, d, d),
             w_k=glorot_uniform(rng, d, d),
@@ -95,7 +72,6 @@ class Mca2Params:
             gate_v_ctx=zeros(d, 1, requires_grad=True),
             d=d,
             d_c=d_c,
-            heads=heads,
         )
 
     def named(self, prefix: str = ""):
@@ -106,11 +82,7 @@ class Mca2Params:
 
 @dataclass
 class AttentionTrace:
-    """Intermediate values of one forward pass, for tests and diagnostics.
-
-    ``weights`` holds one n x n attention matrix per head (a 1-tuple in the
-    single-head default).
-    """
+    """Intermediate values of one forward pass, for tests and diagnostics."""
 
     q: Tensor
     k: Tensor
@@ -119,7 +91,6 @@ class AttentionTrace:
     gate_v: Tensor
     k_mixed: Tensor
     v_mixed: Tensor
-    weights: tuple[Tensor, ...]
     output: Tensor
 
 
@@ -180,18 +151,6 @@ def condition_kv(
     return k_mixed, v_mixed
 
 
-def attend(q: Tensor, k: Tensor, v: Tensor, d_k: int) -> Tensor:
-    """Scaled dot-product attention: softmax(Q K^T / sqrt(d_k)) V."""
-    if q.shape[1] != k.shape[1]:
-        raise ShapeError(f"query/key widths disagree: {q.shape} vs {k.shape}")
-    if k.shape[0] != v.shape[0]:
-        raise ShapeError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
-    if d_k <= 0:
-        raise ContractError(f"d_k must be positive, got {d_k}")
-    logits = scale(matmul(q, transpose(k)), 1.0 / np.sqrt(float(d_k)))
-    return matmul(softmax_rows(logits), v)
-
-
 def _pinned_gates(n: int, value: float) -> tuple[Tensor, Tensor]:
     g = Tensor(np.full((n, 1), float(value)))
     return g, g
@@ -221,31 +180,10 @@ def mca2_forward(
         gate_k, gate_v = _pinned_gates(h.shape[0], gate_override)
     k_mixed, v_mixed = condition_kv(k, v, c, gate_k, gate_v, params)
 
-    heads, d_k = params.heads, params.d_k
-    if heads == 1:
-        logits = scale(matmul(q, transpose(k_mixed)), 1.0 / np.sqrt(float(d_k)))
-        weights = softmax_rows(logits)
-        out = matmul(weights, v_mixed)
-        weight_list = (weights,)
-    else:
-        outs, ws = [], []
-        for i in range(heads):
-            lo, hi = i * d_k, (i + 1) * d_k
-            logits = scale(
-                matmul(slice_cols(q, lo, hi), transpose(slice_cols(k_mixed, lo, hi))),
-                1.0 / np.sqrt(float(d_k)),
-            )
-            w = softmax_rows(logits)
-            ws.append(w)
-            outs.append(matmul(w, slice_cols(v_mixed, lo, hi)))
-        out = outs[0]
-        for o in outs[1:]:
-            out = concat_last(out, o)
-        weight_list = tuple(ws)
-
+    out = attention(q, k_mixed, v_mixed)
     if not return_trace:
         return out
     return AttentionTrace(
         q=q, k=k, v=v, gate_k=gate_k, gate_v=gate_v,
-        k_mixed=k_mixed, v_mixed=v_mixed, weights=weight_list, output=out,
+        k_mixed=k_mixed, v_mixed=v_mixed, output=out,
     )

@@ -8,7 +8,6 @@ hidden states; the decoder generates the explanation autoregressively.
 Adapter variants, selected by ``ModelConfig.variant``:
 
     MAF       context-aware attention per modality + gated fusion
-    Concat1   per-modality [text | context] linear reprojection + gated fusion
     Concat2   single [text | audio | video] linear layer, nothing else
     DPA       plain cross-attention onto projected context + gated fusion
     NoGIF     context-aware attention, streams merged by plain addition
@@ -23,7 +22,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -36,6 +35,7 @@ from .mca2 import Mca2Params, mca2_forward
 from .tensor import (
     Tensor,
     add,
+    attention,
     backward,
     concat_last,
     cross_entropy_rows,
@@ -45,9 +45,6 @@ from .tensor import (
     matmul,
     relu,
     scale,
-    slice_cols,
-    softmax_rows,
-    transpose,
     zeros,
 )
 from .text import Vocabulary, tokenize
@@ -75,9 +72,9 @@ __all__ = [
     "Adam",
 ]
 
-VARIANTS = ("MAF", "Concat1", "Concat2", "DPA", "NoGIF", "TextOnly", "TA", "TV")
-_USES_AUDIO = {"MAF", "Concat1", "Concat2", "DPA", "NoGIF", "TA"}
-_USES_VIDEO = {"MAF", "Concat1", "Concat2", "DPA", "NoGIF", "TV"}
+VARIANTS = ("MAF", "Concat2", "DPA", "NoGIF", "TextOnly", "TA", "TV")
+_USES_AUDIO = {"MAF", "Concat2", "DPA", "NoGIF", "TA"}
+_USES_VIDEO = {"MAF", "Concat2", "DPA", "NoGIF", "TV"}
 
 
 # ---- configuration ---------------------------------------------------------
@@ -104,24 +101,19 @@ class ModelConfig:
     max_windows: int = 512
     variant: str = "MAF"
     seed: int = 1
-    mca2_heads: int = 1
-    sigmoid_gates: bool = False
-    post_fusion_norm: bool = False
 
     def validate(self) -> None:
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
         for name in ("d", "encoder_layers", "decoder_layers", "ffn", "heads", "d_c_audio",
                      "d_c_video", "audio_raw_dim", "video_raw_dim", "max_text_len",
-                     "max_frames", "max_windows", "mca2_heads"):
+                     "max_frames", "max_windows"):
             if getattr(self, name) < 1:
                 raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
         if self.max_target_len < 2:
             raise ConfigError(f"max_target_len must be >= 2, got {self.max_target_len}")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads must divide d: d={self.d}, heads={self.heads}")
-        if self.d % self.mca2_heads != 0:
-            raise ConfigError(f"mca2_heads must divide d: d={self.d}, mca2_heads={self.mca2_heads}")
         if not (1 <= self.fusion_layer_index <= self.encoder_layers):
             raise ConfigError(
                 f"fusion_layer_index must lie in 1..{self.encoder_layers}, "
@@ -293,13 +285,8 @@ class AdapterParams:
     mca2_audio: Mca2Params | None = None
     mca2_video: Mca2Params | None = None
     gif: GifParams | None = None
-    concat_audio: Tensor | None = None
-    concat_audio_bias: Tensor | None = None
-    concat_video: Tensor | None = None
-    concat_video_bias: Tensor | None = None
     concat_tri: Tensor | None = None
     concat_tri_bias: Tensor | None = None
-    post_norm: LayerNormParams | None = None
 
     def named(self, prefix: str):
         if self.mca2_audio is not None:
@@ -308,13 +295,10 @@ class AdapterParams:
             yield from self.mca2_video.named(f"{prefix}mca2_video.")
         if self.gif is not None:
             yield from self.gif.named(f"{prefix}gif.")
-        for n in ("concat_audio", "concat_audio_bias", "concat_video",
-                  "concat_video_bias", "concat_tri", "concat_tri_bias"):
+        for n in ("concat_tri", "concat_tri_bias"):
             t = getattr(self, n)
             if t is not None:
                 yield f"{prefix}{n}", t
-        if self.post_norm is not None:
-            yield from self.post_norm.named(f"{prefix}post_norm.")
 
 
 @dataclass
@@ -360,27 +344,19 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
     ad = AdapterParams()
     variant = cfg.variant
     if variant in ("MAF", "DPA", "NoGIF"):
-        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng, heads=cfg.mca2_heads)
-        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng, heads=cfg.mca2_heads)
+        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
+        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
         if variant != "NoGIF":
             ad.gif = GifParams.zero_init(d)
     elif variant == "TA":
-        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng, heads=cfg.mca2_heads)
+        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
         ad.gif = GifParams.zero_init(d)
     elif variant == "TV":
-        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng, heads=cfg.mca2_heads)
-        ad.gif = GifParams.zero_init(d)
-    elif variant == "Concat1":
-        ad.concat_audio = glorot_uniform(adapter_rng, d + cfg.d_c_audio, d)
-        ad.concat_audio_bias = zeros(1, d, requires_grad=True)
-        ad.concat_video = glorot_uniform(adapter_rng, d + cfg.d_c_video, d)
-        ad.concat_video_bias = zeros(1, d, requires_grad=True)
+        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
         ad.gif = GifParams.zero_init(d)
     elif variant == "Concat2":
         ad.concat_tri = glorot_uniform(adapter_rng, d + cfg.d_c_audio + cfg.d_c_video, d)
         ad.concat_tri_bias = zeros(1, d, requires_grad=True)
-    if cfg.post_fusion_norm and variant != "TextOnly":
-        ad.post_norm = LayerNormParams.init(d)
 
     return ModelParams(
         embedding=embedding,
@@ -414,7 +390,7 @@ def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
 # ---- constant caches --------------------------------------------------------
 
 _POS_CACHE: dict[tuple[int, int], Tensor] = {}
-_MASK_CACHE: dict[int, Tensor] = {}
+_MASK_CACHE: dict[int, np.ndarray] = {}
 _POOL_CACHE: dict[tuple[int, int], Tensor] = {}
 
 
@@ -429,11 +405,10 @@ def sinusoidal_positions(n: int, d: int) -> Tensor:
     return _POS_CACHE[key]
 
 
-def _causal_mask(n: int) -> Tensor:
+def _causal_mask(n: int) -> np.ndarray:
     # additive mask: large negative above the diagonal
     if n not in _MASK_CACHE:
-        m = np.triu(np.full((n, n), -1e9), k=1)
-        _MASK_CACHE[n] = Tensor(m)
+        _MASK_CACHE[n] = np.triu(np.full((n, n), -1e9), k=1)
     return _MASK_CACHE[n]
 
 
@@ -481,36 +456,12 @@ def align_temporal(features: Tensor, n: int) -> Tensor:
 # ---- forward pieces -----------------------------------------------------------
 
 
-def _headed_attend(q: Tensor, k: Tensor, v: Tensor, heads: int, mask: Tensor | None) -> Tensor:
-    d = q.shape[1]
-    d_k = d // heads
-    if heads == 1:
-        logits = scale(matmul(q, transpose(k)), 1.0 / math.sqrt(d_k))
-        if mask is not None:
-            logits = add(logits, mask)
-        return matmul(softmax_rows(logits), v)
-    outs = []
-    for i in range(heads):
-        lo, hi = i * d_k, (i + 1) * d_k
-        logits = scale(
-            matmul(slice_cols(q, lo, hi), transpose(slice_cols(k, lo, hi))),
-            1.0 / math.sqrt(d_k),
-        )
-        if mask is not None:
-            logits = add(logits, mask)
-        outs.append(matmul(softmax_rows(logits), slice_cols(v, lo, hi)))
-    out = outs[0]
-    for o in outs[1:]:
-        out = concat_last(out, o)
-    return out
-
-
 def _attention(q_in: Tensor, kv_in: Tensor, p: AttentionParams, heads: int,
-               mask: Tensor | None = None) -> Tensor:
+               mask: np.ndarray | None = None) -> Tensor:
     q = matmul(q_in, p.w_q)
     k = matmul(kv_in, p.w_k)
     v = matmul(kv_in, p.w_v)
-    return matmul(_headed_attend(q, k, v, heads, mask), p.w_o)
+    return matmul(attention(q, k, v, heads, mask), p.w_o)
 
 
 def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -527,7 +478,7 @@ def _encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
 
 
 def _decoder_layer(x: Tensor, enc_out: Tensor, p: DecoderLayerParams, heads: int,
-                   mask: Tensor) -> Tensor:
+                   mask: np.ndarray) -> Tensor:
     h = _ln(add(x, _attention(x, x, p.self_attn, heads, mask)), p.ln1)
     h = _ln(add(h, _attention(h, enc_out, p.cross_attn, heads)), p.ln2)
     return _ln(add(h, _ffn(h, p.ffn)), p.ln3)
@@ -582,41 +533,24 @@ def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None,
         h_a = mca2_forward(h, ctx_a, ad.mca2_audio, gate_override=ov.mca2_gate)
         h_v = mca2_forward(h, ctx_v, ad.mca2_video, gate_override=ov.mca2_gate)
         if variant == "NoGIF":
-            fused = add(h, add(h_a, h_v))
-        else:
-            fused = gif_fuse(h, h_a, h_v, ad.gif, sigmoid_gates=cfg.sigmoid_gates,
-                             gates=gif_gates())
-    elif variant == "DPA":
+            return add(h, add(h_a, h_v))
+        return gif_fuse(h, h_a, h_v, ad.gif, gates=gif_gates())
+    if variant == "DPA":
         # plain cross-attention: keys/values come purely from projected context
         pa, pv = ad.mca2_audio, ad.mca2_video
-        h_a = _headed_attend(matmul(h, pa.w_q), matmul(ctx_a, pa.ctx_k),
-                             matmul(ctx_a, pa.ctx_v), pa.heads, None)
-        h_v = _headed_attend(matmul(h, pv.w_q), matmul(ctx_v, pv.ctx_k),
-                             matmul(ctx_v, pv.ctx_v), pv.heads, None)
-        fused = gif_fuse(h, h_a, h_v, ad.gif, sigmoid_gates=cfg.sigmoid_gates,
-                         gates=gif_gates())
-    elif variant == "Concat1":
-        h_a = add(matmul(concat_last(h, ctx_a), ad.concat_audio), ad.concat_audio_bias)
-        h_v = add(matmul(concat_last(h, ctx_v), ad.concat_video), ad.concat_video_bias)
-        fused = gif_fuse(h, h_a, h_v, ad.gif, sigmoid_gates=cfg.sigmoid_gates,
-                         gates=gif_gates())
-    elif variant == "Concat2":
-        fused = add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
-                    ad.concat_tri_bias)
-    elif variant == "TA":
+        h_a = attention(matmul(h, pa.w_q), matmul(ctx_a, pa.ctx_k), matmul(ctx_a, pa.ctx_v))
+        h_v = attention(matmul(h, pv.w_q), matmul(ctx_v, pv.ctx_k), matmul(ctx_v, pv.ctx_v))
+        return gif_fuse(h, h_a, h_v, ad.gif, gates=gif_gates())
+    if variant == "Concat2":
+        return add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
+                   ad.concat_tri_bias)
+    if variant == "TA":
         h_a = mca2_forward(h, ctx_a, ad.mca2_audio, gate_override=ov.mca2_gate)
-        fused = gif_fuse_single(h, h_a, ad.gif.w_audio, ad.gif.b_audio,
-                                sigmoid_gates=cfg.sigmoid_gates)
-    elif variant == "TV":
+        return gif_fuse_single(h, h_a, ad.gif.w_audio, ad.gif.b_audio)
+    if variant == "TV":
         h_v = mca2_forward(h, ctx_v, ad.mca2_video, gate_override=ov.mca2_gate)
-        fused = gif_fuse_single(h, h_v, ad.gif.w_video, ad.gif.b_video,
-                                sigmoid_gates=cfg.sigmoid_gates)
-    else:  # pragma: no cover - guarded by cfg.validate()
-        raise ConfigError(f"unknown variant '{variant}'")
-
-    if ad.post_norm is not None:
-        fused = _ln(fused, ad.post_norm)
-    return fused
+        return gif_fuse_single(h, h_v, ad.gif.w_video, ad.gif.b_video)
+    raise ConfigError(f"unknown variant '{variant}'")  # pragma: no cover - guarded by cfg.validate()
 
 
 # ---- encode / decode ------------------------------------------------------------
@@ -889,6 +823,22 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes(order="C"))
 
 
+def _checkpoint_config(raw, path: str | Path) -> ModelConfig:
+    """The header's config must name every ModelConfig field and nothing
+    else: a missing field would silently take today's default, and a
+    field this version no longer has cannot be honoured."""
+    if not isinstance(raw, dict):
+        raise ParseError(f"'{path}' header has no 'config' object")
+    expected = {f.name for f in fields(ModelConfig)}
+    unknown = sorted(set(raw) - expected)
+    if unknown:
+        raise ParseError(f"'{path}' config has unknown key '{unknown[0]}'")
+    missing = sorted(expected - set(raw))
+    if missing:
+        raise ParseError(f"'{path}' config lacks key '{missing[0]}'")
+    return ModelConfig(**raw)
+
+
 def load_checkpoint(path: str | Path) -> TrainedModel:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -900,7 +850,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             raise ParseError(f"'{path}' is not a model checkpoint")
         if header.get("version") != _CKPT_VERSION:
             raise ParseError(f"unsupported checkpoint version {header.get('version')}")
-        cfg = ModelConfig(**header["config"])
+        cfg = _checkpoint_config(header.get("config"), path)
         vocab = Vocabulary.from_tokens(header["vocab"])
         params = init_model_params(cfg)
         named = dict(named_parameters(params))

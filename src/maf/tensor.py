@@ -20,6 +20,7 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
+import math
 from typing import Callable, Iterable, Sequence
 
 import numpy as np
@@ -32,13 +33,11 @@ __all__ = [
     "sub",
     "mul",
     "matmul",
-    "transpose",
     "scale",
     "sigmoid",
     "relu",
-    "softmax_rows",
     "concat_last",
-    "slice_cols",
+    "attention",
     "gather_rows",
     "sum_all",
     "layer_norm_rows",
@@ -93,10 +92,6 @@ class Tensor:
 
     def backward(self) -> None:
         backward(self)
-
-    @property
-    def T(self) -> "Tensor":
-        return transpose(self)
 
     def __repr__(self) -> str:
         head = np.array2string(self.data, precision=4, threshold=8)
@@ -262,17 +257,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, "matmul", (a, b), back)
 
 
-def transpose(a: Tensor) -> Tensor:
-    a = _coerce(a)
-    _require_matrix(a, "transpose")
-    out = a.data.T.copy()
-
-    def back(g):
-        return ((a, g.T),)
-
-    return _node(out, "transpose", (a,), back)
-
-
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two matrices along the last (column) axis."""
     a, b = _coerce(a), _coerce(b)
@@ -290,22 +274,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node(out, "concat_last", (a, b), back)
-
-
-def slice_cols(a: Tensor, start: int, stop: int) -> Tensor:
-    a = _coerce(a)
-    _require_matrix(a, "slice_cols")
-    if not (0 <= start <= stop <= a.shape[1]):
-        raise ShapeError(f"slice_cols: [{start}:{stop}] out of range for shape {a.shape}")
-    out = a.data[:, start:stop].copy()
-    cols = a.shape[1]
-
-    def back(g):
-        full = np.zeros((g.shape[0], cols))
-        full[:, start:stop] = g
-        return ((a, full),)
-
-    return _node(out, "slice_cols", (a,), back)
 
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
@@ -359,21 +327,6 @@ def relu(a: Tensor) -> Tensor:
     return _node(out, "relu", (a,), back)
 
 
-def softmax_rows(a: Tensor) -> Tensor:
-    """Row-wise softmax, stabilized by subtracting each row's max."""
-    a = _coerce(a)
-    _require_matrix(a, "softmax_rows")
-    z = a.data - a.data.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    out = e / e.sum(axis=1, keepdims=True)
-
-    def back(g):
-        inner = (g * out).sum(axis=1, keepdims=True)
-        return ((a, out * (g - inner)),)
-
-    return _node(out, "softmax_rows", (a,), back)
-
-
 # ---- reductions and fused ops --------------------------------------------
 
 
@@ -417,6 +370,67 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         return ((x, gx), (gain, ggain), (bias, gbias))
 
     return _node(out, "layer_norm_rows", (x, gain, bias), back)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
+              mask: np.ndarray | None = None) -> Tensor:
+    """Multi-head scaled dot-product attention as a single graph node.
+
+    ``q`` is n x d, ``k`` is m x d and ``v`` is m x d_v. The columns of each
+    split into ``heads`` equal blocks; block h of the output is
+    softmax(Q_h K_h^T / sqrt(d / heads) + mask) V_h, with a row-max shift
+    inside the softmax. ``mask`` is an optional n x m additive constant
+    (no gradient), e.g. large negatives above the diagonal for causal
+    attention. The backward pass is analytic and reuses the stored softmax
+    weights: with dW = dO V^T, dS = W * (dW - rowsum(dW * W)) / sqrt(d_k),
+    dQ = dS K, dK = dS^T Q and dV = W^T dO, per head.
+    """
+    q, k, v = _coerce(q), _coerce(k), _coerce(v)
+    for t in (q, k, v):
+        _require_matrix(t, "attention")
+    (n, d), (m, d_v) = q.shape, v.shape
+    if k.shape[1] != d:
+        raise ShapeError(f"attention: query/key widths disagree, {q.shape} vs {k.shape}")
+    if k.shape[0] != m:
+        raise ShapeError(f"attention: key/value row counts disagree, {k.shape} vs {v.shape}")
+    if heads < 1 or d % heads or d_v % heads:
+        raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {d_v}")
+    if mask is not None and mask.shape != (n, m):
+        raise ShapeError(f"attention: mask must be {(n, m)}, got {mask.shape}")
+    d_k, h_v = d // heads, d_v // heads
+    c = 1.0 / math.sqrt(d_k)
+    qk_cols = [slice(h * d_k, (h + 1) * d_k) for h in range(heads)]
+    v_cols = [slice(h * h_v, (h + 1) * h_v) for h in range(heads)]
+    q_data, k_data, v_data = q.data, k.data, v.data
+
+    out = np.empty((n, d_v))
+    weights = []
+    for qk, vc in zip(qk_cols, v_cols):
+        logits = (q_data[:, qk] @ k_data[:, qk].T) * c
+        if mask is not None:
+            logits = logits + mask
+        e = np.exp(logits - logits.max(axis=1, keepdims=True))
+        w = e / e.sum(axis=1, keepdims=True)
+        out[:, vc] = w @ v_data[:, vc]
+        weights.append(w)
+
+    def back(g):
+        gq = np.empty_like(q_data) if q.requires_grad else None
+        gk = np.empty_like(k_data) if k.requires_grad else None
+        gv = np.empty_like(v_data) if v.requires_grad else None
+        for w, qk, vc in zip(weights, qk_cols, v_cols):
+            g_out = g[:, vc]
+            if gv is not None:
+                gv[:, vc] = w.T @ g_out
+            gw = g_out @ v_data[:, vc].T
+            gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * c
+            if gq is not None:
+                gq[:, qk] = gs @ k_data[:, qk]
+            if gk is not None:
+                gk[:, qk] = gs.T @ q_data[:, qk]
+        return ((q, gq), (k, gk), (v, gv))
+
+    return _node(out, "attention", (q, k, v), back)
 
 
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence[float]) -> Tensor:

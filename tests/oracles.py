@@ -123,8 +123,7 @@ def loop_mca2(h, c, p) -> np.ndarray:
     return np.array(out)
 
 
-def loop_gif(h, h_audio, h_video, w_audio, w_video, b_audio, b_video,
-             sigmoid_gates: bool = False) -> np.ndarray:
+def loop_gif(h, h_audio, h_video, w_audio, w_video, b_audio, b_video) -> np.ndarray:
     """Explicit-loop forward of the gated fusion layer."""
     n, d = len(h), len(h[0])
     out = [[0.0] * d for _ in range(n)]
@@ -134,18 +133,17 @@ def loop_gif(h, h_audio, h_video, w_audio, w_video, b_audio, b_video,
         for j in range(d):
             ga = sum(cat_a[t] * w_audio[t][j] for t in range(2 * d)) + b_audio[0][j]
             gv = sum(cat_v[t] * w_video[t][j] for t in range(2 * d)) + b_video[0][j]
-            if sigmoid_gates:
-                ga = loop_sigmoid_scalar(ga)
-                gv = loop_sigmoid_scalar(gv)
             out[i][j] = h[i][j] + ga * h_audio[i][j] + gv * h_video[i][j]
     return np.array(out)
 
 
-def loop_attend(q, k, v, d_k) -> np.ndarray:
+def loop_attend(q, k, v, d_k, mask=None) -> np.ndarray:
+    """Single-head attention; ``mask`` (n x m) is added to the scaled logits."""
     n, d = len(q), len(q[0])
     m = len(k)
     inv = 1.0 / math.sqrt(d_k)
-    logits = [[sum(q[i][t] * k[j][t] for t in range(d)) * inv for j in range(m)]
+    logits = [[sum(q[i][t] * k[j][t] for t in range(d)) * inv
+               + (0.0 if mask is None else mask[i][j]) for j in range(m)]
               for i in range(n)]
     weights = loop_softmax_rows(logits)
     dv = len(v[0])

@@ -28,7 +28,6 @@ from maf.mca2 import Mca2Params, mca2_forward
 from maf.metrics import METRIC_COLUMNS, MetricReport, bleu_k, rouge_l, rouge_n
 from maf.model import (
     ModelConfig,
-    TrainConfig,
     build_vocabulary,
     encode,
     init_model_params,
@@ -38,7 +37,8 @@ from maf.model import (
     train,
 )
 from maf.model import _instance_loss
-from maf.synthetic import SyntheticSpec, evaluate_variant, generate
+from maf.presets import GAP_MODEL, GAP_SEEDS, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
+from maf.synthetic import evaluate_variant, generate
 from maf.tensor import Tensor, backward
 
 from oracles import (
@@ -49,24 +49,7 @@ from oracles import (
     numeric_gradient,
 )
 
-_TEST_SEED_SALT = 0x9E3779B9  # held-out stream, matching the experiment runner
-
-
 # ---- shared training runs for the two gap criteria --------------------------------
-
-GAP_SPEC = SyntheticSpec(
-    num_instances=600,
-    speakers=6,
-    actions=5,
-    targets=6,
-    frames=12,
-    windows=8,
-    noise=0.1,
-    rich_templates=True,
-)
-GAP_MODEL = ModelConfig(d=32, ffn=64, d_c_audio=8, d_c_video=16, max_text_len=24)
-GAP_TRAIN = TrainConfig(lr=5e-4, epochs=12, batch_size=16)
-GAP_SEEDS = (1, 2, 3)
 
 
 @pytest.fixture(scope="session")
@@ -78,7 +61,7 @@ def gap_runs():
     for seed in GAP_SEEDS:
         train_insts = generate(replace(GAP_SPEC, seed=seed))
         test_insts = generate(
-            replace(GAP_SPEC, seed=seed ^ _TEST_SEED_SALT, num_instances=100)
+            replace(GAP_SPEC, seed=seed ^ TEST_SEED_SALT, num_instances=100)
         )
         for variant in ("TextOnly", "MAF", "Concat2"):
             tm = train(train_insts, replace(GAP_MODEL, variant=variant, seed=seed), GAP_TRAIN)
@@ -202,13 +185,11 @@ def test_acceptance_2_loop_oracles():
         gp.b_audio.data = rng.normal(size=(1, d))
         gp.b_video.data = rng.normal(size=(1, d))
         h, ha, hv = (rng.normal(size=(n, d)) for _ in range(3))
-        squash = bool(rng.integers(2))
-        got = gif_fuse(Tensor(h), Tensor(ha), Tensor(hv), gp, sigmoid_gates=squash).data
+        got = gif_fuse(Tensor(h), Tensor(ha), Tensor(hv), gp).data
         want = loop_gif(
             h.tolist(), ha.tolist(), hv.tolist(),
             gp.w_audio.data.tolist(), gp.w_video.data.tolist(),
             gp.b_audio.data.tolist(), gp.b_video.data.tolist(),
-            sigmoid_gates=squash,
         )
         worst_gif = max(worst_gif, float(np.max(np.abs(got - np.array(want)))))
     assert worst_gif < 1e-12

@@ -345,6 +345,26 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
     assert main(["stats", "--dataset", str(corrupt)]) == 3
 
 
+@pytest.mark.parametrize(
+    "mutate, key",
+    [
+        # every checkpoint written while the config had this knob carries it
+        (lambda h: h["config"].update(sigmoid_gates=False), "sigmoid_gates"),
+        (lambda h: h.pop("config"), "config"),
+        (lambda h: h["config"].pop("heads"), "heads"),
+    ],
+)
+def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, key):
+    path = write_config(tmp_path)
+    ckpt = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"])
+    head, rest = ckpt.read_bytes().split(b"\n", 1)
+    header = json.loads(head)
+    mutate(header)
+    ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
+    assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
+    assert f"'{key}'" in capsys.readouterr().err
+
+
 def test_cli_stats_needs_dataset(tmp_path, capsys):
     assert main(["stats"]) == 2
     assert main(["gen-synthetic", "--config", str(write_config(tmp_path, out=None))]) == 2

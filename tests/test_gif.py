@@ -23,17 +23,15 @@ def test_fuse_matches_loop_oracle_100_instances():
     for trial in range(100):
         n = int(rng.integers(1, 7))
         d = int(rng.integers(1, 9))
-        squash = bool(rng.integers(2))
         p = random_params(rng, d)
         h = rng.normal(size=(n, d))
         ha = rng.normal(size=(n, d))
         hv = rng.normal(size=(n, d))
-        got = gif_fuse(Tensor(h), Tensor(ha), Tensor(hv), p, sigmoid_gates=squash).data
+        got = gif_fuse(Tensor(h), Tensor(ha), Tensor(hv), p).data
         want = loop_gif(
             h.tolist(), ha.tolist(), hv.tolist(),
             p.w_audio.data.tolist(), p.w_video.data.tolist(),
             p.b_audio.data.tolist(), p.b_video.data.tolist(),
-            sigmoid_gates=squash,
         )
         assert np.max(np.abs(got - want)) < 1e-12, f"trial {trial}"
 
@@ -47,10 +45,6 @@ def test_zero_parameters_give_bit_exact_identity():
     hv = Tensor(rng.normal(size=(5, d)))
     out = gif_fuse(h, ha, hv, p)
     assert np.array_equal(out.data, h.data)
-    # sigmoid gates at zero are 0.5, so the zero-init identity is specific
-    # to the linear-gate default
-    half = gif_fuse(h, ha, hv, p, sigmoid_gates=True)
-    assert np.array_equal(half.data, h.data + (0.5 * ha.data + 0.5 * hv.data))
 
 
 def test_silent_modalities_leave_h_untouched():
@@ -94,19 +88,16 @@ def test_gradients_reach_all_parameters_and_inputs():
     hv = Tensor(rng.normal(size=(3, d)), requires_grad=True)
     probe = Tensor(rng.normal(size=(3, d)))
 
-    for squash in (False, True):
-        def build():
-            return sum_all(mul(gif_fuse(h, ha, hv, p, sigmoid_gates=squash), probe))
+    def build():
+        return sum_all(mul(gif_fuse(h, ha, hv, p), probe))
 
-        leaves = list(p.named()) + [("h", h), ("ha", ha), ("hv", hv)]
-        for _, t in leaves:
-            t.zero_grad()
-        backward(build())
-        for name, t in leaves:
-            assert t.grad is not None, f"{name} got no gradient (squash={squash})"
-            num = numeric_gradient(lambda: build().item(), t.data)
-            ok, worst = gradients_close(t.grad, num, rtol=1e-5, atol=1e-8)
-            assert ok, f"{name}: worst violation ratio {worst:.3g} (squash={squash})"
+    leaves = list(p.named()) + [("h", h), ("ha", ha), ("hv", hv)]
+    backward(build())
+    for name, t in leaves:
+        assert t.grad is not None, f"{name} got no gradient"
+        num = numeric_gradient(lambda: build().item(), t.data)
+        ok, worst = gradients_close(t.grad, num, rtol=1e-5, atol=1e-8)
+        assert ok, f"{name}: worst violation ratio {worst:.3g}"
 
 
 def test_rejects_mismatched_stream_shapes():

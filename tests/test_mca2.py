@@ -8,19 +8,18 @@ from hypothesis import given, settings, strategies as st
 from maf.errors import ContractError, ShapeError
 from maf.mca2 import (
     Mca2Params,
-    attend,
     condition_kv,
     gate_lambda,
     mca2_forward,
     project_qkv,
 )
-from maf.tensor import Tensor, backward, matmul, mul, sum_all
+from maf.tensor import Tensor, attention, backward, matmul, mul, sum_all
 
 from oracles import gradients_close, loop_attend, loop_mca2, numeric_gradient
 
 
-def random_params(rng, d=6, d_c=4, heads=1, random_gates=True):
-    p = Mca2Params.init(d, d_c, rng, heads=heads)
+def random_params(rng, d=6, d_c=4, random_gates=True):
+    p = Mca2Params.init(d, d_c, rng)
     if random_gates:
         for g in (p.gate_k_text, p.gate_k_ctx, p.gate_v_text, p.gate_v_ctx):
             g.data = rng.normal(scale=0.7, size=g.data.shape)
@@ -55,7 +54,7 @@ def test_attend_matches_loop_oracle():
         q = rng.normal(size=(n, d))
         k = rng.normal(size=(m, d))
         v = rng.normal(size=(m, dv))
-        got = attend(Tensor(q), Tensor(k), Tensor(v), d).data
+        got = attention(Tensor(q), Tensor(k), Tensor(v)).data
         want = loop_attend(q.tolist(), k.tolist(), v.tolist(), d)
         assert np.max(np.abs(got - want)) < 1e-12
 
@@ -81,7 +80,7 @@ def test_gate_zero_recovers_plain_self_attention():
     c = Tensor(rng.normal(size=(4, p.d_c)))
     q, k, v = project_qkv(h, p)
     got = mca2_forward(h, c, p, gate_override=0.0).data
-    want = attend(q, k, v, p.d_k).data
+    want = attention(q, k, v).data
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -94,7 +93,7 @@ def test_gate_one_attends_over_pure_context():
     ck = matmul(c, p.ctx_k)
     cv = matmul(c, p.ctx_v)
     got = mca2_forward(h, c, p, gate_override=1.0).data
-    want = attend(q, ck, cv, p.d_k).data
+    want = attention(q, ck, cv).data
     assert np.max(np.abs(got - want)) < 1e-12
 
 
@@ -168,37 +167,6 @@ def test_permutation_equivariance():
     assert np.max(np.abs(permuted - base[perm])) < 1e-12
 
 
-def test_multi_head_shapes_and_weight_rows():
-    rng = np.random.default_rng(8)
-    p = random_params(rng, d=8, d_c=4, heads=2)
-    assert p.d_k == 4
-    h = Tensor(rng.normal(size=(5, 8)))
-    c = Tensor(rng.normal(size=(5, 4)))
-    trace = mca2_forward(h, c, p, return_trace=True)
-    assert trace.output.shape == (5, 8)
-    assert len(trace.weights) == 2
-    for w in trace.weights:
-        assert w.shape == (5, 5)
-        assert np.allclose(w.data.sum(axis=1), 1.0)
-
-
-def test_multi_head_concatenates_per_head_attention():
-    rng = np.random.default_rng(9)
-    p = random_params(rng, d=6, d_c=4, heads=3)
-    h = Tensor(rng.normal(size=(4, 6)))
-    c = Tensor(rng.normal(size=(4, 4)))
-    trace = mca2_forward(h, c, p, return_trace=True)
-    for i in range(3):
-        lo, hi = 2 * i, 2 * i + 2
-        block = attend(
-            Tensor(trace.q.data[:, lo:hi]),
-            Tensor(trace.k_mixed.data[:, lo:hi]),
-            Tensor(trace.v_mixed.data[:, lo:hi]),
-            p.d_k,
-        ).data
-        assert np.max(np.abs(trace.output.data[:, lo:hi] - block)) < 1e-12
-
-
 def test_trace_is_consistent_with_output():
     rng = np.random.default_rng(10)
     p = random_params(rng)
@@ -256,19 +224,19 @@ def test_rejects_misaligned_context():
         mca2_forward(h, Tensor(np.zeros((3, 5))), p)
 
 
-def test_init_rejects_bad_head_count():
+def test_init_rejects_nonpositive_widths():
     rng = np.random.default_rng(14)
     with pytest.raises(ContractError):
-        Mca2Params.init(6, 4, rng, heads=4)
-    with pytest.raises(ContractError):
         Mca2Params.init(0, 4, rng)
+    with pytest.raises(ContractError):
+        Mca2Params.init(6, 0, rng)
 
 
 def test_attend_rejects_mismatched_shapes():
     q = Tensor(np.zeros((2, 3)))
     with pytest.raises(ShapeError):
-        attend(q, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))), 3)
+        attention(q, Tensor(np.zeros((2, 4))), Tensor(np.zeros((2, 3))))
     with pytest.raises(ShapeError):
-        attend(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))), 3)
-    with pytest.raises(ContractError):
-        attend(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), 0)
+        attention(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 3))))
+    with pytest.raises(ShapeError):
+        attention(q, Tensor(np.zeros((2, 3))), Tensor(np.zeros((2, 3))), heads=0)

@@ -117,7 +117,7 @@ def test_default_config_is_valid():
     [
         (dict(variant="Fancy"), "unknown variant"),
         (dict(d=9), "heads must divide d"),
-        (dict(d=8, mca2_heads=3), "mca2_heads must divide d"),
+        (dict(d_c_audio=0), "d_c_audio"),
         (dict(fusion_layer_index=0), "fusion_layer_index"),
         (dict(fusion_layer_index=3), "fusion_layer_index"),
         (dict(max_target_len=1), "max_target_len"),
@@ -136,7 +136,6 @@ def test_modality_usage_by_variant():
         "TA": (True, False),
         "TV": (False, True),
         "MAF": (True, True),
-        "Concat1": (True, True),
         "Concat2": (True, True),
         "DPA": (True, True),
         "NoGIF": (True, True),
@@ -289,13 +288,11 @@ def test_named_parameters_unique_and_learnable():
                  "audio_enc.", "video_enc."], ["adapter.concat"]),
         ("NoGIF", ["adapter.mca2_audio.", "adapter.mca2_video."], ["adapter.gif."]),
         ("DPA", ["adapter.mca2_audio.", "adapter.gif."], ["adapter.concat"]),
-        ("Concat1", ["adapter.concat_audio", "adapter.concat_video", "adapter.gif."],
-         ["adapter.mca2"]),
+        ("TV", ["adapter.mca2_video.", "adapter.gif.", "video_enc."],
+         ["adapter.mca2_audio.", "audio_enc."]),
         ("Concat2", ["adapter.concat_tri"], ["adapter.gif.", "adapter.mca2"]),
         ("TA", ["adapter.mca2_audio.", "adapter.gif.", "audio_enc."],
          ["adapter.mca2_video.", "video_enc."]),
-        ("TV", ["adapter.mca2_video.", "adapter.gif.", "video_enc."],
-         ["adapter.mca2_audio.", "audio_enc."]),
     ],
 )
 def test_parameter_slots_by_variant(variant, present, absent):

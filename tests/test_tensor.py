@@ -9,6 +9,7 @@ from maf.errors import ContractError, ShapeError
 from maf.tensor import (
     Tensor,
     add,
+    attention,
     backward,
     concat_last,
     cross_entropy_rows,
@@ -21,16 +22,13 @@ from maf.tensor import (
     relu,
     scale,
     sigmoid,
-    slice_cols,
-    softmax_rows,
     sub,
     sum_all,
-    transpose,
     zeros,
     zeros_like,
 )
 
-from oracles import gradients_close, numeric_gradient
+from oracles import gradients_close, loop_attend, numeric_gradient
 
 RTOL = 1e-5
 ATOL = 1e-8
@@ -103,7 +101,6 @@ def test_elementwise_forward_matches_numpy():
     assert np.allclose(mul(Tensor(a), Tensor(b)).data, a * b)
     assert np.allclose(scale(Tensor(a), -2.5).data, a * -2.5)
     assert np.allclose(matmul(Tensor(a), Tensor(b.T)).data, a @ b.T)
-    assert np.allclose(transpose(Tensor(a)).data, a.T)
 
 
 def test_operator_sugar():
@@ -113,15 +110,7 @@ def test_operator_sugar():
     assert np.allclose((a * b).data, [[3.0, 8.0]])
     assert np.allclose((2.0 * a).data, [[2.0, 4.0]])
     assert np.allclose((-a).data, [[-1.0, -2.0]])
-    assert np.allclose((a @ b.T).data, [[11.0]])
-
-
-def test_softmax_rows_sum_to_one_and_is_stable():
-    x = Tensor([[1000.0, 1000.0, 999.0], [-1000.0, 0.0, 1.0]])
-    s = softmax_rows(x).data
-    assert np.allclose(s.sum(axis=1), 1.0)
-    assert np.all(np.isfinite(s))
-    assert np.all(s >= 0)
+    assert np.allclose((a @ Tensor([[3.0], [4.0]])).data, [[11.0]])
 
 
 def test_sigmoid_saturates_without_overflow():
@@ -139,8 +128,8 @@ def test_concat_and_slice_are_inverses():
     a, b = rng.normal(size=(3, 2)), rng.normal(size=(3, 4))
     cat = concat_last(Tensor(a), Tensor(b))
     assert cat.shape == (3, 6)
-    assert np.array_equal(slice_cols(cat, 0, 2).data, a)
-    assert np.array_equal(slice_cols(cat, 2, 6).data, b)
+    assert np.array_equal(cat.data[:, :2], a)
+    assert np.array_equal(cat.data[:, 2:], b)
 
 
 def test_gather_rows_basic():
@@ -198,12 +187,6 @@ def test_grad_matmul_chain():
     check_grads(lambda: sum_all(matmul(matmul(a, b), c)), [a, b, c])
 
 
-def test_grad_transpose():
-    rng = np.random.default_rng(13)
-    a, b = leaf(rng, 2, 3), leaf(rng, 2, 3)
-    check_grads(lambda: sum_all(matmul(a, transpose(b))), [a, b])
-
-
 def test_grad_sigmoid():
     rng = np.random.default_rng(14)
     a = leaf(rng, 3, 3)
@@ -217,17 +200,12 @@ def test_grad_relu_away_from_kink():
     check_grads(lambda: sum_all(relu(a)), [a])
 
 
-def test_grad_softmax():
-    rng = np.random.default_rng(16)
-    a = leaf(rng, 3, 5)
-    w = leaf(rng, 3, 5)
-    check_grads(lambda: sum_all(mul(softmax_rows(a), w)), [a, w])
-
-
 def test_grad_concat_slice():
+    # only columns 1..3 of the concatenation reach the loss
     rng = np.random.default_rng(17)
     a, b = leaf(rng, 3, 2), leaf(rng, 3, 3)
-    check_grads(lambda: sum_all(slice_cols(concat_last(a, b), 1, 4)), [a, b])
+    cols = Tensor(np.tile([0.0, 1.0, 1.0, 1.0, 0.0], (3, 1)))
+    check_grads(lambda: sum_all(mul(concat_last(a, b), cols)), [a, b])
 
 
 def test_grad_gather_rows_accumulates_duplicates():
@@ -354,11 +332,6 @@ def test_backward_rejects_unconnected_loss():
         backward(Tensor([[1.0]]))
 
 
-def test_slice_cols_range_check():
-    with pytest.raises(ShapeError):
-        slice_cols(Tensor(np.zeros((2, 3))), 1, 5)
-
-
 def test_gather_rows_rejects_bad_ids():
     table = Tensor(np.zeros((3, 2)))
     with pytest.raises(ContractError):
@@ -382,10 +355,94 @@ def test_cross_entropy_rejects_out_of_range_target():
         cross_entropy_rows(Tensor(np.zeros((2, 3))), [0, 3], [1.0, 1.0])
 
 
+# ---- attention kernel ------------------------------------------------------------
+
+
+def causal(n, m):
+    return np.triu(np.full((n, m), -1e9), k=1)
+
+
+@pytest.mark.parametrize("heads", [1, 2, 4])
+@pytest.mark.parametrize("n, m", [(5, 5), (3, 6), (6, 2)])
+@pytest.mark.parametrize("masked", [False, True])
+def test_attention_matches_loop_oracle_per_head(heads, n, m, masked):
+    rng = np.random.default_rng(100 * heads + 10 * n + m)
+    d_k, h_v = 3, 2
+    q = rng.normal(size=(n, heads * d_k))
+    k = rng.normal(size=(m, heads * d_k))
+    v = rng.normal(size=(m, heads * h_v))
+    mask = causal(n, m) if masked else None
+    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, mask).data
+    assert got.shape == (n, heads * h_v)
+    for h in range(heads):
+        qk, vc = slice(h * d_k, (h + 1) * d_k), slice(h * h_v, (h + 1) * h_v)
+        want = loop_attend(q[:, qk].tolist(), k[:, qk].tolist(), v[:, vc].tolist(), d_k,
+                           None if mask is None else mask.tolist())
+        assert np.max(np.abs(got[:, vc] - want)) < 1e-12, f"head {h}"
+
+
+def test_attention_large_logits_stay_finite():
+    # logits around 1e6 overflow exp() unless each softmax row is shifted by its max
+    rng = np.random.default_rng(30)
+    q = Tensor(rng.normal(scale=1000.0, size=(4, 6)), requires_grad=True)
+    k = Tensor(rng.normal(scale=1000.0, size=(4, 6)), requires_grad=True)
+    v = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
+    for mask in (None, causal(4, 4)):
+        out = attention(q, k, v, heads=2, mask=mask)
+        assert np.all(np.isfinite(out.data))
+        # rows are convex combinations of value rows
+        assert np.all(out.data >= v.data.min(axis=0) - 1e-12)
+        assert np.all(out.data <= v.data.max(axis=0) + 1e-12)
+        backward(sum_all(out))
+        for t in (q, k, v):
+            assert np.all(np.isfinite(t.grad))
+
+
+@pytest.mark.parametrize("heads, n, m, masked", [(1, 4, 4, True), (2, 3, 5, False),
+                                                 (2, 4, 4, True)])
+def test_grad_attention(heads, n, m, masked):
+    rng = np.random.default_rng(31 + heads + n)
+    q, k, v = leaf(rng, n, 4), leaf(rng, m, 4), leaf(rng, m, 6)
+    probe = Tensor(rng.normal(size=(n, 6)))
+    mask = causal(n, m) if masked else None
+    check_grads(lambda: sum_all(mul(attention(q, k, v, heads, mask), probe)), [q, k, v])
+
+
+def test_attention_is_one_graph_node():
+    rng = np.random.default_rng(32)
+    q, k, v = leaf(rng, 3, 4), leaf(rng, 5, 4), leaf(rng, 5, 4)
+    out = attention(q, k, v, heads=2, mask=causal(3, 5))
+    assert out.op == "attention"
+    assert out.parents == (q, k, v)
+    # a constant query still routes gradients to keys and values only
+    const_q = attention(Tensor(q.data), k, v)
+    backward(sum_all(const_q))
+    assert k.grad is not None and v.grad is not None
+
+
+def test_attention_shape_errors():
+    def z(rows, cols):
+        return Tensor(np.zeros((rows, cols)))
+
+    with pytest.raises(ShapeError, match="heads"):
+        attention(z(2, 6), z(3, 6), z(3, 6), heads=4)
+    with pytest.raises(ShapeError, match="heads"):
+        attention(z(2, 6), z(3, 6), z(3, 5), heads=2)
+    with pytest.raises(ShapeError, match="heads"):
+        attention(z(2, 6), z(3, 6), z(3, 6), heads=0)
+    with pytest.raises(ShapeError, match="widths"):
+        attention(z(2, 6), z(3, 4), z(3, 6))
+    with pytest.raises(ShapeError, match="row counts"):
+        attention(z(2, 6), z(3, 6), z(4, 6))
+    with pytest.raises(ShapeError, match="mask"):
+        attention(z(2, 6), z(3, 6), z(3, 6), mask=np.zeros((3, 2)))
+
+
 # ---- property: random smooth graphs gradcheck ----------------------------------
 
 _SMOOTH_BINARY = ("add", "sub", "mul", "matmul")
-_SMOOTH_UNARY = ("sigmoid", "softmax_rows", "transpose", "scale")
+# attention draws its keys and values from the pool as well
+_SMOOTH_UNARY = ("sigmoid", "attention", "scale")
 
 
 @settings(max_examples=25, deadline=None)
@@ -411,10 +468,11 @@ def test_random_smooth_graph_matches_finite_differences(seed, depth):
                 a = pool[op_rng.integers(len(pool))]
                 if name == "scale":
                     pool.append(scale(a, 0.5))
+                elif name == "attention":
+                    k, v = (pool[op_rng.integers(len(pool))] for _ in range(2))
+                    pool.append(attention(a, k, v, heads=int(op_rng.choice([1, n]))))
                 else:
-                    fn = {"sigmoid": sigmoid, "softmax_rows": softmax_rows,
-                          "transpose": transpose}[name]
-                    pool.append(fn(a))
+                    pool.append(sigmoid(a))
         # fold every leaf in so each one is connected to the loss
         loss = sum_all(pool[-1])
         for l in leaves:
