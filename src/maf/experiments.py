@@ -102,6 +102,17 @@ def _build(section: str, cls, raw: dict):
         raise ConfigError(f"config section '{section}': {exc}") from None
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _typed(raw: dict, key: str, default, ok, what: str):
+    value = raw.get(key, default)
+    if not ok(value):
+        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
+    return value
+
+
 _TOP_KEYS = {"model", "train", "dataset", "synthetic", "test_instances",
              "variants", "seeds", "out", "bleu_smoothing"}
 
@@ -128,9 +139,13 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
         train=_build("train", TrainConfig, raw.get("train", {})),
         dataset=raw.get("dataset"),
         synthetic=_build("synthetic", SyntheticSpec, raw["synthetic"]) if raw.get("synthetic") else None,
-        test_instances=raw.get("test_instances", 100),
-        variants=list(raw.get("variants", ["MAF"])),
-        seeds=list(raw.get("seeds", [1, 2, 3])),
+        test_instances=_typed(raw, "test_instances", 100, _is_int, "an integer"),
+        variants=list(_typed(raw, "variants", ["MAF"],
+                             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
+                             "a list of variant names")),
+        seeds=list(_typed(raw, "seeds", [1, 2, 3],
+                          lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
+                          "a list of integers")),
         out=raw.get("out"),
         bleu_smoothing=bool(raw.get("bleu_smoothing", False)),
     )
@@ -200,12 +215,22 @@ def _single_cell(cfg: ExperimentConfig, what: str) -> tuple[str, int]:
     return cfg.variants[0], cfg.seeds[0]
 
 
-def _train_one(cfg: ExperimentConfig, variant: str, seed: int, train_insts,
-               fusion_layer: int | None = None):
-    mcfg = replace(cfg.model, variant=variant, seed=seed)
-    if fusion_layer is not None:
-        mcfg = replace(mcfg, fusion_layer_index=fusion_layer)
-    return train(train_insts, mcfg, cfg.train)
+def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> list[dict]:
+    """Train and score every (variant, fusion layer, file tag) cell at every
+    seed; write each cell's metric row and loss log, then the report."""
+    out = _out_dir(cfg)
+    rows = []
+    for seed in cfg.seeds:
+        train_insts, test_insts = _prepare_data(cfg, seed)
+        for variant, layer, tag in cells:
+            mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
+            tm = train(train_insts, mcfg, cfg.train)
+            row = _metric_row(cfg, variant, seed, layer, evaluate_variant(tm, test_insts))
+            _dump_json(out / f"metrics_{tag}_seed{seed}.json", row)
+            _write_loss_log(out / f"loss_{tag}_seed{seed}.csv", tm.step_losses)
+            rows.append(row)
+    cmd_report(cfg)
+    return rows
 
 
 # ---- subcommands ---------------------------------------------------------------
@@ -217,7 +242,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     variant, seed = _single_cell(cfg, "train")
     out = _out_dir(cfg)
     train_insts, _ = _prepare_data(cfg, seed)
-    tm = _train_one(cfg, variant, seed, train_insts)
+    tm = train(train_insts, replace(cfg.model, variant=variant, seed=seed), cfg.train)
     ckpt = out / f"checkpoint_{variant}_seed{seed}.ckpt"
     save_checkpoint(tm, ckpt)
     loss_log = out / f"loss_{variant}_seed{seed}.csv"
@@ -245,19 +270,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
 def cmd_ablate(cfg: ExperimentConfig) -> list[dict]:
     """Train and evaluate every configured variant under identical seeds."""
     cfg.validate()
-    out = _out_dir(cfg)
-    rows = []
-    for seed in cfg.seeds:
-        train_insts, test_insts = _prepare_data(cfg, seed)
-        for variant in cfg.variants:
-            tm = _train_one(cfg, variant, seed, train_insts)
-            scores = evaluate_variant(tm, test_insts)
-            row = _metric_row(cfg, variant, seed, cfg.model.fusion_layer_index, scores)
-            _dump_json(out / f"metrics_{variant}_seed{seed}.json", row)
-            _write_loss_log(out / f"loss_{variant}_seed{seed}.csv", tm.step_losses)
-            rows.append(row)
-    cmd_report(cfg)
-    return rows
+    return _run_grid(cfg, [(v, cfg.model.fusion_layer_index, v) for v in cfg.variants])
 
 
 def cmd_sweep_fusion_layer(cfg: ExperimentConfig) -> list[dict]:
@@ -266,18 +279,8 @@ def cmd_sweep_fusion_layer(cfg: ExperimentConfig) -> list[dict]:
     if len(cfg.variants) != 1:
         raise ConfigError(f"sweep-fusion-layer uses one variant; narrow with --variant (got {cfg.variants})")
     variant = cfg.variants[0]
-    out = _out_dir(cfg)
-    rows = []
-    for seed in cfg.seeds:
-        train_insts, test_insts = _prepare_data(cfg, seed)
-        for layer in range(1, cfg.model.encoder_layers + 1):
-            tm = _train_one(cfg, variant, seed, train_insts, fusion_layer=layer)
-            scores = evaluate_variant(tm, test_insts)
-            row = _metric_row(cfg, variant, seed, layer, scores)
-            _dump_json(out / f"metrics_{variant}_layer{layer}_seed{seed}.json", row)
-            rows.append(row)
-    cmd_report(cfg)
-    return rows
+    return _run_grid(cfg, [(variant, layer, f"{variant}_layer{layer}")
+                           for layer in range(1, cfg.model.encoder_layers + 1)])
 
 
 def cmd_gen_synthetic(cfg: ExperimentConfig, out_file: str) -> int:

@@ -9,7 +9,8 @@ streams produced by the attention blocks:
 
 The gates are linear (no squashing), so with all parameters at zero the
 layer is exactly the identity on H, which is how the adapter starts
-training.
+training. A single-modality variant passes ``None`` for the absent stream,
+which drops its term: H' = H + g_a * H_a.
 """
 
 from __future__ import annotations
@@ -19,7 +20,7 @@ from dataclasses import dataclass
 from .errors import ShapeError
 from .tensor import Tensor, add, concat_last, matmul, mul, zeros
 
-__all__ = ["GifParams", "gif_fuse", "gif_fuse_single"]
+__all__ = ["GifParams", "gif_fuse"]
 
 
 @dataclass
@@ -30,7 +31,10 @@ class GifParams:
     w_video: Tensor
     b_audio: Tensor
     b_video: Tensor
-    d: int
+
+    @property
+    def d(self) -> int:
+        return self.b_audio.shape[1]
 
     @classmethod
     def zero_init(cls, d: int) -> "GifParams":
@@ -40,49 +44,34 @@ class GifParams:
             w_video=zeros(2 * d, d, requires_grad=True),
             b_audio=zeros(1, d, requires_grad=True),
             b_video=zeros(1, d, requires_grad=True),
-            d=d,
         )
-
-    def named(self, prefix: str = ""):
-        for name in ("w_audio", "w_video", "b_audio", "b_video"):
-            yield f"{prefix}{name}", getattr(self, name)
-
-
-def _check(h: Tensor, other: Tensor, label: str) -> None:
-    if other.shape != h.shape:
-        raise ShapeError(f"{label} must match hidden states {h.shape}, got {other.shape}")
-
-
-def _gate(h: Tensor, stream: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    return add(matmul(concat_last(h, stream), w), b)
 
 
 def gif_fuse(
     h: Tensor,
-    h_audio: Tensor,
-    h_video: Tensor,
+    h_audio: Tensor | None,
+    h_video: Tensor | None,
     params: GifParams,
     *,
     gates: tuple[Tensor, Tensor] | None = None,
 ) -> Tensor:
-    """Fuse both modality streams into the text stream; output is n x d.
+    """Fuse the present modality streams into the text stream; output is n x d.
 
-    ``gates`` overrides the computed gate pair (used by tests to pin the
-    gates, e.g. to all-ones, which turns the fusion into a plain sum).
+    A stream given as ``None`` contributes no term. ``gates`` overrides the
+    computed gate pair (used by tests to pin the gates, e.g. to all-ones,
+    which turns the fusion into a plain sum).
     """
-    _check(h, h_audio, "audio stream")
-    _check(h, h_video, "video stream")
     if h.shape[1] != params.d:
         raise ShapeError(f"hidden width {h.shape[1]} does not match params d={params.d}")
-    if gates is None:
-        g_audio = _gate(h, h_audio, params.w_audio, params.b_audio)
-        g_video = _gate(h, h_video, params.w_video, params.b_video)
-    else:
-        g_audio, g_video = gates
-    return add(h, add(mul(g_audio, h_audio), mul(g_video, h_video)))
-
-
-def gif_fuse_single(h: Tensor, stream: Tensor, w: Tensor, b: Tensor) -> Tensor:
-    """One-modality degenerate form: H + g * H_m, the other term dropped."""
-    _check(h, stream, "modality stream")
-    return add(h, mul(_gate(h, stream, w, b), stream))
+    pinned = gates or (None, None)
+    terms = []
+    for label, stream, w, b, g in (("audio", h_audio, params.w_audio, params.b_audio, pinned[0]),
+                                   ("video", h_video, params.w_video, params.b_video, pinned[1])):
+        if stream is None:
+            continue
+        if stream.shape != h.shape:
+            raise ShapeError(f"{label} stream must match hidden states {h.shape}, got {stream.shape}")
+        if g is None:
+            g = add(matmul(concat_last(h, stream), w), b)
+        terms.append(mul(g, stream))
+    return add(h, terms[0] if len(terms) == 1 else add(*terms))

@@ -18,6 +18,10 @@ replaced by modality context. With the gate weights at zero every gate
 is exactly 0.5; pinning the gates to zero recovers plain self-attention
 over (Q, K, V), pinning them to one attends purely over projected context.
 The last line is the shared kernel ``tensor.attention`` with one head.
+
+``mca2_forward`` is the whole block in one pass: C U_k and C U_v are
+computed once and feed both the gates and the mix, and
+``return_trace=True`` hands back those same intermediates.
 """
 
 from __future__ import annotations
@@ -29,7 +33,7 @@ import numpy as np
 from .errors import ContractError, ShapeError
 from .tensor import Tensor, add, attention, glorot_uniform, matmul, mul, sigmoid, sub, zeros
 
-__all__ = ["Mca2Params", "AttentionTrace", "project_qkv", "gate_lambda", "condition_kv", "mca2_forward"]
+__all__ = ["Mca2Params", "AttentionTrace", "mca2_forward"]
 
 
 @dataclass
@@ -52,8 +56,14 @@ class Mca2Params:
     gate_k_ctx: Tensor
     gate_v_text: Tensor
     gate_v_ctx: Tensor
-    d: int
-    d_c: int
+
+    @property
+    def d(self) -> int:
+        return self.w_q.shape[0]
+
+    @property
+    def d_c(self) -> int:
+        return self.ctx_k.shape[0]
 
     @classmethod
     def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "Mca2Params":
@@ -70,14 +80,7 @@ class Mca2Params:
             gate_k_ctx=zeros(d, 1, requires_grad=True),
             gate_v_text=zeros(d, 1, requires_grad=True),
             gate_v_ctx=zeros(d, 1, requires_grad=True),
-            d=d,
-            d_c=d_c,
         )
-
-    def named(self, prefix: str = ""):
-        for name in ("w_q", "w_k", "w_v", "ctx_k", "ctx_v",
-                     "gate_k_text", "gate_k_ctx", "gate_v_text", "gate_v_ctx"):
-            yield f"{prefix}{name}", getattr(self, name)
 
 
 @dataclass
@@ -94,68 +97,6 @@ class AttentionTrace:
     output: Tensor
 
 
-def _check_h(h: Tensor, params: Mca2Params) -> None:
-    if h.data.ndim != 2 or h.shape[1] != params.d:
-        raise ShapeError(f"hidden states must be n x {params.d}, got {h.shape}")
-
-
-def _check_c(c: Tensor, n: int, params: Mca2Params) -> None:
-    if c.data.ndim != 2 or c.shape != (n, params.d_c):
-        raise ShapeError(f"context must be {n} x {params.d_c} (aligned), got {c.shape}")
-
-
-def project_qkv(h: Tensor, params: Mca2Params) -> tuple[Tensor, Tensor, Tensor]:
-    """Project hidden states into query, key and value matrices (each n x d)."""
-    _check_h(h, params)
-    return matmul(h, params.w_q), matmul(h, params.w_k), matmul(h, params.w_v)
-
-
-def gate_lambda(k: Tensor, v: Tensor, c: Tensor, params: Mca2Params) -> tuple[Tensor, Tensor]:
-    """Per-position mixing gates in (0, 1), shape n x 1 each.
-
-    Each gate is a logistic over two scalar summaries: one of the textual
-    key (or value) row, one of the projected context row.
-    """
-    n = k.shape[0]
-    if v.shape != k.shape:
-        raise ShapeError(f"key/value row counts disagree: {k.shape} vs {v.shape}")
-    _check_c(c, n, params)
-    ctx_k = matmul(c, params.ctx_k)
-    ctx_v = matmul(c, params.ctx_v)
-    gate_k = sigmoid(add(matmul(k, params.gate_k_text), matmul(ctx_k, params.gate_k_ctx)))
-    gate_v = sigmoid(add(matmul(v, params.gate_v_text), matmul(ctx_v, params.gate_v_ctx)))
-    return gate_k, gate_v
-
-
-def condition_kv(
-    k: Tensor,
-    v: Tensor,
-    c: Tensor,
-    gate_k: Tensor,
-    gate_v: Tensor,
-    params: Mca2Params,
-) -> tuple[Tensor, Tensor]:
-    """Convex per-position mix of textual keys/values with projected context.
-
-    The n x 1 gates broadcast across the d feature columns:
-    K' = (1 - gate_k) * K + gate_k * (C ctx_k), likewise for V'.
-    """
-    n = k.shape[0]
-    _check_c(c, n, params)
-    for name, g in (("gate_k", gate_k), ("gate_v", gate_v)):
-        if g.shape != (n, 1):
-            raise ShapeError(f"{name} must be {n} x 1, got {g.shape}")
-    one = Tensor(np.ones((n, 1)))
-    k_mixed = add(mul(sub(one, gate_k), k), mul(gate_k, matmul(c, params.ctx_k)))
-    v_mixed = add(mul(sub(one, gate_v), v), mul(gate_v, matmul(c, params.ctx_v)))
-    return k_mixed, v_mixed
-
-
-def _pinned_gates(n: int, value: float) -> tuple[Tensor, Tensor]:
-    g = Tensor(np.full((n, 1), float(value)))
-    return g, g
-
-
 def mca2_forward(
     h: Tensor,
     c: Tensor,
@@ -164,21 +105,30 @@ def mca2_forward(
     gate_override: float | None = None,
     return_trace: bool = False,
 ):
-    """Full block: project, gate, condition, attend. Output is n x d.
+    """Full block in one pass: project, gate, mix, attend. Output is n x d.
 
-    ``gate_override`` pins both gates to a constant (bypassing the learned
-    gate path); 0.0 collapses the block to plain self-attention over
-    (Q, K, V), 1.0 attends purely over projected context. Intended for
-    tests and ablations, not training.
+    ``gate_override`` pins both gates to a constant
+    (bypassing the learned gate path); 0.0 collapses the block to plain
+    self-attention over (Q, K, V), 1.0 attends purely over projected
+    context. Intended for tests and ablations, not training.
+    ``return_trace`` returns an ``AttentionTrace`` of the intermediates.
     """
-    _check_h(h, params)
-    _check_c(c, h.shape[0], params)
-    q, k, v = project_qkv(h, params)
+    n = h.shape[0]
+    if h.data.ndim != 2 or h.shape[1] != params.d:
+        raise ShapeError(f"hidden states must be n x {params.d}, got {h.shape}")
+    if c.data.ndim != 2 or c.shape != (n, params.d_c):
+        raise ShapeError(f"context must be {n} x {params.d_c} (aligned), got {c.shape}")
+    q, k, v = matmul(h, params.w_q), matmul(h, params.w_k), matmul(h, params.w_v)
+    ctx_k, ctx_v = matmul(c, params.ctx_k), matmul(c, params.ctx_v)
     if gate_override is None:
-        gate_k, gate_v = gate_lambda(k, v, c, params)
+        gate_k = sigmoid(add(matmul(k, params.gate_k_text), matmul(ctx_k, params.gate_k_ctx)))
+        gate_v = sigmoid(add(matmul(v, params.gate_v_text), matmul(ctx_v, params.gate_v_ctx)))
     else:
-        gate_k, gate_v = _pinned_gates(h.shape[0], gate_override)
-    k_mixed, v_mixed = condition_kv(k, v, c, gate_k, gate_v, params)
+        gate_k = gate_v = Tensor(np.full((n, 1), float(gate_override)))
+    # the n x 1 gates broadcast across the d feature columns
+    one = Tensor(np.ones((n, 1)))
+    k_mixed = add(mul(sub(one, gate_k), k), mul(gate_k, ctx_k))
+    v_mixed = add(mul(sub(one, gate_v), v), mul(gate_v, ctx_v))
 
     out = attention(q, k_mixed, v_mixed)
     if not return_trace:

@@ -14,6 +14,11 @@ Adapter variants, selected by ``ModelConfig.variant``:
     TextOnly  adapter bypassed entirely
     TA / TV   single-modality forms (the absent gate term is dropped)
 
+``_FORMS`` holds this table as data: which modalities a variant reads,
+how each stream attends, and how the streams merge. Parameter init,
+``ModelConfig.uses_audio``/``uses_video`` and the adapter read it, so
+MAF, NoGIF, DPA, TA and TV run one code path.
+
 Everything is deterministic given ``ModelConfig.seed``: parameter init,
 data order, and therefore every loss value and generated token.
 """
@@ -24,13 +29,13 @@ import json
 import math
 from dataclasses import asdict, dataclass, field, fields, replace
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
 from .data import DialogueInstance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
-from .gif import GifParams, gif_fuse, gif_fuse_single
+from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
 from .tensor import (
     Tensor,
@@ -43,6 +48,7 @@ from .tensor import (
     glorot_uniform,
     layer_norm_rows,
     matmul,
+    named_parameters,
     relu,
     scale,
     zeros,
@@ -72,9 +78,24 @@ __all__ = [
     "Adam",
 ]
 
-VARIANTS = ("MAF", "Concat2", "DPA", "NoGIF", "TextOnly", "TA", "TV")
-_USES_AUDIO = {"MAF", "Concat2", "DPA", "NoGIF", "TA"}
-_USES_VIDEO = {"MAF", "Concat2", "DPA", "NoGIF", "TV"}
+
+class _Form(NamedTuple):
+    audio: bool          # the variant reads audio features
+    video: bool          # the variant reads video features
+    attend: str | None   # per-stream attention: "mca2", "dpa" or None
+    merge: str | None    # "gif", "add", "concat" or None (adapter bypassed)
+
+
+_FORMS = {
+    "MAF": _Form(True, True, "mca2", "gif"),
+    "Concat2": _Form(True, True, None, "concat"),
+    "DPA": _Form(True, True, "dpa", "gif"),
+    "NoGIF": _Form(True, True, "mca2", "add"),
+    "TextOnly": _Form(False, False, None, None),
+    "TA": _Form(True, False, "mca2", "gif"),
+    "TV": _Form(False, True, "mca2", "gif"),
+}
+VARIANTS = tuple(_FORMS)
 
 
 # ---- configuration ---------------------------------------------------------
@@ -103,13 +124,14 @@ class ModelConfig:
     seed: int = 1
 
     def validate(self) -> None:
+        _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
         for name in ("d", "encoder_layers", "decoder_layers", "ffn", "heads", "d_c_audio",
                      "d_c_video", "audio_raw_dim", "video_raw_dim", "max_text_len",
                      "max_frames", "max_windows"):
             if getattr(self, name) < 1:
-                raise ConfigError(f"{name} must be >= 1, got {getattr(self, name)}")
+                raise ConfigError(f"'{name}' must be >= 1, got {getattr(self, name)}")
         if self.max_target_len < 2:
             raise ConfigError(f"max_target_len must be >= 2, got {self.max_target_len}")
         if self.d % self.heads != 0:
@@ -123,10 +145,10 @@ class ModelConfig:
             raise ConfigError(f"vocab_size must cover the four specials plus content, got {self.vocab_size}")
 
     def uses_audio(self) -> bool:
-        return self.variant in _USES_AUDIO
+        return _FORMS[self.variant].audio
 
     def uses_video(self) -> bool:
-        return self.variant in _USES_VIDEO
+        return _FORMS[self.variant].video
 
 
 @dataclass
@@ -137,12 +159,24 @@ class TrainConfig:
     grad_clip: float = 1.0
 
     def validate(self) -> None:
+        _check_types(self)
         if self.lr < 0:
             raise ConfigError(f"lr must be >= 0, got {self.lr}")
         if self.epochs < 1 or self.batch_size < 1:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.grad_clip <= 0:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+
+
+_FIELD_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float), "str": str}
+
+
+def _check_types(cfg) -> None:
+    """Every field must hold its annotated type; a bool is not a number."""
+    for f in fields(cfg):
+        value = getattr(cfg, f.name)
+        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+            raise ConfigError(f"'{f.name}' must be {f.type}, got {value!r}")
 
 
 # ---- parameter containers ---------------------------------------------------
@@ -159,10 +193,6 @@ class AttentionParams:
     def init(cls, d: int, rng: np.random.Generator) -> "AttentionParams":
         return cls(*(glorot_uniform(rng, d, d) for _ in range(4)))
 
-    def named(self, prefix: str):
-        for n in ("w_q", "w_k", "w_v", "w_o"):
-            yield f"{prefix}{n}", getattr(self, n)
-
 
 @dataclass
 class LayerNormParams:
@@ -173,10 +203,6 @@ class LayerNormParams:
     def init(cls, d: int) -> "LayerNormParams":
         return cls(gain=Tensor(np.ones((1, d)), requires_grad=True),
                    bias=zeros(1, d, requires_grad=True))
-
-    def named(self, prefix: str):
-        yield f"{prefix}gain", self.gain
-        yield f"{prefix}bias", self.bias
 
 
 @dataclass
@@ -195,10 +221,6 @@ class FeedForwardParams:
             b2=zeros(1, d, requires_grad=True),
         )
 
-    def named(self, prefix: str):
-        for n in ("w1", "b1", "w2", "b2"):
-            yield f"{prefix}{n}", getattr(self, n)
-
 
 @dataclass
 class EncoderLayerParams:
@@ -215,12 +237,6 @@ class EncoderLayerParams:
             ffn=FeedForwardParams.init(d, hidden, rng),
             ln2=LayerNormParams.init(d),
         )
-
-    def named(self, prefix: str):
-        yield from self.attn.named(f"{prefix}attn.")
-        yield from self.ln1.named(f"{prefix}ln1.")
-        yield from self.ffn.named(f"{prefix}ffn.")
-        yield from self.ln2.named(f"{prefix}ln2.")
 
 
 @dataclass
@@ -243,14 +259,6 @@ class DecoderLayerParams:
             ln3=LayerNormParams.init(d),
         )
 
-    def named(self, prefix: str):
-        yield from self.self_attn.named(f"{prefix}self_attn.")
-        yield from self.ln1.named(f"{prefix}ln1.")
-        yield from self.cross_attn.named(f"{prefix}cross_attn.")
-        yield from self.ln2.named(f"{prefix}ln2.")
-        yield from self.ffn.named(f"{prefix}ffn.")
-        yield from self.ln3.named(f"{prefix}ln3.")
-
 
 @dataclass
 class ModalityEncoderParams:
@@ -261,7 +269,6 @@ class ModalityEncoderParams:
     in_proj: Tensor
     in_bias: Tensor
     layer: EncoderLayerParams
-    d_c: int
 
     @classmethod
     def init(cls, raw_dim: int, d_c: int, rng: np.random.Generator) -> "ModalityEncoderParams":
@@ -269,18 +276,13 @@ class ModalityEncoderParams:
             in_proj=glorot_uniform(rng, raw_dim, d_c),
             in_bias=zeros(1, d_c, requires_grad=True),
             layer=EncoderLayerParams.init(d_c, 2 * d_c, rng),
-            d_c=d_c,
         )
-
-    def named(self, prefix: str):
-        yield f"{prefix}in_proj", self.in_proj
-        yield f"{prefix}in_bias", self.in_bias
-        yield from self.layer.named(f"{prefix}layer.")
 
 
 @dataclass
 class AdapterParams:
-    """Fusion parameters, populated per variant (unused slots stay None)."""
+    """Fusion parameters, populated per variant (unused slots stay None).
+    DPA reads only ``w_q``, ``ctx_k`` and ``ctx_v`` of its two blocks."""
 
     mca2_audio: Mca2Params | None = None
     mca2_video: Mca2Params | None = None
@@ -288,24 +290,14 @@ class AdapterParams:
     concat_tri: Tensor | None = None
     concat_tri_bias: Tensor | None = None
 
-    def named(self, prefix: str):
-        if self.mca2_audio is not None:
-            yield from self.mca2_audio.named(f"{prefix}mca2_audio.")
-        if self.mca2_video is not None:
-            yield from self.mca2_video.named(f"{prefix}mca2_video.")
-        if self.gif is not None:
-            yield from self.gif.named(f"{prefix}gif.")
-        for n in ("concat_tri", "concat_tri_bias"):
-            t = getattr(self, n)
-            if t is not None:
-                yield f"{prefix}{n}", t
-
 
 @dataclass
 class ModelParams:
+    """Field order is parameter order: see ``tensor.named_parameters``."""
+
     embedding: Tensor
-    enc_layers: list[EncoderLayerParams]
-    dec_layers: list[DecoderLayerParams]
+    enc: list[EncoderLayerParams]
+    dec: list[DecoderLayerParams]
     out_proj: Tensor
     out_bias: Tensor
     audio_enc: ModalityEncoderParams | None
@@ -330,61 +322,30 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
 
     d, v = cfg.d, cfg.vocab_size
     embedding = glorot_uniform(host, v, d)
-    enc_layers = [EncoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.encoder_layers)]
-    dec_layers = [DecoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.decoder_layers)]
+    enc = [EncoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.encoder_layers)]
+    dec = [DecoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.decoder_layers)]
     out_proj = glorot_uniform(host, d, v)
     out_bias = zeros(1, v, requires_grad=True)
 
+    form = _FORMS[cfg.variant]
     audio_enc = video_enc = None
-    if cfg.uses_audio():
+    if form.audio:
         audio_enc = ModalityEncoderParams.init(cfg.audio_raw_dim, cfg.d_c_audio, adapter_rng)
-    if cfg.uses_video():
+    if form.video:
         video_enc = ModalityEncoderParams.init(cfg.video_raw_dim, cfg.d_c_video, adapter_rng)
-
     ad = AdapterParams()
-    variant = cfg.variant
-    if variant in ("MAF", "DPA", "NoGIF"):
-        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
-        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
-        if variant != "NoGIF":
-            ad.gif = GifParams.zero_init(d)
-    elif variant == "TA":
-        ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
+    if form.attend is not None:
+        if form.audio:
+            ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
+        if form.video:
+            ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
+    if form.merge == "gif":
         ad.gif = GifParams.zero_init(d)
-    elif variant == "TV":
-        ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
-        ad.gif = GifParams.zero_init(d)
-    elif variant == "Concat2":
+    elif form.merge == "concat":
         ad.concat_tri = glorot_uniform(adapter_rng, d + cfg.d_c_audio + cfg.d_c_video, d)
         ad.concat_tri_bias = zeros(1, d, requires_grad=True)
 
-    return ModelParams(
-        embedding=embedding,
-        enc_layers=enc_layers,
-        dec_layers=dec_layers,
-        out_proj=out_proj,
-        out_bias=out_bias,
-        audio_enc=audio_enc,
-        video_enc=video_enc,
-        adapter=ad,
-    )
-
-
-def named_parameters(params: ModelParams) -> list[tuple[str, Tensor]]:
-    """All learnable tensors in a stable order (checkpoints, optimizer)."""
-    out: list[tuple[str, Tensor]] = [("embedding", params.embedding)]
-    for i, layer in enumerate(params.enc_layers):
-        out.extend(layer.named(f"enc.{i}."))
-    for i, layer in enumerate(params.dec_layers):
-        out.extend(layer.named(f"dec.{i}."))
-    out.append(("out_proj", params.out_proj))
-    out.append(("out_bias", params.out_bias))
-    if params.audio_enc is not None:
-        out.extend(params.audio_enc.named("audio_enc."))
-    if params.video_enc is not None:
-        out.extend(params.video_enc.named("video_enc."))
-    out.extend(params.adapter.named("adapter."))
-    return out
+    return ModelParams(embedding, enc, dec, out_proj, out_bias, audio_enc, video_enc, ad)
 
 
 # ---- constant caches --------------------------------------------------------
@@ -513,44 +474,32 @@ class AdapterOverrides:
     gif_gate: float | None = None
 
 
-def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None,
-                   cfg: ModelConfig, params: ModelParams,
-                   ov: AdapterOverrides | None) -> Tensor:
-    ad = params.adapter
-    variant = cfg.variant
+def _dpa(h: Tensor, c: Tensor, p: Mca2Params) -> Tensor:
+    # plain cross-attention: keys/values come purely from projected context
+    return attention(matmul(h, p.w_q), matmul(c, p.ctx_k), matmul(c, p.ctx_v))
+
+
+def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: _Form,
+                   ad: AdapterParams, ov: AdapterOverrides | None) -> Tensor:
     ov = ov or AdapterOverrides()
-    n = h.shape[0]
-
-    def gif_gates():
-        if ov.gif_gate is None:
-            return None
-        g = Tensor(np.full((n, cfg.d), float(ov.gif_gate)))
-        return (g, g)
-
-    if variant == "TextOnly":
-        return h
-    if variant in ("MAF", "NoGIF"):
-        h_a = mca2_forward(h, ctx_a, ad.mca2_audio, gate_override=ov.mca2_gate)
-        h_v = mca2_forward(h, ctx_v, ad.mca2_video, gate_override=ov.mca2_gate)
-        if variant == "NoGIF":
-            return add(h, add(h_a, h_v))
-        return gif_fuse(h, h_a, h_v, ad.gif, gates=gif_gates())
-    if variant == "DPA":
-        # plain cross-attention: keys/values come purely from projected context
-        pa, pv = ad.mca2_audio, ad.mca2_video
-        h_a = attention(matmul(h, pa.w_q), matmul(ctx_a, pa.ctx_k), matmul(ctx_a, pa.ctx_v))
-        h_v = attention(matmul(h, pv.w_q), matmul(ctx_v, pv.ctx_k), matmul(ctx_v, pv.ctx_v))
-        return gif_fuse(h, h_a, h_v, ad.gif, gates=gif_gates())
-    if variant == "Concat2":
+    if form.merge == "concat":
         return add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
                    ad.concat_tri_bias)
-    if variant == "TA":
-        h_a = mca2_forward(h, ctx_a, ad.mca2_audio, gate_override=ov.mca2_gate)
-        return gif_fuse_single(h, h_a, ad.gif.w_audio, ad.gif.b_audio)
-    if variant == "TV":
-        h_v = mca2_forward(h, ctx_v, ad.mca2_video, gate_override=ov.mca2_gate)
-        return gif_fuse_single(h, h_v, ad.gif.w_video, ad.gif.b_video)
-    raise ConfigError(f"unknown variant '{variant}'")  # pragma: no cover - guarded by cfg.validate()
+    streams = []
+    for ctx, p in ((ctx_a, ad.mca2_audio), (ctx_v, ad.mca2_video)):
+        if ctx is None:
+            streams.append(None)
+        elif form.attend == "dpa":
+            streams.append(_dpa(h, ctx, p))
+        else:
+            streams.append(mca2_forward(h, ctx, p, gate_override=ov.mca2_gate))
+    if form.merge == "add":
+        return add(h, add(*streams))
+    gates = None
+    if ov.gif_gate is not None:
+        g = Tensor(np.full(h.shape, float(ov.gif_gate)))
+        gates = (g, g)
+    return gif_fuse(h, *streams, ad.gif, gates=gates)
 
 
 # ---- encode / decode ------------------------------------------------------------
@@ -575,15 +524,15 @@ def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: Mode
 
     x = add(scale(gather_rows(params.embedding, ids), math.sqrt(d)), sinusoidal_positions(n, d))
 
-    ctx_a = ctx_v = None
-    fuse_at = cfg.fusion_layer_index - 1 if cfg.variant != "TextOnly" else None
-    for i, layer in enumerate(params.enc_layers):
-        if fuse_at is not None and i == fuse_at:
-            if cfg.uses_audio():
+    form = _FORMS[cfg.variant]
+    for i, layer in enumerate(params.enc):
+        if i == cfg.fusion_layer_index - 1 and form.merge is not None:
+            ctx_a = ctx_v = None
+            if form.audio:
                 ctx_a = _modality_context(audio, params.audio_enc, n, "audio", cfg.max_frames)
-            if cfg.uses_video():
+            if form.video:
                 ctx_v = _modality_context(video, params.video_enc, n, "video", cfg.max_windows)
-            x = _apply_adapter(x, ctx_a, ctx_v, cfg, params, overrides)
+            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, overrides)
         x = _encoder_layer(x, layer, cfg.heads)
     return x
 
@@ -602,7 +551,7 @@ def decode_logits(enc_out: Tensor, target_in_ids: Sequence[int], cfg: ModelConfi
     x = add(scale(gather_rows(params.embedding, ids), math.sqrt(d)),
             sinusoidal_positions(length, d))
     mask = _causal_mask(length)
-    for layer in params.dec_layers:
+    for layer in params.dec:
         x = _decoder_layer(x, enc_out, layer, cfg.heads, mask)
     return add(matmul(x, params.out_proj), params.out_bias)
 
@@ -846,18 +795,32 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             header = json.loads(header_line)
         except ValueError:  # bad JSON, or bytes that do not even decode
             raise ParseError(f"'{path}' does not start with a checkpoint header") from None
+        if not isinstance(header, dict):
+            raise ParseError(f"'{path}' header must be a JSON object, got '{type(header).__name__}'")
         if header.get("format") != _CKPT_FORMAT:
             raise ParseError(f"'{path}' is not a model checkpoint")
         if header.get("version") != _CKPT_VERSION:
             raise ParseError(f"unsupported checkpoint version {header.get('version')}")
         cfg = _checkpoint_config(header.get("config"), path)
-        vocab = Vocabulary.from_tokens(header["vocab"])
-        params = init_model_params(cfg)
+        tokens, table = header.get("vocab"), header.get("params")
+        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
+            raise ParseError(f"'{path}' header has no 'vocab' list of tokens")
+        if not isinstance(table, list):
+            raise ParseError(f"'{path}' header has no 'params' list")
+        for i, entry in enumerate(table):
+            for key, kind in (("name", str), ("rows", int), ("cols", int)):
+                if not isinstance(entry, dict) or type(entry.get(key)) is not kind:
+                    raise ParseError(f"'{path}' params entry {i} has no '{key}' {kind.__name__}")
+        vocab = Vocabulary.from_tokens(tokens)
+        try:
+            params = init_model_params(cfg)
+        except ConfigError as exc:  # the bad input is the file, not the run's config
+            raise ParseError(f"'{path}' config is invalid: {exc}") from None
         named = dict(named_parameters(params))
-        listed = [entry["name"] for entry in header["params"]]
+        listed = [entry["name"] for entry in table]
         if sorted(listed) != sorted(named):
             raise ParseError(f"'{path}' parameter table does not match the configured architecture")
-        for entry in header["params"]:
+        for entry in table:
             rows, cols = entry["rows"], entry["cols"]
             blob = fh.read(rows * cols * 8)
             if len(blob) != rows * cols * 8:

@@ -21,7 +21,8 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from typing import Callable, Iterable, Sequence
+from dataclasses import fields, is_dataclass
+from typing import Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -48,6 +49,7 @@ __all__ = [
     "zeros_like",
     "ones_like",
     "glorot_uniform",
+    "named_parameters",
 ]
 
 
@@ -542,3 +544,25 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
     """Fan-balanced uniform init, U(+-sqrt(6 / (fan_in + fan_out)))."""
     limit = np.sqrt(6.0 / (rows + cols))
     return Tensor(rng.uniform(-limit, limit, size=(rows, cols)), requires_grad=True)
+
+
+# ---- parameter containers ----------------------------------------------------
+
+
+def named_parameters(params) -> list[tuple[str, Tensor]]:
+    """Every Tensor in a dataclass tree, named by its path, in declaration
+    order: fields by name, list items by index, ``None`` skipped
+    (``enc.0.attn.w_q``). Checkpoint layout and the order of the
+    optimizer's clip-norm sum follow this order."""
+    return list(_walk(params, ""))
+
+
+def _walk(value, name: str) -> Iterator[tuple[str, Tensor]]:
+    if isinstance(value, Tensor):
+        yield name, value
+    elif isinstance(value, list):
+        for i, item in enumerate(value):
+            yield from _walk(item, f"{name}.{i}")
+    elif is_dataclass(value):
+        for f in fields(value):
+            yield from _walk(getattr(value, f.name), f"{name}.{f.name}" if name else f.name)

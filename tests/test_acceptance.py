@@ -171,7 +171,7 @@ def test_acceptance_2_loop_oracles():
         h = rng.normal(size=(n, d))
         c = rng.normal(size=(n, d_c))
         got = mca2_forward(Tensor(h), Tensor(c), p).data
-        want = loop_mca2(h.tolist(), c.tolist(), {k: t.data.tolist() for k, t in p.named()})
+        want = loop_mca2(h.tolist(), c.tolist(), {k: t.data.tolist() for k, t in named_parameters(p)})
         worst_att = max(worst_att, float(np.max(np.abs(got - np.array(want)))))
     assert worst_att < 1e-12
 

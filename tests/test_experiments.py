@@ -7,6 +7,7 @@ out, byte-identical on repetition.
 
 import argparse
 import json
+from operator import delitem
 from pathlib import Path
 
 import pytest
@@ -239,6 +240,9 @@ def test_sweep_fusion_layer(tmp_path):
     out = tmp_path / "run"
     assert (out / "metrics_MAF_layer1_seed1.json").exists()
     assert (out / "metrics_MAF_layer2_seed1.json").exists()
+    for layer in (1, 2):
+        log = (out / f"loss_MAF_layer{layer}_seed1.csv").read_text(encoding="utf-8")
+        assert log.startswith("step,loss\n1,")
     report = (out / "report.txt").read_text(encoding="utf-8")
     assert "MAF@L1" in report and "MAF@L2" in report
 
@@ -333,6 +337,24 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(path)]) == 2
 
 
+@pytest.mark.parametrize(
+    "overrides, field",
+    [
+        (dict(model={"d": "64"}), "d"),
+        (dict(model={"d": True}), "d"),
+        (dict(train={"epochs": 1.5}), "epochs"),
+        (dict(seeds=5), "seeds"),
+        (dict(seeds=[True]), "seeds"),
+        (dict(variants="MAF"), "variants"),
+        (dict(test_instances="6"), "test_instances"),
+    ],
+)
+def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
+    path = write_config(tmp_path, **overrides)
+    assert main(["train", "--config", str(path)]) == 2
+    assert f"config error: '{field}' must be" in capsys.readouterr().err
+
+
 def test_cli_runtime_errors_exit_3(tmp_path, capsys):
     path = write_config(tmp_path)
     code = main(["evaluate", "--config", str(path), "--checkpoint",
@@ -350,8 +372,15 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
     [
         # every checkpoint written while the config had this knob carries it
         (lambda h: h["config"].update(sigmoid_gates=False), "sigmoid_gates"),
-        (lambda h: h.pop("config"), "config"),
-        (lambda h: h["config"].pop("heads"), "heads"),
+        (lambda h: delitem(h, "config"), "config"),
+        (lambda h: delitem(h["config"], "heads"), "heads"),
+        (lambda h: [h], "list"),  # a returned value replaces the whole header
+        (lambda h: delitem(h, "vocab"), "vocab"),
+        (lambda h: h.update(params=5), "params"),
+        (lambda h: delitem(h["params"][0], "rows"), "rows"),
+        (lambda h: h["config"].update(d="8"), "d"),
+        # an out-of-range value is a bad file (exit 3), not a bad run config (exit 2)
+        (lambda h: h["config"].update(ffn=0), "ffn"),
     ],
 )
 def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, key):
@@ -359,7 +388,7 @@ def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, ke
     ckpt = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"])
     head, rest = ckpt.read_bytes().split(b"\n", 1)
     header = json.loads(head)
-    mutate(header)
+    header = mutate(header) or header
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
     assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
     assert f"'{key}'" in capsys.readouterr().err

@@ -1,19 +1,19 @@
 """Gated fusion layer: loop-oracle agreement, identity at zero init,
-gradient flow, and the single-modality form."""
+gradient flow, and the single-modality form (an absent stream is None)."""
 
 import numpy as np
 import pytest
 
 from maf.errors import ShapeError
-from maf.gif import GifParams, gif_fuse, gif_fuse_single
-from maf.tensor import Tensor, backward, mul, sum_all
+from maf.gif import GifParams, gif_fuse
+from maf.tensor import Tensor, backward, mul, named_parameters, sum_all
 
 from oracles import gradients_close, loop_gif, numeric_gradient
 
 
 def random_params(rng, d):
     p = GifParams.zero_init(d)
-    for _, t in p.named():
+    for _, t in named_parameters(p):
         t.data = rng.normal(scale=0.5, size=t.data.shape)
     return p
 
@@ -73,10 +73,15 @@ def test_single_modality_form_drops_other_term():
     p = random_params(rng, d)
     h = Tensor(rng.normal(size=(3, d)))
     ha = Tensor(rng.normal(size=(3, d)))
-    got = gif_fuse_single(h, ha, p.w_audio, p.b_audio).data
+    got = gif_fuse(h, ha, None, p)
     # equals the two-modality form with a silenced video stream
     want = gif_fuse(h, ha, Tensor(np.zeros((3, d))), p).data
-    assert np.array_equal(got, want)
+    assert np.array_equal(got.data, want)
+    # and the dropped term costs no graph nodes: add(h, g_a * h_a) only
+    assert got.op == "add" and got.parents[1].op == "mul"
+    one = Tensor(np.ones((3, d)))
+    only_video = gif_fuse(h, None, ha, p, gates=(one, one))
+    assert np.array_equal(only_video.data, h.data + ha.data)
 
 
 def test_gradients_reach_all_parameters_and_inputs():
@@ -91,7 +96,7 @@ def test_gradients_reach_all_parameters_and_inputs():
     def build():
         return sum_all(mul(gif_fuse(h, ha, hv, p), probe))
 
-    leaves = list(p.named()) + [("h", h), ("ha", ha), ("hv", hv)]
+    leaves = named_parameters(p) + [("h", h), ("ha", ha), ("hv", hv)]
     backward(build())
     for name, t in leaves:
         assert t.grad is not None, f"{name} got no gradient"

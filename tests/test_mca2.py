@@ -6,14 +6,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from maf.errors import ContractError, ShapeError
-from maf.mca2 import (
-    Mca2Params,
-    condition_kv,
-    gate_lambda,
-    mca2_forward,
-    project_qkv,
-)
-from maf.tensor import Tensor, attention, backward, matmul, mul, sum_all
+from maf.mca2 import Mca2Params, mca2_forward
+from maf.tensor import Tensor, attention, backward, matmul, mul, named_parameters, sum_all
 
 from oracles import gradients_close, loop_attend, loop_mca2, numeric_gradient
 
@@ -27,7 +21,7 @@ def random_params(rng, d=6, d_c=4, random_gates=True):
 
 
 def as_lists(p):
-    return {name: t.data.tolist() for name, t in p.named()}
+    return {name: t.data.tolist() for name, t in named_parameters(p)}
 
 
 # ---- oracle agreement -----------------------------------------------------------
@@ -67,10 +61,9 @@ def test_zero_gate_weights_give_half_gates():
     p = random_params(rng, random_gates=False)
     h = Tensor(rng.normal(size=(5, p.d)))
     c = Tensor(rng.normal(size=(5, p.d_c)))
-    q, k, v = project_qkv(h, p)
-    gk, gv = gate_lambda(k, v, c, p)
-    assert np.array_equal(gk.data, np.full((5, 1), 0.5))
-    assert np.array_equal(gv.data, np.full((5, 1), 0.5))
+    trace = mca2_forward(h, c, p, return_trace=True)
+    assert np.array_equal(trace.gate_k.data, np.full((5, 1), 0.5))
+    assert np.array_equal(trace.gate_v.data, np.full((5, 1), 0.5))
 
 
 def test_gate_zero_recovers_plain_self_attention():
@@ -78,7 +71,7 @@ def test_gate_zero_recovers_plain_self_attention():
     p = random_params(rng)
     h = Tensor(rng.normal(size=(4, p.d)))
     c = Tensor(rng.normal(size=(4, p.d_c)))
-    q, k, v = project_qkv(h, p)
+    q, k, v = matmul(h, p.w_q), matmul(h, p.w_k), matmul(h, p.w_v)
     got = mca2_forward(h, c, p, gate_override=0.0).data
     want = attention(q, k, v).data
     assert np.max(np.abs(got - want)) < 1e-12
@@ -89,7 +82,7 @@ def test_gate_one_attends_over_pure_context():
     p = random_params(rng)
     h = Tensor(rng.normal(size=(4, p.d)))
     c = Tensor(rng.normal(size=(4, p.d_c)))
-    q, _, _ = project_qkv(h, p)
+    q = matmul(h, p.w_q)
     ck = matmul(c, p.ctx_k)
     cv = matmul(c, p.ctx_v)
     got = mca2_forward(h, c, p, gate_override=1.0).data
@@ -97,23 +90,22 @@ def test_gate_one_attends_over_pure_context():
     assert np.max(np.abs(got - want)) < 1e-12
 
 
-def test_condition_kv_exact_at_gate_extremes():
+def test_mixed_kv_exact_at_gate_extremes():
+    """The mixed keys/values equal the textual ones at gate 0 and the
+    projected context at gate 1, bit for bit."""
     rng = np.random.default_rng(3)
     p = random_params(rng)
     n = 3
-    k = Tensor(rng.normal(size=(n, p.d)))
-    v = Tensor(rng.normal(size=(n, p.d)))
+    h = Tensor(rng.normal(size=(n, p.d)))
     c = Tensor(rng.normal(size=(n, p.d_c)))
-    zero = Tensor(np.zeros((n, 1)))
-    one = Tensor(np.ones((n, 1)))
 
-    k0, v0 = condition_kv(k, v, c, zero, zero, p)
-    assert np.array_equal(k0.data, k.data)
-    assert np.array_equal(v0.data, v.data)
+    t0 = mca2_forward(h, c, p, gate_override=0.0, return_trace=True)
+    assert np.array_equal(t0.k_mixed.data, t0.k.data)
+    assert np.array_equal(t0.v_mixed.data, t0.v.data)
 
-    k1, v1 = condition_kv(k, v, c, one, one, p)
-    assert np.array_equal(k1.data, (c @ p.ctx_k).data)
-    assert np.array_equal(v1.data, (c @ p.ctx_v).data)
+    t1 = mca2_forward(h, c, p, gate_override=1.0, return_trace=True)
+    assert np.array_equal(t1.k_mixed.data, (c @ p.ctx_k).data)
+    assert np.array_equal(t1.v_mixed.data, (c @ p.ctx_v).data)
 
 
 def test_gates_lie_strictly_inside_unit_interval():
@@ -121,9 +113,8 @@ def test_gates_lie_strictly_inside_unit_interval():
     p = random_params(rng)
     h = Tensor(rng.normal(scale=10.0, size=(6, p.d)))
     c = Tensor(rng.normal(scale=10.0, size=(6, p.d_c)))
-    q, k, v = project_qkv(h, p)
-    gk, gv = gate_lambda(k, v, c, p)
-    for g in (gk.data, gv.data):
+    trace = mca2_forward(h, c, p, return_trace=True)
+    for g in (trace.gate_k.data, trace.gate_v.data):
         assert np.all(g > 0.0) and np.all(g < 1.0)
 
 
@@ -140,12 +131,12 @@ def test_gradients_reach_all_nine_parameter_matrices():
     def build():
         return sum_all(mul(mca2_forward(h, c, p), probe))
 
-    leaves = [t for _, t in p.named()] + [h, c]
+    leaves = [t for _, t in named_parameters(p)] + [h, c]
     out = build()
     for t in leaves:
         t.zero_grad()
     backward(out)
-    for name, t in list(p.named()) + [("h", h), ("c", c)]:
+    for name, t in named_parameters(p) + [("h", h), ("c", c)]:
         assert t.grad is not None, f"{name} got no gradient"
         num = numeric_gradient(lambda: build().item(), t.data)
         ok, worst = gradients_close(t.grad, num, rtol=1e-5, atol=1e-8)
@@ -179,10 +170,30 @@ def test_trace_is_consistent_with_output():
     assert trace.k_mixed.shape == (3, p.d)
 
 
+def test_context_is_projected_once():
+    """One call reads each context projection in exactly one graph node,
+    shared by the gate and the key/value mix."""
+    rng = np.random.default_rng(15)
+    p = random_params(rng)
+    h = Tensor(rng.normal(size=(4, p.d)))
+    c = Tensor(rng.normal(size=(4, p.d_c)))
+    out = mca2_forward(h, c, p)
+    seen, stack, readers = {id(out)}, [out], {"ctx_k": 0, "ctx_v": 0}
+    while stack:
+        node = stack.pop()
+        for name in readers:
+            readers[name] += any(q is getattr(p, name) for q in node.parents)
+        for q in node.parents:
+            if id(q) not in seen:
+                seen.add(id(q))
+                stack.append(q)
+    assert readers == {"ctx_k": 1, "ctx_v": 1}
+
+
 def test_init_is_deterministic_under_seeded_rng():
     a = Mca2Params.init(6, 4, np.random.default_rng(11))
     b = Mca2Params.init(6, 4, np.random.default_rng(11))
-    for (na, ta), (nb, tb) in zip(a.named(), b.named()):
+    for (na, ta), (nb, tb) in zip(named_parameters(a), named_parameters(b)):
         assert na == nb
         assert np.array_equal(ta.data, tb.data)
 

@@ -44,6 +44,7 @@ from maf.model import (
     train,
 )
 from maf.model import _instance_loss  # tested directly: it is the training objective
+from maf.presets import GAP_MODEL
 from maf.tensor import Tensor, backward, sum_all
 from maf.text import Vocabulary
 
@@ -302,6 +303,83 @@ def test_parameter_slots_by_variant(variant, present, absent):
     for prefix in absent:
         assert not any(n.startswith(prefix) for n in names), (variant, prefix)
 
+# Parameter names and shapes at the gap config (vocabulary bound to 50),
+# written out by hand so any change to naming, order or shapes shows up:
+# checkpoint bytes and the order of Adam's clip-norm sum follow this list.
+_PARAM_BLOCKS = {
+    "host": """
+        embedding:50x32 enc.0.attn.w_q:32x32 enc.0.attn.w_k:32x32 enc.0.attn.w_v:32x32
+        enc.0.attn.w_o:32x32 enc.0.ln1.gain:1x32 enc.0.ln1.bias:1x32 enc.0.ffn.w1:32x64
+        enc.0.ffn.b1:1x64 enc.0.ffn.w2:64x32 enc.0.ffn.b2:1x32 enc.0.ln2.gain:1x32
+        enc.0.ln2.bias:1x32 enc.1.attn.w_q:32x32 enc.1.attn.w_k:32x32 enc.1.attn.w_v:32x32
+        enc.1.attn.w_o:32x32 enc.1.ln1.gain:1x32 enc.1.ln1.bias:1x32 enc.1.ffn.w1:32x64
+        enc.1.ffn.b1:1x64 enc.1.ffn.w2:64x32 enc.1.ffn.b2:1x32 enc.1.ln2.gain:1x32
+        enc.1.ln2.bias:1x32 dec.0.self_attn.w_q:32x32 dec.0.self_attn.w_k:32x32
+        dec.0.self_attn.w_v:32x32 dec.0.self_attn.w_o:32x32 dec.0.ln1.gain:1x32
+        dec.0.ln1.bias:1x32 dec.0.cross_attn.w_q:32x32 dec.0.cross_attn.w_k:32x32
+        dec.0.cross_attn.w_v:32x32 dec.0.cross_attn.w_o:32x32 dec.0.ln2.gain:1x32
+        dec.0.ln2.bias:1x32 dec.0.ffn.w1:32x64 dec.0.ffn.b1:1x64 dec.0.ffn.w2:64x32
+        dec.0.ffn.b2:1x32 dec.0.ln3.gain:1x32 dec.0.ln3.bias:1x32 dec.1.self_attn.w_q:32x32
+        dec.1.self_attn.w_k:32x32 dec.1.self_attn.w_v:32x32 dec.1.self_attn.w_o:32x32
+        dec.1.ln1.gain:1x32 dec.1.ln1.bias:1x32 dec.1.cross_attn.w_q:32x32
+        dec.1.cross_attn.w_k:32x32 dec.1.cross_attn.w_v:32x32 dec.1.cross_attn.w_o:32x32
+        dec.1.ln2.gain:1x32 dec.1.ln2.bias:1x32 dec.1.ffn.w1:32x64 dec.1.ffn.b1:1x64
+        dec.1.ffn.w2:64x32 dec.1.ffn.b2:1x32 dec.1.ln3.gain:1x32 dec.1.ln3.bias:1x32
+        out_proj:32x50 out_bias:1x50
+    """,
+    "audio_enc": """
+        audio_enc.in_proj:16x8 audio_enc.in_bias:1x8 audio_enc.layer.attn.w_q:8x8
+        audio_enc.layer.attn.w_k:8x8 audio_enc.layer.attn.w_v:8x8 audio_enc.layer.attn.w_o:8x8
+        audio_enc.layer.ln1.gain:1x8 audio_enc.layer.ln1.bias:1x8 audio_enc.layer.ffn.w1:8x16
+        audio_enc.layer.ffn.b1:1x16 audio_enc.layer.ffn.w2:16x8 audio_enc.layer.ffn.b2:1x8
+        audio_enc.layer.ln2.gain:1x8 audio_enc.layer.ln2.bias:1x8
+    """,
+    "video_enc": """
+        video_enc.in_proj:32x16 video_enc.in_bias:1x16 video_enc.layer.attn.w_q:16x16
+        video_enc.layer.attn.w_k:16x16 video_enc.layer.attn.w_v:16x16
+        video_enc.layer.attn.w_o:16x16 video_enc.layer.ln1.gain:1x16
+        video_enc.layer.ln1.bias:1x16 video_enc.layer.ffn.w1:16x32 video_enc.layer.ffn.b1:1x32
+        video_enc.layer.ffn.w2:32x16 video_enc.layer.ffn.b2:1x16 video_enc.layer.ln2.gain:1x16
+        video_enc.layer.ln2.bias:1x16
+    """,
+    "mca2_audio": """
+        adapter.mca2_audio.w_q:32x32 adapter.mca2_audio.w_k:32x32 adapter.mca2_audio.w_v:32x32
+        adapter.mca2_audio.ctx_k:8x32 adapter.mca2_audio.ctx_v:8x32
+        adapter.mca2_audio.gate_k_text:32x1 adapter.mca2_audio.gate_k_ctx:32x1
+        adapter.mca2_audio.gate_v_text:32x1 adapter.mca2_audio.gate_v_ctx:32x1
+    """,
+    "mca2_video": """
+        adapter.mca2_video.w_q:32x32 adapter.mca2_video.w_k:32x32 adapter.mca2_video.w_v:32x32
+        adapter.mca2_video.ctx_k:16x32 adapter.mca2_video.ctx_v:16x32
+        adapter.mca2_video.gate_k_text:32x1 adapter.mca2_video.gate_k_ctx:32x1
+        adapter.mca2_video.gate_v_text:32x1 adapter.mca2_video.gate_v_ctx:32x1
+    """,
+    "gif": """
+        adapter.gif.w_audio:64x32 adapter.gif.w_video:64x32 adapter.gif.b_audio:1x32
+        adapter.gif.b_video:1x32
+    """,
+    "concat": """
+        adapter.concat_tri:56x32 adapter.concat_tri_bias:1x32
+    """,
+}
+_PARAM_ORDER = {
+    "MAF": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video', 'gif'),
+    "Concat2": ('host', 'audio_enc', 'video_enc', 'concat'),
+    "DPA": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video', 'gif'),
+    "NoGIF": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video'),
+    "TextOnly": ('host',),
+    "TA": ('host', 'audio_enc', 'mca2_audio', 'gif'),
+    "TV": ('host', 'video_enc', 'mca2_video', 'gif'),
+}
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_named_parameters_match_the_recorded_layout(variant):
+    params = init_model_params(replace(GAP_MODEL, variant=variant, vocab_size=50))
+    got = [f"{n}:{t.shape[0]}x{t.shape[1]}" for n, t in named_parameters(params)]
+    want = [tok for block in _PARAM_ORDER[variant] for tok in _PARAM_BLOCKS[block].split()]
+    assert got == want
+
 
 def test_init_requires_bound_vocab():
     with pytest.raises(ConfigError, match="vocab_size"):
@@ -402,7 +480,7 @@ def test_fusion_layer_placement_changes_concat_output():
 
 def _randomise_adapter(params, seed=9):
     rng = np.random.default_rng(seed)
-    for name, t in params.adapter.named("adapter."):
+    for name, t in named_parameters(params.adapter):
         t.data = rng.normal(scale=0.25, size=t.shape)
 
 
@@ -422,16 +500,18 @@ def test_fresh_fusion_block_is_exactly_transparent():
 
 def test_pinned_zero_fusion_gate_recovers_text_path():
     """Even after the adapter has drifted from init, forcing the stream
-    gates to zero must reproduce the text-only encoding exactly."""
+    gates to zero must reproduce the text-only encoding exactly, for every
+    variant with a gated merge."""
     corpus = tiny_corpus()
     inst = corpus[0]
-    cfg, vocab, params = bound_params(tiny_config(variant="MAF"), corpus)
-    _randomise_adapter(params)
-    ids = instance_token_ids(inst, vocab)
-    pinned = encode(ids, inst.audio_features, inst.video_features, cfg, params,
-                    overrides=AdapterOverrides(gif_gate=0.0))
-    plain = encode(ids, None, None, replace(cfg, variant="TextOnly"), params)
-    assert np.array_equal(pinned.data, plain.data)
+    for variant in ("MAF", "DPA", "TA", "TV"):
+        cfg, vocab, params = bound_params(tiny_config(variant=variant), corpus)
+        _randomise_adapter(params)
+        ids = instance_token_ids(inst, vocab)
+        pinned = encode(ids, inst.audio_features, inst.video_features, cfg, params,
+                        overrides=AdapterOverrides(gif_gate=0.0))
+        plain = encode(ids, None, None, replace(cfg, variant="TextOnly"), params)
+        assert np.array_equal(pinned.data, plain.data), variant
 
 
 def test_pinned_text_attention_ignores_context_features():
