@@ -9,8 +9,9 @@ File format: one JSON record per line with fields exactly
 ``id, utterances, audio_features, video_features, explanation,
 sarcasm_source, sarcasm_target, action_word, description`` (description is
 nullable). A feature field holds either the matrix inline (list of rows)
-or a relative path to a binary sidecar file: uint64 row count, uint64
-column count, then row-major float64 values, all little-endian.
+or a path, relative and inside the corpus file's directory, to a binary
+sidecar file: uint64 row count, uint64 column count, then row-major
+float64 values, all little-endian.
 """
 
 from __future__ import annotations
@@ -45,12 +46,6 @@ __all__ = [
     "corpus_stats",
     "CorpusStats",
 ]
-
-# raw feature widths of the real-scale corpora this schema mirrors
-# (audio prosody functionals, video CNN window descriptors); the loader
-# itself accepts any consistent widths
-REAL_AUDIO_DIM = 154
-REAL_VIDEO_DIM = 2048
 
 _FIELDS = (
     "id",
@@ -153,7 +148,10 @@ def read_matrix_file(path: str | Path) -> np.ndarray:
 
 def _matrix_from_field(value, field_name: str, base: Path, line: int) -> np.ndarray:
     if isinstance(value, str):
-        target = base / value
+        target = (base / value).resolve()
+        if Path(value).is_absolute() or not target.is_relative_to(base.resolve()):
+            raise ParseError(f"{field_name} sidecar '{value}' is not a relative path inside "
+                             f"the corpus directory", line)
         if not target.exists():
             raise ParseError(f"{field_name} sidecar '{value}' not found next to the corpus", line)
         return read_matrix_file(target)
@@ -344,9 +342,7 @@ class CorpusStats:
     avg_speakers_per_dialogue: float
     vocabulary_size: int
     utterance_count_histogram: dict[int, int] = field(default_factory=dict)
-    explanation_length_histogram: dict[int, int] = field(default_factory=dict)
     source_speaker_counts: dict[str, int] = field(default_factory=dict)
-    target_counts: dict[str, int] = field(default_factory=dict)
 
     def render(self) -> str:
         lines = [
@@ -369,9 +365,7 @@ def corpus_stats(corpus: Sequence[DialogueInstance]) -> CorpusStats:
     speakers_total = 0
     vocab: set[str] = set()
     utt_hist: Counter = Counter()
-    expl_hist: Counter = Counter()
     sources: Counter = Counter()
-    targets: Counter = Counter()
     for inst in corpus:
         num_utts += len(inst.utterances)
         utt_hist[len(inst.utterances)] += 1
@@ -381,11 +375,8 @@ def corpus_stats(corpus: Sequence[DialogueInstance]) -> CorpusStats:
             total_words += len(toks)
             vocab.update(toks)
             vocab.add(u.speaker.lower())
-        expl_toks = tokenize(inst.explanation)
-        expl_hist[len(expl_toks)] += 1
-        vocab.update(expl_toks)
+        vocab.update(tokenize(inst.explanation))
         sources[inst.sarcasm_source] += 1
-        targets[inst.sarcasm_target] += 1
     n = len(corpus)
     return CorpusStats(
         num_dialogues=n,
@@ -396,7 +387,5 @@ def corpus_stats(corpus: Sequence[DialogueInstance]) -> CorpusStats:
         avg_speakers_per_dialogue=speakers_total / n,
         vocabulary_size=len(vocab),
         utterance_count_histogram=dict(sorted(utt_hist.items())),
-        explanation_length_histogram=dict(sorted(expl_hist.items())),
         source_speaker_counts=dict(sorted(sources.items())),
-        target_counts=dict(sorted(targets.items())),
     )

@@ -6,6 +6,12 @@ stats, report. All state flows through the JSON config file and flags;
 codes: 0 success, 2 configuration error, 3 runtime error (divergence,
 missing or malformed files).
 
+The config dataclasses are the only schema: the file's keys are the
+fields of ``ExperimentConfig`` (its sections those of ``ModelConfig``,
+``TrainConfig`` and ``SyntheticSpec``), read by ``model._build`` and
+type-checked field by field in ``validate``. The report ends with the
+fusion gap: each variant's action accuracy over TextOnly's.
+
 Every metric row embeds the resolved config hash, the seed, and the
 package version. Output files never contain timestamps, so re-running a
 command with the same config and seed reproduces them byte for byte.
@@ -25,7 +31,8 @@ from . import __version__
 from .data import corpus_stats, instances_for, load_and_validate, save_corpus, split
 from .errors import ConfigError, MafError
 from .metrics import MetricReport
-from .model import VARIANTS, ModelConfig, TrainConfig, save_checkpoint, load_checkpoint, train
+from .model import (VARIANTS, ModelConfig, TrainConfig, _build, _check_types, load_checkpoint,
+                    save_checkpoint, train)
 from .presets import TEST_SEED_SALT
 from .synthetic import SyntheticSpec, evaluate_variant, generate
 
@@ -46,6 +53,8 @@ __all__ = [
 
 @dataclass
 class ExperimentConfig:
+    """The JSON config file, one key per field; see ``model._build``."""
+
     model: ModelConfig = field(default_factory=ModelConfig)
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: str | None = None
@@ -54,26 +63,20 @@ class ExperimentConfig:
     variants: list[str] = field(default_factory=lambda: ["MAF"])
     seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
     out: str | None = None
-    bleu_smoothing: bool = False
 
     def resolved(self) -> dict:
-        return {
-            "model": asdict(self.model),
-            "train": asdict(self.train),
-            "dataset": self.dataset,
-            "synthetic": None if self.synthetic is None else asdict(self.synthetic),
-            "test_instances": self.test_instances,
-            "variants": list(self.variants),
-            "seeds": list(self.seeds),
-            "bleu_smoothing": self.bleu_smoothing,
-        }
+        """Everything that identifies the experiment: all but ``out``."""
+        d = asdict(self)
+        del d["out"]
+        return d
 
-    def validate(self, *, need_data: bool = True) -> None:
+    def validate(self) -> None:
+        _check_types(self)
         self.model.validate()
         self.train.validate()
         if self.synthetic is not None:
             self.synthetic.validate()
-        if need_data and (self.dataset is None) == (self.synthetic is None):
+        if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of 'dataset' and 'synthetic' must be configured")
         if not self.variants:
             raise ConfigError("variants list is empty")
@@ -93,32 +96,9 @@ def config_hash(cfg: ExperimentConfig) -> str:
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
-def _build(section: str, cls, raw: dict):
-    if not isinstance(raw, dict):
-        raise ConfigError(f"config section '{section}' must be an object")
-    try:
-        return cls(**raw)
-    except TypeError as exc:
-        raise ConfigError(f"config section '{section}': {exc}") from None
-
-
-def _is_int(x) -> bool:
-    return isinstance(x, int) and not isinstance(x, bool)
-
-
-def _typed(raw: dict, key: str, default, ok, what: str):
-    value = raw.get(key, default)
-    if not ok(value):
-        raise ConfigError(f"'{key}' must be {what}, got {value!r}")
-    return value
-
-
-_TOP_KEYS = {"model", "train", "dataset", "synthetic", "test_instances",
-             "variants", "seeds", "out", "bleu_smoothing"}
-
-
 def load_experiment_config(path: str | None, args: argparse.Namespace | None = None) -> ExperimentConfig:
-    """Read the JSON config file and apply flag overrides; fail fast."""
+    """Read the JSON config file and apply flag overrides. Top-level types
+    are checked here too: report and stats read ``out``/``dataset`` unvalidated."""
     raw: dict = {}
     if path is not None:
         p = Path(path)
@@ -130,25 +110,7 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc.msg}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file '{path}' must hold a JSON object")
-    unknown = set(raw) - _TOP_KEYS
-    if unknown:
-        raise ConfigError(f"unknown config key(s): {sorted(unknown)}")
-
-    cfg = ExperimentConfig(
-        model=_build("model", ModelConfig, raw.get("model", {})),
-        train=_build("train", TrainConfig, raw.get("train", {})),
-        dataset=raw.get("dataset"),
-        synthetic=_build("synthetic", SyntheticSpec, raw["synthetic"]) if raw.get("synthetic") else None,
-        test_instances=_typed(raw, "test_instances", 100, _is_int, "an integer"),
-        variants=list(_typed(raw, "variants", ["MAF"],
-                             lambda v: isinstance(v, list) and all(isinstance(x, str) for x in v),
-                             "a list of variant names")),
-        seeds=list(_typed(raw, "seeds", [1, 2, 3],
-                          lambda v: isinstance(v, list) and all(_is_int(x) for x in v),
-                          "a list of integers")),
-        out=raw.get("out"),
-        bleu_smoothing=bool(raw.get("bleu_smoothing", False)),
-    )
+    cfg = _build(ExperimentConfig, raw)
     if args is not None:
         if getattr(args, "dataset", None):
             cfg.dataset = args.dataset
@@ -159,6 +121,7 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             cfg.variants = [args.variant]
         if getattr(args, "out", None):
             cfg.out = args.out
+    _check_types(cfg)
     return cfg
 
 
@@ -326,8 +289,10 @@ def _mean_std(values: list[float]) -> str:
 
 def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     """Aggregate metric files under the run directory into text and CSV
-    tables: one row per run, then a mean ± sample-std row per group.
-    Re-rendering the same directory is byte-identical."""
+    tables: one row per run, then a mean ± sample-std row per group. The
+    text report ends with the fusion gap: each group's seed-mean action
+    accuracy minus TextOnly's at the same fusion layer (no TextOnly group,
+    no gap lines). Re-rendering the same directory is byte-identical."""
     out = _out_dir(cfg)
     files = sorted(out.glob("metrics_*.json"))
     if not files:
@@ -343,6 +308,7 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
 
     sweep = len({k[1] for k in groups}) > 1
     report = MetricReport()
+    action_means: dict = {}
     for key in sorted(groups):
         variant, layer = key
         label = f"{variant}@L{layer}" if sweep else variant
@@ -357,11 +323,20 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
             vals = [r[src_key] for r in members if src_key in r]
             if vals:
                 agg[k] = _mean_std(vals)
+                if k == "action_acc":
+                    action_means[key] = (label, sum(vals) / len(vals))
         report.add_row(f"{label} mean", agg)
 
     header = ("# fusion-mechanism comparison: rows differ only in the fusion pathway "
               "(and seed); host stack, data, and training are held fixed\n")
     text = header + report.to_text()
+    gaps = []
+    for (variant, layer), (label, mean) in action_means.items():
+        floor = action_means.get(("TextOnly", layer))
+        if variant != "TextOnly" and floor is not None:
+            gaps.append(f"action gap over TextOnly, {label}: {100.0 * (mean - floor[1]):+.2f} points")
+    if gaps:
+        text += "\n" + "\n".join(gaps) + "\n"
     csv = report.to_csv()
     (out / "report.txt").write_text(text, encoding="utf-8")
     (out / "report.csv").write_text(csv, encoding="utf-8")

@@ -27,13 +27,14 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field, fields, replace
+import types
+from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence
+from typing import Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import DialogueInstance
+from .data import DialogueInstance, validate_instance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
@@ -168,15 +169,46 @@ class TrainConfig:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
-_FIELD_TYPES = {"int": int, "int | None": (int, type(None)), "float": (int, float), "str": str}
+def _holds(value, hint) -> bool:
+    """Does a value read from JSON fit the annotation? An int is a float,
+    a bool is never a number."""
+    if get_origin(hint) in (Union, types.UnionType):
+        return any(_holds(value, h) for h in get_args(hint))
+    if get_origin(hint) is list:
+        return isinstance(value, list) and all(_holds(v, get_args(hint)[0]) for v in value)
+    if hint is float:
+        hint = (int, float)
+    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
 
 
 def _check_types(cfg) -> None:
-    """Every field must hold its annotated type; a bool is not a number."""
+    """Every field of a config dataclass must hold its annotated type."""
+    hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
-        if isinstance(value, bool) or not isinstance(value, _FIELD_TYPES[f.type]):
+        if not _holds(value, hints[f.name]):
             raise ConfigError(f"'{f.name}' must be {f.type}, got {value!r}")
+
+
+def _build(cls, raw, section: str | None = None, complete: bool = False):
+    """Config dataclass ``cls`` from a JSON object: an unknown key is an
+    error, a missing one takes its default (an error if ``complete``), a
+    field typed as a config dataclass is built from its own object. Value
+    types are left to ``validate``."""
+    if not isinstance(raw, dict):
+        raise ConfigError(f"config section '{section}' must be an object")
+    hints = get_type_hints(cls)
+    for key in raw:
+        if key not in hints:
+            raise ConfigError(f"unknown config key '{key}'" +
+                              (f" in config section '{section}'" if section else ""))
+    if complete and len(raw) < len(hints):
+        raise ConfigError(f"config section '{section}' lacks key '{min(set(hints) - set(raw))}'")
+    kwargs = {}
+    for name, value in raw.items():
+        nested = next((h for h in get_args(hints[name]) or (hints[name],) if is_dataclass(h)), None)
+        kwargs[name] = _build(nested, value, name) if nested and value is not None else value
+    return cls(**kwargs)
 
 
 # ---- parameter containers ---------------------------------------------------
@@ -280,12 +312,25 @@ class ModalityEncoderParams:
 
 
 @dataclass
+class DpaParams:
+    """DPA's block: queries from the text, keys and values from the context alone."""
+
+    w_q: Tensor
+    ctx_k: Tensor
+    ctx_v: Tensor
+
+    @classmethod
+    def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "DpaParams":
+        return cls(glorot_uniform(rng, d, d), glorot_uniform(rng, d_c, d), glorot_uniform(rng, d_c, d))
+
+
+@dataclass
 class AdapterParams:
     """Fusion parameters, populated per variant (unused slots stay None).
-    DPA reads only ``w_q``, ``ctx_k`` and ``ctx_v`` of its two blocks."""
+    DPA keeps its per-modality ``DpaParams`` in the ``mca2_*`` slots."""
 
-    mca2_audio: Mca2Params | None = None
-    mca2_video: Mca2Params | None = None
+    mca2_audio: Mca2Params | DpaParams | None = None
+    mca2_video: Mca2Params | DpaParams | None = None
     gif: GifParams | None = None
     concat_tri: Tensor | None = None
     concat_tri_bias: Tensor | None = None
@@ -335,10 +380,11 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
         video_enc = ModalityEncoderParams.init(cfg.video_raw_dim, cfg.d_c_video, adapter_rng)
     ad = AdapterParams()
     if form.attend is not None:
+        block = Mca2Params if form.attend == "mca2" else DpaParams
         if form.audio:
-            ad.mca2_audio = Mca2Params.init(d, cfg.d_c_audio, adapter_rng)
+            ad.mca2_audio = block.init(d, cfg.d_c_audio, adapter_rng)
         if form.video:
-            ad.mca2_video = Mca2Params.init(d, cfg.d_c_video, adapter_rng)
+            ad.mca2_video = block.init(d, cfg.d_c_video, adapter_rng)
     if form.merge == "gif":
         ad.gif = GifParams.zero_init(d)
     elif form.merge == "concat":
@@ -474,8 +520,7 @@ class AdapterOverrides:
     gif_gate: float | None = None
 
 
-def _dpa(h: Tensor, c: Tensor, p: Mca2Params) -> Tensor:
-    # plain cross-attention: keys/values come purely from projected context
+def _dpa(h: Tensor, c: Tensor, p: DpaParams) -> Tensor:
     return attention(matmul(h, p.w_q), matmul(c, p.ctx_k), matmul(c, p.ctx_v))
 
 
@@ -674,7 +719,8 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
     """Teacher-forced training on explanation targets.
 
     The vocabulary is built from ``instances`` (pass the training split
-    only). Deterministic given cfg.seed: shuffling, init, and every loss.
+    only); each is checked with ``validate_instance`` first.
+    Deterministic given cfg.seed: shuffling, init, and every loss.
     Raises TrainingDivergedError naming the step if the loss goes
     non-finite.
     """
@@ -682,6 +728,8 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
     tcfg.validate()
     if not instances:
         raise ContractError("train: empty training set")
+    for inst in instances:
+        validate_instance(inst)
     vocab = build_vocabulary(instances)
     cfg = replace(cfg, vocab_size=len(vocab))
     cfg.validate()
@@ -772,22 +820,6 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
             fh.write(np.ascontiguousarray(t.data, dtype="<f8").tobytes(order="C"))
 
 
-def _checkpoint_config(raw, path: str | Path) -> ModelConfig:
-    """The header's config must name every ModelConfig field and nothing
-    else: a missing field would silently take today's default, and a
-    field this version no longer has cannot be honoured."""
-    if not isinstance(raw, dict):
-        raise ParseError(f"'{path}' header has no 'config' object")
-    expected = {f.name for f in fields(ModelConfig)}
-    unknown = sorted(set(raw) - expected)
-    if unknown:
-        raise ParseError(f"'{path}' config has unknown key '{unknown[0]}'")
-    missing = sorted(expected - set(raw))
-    if missing:
-        raise ParseError(f"'{path}' config lacks key '{missing[0]}'")
-    return ModelConfig(**raw)
-
-
 def load_checkpoint(path: str | Path) -> TrainedModel:
     with open(path, "rb") as fh:
         header_line = fh.readline()
@@ -801,7 +833,13 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             raise ParseError(f"'{path}' is not a model checkpoint")
         if header.get("version") != _CKPT_VERSION:
             raise ParseError(f"unsupported checkpoint version {header.get('version')}")
-        cfg = _checkpoint_config(header.get("config"), path)
+        # the config must name every field: a missing one would silently take
+        # today's default, and one this version no longer has cannot be honoured
+        try:
+            cfg = _build(ModelConfig, header.get("config"), "config", complete=True)
+            params = init_model_params(cfg)
+        except ConfigError as exc:  # the bad input is the file, not the run's config
+            raise ParseError(f"'{path}' config is invalid: {exc}") from None
         tokens, table = header.get("vocab"), header.get("params")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ParseError(f"'{path}' header has no 'vocab' list of tokens")
@@ -812,10 +850,6 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                 if not isinstance(entry, dict) or type(entry.get(key)) is not kind:
                     raise ParseError(f"'{path}' params entry {i} has no '{key}' {kind.__name__}")
         vocab = Vocabulary.from_tokens(tokens)
-        try:
-            params = init_model_params(cfg)
-        except ConfigError as exc:  # the bad input is the file, not the run's config
-            raise ParseError(f"'{path}' config is invalid: {exc}") from None
         named = dict(named_parameters(params))
         listed = [entry["name"] for entry in table]
         if sorted(listed) != sorted(named):

@@ -9,7 +9,7 @@ stays at the 20% floor. Copies of these values drift; import them instead.
 from .model import ModelConfig, TrainConfig
 from .synthetic import SyntheticSpec
 
-__all__ = ["GAP_SPEC", "GAP_MODEL", "GAP_TRAIN", "GAP_SEEDS", "TEST_SEED_SALT"]
+__all__ = ["GAP_SPEC", "GAP_MODEL", "GAP_TRAIN", "GAP_SEEDS", "GAP_VARIANTS", "TEST_SEED_SALT"]
 
 GAP_SPEC = SyntheticSpec(
     num_instances=600,
@@ -24,6 +24,9 @@ GAP_SPEC = SyntheticSpec(
 GAP_MODEL = ModelConfig(d=32, ffn=64, d_c_audio=8, d_c_video=16, max_text_len=24)
 GAP_TRAIN = TrainConfig(lr=5e-4, epochs=12, batch_size=16)
 GAP_SEEDS = (1, 2, 3)
+# the roster the ablation script trains: the text-only floor, the full
+# design, and one ablation per design choice
+GAP_VARIANTS = ("TextOnly", "MAF", "Concat2", "DPA", "NoGIF")
 
 # held-out synthetic data is generated from seed ^ TEST_SEED_SALT, a stream
 # distinct from every training seed in a small grid

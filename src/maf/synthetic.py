@@ -16,22 +16,26 @@ audio information the fusion pathway actually transports.
 
 Filler words are drawn independently of the labels, which makes the
 text/action mutual information zero by construction.
+
+``evaluate_variant`` scores one trained model on held-out instances; the
+experiment report (``maf report``) turns those rows into the gap over
+TextOnly.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import TrainedModel, generate_explanation
+from .model import TrainedModel, _check_types, generate_explanation
 from .text import tokenize
 
-__all__ = ["SyntheticSpec", "generate", "evaluate_gap", "GapReport", "GAP_VARIANTS"]
+__all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
 
 _FILLERS = (
     "well", "you", "know", "this", "that", "really", "so", "very",
@@ -68,6 +72,7 @@ class SyntheticSpec:
     rich_templates: bool = False
 
     def validate(self) -> None:
+        _check_types(self)
         if self.num_instances < 1:
             raise ConfigError(f"num_instances must be >= 1, got {self.num_instances}")
         for name in ("speakers", "actions", "targets"):
@@ -145,31 +150,7 @@ def generate(spec: SyntheticSpec) -> list[DialogueInstance]:
     return out
 
 
-# ---- fusion-gap evaluation ----------------------------------------------------
-
-GAP_VARIANTS = ("TextOnly", "MAF", "Concat2", "DPA", "NoGIF")
-
-
-@dataclass
-class GapReport:
-    """Per-variant accuracies on held-out instances, plus the margins of
-    every variant over TextOnly on action-word accuracy (the fusion gap)."""
-
-    rows: dict[str, dict] = field(default_factory=dict)
-    ordering: list[str] = field(default_factory=list)
-    margins: dict[str, float] = field(default_factory=dict)
-
-    def render(self) -> str:
-        cols = ("action_acc", "target_word_acc", "source_acc", "exact_match", "R1", "RL", "B4")
-        lines = ["variant      " + "  ".join(f"{c:>15}" for c in cols)]
-        for name in self.ordering:
-            row = self.rows[name]
-            lines.append(f"{name:<12} " + "  ".join(f"{100.0 * row[c]:>15.2f}" for c in cols))
-        if self.margins:
-            lines.append("")
-            for name, margin in sorted(self.margins.items()):
-                lines.append(f"action gap over TextOnly, {name}: {100.0 * margin:+.2f} points")
-        return "\n".join(lines) + "\n"
+# ---- evaluation ---------------------------------------------------------------
 
 
 def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict:
@@ -192,28 +173,3 @@ def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict
     }
     row.update(score_corpus(hyps, [inst.explanation for inst in test]))
     return row
-
-
-def evaluate_gap(
-    trained: Mapping[str, TrainedModel],
-    test: Sequence[DialogueInstance],
-    required: Sequence[str] = GAP_VARIANTS,
-) -> GapReport:
-    """Score a family of trained variants on one shared held-out set.
-
-    All models must have been trained on the identical split and seed;
-    a required variant missing from ``trained`` is a contract error.
-    """
-    missing = [v for v in required if v not in trained]
-    if missing:
-        raise ContractError(f"evaluate_gap: missing trained variant(s) {missing}")
-    report = GapReport()
-    for name in sorted(trained):
-        report.rows[name] = evaluate_variant(trained[name], test)
-    report.ordering = sorted(report.rows, key=lambda v: -report.rows[v]["action_acc"])
-    if "TextOnly" in report.rows:
-        floor = report.rows["TextOnly"]["action_acc"]
-        for name, row in report.rows.items():
-            if name != "TextOnly":
-                report.margins[name] = row["action_acc"] - floor
-    return report

@@ -47,7 +47,6 @@ __all__ = [
     "zeros",
     "ones",
     "zeros_like",
-    "ones_like",
     "glorot_uniform",
     "named_parameters",
 ]
@@ -534,10 +533,6 @@ def ones(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
 
 def zeros_like(t: Tensor, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros_like(t.data), requires_grad=requires_grad)
-
-
-def ones_like(t: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones_like(t.data), requires_grad=requires_grad)
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

@@ -109,6 +109,21 @@ def test_sidecar_matrices_load_from_relative_paths(tmp_path):
     assert np.array_equal(loaded[0].audio_features, audio)
 
 
+@pytest.mark.parametrize("where", ["outside", "absolute"])
+def test_sidecar_path_must_stay_inside_the_corpus_directory(tmp_path, where):
+    """A sidecar that exists but lies outside the corpus directory, named
+    with '..' or by an absolute path, is refused with the line."""
+    corpus_dir = tmp_path / "corpus"
+    corpus_dir.mkdir()
+    write_matrix_file(tmp_path / "x.bin", np.ones((3, 4)))
+    rec = record_dict(make_instance())
+    rec["audio_features"] = "../x.bin" if where == "outside" else str(tmp_path / "x.bin")
+    write_records(corpus_dir / "c.jsonl", [rec])
+    with pytest.raises(ParseError, match="inside the corpus directory") as err:
+        load_and_validate(corpus_dir / "c.jsonl")
+    assert err.value.line == 1
+
+
 # ---- parse errors with line numbers ---------------------------------------------
 
 

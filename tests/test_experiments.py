@@ -11,6 +11,7 @@ from operator import delitem
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import maf
 from maf.data import load_and_validate
@@ -28,6 +29,8 @@ from maf.experiments import (
     load_experiment_config,
     main,
 )
+from maf.model import ModelConfig, TrainConfig
+from maf.synthetic import SyntheticSpec
 
 
 def config_dict(default_out, **overrides):
@@ -110,6 +113,49 @@ def test_unknown_model_field(tmp_path):
 def test_section_must_be_object(tmp_path):
     with pytest.raises(ConfigError, match="section 'train' must be an object"):
         load(tmp_path, train=[1])
+
+
+def test_missing_keys_take_their_defaults(tmp_path):
+    """A partial section keeps the defaults of the keys it omits, and an
+    empty synthetic section is the default spec, not an absent one."""
+    p = tmp_path / "partial.json"
+    p.write_text(json.dumps({"model": {"d": 8}, "synthetic": {}}), encoding="utf-8")
+    cfg = load_experiment_config(str(p))
+    assert cfg.model == ModelConfig(d=8)
+    assert cfg.train == TrainConfig()
+    assert cfg.synthetic == SyntheticSpec()
+    cfg.validate()
+
+
+_JSON_VALUES = st.one_of(
+    st.none(), st.booleans(), st.integers(-3, 3), st.floats(-2, 2), st.text(max_size=3),
+    st.lists(st.integers(0, 3), max_size=2), st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(section=st.sampled_from([None, "model", "train", "synthetic"]),
+       action=st.sampled_from(["drop", "add", "swap"]), data=st.data())
+def test_mutated_config_raises_only_config_errors(tmp_path_factory, section, action, data):
+    """Drop a key, add one, or swap in a value of another JSON type, at the
+    top level or in a section: loading and validating either passes or
+    raises ConfigError (CLI exit 2), never anything else."""
+    raw = config_dict("run")
+    target = raw if section is None else raw[section]
+    key = data.draw(st.sampled_from(sorted(target)))
+    if action == "drop":
+        del target[key]
+    elif action == "add":
+        target[data.draw(st.text(min_size=1, max_size=4))] = data.draw(_JSON_VALUES)
+    else:
+        old = target[key]
+        target[key] = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+    path = tmp_path_factory.mktemp("fuzz") / "exp.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    try:
+        load_experiment_config(str(path)).validate()
+    except ConfigError:
+        pass
 
 
 def test_flag_overrides_narrow_the_grid(tmp_path):
@@ -311,6 +357,26 @@ def test_report_aggregates_seeds(tmp_path):
     assert (text, csv) == (again_text, again_csv)
 
 
+def test_report_prints_the_fusion_gap(tmp_path):
+    """After the table, one line per variant: its seed-mean action accuracy
+    minus TextOnly's at the same fusion layer. The CSV carries no gap."""
+    cfg = load(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    accs = {"TextOnly": (0.0, 0.0), "MAF": (1.0, 1.0), "Concat2": (0.5, 0.25)}
+    for variant, per_seed in accs.items():
+        for seed, acc in zip((1, 2), per_seed):
+            row = {"variant": variant, "seed": seed, "fusion_layer_index": 2, "action_acc": acc}
+            (out / f"metrics_{variant}_seed{seed}.json").write_text(json.dumps(row), encoding="utf-8")
+    text, csv = cmd_report(cfg)
+    assert text.endswith("\naction gap over TextOnly, Concat2: +37.50 points\n"
+                         "action gap over TextOnly, MAF: +100.00 points\n")
+    assert "gap" not in csv
+    for seed in (1, 2):
+        (out / f"metrics_TextOnly_seed{seed}.json").unlink()
+    assert "action gap" not in cmd_report(cfg)[0]
+
+
 # ---- CLI entry point ---------------------------------------------------------------
 
 
@@ -347,12 +413,24 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (dict(seeds=[True]), "seeds"),
         (dict(variants="MAF"), "variants"),
         (dict(test_instances="6"), "test_instances"),
+        (dict(synthetic={"num_instances": "5"}), "num_instances"),
+        (dict(synthetic={"noise": "x"}), "noise"),
+        (dict(synthetic={"rich_templates": "no"}), "rich_templates"),
+        (dict(out=5), "out"),
+        (dict(dataset=5), "dataset"),
     ],
 )
 def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
     path = write_config(tmp_path, **overrides)
     assert main(["train", "--config", str(path)]) == 2
     assert f"config error: '{field}' must be" in capsys.readouterr().err
+
+
+def test_cli_removed_bleu_smoothing_key_exits_2(tmp_path, capsys):
+    """Nothing read this knob, so it is no longer a config key."""
+    path = write_config(tmp_path, bleu_smoothing=False)
+    assert main(["train", "--config", str(path)]) == 2
+    assert "unknown config key 'bleu_smoothing'" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_3(tmp_path, capsys):

@@ -21,6 +21,7 @@ from maf.errors import (
     ParseError,
     ShapeError,
     TrainingDivergedError,
+    ValidationError,
 )
 from maf.model import (
     Adam,
@@ -354,6 +355,12 @@ _PARAM_BLOCKS = {
         adapter.mca2_video.gate_k_text:32x1 adapter.mca2_video.gate_k_ctx:32x1
         adapter.mca2_video.gate_v_text:32x1 adapter.mca2_video.gate_v_ctx:32x1
     """,
+    "dpa_audio": """
+        adapter.mca2_audio.w_q:32x32 adapter.mca2_audio.ctx_k:8x32 adapter.mca2_audio.ctx_v:8x32
+    """,
+    "dpa_video": """
+        adapter.mca2_video.w_q:32x32 adapter.mca2_video.ctx_k:16x32 adapter.mca2_video.ctx_v:16x32
+    """,
     "gif": """
         adapter.gif.w_audio:64x32 adapter.gif.w_video:64x32 adapter.gif.b_audio:1x32
         adapter.gif.b_video:1x32
@@ -365,7 +372,7 @@ _PARAM_BLOCKS = {
 _PARAM_ORDER = {
     "MAF": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video', 'gif'),
     "Concat2": ('host', 'audio_enc', 'video_enc', 'concat'),
-    "DPA": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video', 'gif'),
+    "DPA": ('host', 'audio_enc', 'video_enc', 'dpa_audio', 'dpa_video', 'gif'),
     "NoGIF": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video'),
     "TextOnly": ('host',),
     "TA": ('host', 'audio_enc', 'mca2_audio', 'gif'),
@@ -681,6 +688,16 @@ def test_train_rejects_empty_and_overlong_instances():
     corpus[0].explanation = "far too many words in this explanation line"
     with pytest.raises(ContractError, match="t0"):
         train(corpus, tiny_config(), TrainConfig(epochs=1))
+
+
+def test_train_validates_in_memory_instances():
+    """Instances built in memory get the checks a corpus file gets."""
+    corpus = tiny_corpus(k=2)
+    corpus[1].audio_features = corpus[1].audio_features.copy()
+    corpus[1].audio_features[0, 0] = np.nan
+    with pytest.raises(ValidationError, match="audio_features") as err:
+        train(corpus, tiny_config(), TrainConfig(epochs=1))
+    assert err.value.field == "audio_features"
 
 
 def test_textonly_never_touches_features():

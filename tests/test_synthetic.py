@@ -15,12 +15,10 @@ import scipy.stats
 from maf.data import validate_instance
 from maf.errors import ConfigError, ContractError
 from maf.model import TrainConfig, train
-from maf.presets import GAP_MODEL, GAP_SPEC, TEST_SEED_SALT
+from maf.presets import GAP_MODEL, GAP_SPEC, GAP_VARIANTS, TEST_SEED_SALT
 from maf.synthetic import (
-    GAP_VARIANTS,
     SyntheticSpec,
     action_word,
-    evaluate_gap,
     evaluate_variant,
     generate,
     speaker_name,
@@ -311,44 +309,6 @@ def test_evaluate_variant_scores_by_hand(monkeypatch, corpus):
     assert row["R1"] == pytest.approx((1.0 + 1.0 + 2 / 3 + 0.0) / 4)
     for key in ("R2", "RL", "B1", "B2", "B3", "B4"):
         assert key in row
-
-
-def test_evaluate_gap_requires_all_variants(monkeypatch, corpus):
-    _patch_generation(monkeypatch)
-    gold = {inst.id: inst.explanation for inst in corpus[:3]}
-    trained = {v: _Canned(gold) for v in GAP_VARIANTS if v != "DPA"}
-    with pytest.raises(ContractError, match="DPA"):
-        evaluate_gap(trained, corpus[:3])
-
-
-def test_evaluate_gap_margins_and_ordering(monkeypatch, corpus):
-    _patch_generation(monkeypatch)
-    test = corpus[:4]
-    gold = {inst.id: inst.explanation for inst in test}
-    miss_all = {inst.id: "nothing useful here" for inst in test}
-    half = dict(gold)
-    half[test[0].id] = "nothing useful here"
-    half[test[1].id] = "nothing useful here"
-    trained = {
-        "MAF": _Canned(gold),
-        "TextOnly": _Canned(miss_all),
-        "Concat2": _Canned(half),
-        "DPA": _Canned(half),
-        "NoGIF": _Canned(gold),
-    }
-    report = evaluate_gap(trained, test)
-    assert set(report.rows) == set(GAP_VARIANTS)
-    assert report.margins["MAF"] == pytest.approx(1.0)
-    assert report.margins["Concat2"] == pytest.approx(0.5)
-    assert "TextOnly" not in report.margins
-    accs = [report.rows[name]["action_acc"] for name in report.ordering]
-    assert accs == sorted(accs, reverse=True)
-    assert report.ordering[-1] == "TextOnly"
-    text = report.render()
-    assert "action gap over TextOnly, MAF: +100.00 points" in text
-    assert text.splitlines()[0].startswith("variant")
-    for name in GAP_VARIANTS:
-        assert name in text
 
 
 def test_gap_variant_roster():
