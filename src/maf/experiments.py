@@ -29,7 +29,7 @@ from typing import Sequence
 
 from . import __version__
 from .data import corpus_stats, instances_for, load_and_validate, save_corpus, split
-from .errors import ConfigError, MafError
+from .errors import ConfigError, MafError, ParseError
 from .metrics import MetricReport
 from .model import (VARIANTS, ModelConfig, TrainConfig, _build, _check_types, load_checkpoint,
                     save_checkpoint, train)
@@ -287,6 +287,26 @@ def _mean_std(values: list[float]) -> str:
     return f"{100.0 * mean:.2f}±{100.0 * std:.2f}"
 
 
+def _read_metric_row(path: Path) -> dict:
+    """One metric file, checked for every field the report reads."""
+    try:
+        row = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError as exc:  # bad JSON, or bytes that do not decode
+        raise ParseError(f"metric file '{path}' is not valid JSON: {exc}") from None
+    if not isinstance(row, dict):
+        raise ParseError(f"metric file '{path}' must hold a JSON object")
+    for key, kind, required in (("variant", str, True), ("seed", int, True),
+                                ("fusion_layer_index", int, False)):
+        if (required or key in row) and type(row.get(key)) is not kind:
+            raise ParseError(f"metric file '{path}' needs a '{key}' {kind.__name__}, "
+                             f"got {row.get(key)!r}")
+    for key in _MEAN_KEYS + ("target_word_acc",):
+        value = row.get(key)
+        if key in row and (not isinstance(value, (int, float)) or isinstance(value, bool)):
+            raise ParseError(f"metric file '{path}': '{key}' must be a number, got {value!r}")
+    return row
+
+
 def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     """Aggregate metric files under the run directory into text and CSV
     tables: one row per run, then a mean ± sample-std row per group. The
@@ -297,7 +317,7 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     files = sorted(out.glob("metrics_*.json"))
     if not files:
         raise ConfigError(f"nothing to report: no metrics_*.json files in '{out}'")
-    rows = [json.loads(f.read_text(encoding="utf-8")) for f in files]
+    rows = [_read_metric_row(f) for f in files]
 
     def group_key(row):
         return (row["variant"], row.get("fusion_layer_index", 0))

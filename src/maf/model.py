@@ -50,11 +50,12 @@ from .tensor import (
     layer_norm_rows,
     matmul,
     named_parameters,
+    no_grad,
     relu,
     scale,
     zeros,
 )
-from .text import Vocabulary, tokenize
+from .text import SPECIALS, Vocabulary, tokenize
 
 __all__ = [
     "VARIANTS",
@@ -182,12 +183,15 @@ def _holds(value, hint) -> bool:
 
 
 def _check_types(cfg) -> None:
-    """Every field of a config dataclass must hold its annotated type."""
+    """Every field of a config dataclass must hold its annotated type, and
+    a float must be finite: JSON's NaN and Infinity pass every range check."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _holds(value, hints[f.name]):
             raise ConfigError(f"'{f.name}' must be {f.type}, got {value!r}")
+        if isinstance(value, float) and not math.isfinite(value):
+            raise ConfigError(f"'{f.name}' must be a finite float, got {value!r}")
 
 
 def _build(cls, raw, section: str | None = None, complete: bool = False):
@@ -463,12 +467,13 @@ def align_temporal(features: Tensor, n: int) -> Tensor:
 # ---- forward pieces -----------------------------------------------------------
 
 
-def _attention(q_in: Tensor, kv_in: Tensor, p: AttentionParams, heads: int,
-               mask: np.ndarray | None = None) -> Tensor:
-    q = matmul(q_in, p.w_q)
-    k = matmul(kv_in, p.w_k)
-    v = matmul(kv_in, p.w_v)
-    return matmul(attention(q, k, v, heads, mask), p.w_o)
+def _project_kv(kv_in: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor]:
+    return matmul(kv_in, p.w_k), matmul(kv_in, p.w_v)
+
+
+def _attend(q_in: Tensor, kv: tuple[Tensor, Tensor], p: AttentionParams, heads: int,
+            mask: np.ndarray | None = None) -> Tensor:
+    return matmul(attention(matmul(q_in, p.w_q), *kv, heads, mask), p.w_o)
 
 
 def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
@@ -480,14 +485,16 @@ def _ln(x: Tensor, p: LayerNormParams) -> Tensor:
 
 
 def _encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int) -> Tensor:
-    h = _ln(add(x, _attention(x, x, p.attn, heads)), p.ln1)
+    h = _ln(add(x, _attend(x, _project_kv(x, p.attn), p.attn, heads)), p.ln1)
     return _ln(add(h, _ffn(h, p.ffn)), p.ln2)
 
 
-def _decoder_layer(x: Tensor, enc_out: Tensor, p: DecoderLayerParams, heads: int,
-                   mask: np.ndarray) -> Tensor:
-    h = _ln(add(x, _attention(x, x, p.self_attn, heads, mask)), p.ln1)
-    h = _ln(add(h, _attention(h, enc_out, p.cross_attn, heads)), p.ln2)
+def _decoder_layer(x: Tensor, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Tensor, Tensor],
+                   p: DecoderLayerParams, heads: int, mask: np.ndarray | None = None) -> Tensor:
+    """Self-attention onto ``self_kv``, cross-attention onto the encoder's
+    ``cross_kv`` (both already projected), then the feed-forward block."""
+    h = _ln(add(x, _attend(x, self_kv, p.self_attn, heads, mask)), p.ln1)
+    h = _ln(add(h, _attend(h, cross_kv, p.cross_attn, heads)), p.ln2)
     return _ln(add(h, _ffn(h, p.ffn)), p.ln3)
 
 
@@ -584,7 +591,9 @@ def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: Mode
 
 def decode_logits(enc_out: Tensor, target_in_ids: Sequence[int], cfg: ModelConfig,
                   params: ModelParams) -> Tensor:
-    """Teacher-forced decoder pass; returns one logit row per input token."""
+    """Teacher-forced decoder pass; returns one logit row per input token.
+    This is the training path; ``decode_greedy`` computes the same rows one
+    at a time."""
     ids = list(target_in_ids)
     if not ids:
         raise ContractError("decode_logits: empty target input")
@@ -597,24 +606,69 @@ def decode_logits(enc_out: Tensor, target_in_ids: Sequence[int], cfg: ModelConfi
             sinusoidal_positions(length, d))
     mask = _causal_mask(length)
     for layer in params.dec:
-        x = _decoder_layer(x, enc_out, layer, cfg.heads, mask)
+        x = _decoder_layer(x, _project_kv(x, layer.self_attn), _project_kv(enc_out, layer.cross_attn),
+                           layer, cfg.heads, mask)
+    return add(matmul(x, params.out_proj), params.out_bias)
+
+
+class _DecoderCache(NamedTuple):
+    """What one greedy decode keeps between steps. The K/V buffers are
+    written in place, so they are only read under ``no_grad``."""
+
+    positions: np.ndarray                 # limit x d position table
+    cross_kv: list[tuple[Tensor, Tensor]]  # per layer: encoder output projected to K, V
+    keys: list[np.ndarray]                # per layer: limit x d self-attention K rows
+    values: list[np.ndarray]              # per layer: limit x d self-attention V rows
+
+
+def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
+                 params: ModelParams) -> Tensor:
+    """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
+    ``decode_logits`` on the prefix. Appends this row's self-attention K/V
+    to the cache; positions after t are never read, so no causal mask."""
+    x = add(scale(gather_rows(params.embedding, [token]), math.sqrt(cfg.d)),
+            Tensor(cache.positions[t:t + 1]))
+    for layer, cross_kv, keys, values in zip(params.dec, cache.cross_kv, cache.keys, cache.values):
+        k, v = _project_kv(x, layer.self_attn)
+        keys[t], values[t] = k.data[0], v.data[0]
+        self_kv = (Tensor(keys[:t + 1]), Tensor(values[:t + 1]))
+        x = _decoder_layer(x, self_kv, cross_kv, layer, cfg.heads)
     return add(matmul(x, params.out_proj), params.out_bias)
 
 
 def decode_greedy(enc_out: Tensor, cfg: ModelConfig, params: ModelParams,
                   max_len: int | None = None) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
-    or the length cap. Returns generated content ids (sentinels stripped)."""
+    or the length cap. Returns generated content ids (sentinels stripped).
+
+    Incremental and graph-free: the encoder output is projected to each
+    layer's cross-attention K/V once, and each step computes one row,
+    attending to the self-attention K/V cached from the steps before. A
+    cap beyond ``max_target_len + 1`` is a ContractError, as in
+    ``decode_logits``."""
     limit = cfg.max_target_len if max_len is None else max_len
-    ids = [Vocabulary.BOS_ID]
+    if limit > cfg.max_target_len + 1:
+        raise ContractError(
+            f"decode_greedy: max_len={limit} exceeds max_target_len={cfg.max_target_len} + 1"
+        )
     out: list[int] = []
-    for _ in range(limit):
-        logits = decode_logits(enc_out, ids, cfg, params)
-        nxt = int(np.argmax(logits.data[-1]))
-        if nxt == Vocabulary.EOS_ID:
-            break
-        out.append(nxt)
-        ids.append(nxt)
+    if limit < 1:
+        return out
+    d = cfg.d
+    with no_grad():
+        cache = _DecoderCache(
+            positions=sinusoidal_positions(limit, d).data,
+            cross_kv=[_project_kv(enc_out, layer.cross_attn) for layer in params.dec],
+            keys=[np.empty((limit, d)) for _ in params.dec],
+            values=[np.empty((limit, d)) for _ in params.dec],
+        )
+        token = Vocabulary.BOS_ID
+        for t in range(limit):
+            logits = _decode_step(token, t, cache, cfg, params)
+            token = int(np.argmax(logits.data[0]))
+            if token == Vocabulary.EOS_ID:
+                break
+            out.append(token)
     return out
 
 
@@ -790,8 +844,9 @@ def generate_explanation(tm: TrainedModel, inst: DialogueInstance) -> str:
     ids = instance_token_ids(inst, tm.vocab)
     audio = inst.audio_features if cfg.uses_audio() else None
     video = inst.video_features if cfg.uses_video() else None
-    enc_out = encode(ids, audio, video, cfg, tm.params)
-    out_ids = decode_greedy(enc_out, cfg, tm.params)
+    with no_grad():
+        enc_out = encode(ids, audio, video, cfg, tm.params)
+        out_ids = decode_greedy(enc_out, cfg, tm.params)
     return " ".join(tm.vocab.decode(out_ids))
 
 
@@ -831,8 +886,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             raise ParseError(f"'{path}' header must be a JSON object, got '{type(header).__name__}'")
         if header.get("format") != _CKPT_FORMAT:
             raise ParseError(f"'{path}' is not a model checkpoint")
-        if header.get("version") != _CKPT_VERSION:
-            raise ParseError(f"unsupported checkpoint version {header.get('version')}")
+        version = header.get("version")
+        if type(version) is not int or version != _CKPT_VERSION:  # true and 1.0 equal 1
+            raise ParseError(f"unsupported checkpoint version {version!r}")
         # the config must name every field: a missing one would silently take
         # today's default, and one this version no longer has cannot be honoured
         try:
@@ -843,6 +899,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         tokens, table = header.get("vocab"), header.get("params")
         if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
             raise ParseError(f"'{path}' header has no 'vocab' list of tokens")
+        if tokens[:len(SPECIALS)] != list(SPECIALS) or len(tokens) != cfg.vocab_size:
+            raise ParseError(f"'{path}' 'vocab' must start with the {len(SPECIALS)} specials "
+                             f"and hold vocab_size={cfg.vocab_size} tokens, got {len(tokens)}")
         if not isinstance(table, list):
             raise ParseError(f"'{path}' header has no 'params' list")
         for i, entry in enumerate(table):

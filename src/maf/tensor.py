@@ -15,12 +15,15 @@ Conventions used throughout the package:
 * a tensor that has been recorded in a graph is never mutated in place
   (optimizers update leaf ``.data`` only between graph builds);
 * gradients accumulate additively across ``backward`` calls until
-  ``zero_grad`` clears them.
+  ``zero_grad`` clears them;
+* inside ``with no_grad():`` no graph is recorded at all, which is how
+  inference runs.
 """
 
 from __future__ import annotations
 
 import math
+from contextlib import contextmanager
 from dataclasses import fields, is_dataclass
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -44,6 +47,7 @@ __all__ = [
     "layer_norm_rows",
     "cross_entropy_rows",
     "backward",
+    "no_grad",
     "zeros",
     "ones",
     "zeros_like",
@@ -130,12 +134,30 @@ def _coerce(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(x)
 
 
+# Process-wide, like the package: one thread records graphs at a time.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad() -> Iterator[None]:
+    """Record no graph inside the block: every op result is a constant
+    (``requires_grad`` False, no parents, no backward closure), whatever
+    its inputs. The flag is process-wide, not per thread. Nesting works,
+    and the previous state comes back on exit, on an exception too."""
+    global _grad_enabled
+    prev, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = prev
+
+
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = tuple(parents)
         out._backward = backward_fn
@@ -351,10 +373,10 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
         raise ShapeError(
             f"layer_norm_rows: gain/bias must be (1, {d}), got {gain.shape} and {bias.shape}"
         )
-    mu = x.data.mean(axis=1, keepdims=True)
-    var = ((x.data - mu) ** 2).mean(axis=1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = (x.data - mu) * inv
+    # row means as sum / d: what ndarray.mean computes, without its Python wrapper
+    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((xc ** 2).sum(axis=1, keepdims=True) / d + eps)
+    xhat = xc * inv
     out = xhat * gain.data + bias.data
 
     def back(g):
@@ -363,8 +385,8 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) ->
             dxhat = g * gain.data
             gx = inv * (
                 dxhat
-                - dxhat.mean(axis=1, keepdims=True)
-                - xhat * (dxhat * xhat).mean(axis=1, keepdims=True)
+                - dxhat.sum(axis=1, keepdims=True) / d
+                - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
             )
         ggain = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
         gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None

@@ -3,7 +3,9 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
-backward code paths, so agreement is evidence, not tautology.
+backward code paths, so agreement is evidence, not tautology. The one
+exception is ``loop_decode_greedy``: it is the slow decoding path that
+the cached decoder replaced, built on the teacher-forced decoder pass.
 """
 
 from __future__ import annotations
@@ -172,3 +174,25 @@ def loop_bucket_means(frames, n) -> np.ndarray:
         for j, s in enumerate(sizes(n, f)):
             out.extend([list(frames[j])] * s)
     return np.array(out)
+
+
+# ---- greedy decoding without a cache ------------------------------------------
+
+
+def loop_decode_greedy(enc_out, cfg, params):
+    """Greedy decoding that reruns the teacher-forced decoder on the whole
+    growing prefix at every step and keeps its last row, up to
+    ``max_target_len`` steps. Returns the generated ids and the logit row
+    of every step taken."""
+    from maf.model import decode_logits
+    from maf.text import Vocabulary
+
+    ids = [Vocabulary.BOS_ID]
+    rows = []
+    for _ in range(cfg.max_target_len):
+        rows.append(decode_logits(enc_out, ids, cfg, params).data[-1])
+        nxt = int(np.argmax(rows[-1]))
+        if nxt == Vocabulary.EOS_ID:
+            break
+        ids.append(nxt)
+    return ids[1:], rows

@@ -6,6 +6,7 @@ out, byte-identical on repetition.
 """
 
 import argparse
+import itertools
 import json
 from operator import delitem
 from pathlib import Path
@@ -15,7 +16,7 @@ from hypothesis import given, settings, strategies as st
 
 import maf
 from maf.data import load_and_validate
-from maf.errors import ConfigError
+from maf.errors import ConfigError, ParseError
 from maf.experiments import (
     ExperimentConfig,
     cmd_ablate,
@@ -29,7 +30,7 @@ from maf.experiments import (
     load_experiment_config,
     main,
 )
-from maf.model import ModelConfig, TrainConfig
+from maf.model import ModelConfig, TrainConfig, load_checkpoint
 from maf.synthetic import SyntheticSpec
 
 
@@ -380,6 +381,34 @@ def test_report_prints_the_fusion_gap(tmp_path):
 # ---- CLI entry point ---------------------------------------------------------------
 
 
+@pytest.mark.parametrize(
+    "content, fragment",
+    [
+        ("{bad", "is not valid JSON"),
+        ("[1]", "must hold a JSON object"),
+        ('{"variant": "MAF"}', "needs a 'seed' int"),
+        ('{"seed": 1}', "needs a 'variant' str"),
+        ('{"variant": 5, "seed": 1}', "needs a 'variant' str"),
+        ('{"variant": "MAF", "seed": true}', "needs a 'seed' int"),
+        ('{"variant": "MAF", "seed": 1, "fusion_layer_index": "2"}', "'fusion_layer_index' int"),
+        ('{"variant": "MAF", "seed": 1, "action_acc": "high"}', "'action_acc' must be a number"),
+    ],
+)
+def test_cli_report_rejects_broken_metric_files(tmp_path, capsys, content, fragment):
+    """A metric file the report cannot read is a runtime error naming the
+    file (exit 3), not a traceback."""
+    out = tmp_path / "run"
+    out.mkdir()
+    (out / "metrics_TextOnly_seed1.json").write_text(
+        json.dumps({"variant": "TextOnly", "seed": 1, "action_acc": 0.2}), encoding="utf-8")
+    bad = out / "metrics_MAF_seed1.json"
+    bad.write_text(content, encoding="utf-8")
+    assert main(["report", "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: metric file '{bad}'")
+    assert fragment in err
+
+
 def test_cli_ablate_succeeds(tmp_path, capsys):
     path = write_config(tmp_path, variants=["TextOnly"])
     assert main(["ablate", "--config", str(path)]) == 0
@@ -418,6 +447,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
         (dict(synthetic={"rich_templates": "no"}), "rich_templates"),
         (dict(out=5), "out"),
         (dict(dataset=5), "dataset"),
+        # JSON's NaN and Infinity are floats that every range check lets through
+        (dict(train={"lr": float("nan")}), "lr"),
+        (dict(train={"grad_clip": float("inf")}), "grad_clip"),
     ],
 )
 def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
@@ -459,6 +491,7 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
         (lambda h: h["config"].update(d="8"), "d"),
         # an out-of-range value is a bad file (exit 3), not a bad run config (exit 2)
         (lambda h: h["config"].update(ffn=0), "ffn"),
+        (lambda h: h["config"].update(max_text_len=float("nan")), "max_text_len"),
     ],
 )
 def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, key):
@@ -470,6 +503,56 @@ def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, ke
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
     assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
     assert f"'{key}'" in capsys.readouterr().err
+
+
+@pytest.fixture(scope="module")
+def tiny_checkpoint(tmp_path_factory):
+    """An experiment config file, the bytes of a checkpoint trained from it,
+    and a counter that names each mutant file (a fresh file is much cheaper
+    than overwriting one on some file systems)."""
+    path = write_config(tmp_path_factory.mktemp("ckpt"))
+    blob = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"]).read_bytes()
+    return path, blob, itertools.count()
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(mutation=st.sampled_from([("header", "drop"), ("header", "add"), ("header", "retype"),
+                                 ("config", "drop"), ("config", "add"), ("config", "retype"),
+                                 ("blob", "truncate")]),
+       data=st.data())
+def test_mutated_checkpoint_raises_only_parse_errors(tiny_checkpoint, mutation, data):
+    """Drop, add or retype a key of the header or of its config, or cut the
+    file short: loading raises ParseError unless the only change is an
+    extra header key, and ``maf evaluate`` on a sample of the rejected
+    files exits 3."""
+    config_path, blob, names = tiny_checkpoint
+    where, action = mutation
+    if action == "truncate":
+        mutant = blob[:data.draw(st.integers(0, len(blob) - 1))]
+    else:
+        head, rest = blob.split(b"\n", 1)
+        header = json.loads(head)
+        target = header if where == "header" else header["config"]
+        if action == "drop":
+            del target[data.draw(st.sampled_from(sorted(target)))]
+        elif action == "add":
+            key = data.draw(st.text(min_size=1, max_size=4).filter(lambda k: k not in target))
+            target[key] = data.draw(_JSON_VALUES)
+        else:
+            key = data.draw(st.sampled_from(sorted(target)))
+            old = target[key]
+            target[key] = data.draw(_JSON_VALUES.filter(lambda v: type(v) is not type(old)))
+        mutant = json.dumps(header, sort_keys=True).encode() + b"\n" + rest
+    path = config_path.parent / f"mutant{next(names)}.ckpt"
+    path.write_bytes(mutant)
+    try:
+        load_checkpoint(path)
+        loaded = True
+    except ParseError:
+        loaded = False
+    assert loaded == (mutation == ("header", "add"))
+    if not loaded and data.draw(st.integers(0, 4), label="run maf evaluate") == 0:
+        assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(path)]) == 3
 
 
 def test_cli_stats_needs_dataset(tmp_path, capsys):

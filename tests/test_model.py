@@ -14,6 +14,7 @@ from dataclasses import asdict, replace
 import numpy as np
 import pytest
 
+from maf import model as model_module
 from maf.data import DialogueInstance, Utterance
 from maf.errors import (
     ConfigError,
@@ -49,7 +50,7 @@ from maf.presets import GAP_MODEL
 from maf.tensor import Tensor, backward, sum_all
 from maf.text import Vocabulary
 
-from oracles import gradients_close, loop_bucket_means, numeric_gradient
+from oracles import gradients_close, loop_bucket_means, loop_decode_greedy, numeric_gradient
 
 AUDIO_DIM, VIDEO_DIM = 4, 6
 
@@ -156,6 +157,10 @@ def test_train_config_rejections():
     with pytest.raises(ConfigError, match="grad_clip"):
         TrainConfig(grad_clip=0.0).validate()
     TrainConfig(lr=0.0).validate()  # a frozen run is allowed
+    with pytest.raises(ConfigError, match="'lr' must be a finite float, got nan"):
+        TrainConfig(lr=math.nan).validate()
+    with pytest.raises(ConfigError, match="'grad_clip' must be a finite float, got inf"):
+        TrainConfig(grad_clip=math.inf).validate()
 
 
 # ---- temporal alignment ----------------------------------------------------
@@ -448,6 +453,34 @@ def test_decode_greedy_respects_length_cap():
     out = decode_greedy(enc, cfg, params, max_len=3)
     assert len(out) <= 3
     assert Vocabulary.BOS_ID not in out and Vocabulary.EOS_ID not in out
+    assert decode_greedy(enc, cfg, params, max_len=0) == []
+    assert len(decode_greedy(enc, cfg, params, max_len=cfg.max_target_len + 1)) <= cfg.max_target_len + 1
+    with pytest.raises(ContractError, match="max_target_len"):
+        decode_greedy(enc, cfg, params, max_len=cfg.max_target_len + 2)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
+    """The incremental decoder picks the oracle's ids, and each step's
+    logits match the last row of the teacher-forced pass on that prefix."""
+    cfg, _, params, inst, ids = fixture_model(variant, max_target_len=8)
+    _randomise_adapter(params)
+    enc = encode(ids, inst.audio_features, inst.video_features, cfg, params)
+    steps = []
+    step = model_module._decode_step
+
+    def recording_step(*args):
+        logits = step(*args)
+        steps.append(logits.data[0])
+        return logits
+
+    monkeypatch.setattr(model_module, "_decode_step", recording_step)
+    got = decode_greedy(enc, cfg, params)
+    want, rows = loop_decode_greedy(enc, cfg, params)
+    assert got == want
+    assert len(steps) == len(rows) > 1
+    for cached, full in zip(steps, rows):
+        np.testing.assert_allclose(cached, full, rtol=0, atol=1e-12)
 
 
 def test_encode_deterministic():
@@ -766,6 +799,22 @@ def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
     _tamper_header(path, newer, lambda h: h.update(version=99))
     with pytest.raises(ParseError, match="version 99"):
         load_checkpoint(newer)
+    _tamper_header(path, newer, lambda h: h.update(version=True))
+    with pytest.raises(ParseError, match="version True"):
+        load_checkpoint(newer)
+
+
+@pytest.mark.parametrize("mutate", [
+    lambda h: h["vocab"].pop(),              # decoded ids would index past the token list
+    lambda h: h["vocab"].append("extra"),
+    lambda h: h["vocab"].reverse(),          # the specials no longer come first
+], ids=["short", "long", "specials-last"])
+def test_checkpoint_rejects_vocab_that_does_not_fit_the_config(tmp_path, mutate):
+    _, tm, path = trained_tiny(tmp_path)
+    tampered = tmp_path / "vocab.ckpt"
+    _tamper_header(path, tampered, mutate)
+    with pytest.raises(ParseError, match="'vocab' must start with the 4 specials"):
+        load_checkpoint(tampered)
 
 
 def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
