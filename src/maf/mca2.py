@@ -104,6 +104,7 @@ def mca2_forward(
     *,
     gate_override: float | None = None,
     return_trace: bool = False,
+    mask: np.ndarray | None = None,
 ):
     """Full block in one pass: project, gate, mix, attend. Output is n x d.
 
@@ -112,6 +113,8 @@ def mca2_forward(
     self-attention over (Q, K, V), 1.0 attends purely over projected
     context. Intended for tests and ablations, not training.
     ``return_trace`` returns an ``AttentionTrace`` of the intermediates.
+    ``mask`` is an optional n x n additive attention mask (a packed batch
+    passes its block-diagonal mask, so no row attends to another instance).
     """
     n = h.shape[0]
     if h.data.ndim != 2 or h.shape[1] != params.d:
@@ -130,7 +133,7 @@ def mca2_forward(
     k_mixed = add(mul(sub(one, gate_k), k), mul(gate_k, ctx_k))
     v_mixed = add(mul(sub(one, gate_v), v), mul(gate_v, ctx_v))
 
-    out = attention(q, k_mixed, v_mixed)
+    out = attention(q, k_mixed, v_mixed, mask=mask)
     if not return_trace:
         return out
     return AttentionTrace(

@@ -26,9 +26,6 @@ __all__ = [
     "METRIC_COLUMNS",
 ]
 
-_SMOOTH_EPS = 1e-9
-
-
 def _ngrams(tokens: Sequence[str], n: int) -> Counter:
     return Counter(tuple(tokens[i:i + n]) for i in range(len(tokens) - n + 1))
 
@@ -69,11 +66,10 @@ def rouge_l(hyp: str, ref: str) -> float:
     return _f1(lcs / len(h), lcs / len(r))
 
 
-def bleu_k(hyp: str, ref: str, k: int, smooth: bool = False) -> float:
+def bleu_k(hyp: str, ref: str, k: int) -> float:
     """BLEU with orders 1..k: geometric mean of clipped modified precisions
     times the brevity penalty exp(1 - |ref| / |hyp|) when the hypothesis is
-    shorter. A zero precision zeroes the score unless ``smooth`` replaces it
-    with a small epsilon.
+    shorter. A zero precision zeroes the score.
     """
     if k < 1:
         raise ContractError(f"BLEU order must be >= 1, got {k}")
@@ -82,18 +78,11 @@ def bleu_k(hyp: str, ref: str, k: int, smooth: bool = False) -> float:
         return 0.0
     precisions = []
     for n in range(1, k + 1):
-        hg = _ngrams(h, n)
-        total = sum(hg.values())
-        if total == 0:
-            p = 0.0
-        else:
-            rg = _ngrams(r, n)
-            p = sum(min(c, rg[g]) for g, c in hg.items()) / total
-        if p == 0.0:
-            if not smooth:
-                return 0.0
-            p = _SMOOTH_EPS
-        precisions.append(p)
+        hg, rg = _ngrams(h, n), _ngrams(r, n)
+        matched = sum(min(c, rg[g]) for g, c in hg.items())
+        if matched == 0:  # no n-gram matches, or the hypothesis has none
+            return 0.0
+        precisions.append(matched / sum(hg.values()))
     log_mean = sum(math.log(p) for p in precisions) / k
     bp = 1.0 if len(h) >= len(r) else math.exp(1.0 - len(r) / len(h))
     return bp * math.exp(log_mean)
@@ -129,7 +118,7 @@ def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float,
     return src_hits / len(hyps), tgt_hits / len(hyps)
 
 
-def score_corpus(hyps: Sequence[str], refs: Sequence[str], smooth: bool = False) -> dict[str, float]:
+def score_corpus(hyps: Sequence[str], refs: Sequence[str]) -> dict[str, float]:
     """Mean per-instance scores for the standard columns, as fractions."""
     if len(hyps) != len(refs):
         raise ContractError(f"got {len(hyps)} hypotheses for {len(refs)} references")
@@ -142,7 +131,7 @@ def score_corpus(hyps: Sequence[str], refs: Sequence[str], smooth: bool = False)
         "RL": sum(rouge_l(h, r) for h, r in zip(hyps, refs)) / n,
     }
     for k in (1, 2, 3, 4):
-        out[f"B{k}"] = sum(bleu_k(h, r, k, smooth=smooth) for h, r in zip(hyps, refs)) / n
+        out[f"B{k}"] = sum(bleu_k(h, r, k) for h, r in zip(hyps, refs)) / n
     return out
 
 

@@ -50,7 +50,7 @@ from maf.presets import GAP_MODEL
 from maf.tensor import Tensor, backward, sum_all
 from maf.text import Vocabulary
 
-from oracles import gradients_close, loop_bucket_means, loop_decode_greedy, numeric_gradient
+from oracles import FD_STEP, gradients_close, loop_bucket_means, loop_decode_greedy, numeric_gradient
 
 AUDIO_DIM, VIDEO_DIM = 4, 6
 
@@ -412,7 +412,7 @@ def fixture_model(variant="MAF", **kw):
 def test_encode_shapes():
     cfg, _, params, inst, ids = fixture_model()
     out = encode(ids, inst.audio_features, inst.video_features, cfg, params)
-    assert out.shape == (cfg.max_text_len, cfg.d)
+    assert out.shape == (len(ids), cfg.d)
 
 
 def test_encode_rejects_empty_and_overlong():
@@ -570,6 +570,18 @@ def test_pinned_text_attention_ignores_context_features():
     assert np.array_equal(a.data, b.data)
 
 
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_encode_does_not_depend_on_max_text_len(variant):
+    """Nothing is padded, so the length cap cannot move any output row."""
+    cfg, _, params, inst, ids = fixture_model(variant, max_text_len=16)
+    _randomise_adapter(params)
+    outs = [encode(ids, inst.audio_features, inst.video_features, replace(cfg, max_text_len=n), params)
+            for n in (16, 24, 32)]
+    assert outs[0].shape == (len(ids), cfg.d)
+    for out in outs[1:]:
+        assert np.array_equal(out.data, outs[0].data)
+
+
 # ---- gradients through the assembled network --------------------------------
 
 
@@ -605,6 +617,139 @@ def test_full_model_gradient_spot_checks():
         numeric = numeric_gradient(loss_value, t.data)
         ok, worst = gradients_close(analytic, numeric, rtol=1e-4, atol=1e-7)
         assert ok, f"{name}: worst deviation {worst}"
+
+
+# ---- packs: several instances in one graph -------------------------------------
+
+
+def uneven_corpus() -> list[DialogueInstance]:
+    """Three instances whose text, frame, window and target lengths all
+    differ, with fewer frames than tokens in some and more in others."""
+    rng = np.random.default_rng(12)
+    shapes = [  # utterances, audio frames, video windows, explanation, source, target
+        ([("ana", "sure")], 2, 1, "ana mocks", "ana", "bo"),
+        ([("bo", "that went really well"), ("cy", "great")], 9, 4, "cy mocks bo", "cy", "bo"),
+        ([("cy", "lovely weather"), ("ana", "yes")], 5, 7, "ana mocks cy badly", "ana", "cy"),
+    ]
+    return [
+        DialogueInstance(
+            id=f"u{i}",
+            utterances=[Utterance(speaker=sp, text=tx) for sp, tx in utts],
+            audio_features=rng.normal(size=(frames, AUDIO_DIM)),
+            video_features=rng.normal(size=(windows, VIDEO_DIM)),
+            explanation=expl,
+            sarcasm_source=src,
+            sarcasm_target=tgt,
+            action_word="mocks",
+        )
+        for i, (utts, frames, windows, expl, src, tgt) in enumerate(shapes)
+    ]
+
+
+def pack_items(corpus, vocab):
+    return [(instance_token_ids(inst, vocab), Tensor(inst.audio_features),
+             Tensor(inst.video_features), instance_target_ids(inst, vocab)) for inst in corpus]
+
+
+def gradients_of(params, losses_and_scales):
+    for loss, c in losses_and_scales:
+        backward(loss * c)
+    grads = {name: None if t.grad is None else t.grad.copy() for name, t in named_parameters(params)}
+    for _, t in named_parameters(params):
+        t.zero_grad()
+    return grads
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pack_matches_one_instance_losses_and_gradients(variant):
+    """A pack of three instances of unequal lengths gives the mean of the
+    one-instance losses, and the same gradient in every parameter: the
+    block masks keep each instance to its own rows."""
+    corpus = uneven_corpus()
+    cfg, vocab, params = bound_params(tiny_config(variant=variant), corpus)
+    _randomise_adapter(params)
+    items = pack_items(corpus, vocab)
+    assert len({len(src) for src, _, _, _ in items}) == 3
+    packed = model_module._pack_loss(model_module._pack(items, cfg), cfg, params)
+    singles = [_instance_loss(*item, cfg, params) for item in items]
+    assert packed.item() == pytest.approx(np.mean([x.item() for x in singles]), rel=0, abs=1e-10)
+    want = gradients_of(params, [(x, 1.0 / 3) for x in singles])
+    got = gradients_of(params, [(packed, 1.0)])
+    for name, g in want.items():
+        if g is None:
+            assert got[name] is None, name
+        else:
+            np.testing.assert_allclose(got[name], g, rtol=0, atol=1e-10, err_msg=name)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_pack_gradient_matches_finite_differences(variant):
+    """Two instances, 3 and 4 text tokens, at the width-8 gradient-suite
+    configuration: sampled entries of every parameter agree with central
+    differences of the packed loss."""
+    corpus = [
+        DialogueInstance(id=f"g{i}", utterances=utts,
+                         audio_features=np.random.default_rng(i).normal(size=(3 + i, 4)),
+                         video_features=np.random.default_rng(10 + i).normal(size=(2 + 3 * i, 4)),
+                         explanation=expl, sarcasm_source=expl.split()[0],
+                         sarcasm_target=expl.split()[-1], action_word="mocks")
+        for i, (utts, expl) in enumerate([
+            ([Utterance("bo", "hi yo")], "bo mocks cy"),
+            ([Utterance("bo", "hi"), Utterance("cy", "yo")], "cy mocks"),
+        ])
+    ]
+    cfg = ModelConfig(d=8, encoder_layers=2, decoder_layers=1, ffn=16, heads=2,
+                      fusion_layer_index=2, d_c_audio=4, d_c_video=4, audio_raw_dim=4,
+                      video_raw_dim=4, max_text_len=4, max_target_len=4, variant=variant, seed=5)
+    cfg, vocab, params = bound_params(cfg, corpus)
+    _randomise_adapter(params)
+    pk = model_module._pack(pack_items(corpus, vocab), cfg)
+    assert pk.lengths == [3, 4]
+
+    def loss_value():
+        return model_module._pack_loss(pk, cfg, params).item()
+
+    backward(model_module._pack_loss(pk, cfg, params))
+    rng = np.random.default_rng(3)
+    absent = {"TA": "video", "TV": "audio"}.get(variant)  # its GIF gate has no stream to scale
+    for name, t in named_parameters(params):
+        if t.grad is None:
+            assert absent and name.startswith("adapter.gif.") and name.endswith(absent), name
+            continue
+        flat = t.data.reshape(-1)
+        picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
+        numeric = np.empty(len(picks))
+        for j, i in enumerate(picks):
+            orig = flat[i]
+            flat[i] = orig + FD_STEP
+            hi = loss_value()
+            flat[i] = orig - FD_STEP
+            lo = loss_value()
+            flat[i] = orig
+            numeric[j] = (hi - lo) / (2 * FD_STEP)
+        ok, worst = gradients_close(t.grad.reshape(-1)[picks], numeric, rtol=1e-4, atol=1e-8)
+        assert ok, f"{name}: violation ratio {worst:.3e} beyond rtol=1e-4"
+
+
+def test_train_backpropagates_once_per_pack(monkeypatch):
+    """Each step builds ceil(B / 4) graphs, so packing cannot quietly fall
+    back to one graph per instance."""
+    calls, per_step = [], []
+    real_backward, real_step = model_module.backward, Adam.step
+
+    def counting_backward(loss):
+        calls.append(1)
+        real_backward(loss)
+
+    def counting_step(opt):
+        per_step.append(len(calls))
+        calls.clear()
+        real_step(opt)
+
+    monkeypatch.setattr(model_module, "backward", counting_backward)
+    monkeypatch.setattr(Adam, "step", counting_step)
+    train(tiny_corpus(k=10), tiny_config(), TrainConfig(lr=1e-3, epochs=2, batch_size=9))
+    assert per_step == [3, 1, 3, 1]  # batches of 9 and 1
 
 
 # ---- optimiser ---------------------------------------------------------------
