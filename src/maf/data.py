@@ -8,10 +8,12 @@ action word, optional description).
 File format: one JSON record per line with fields exactly
 ``id, utterances, audio_features, video_features, explanation,
 sarcasm_source, sarcasm_target, action_word, description`` (description is
-nullable). A feature field holds either the matrix inline (list of rows)
-or a path, relative and inside the corpus file's directory, to a binary
-sidecar file: uint64 row count, uint64 column count, then row-major
-float64 values, all little-endian.
+nullable). Text fields and utterance speakers and texts are JSON strings.
+A feature field holds either the matrix inline (list of rows of JSON
+numbers) or a path, relative and inside the corpus file's directory, to a
+binary sidecar file: uint64 row count, uint64 column count, then
+row-major float64 values, all little-endian. The loader converts no
+types: anything else is a ParseError naming the field and the line.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ import math
 import struct
 from collections import Counter
 from dataclasses import dataclass, field
+from itertools import chain
 from pathlib import Path
 from typing import Iterable, Sequence
 
@@ -58,6 +61,7 @@ _FIELDS = (
     "action_word",
     "description",
 )
+_STRING_FIELDS = ("id", "explanation", "sarcasm_source", "sarcasm_target", "action_word")
 
 
 @dataclass
@@ -146,24 +150,57 @@ def read_matrix_file(path: str | Path) -> np.ndarray:
 # ---- corpus file i/o ---------------------------------------------------------
 
 
+def _json_text(value) -> str:
+    text = json.dumps(value)
+    return text if len(text) <= 40 else text[:37] + "..."
+
+
+def _string_field(value, field_name: str, line: int) -> str:
+    if not isinstance(value, str):
+        raise ParseError(f"{field_name} must be a string, got {_json_text(value)}", line)
+    return value
+
+
+def _sidecar(value: str, field_name: str, base: Path, line: int) -> np.ndarray:
+    try:
+        target = (base / value).resolve()
+        found = target.is_file()
+    except (OSError, ValueError):  # a NUL byte, or a name too long for the file system
+        raise ParseError(f"{field_name} sidecar {_json_text(value)} is not a usable path",
+                         line) from None
+    if Path(value).is_absolute() or not target.is_relative_to(base.resolve()):
+        raise ParseError(f"{field_name} sidecar '{value}' is not a relative path inside "
+                         f"the corpus directory", line)
+    if not found:
+        raise ParseError(f"{field_name} sidecar '{value}' not found next to the corpus", line)
+    try:
+        return read_matrix_file(target)
+    except OSError as exc:
+        raise ParseError(f"{field_name} sidecar '{value}' cannot be read ({exc.strerror})",
+                         line) from None
+    except ParseError as exc:  # a short or inconsistent file: say which field and line
+        raise ParseError(f"{field_name} sidecar '{value}': {exc}", line) from None
+
+
 def _matrix_from_field(value, field_name: str, base: Path, line: int) -> np.ndarray:
     if isinstance(value, str):
-        target = (base / value).resolve()
-        if Path(value).is_absolute() or not target.is_relative_to(base.resolve()):
-            raise ParseError(f"{field_name} sidecar '{value}' is not a relative path inside "
-                             f"the corpus directory", line)
-        if not target.exists():
-            raise ParseError(f"{field_name} sidecar '{value}' not found next to the corpus", line)
-        return read_matrix_file(target)
-    if isinstance(value, list):
-        try:
-            arr = np.asarray(value, dtype=np.float64)
-        except (TypeError, ValueError) as exc:
-            raise ParseError(f"{field_name} is not a numeric matrix: {exc}", line) from None
-        if arr.ndim != 2:
-            raise ParseError(f"{field_name} must be a list of equal-length rows", line)
-        return arr
-    raise ParseError(f"{field_name} must be a matrix or a sidecar path, got {type(value).__name__}", line)
+        return _sidecar(value, field_name, base, line)
+    if not isinstance(value, list):
+        raise ParseError(f"{field_name} must be a matrix or a sidecar path, got {_json_text(value)}",
+                         line)
+    if not all(isinstance(row, list) for row in value):
+        raise ParseError(f"{field_name} must be a list of equal-length rows", line)
+    # every cell a JSON number: NumPy would read true as 1.0 and "2" as 2.0
+    if not set(map(type, chain.from_iterable(value))) <= {int, float}:
+        bad = next(x for x in chain.from_iterable(value) if type(x) not in (int, float))
+        raise ParseError(f"{field_name} cells must be numbers, got {_json_text(bad)}", line)
+    try:
+        arr = np.asarray(value, dtype=np.float64)
+    except (ValueError, OverflowError) as exc:  # ragged rows, or an integer beyond float range
+        raise ParseError(f"{field_name} is not a numeric matrix: {exc}", line) from None
+    if arr.ndim != 2:
+        raise ParseError(f"{field_name} must be a list of equal-length rows", line)
+    return arr
 
 
 def _instance_from_record(rec: dict, base: Path, line: int) -> DialogueInstance:
@@ -182,20 +219,20 @@ def _instance_from_record(rec: dict, base: Path, line: int) -> DialogueInstance:
     for i, u in enumerate(utts_raw):
         if not isinstance(u, dict) or set(u) != {"speaker", "text"}:
             raise ParseError(f"utterance {i} must be an object with exactly speaker and text", line)
-        utterances.append(Utterance(speaker=str(u["speaker"]), text=str(u["text"])))
+        utterances.append(Utterance(
+            speaker=_string_field(u["speaker"], f"utterance {i} speaker", line),
+            text=_string_field(u["text"], f"utterance {i} text", line),
+        ))
     desc = rec["description"]
     if desc is not None and not isinstance(desc, str):
         raise ParseError("description must be a string or null", line)
+    strings = {name: _string_field(rec[name], name, line) for name in _STRING_FIELDS}
     return DialogueInstance(
-        id=str(rec["id"]),
         utterances=utterances,
         audio_features=_matrix_from_field(rec["audio_features"], "audio_features", base, line),
         video_features=_matrix_from_field(rec["video_features"], "video_features", base, line),
-        explanation=str(rec["explanation"]),
-        sarcasm_source=str(rec["sarcasm_source"]),
-        sarcasm_target=str(rec["sarcasm_target"]),
-        action_word=str(rec["action_word"]),
         description=desc,
+        **strings,
     )
 
 
@@ -209,14 +246,18 @@ def load_and_validate(path: str | Path) -> list[DialogueInstance]:
     base = path.parent
     instances: list[DialogueInstance] = []
     seen_ids: set[str] = set()
-    with open(path, "r", encoding="utf-8") as fh:
+    with open(path, "rb") as fh:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
             try:
-                rec = json.loads(raw)
+                rec = json.loads(raw.decode("utf-8"))
+            except UnicodeDecodeError:
+                raise ParseError("line is not UTF-8 text", line_no) from None
             except json.JSONDecodeError as exc:
                 raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
+            except RecursionError:  # arrays or objects nested thousands deep
+                raise ParseError("JSON nested too deeply", line_no) from None
             inst = _instance_from_record(rec, base, line_no)
             validate_instance(inst, line=line_no)
             if inst.id in seen_ids:

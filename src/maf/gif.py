@@ -9,15 +9,19 @@ streams produced by the attention blocks:
 
 The gates are linear (no squashing), so with all parameters at zero the
 layer is exactly the identity on H, which is how the adapter starts
-training. A single-modality variant passes ``None`` for the absent stream,
-which drops its term: H' = H + g_a * H_a.
+training. Since a gate is linear in [H | H_m], its parameters are the only
+way to pin it: W = 0, b = c gives the constant gate c, bit for bit.
+
+A variant holds a gate only for each modality it reads. A single-modality
+variant passes ``None`` for the absent stream and has no gate for it, so
+H' = H + g_a * H_a.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .errors import ShapeError
+from .errors import ContractError, ShapeError
 from .tensor import Tensor, add, concat_last, matmul, mul, zeros
 
 __all__ = ["GifParams", "gif_fuse"]
@@ -25,53 +29,50 @@ __all__ = ["GifParams", "gif_fuse"]
 
 @dataclass
 class GifParams:
-    """Two gate transforms: weights are 2d x d, biases are 1 x d rows."""
+    """One gate transform per modality read: weights 2d x d, biases 1 x d
+    rows. The gate of a modality the variant does not read is ``None``."""
 
-    w_audio: Tensor
-    w_video: Tensor
-    b_audio: Tensor
-    b_video: Tensor
+    w_audio: Tensor | None = None
+    w_video: Tensor | None = None
+    b_audio: Tensor | None = None
+    b_video: Tensor | None = None
 
     @property
     def d(self) -> int:
-        return self.b_audio.shape[1]
+        return next(b for b in (self.b_audio, self.b_video) if b is not None).shape[1]
 
     @classmethod
-    def zero_init(cls, d: int) -> "GifParams":
+    def zero_init(cls, d: int, audio: bool = True, video: bool = True) -> "GifParams":
         # all-zero start makes the fusion an identity map at step 0
+        if not (audio or video):
+            raise ContractError("a fusion needs the gate of at least one modality")
         return cls(
-            w_audio=zeros(2 * d, d, requires_grad=True),
-            w_video=zeros(2 * d, d, requires_grad=True),
-            b_audio=zeros(1, d, requires_grad=True),
-            b_video=zeros(1, d, requires_grad=True),
+            w_audio=zeros(2 * d, d, requires_grad=True) if audio else None,
+            w_video=zeros(2 * d, d, requires_grad=True) if video else None,
+            b_audio=zeros(1, d, requires_grad=True) if audio else None,
+            b_video=zeros(1, d, requires_grad=True) if video else None,
         )
 
 
-def gif_fuse(
-    h: Tensor,
-    h_audio: Tensor | None,
-    h_video: Tensor | None,
-    params: GifParams,
-    *,
-    gates: tuple[Tensor, Tensor] | None = None,
-) -> Tensor:
-    """Fuse the present modality streams into the text stream; output is n x d.
+def gif_fuse(h: Tensor, h_audio: Tensor | None, h_video: Tensor | None,
+             params: GifParams) -> Tensor:
+    """Fuse the modality streams into the text stream; output is n x d.
 
-    A stream given as ``None`` contributes no term. ``gates`` overrides the
-    computed gate pair (used by tests to pin the gates, e.g. to all-ones,
-    which turns the fusion into a plain sum).
+    Each gate in ``params`` scales its stream and adds it to ``h``. A
+    stream without its gate, or a gate without its stream, is a
+    ContractError: nothing is dropped silently.
     """
     if h.shape[1] != params.d:
         raise ShapeError(f"hidden width {h.shape[1]} does not match params d={params.d}")
-    pinned = gates or (None, None)
     terms = []
-    for label, stream, w, b, g in (("audio", h_audio, params.w_audio, params.b_audio, pinned[0]),
-                                   ("video", h_video, params.w_video, params.b_video, pinned[1])):
+    for label, stream, w, b in (("audio", h_audio, params.w_audio, params.b_audio),
+                                ("video", h_video, params.w_video, params.b_video)):
+        if len({stream is None, w is None, b is None}) > 1:
+            raise ContractError(f"{label}: the stream and its gate weight and bias must be "
+                                f"given together")
         if stream is None:
             continue
         if stream.shape != h.shape:
             raise ShapeError(f"{label} stream must match hidden states {h.shape}, got {stream.shape}")
-        if g is None:
-            g = add(matmul(concat_last(h, stream), w), b)
-        terms.append(mul(g, stream))
+        terms.append(mul(add(matmul(concat_last(h, stream), w), b), stream))
     return add(h, terms[0] if len(terms) == 1 else add(*terms))

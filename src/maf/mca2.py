@@ -19,6 +19,11 @@ is exactly 0.5; pinning the gates to zero recovers plain self-attention
 over (Q, K, V), pinning them to one attends purely over projected context.
 The last line is the shared kernel ``tensor.attention`` with one head.
 
+``gate_override`` is the package's one gate pin that is not a parameter
+setting: a logistic gate only approaches 0 or 1 as its logit grows, so no
+parameter values give those collapses exactly. (The fusion gates of
+``gif.py`` are linear and are pinned through their parameters.)
+
 ``mca2_forward`` is the whole block in one pass: C U_k and C U_v are
 computed once and feed both the gates and the mix, and
 ``return_trace=True`` hands back those same intermediates.
@@ -111,7 +116,7 @@ def mca2_forward(
     ``gate_override`` pins both gates to a constant
     (bypassing the learned gate path); 0.0 collapses the block to plain
     self-attention over (Q, K, V), 1.0 attends purely over projected
-    context. Intended for tests and ablations, not training.
+    context. The reduction-invariant tests read it; training never does.
     ``return_trace`` returns an ``AttentionTrace`` of the intermediates.
     ``mask`` is an optional n x n additive attention mask (a packed batch
     passes its block-diagonal mask, so no row attends to another instance).

@@ -18,12 +18,18 @@ Adapter variants, selected by ``ModelConfig.variant``:
     DPA       plain cross-attention onto projected context + gated fusion
     NoGIF     context-aware attention, streams merged by plain addition
     TextOnly  adapter bypassed entirely
-    TA / TV   single-modality forms (the absent gate term is dropped)
+    TA / TV   single-modality forms (one stream, one fusion gate)
 
 ``_FORMS`` holds this table as data: which modalities a variant reads,
 how each stream attends, and how the streams merge. Parameter init,
 ``ModelConfig.uses_audio``/``uses_video`` and the adapter read it, so
-MAF, NoGIF, DPA, TA and TV run one code path.
+MAF, NoGIF, DPA, TA and TV run one code path, and a variant holds
+parameters only for what it reads.
+
+A gate is set only through its parameters: a fusion gate is pinned by
+W = 0, b = c, which is the constant gate c. The one explicit pin is
+``mca2_forward(gate_override=)``, outside the encoder, since a sigmoid
+gate cannot reach exactly 0 or 1 through its parameters.
 
 Everything is deterministic given ``ModelConfig.seed``: parameter init,
 data order, and therefore every loss value and generated token.
@@ -34,6 +40,7 @@ from __future__ import annotations
 import json
 import math
 import types
+from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
@@ -69,10 +76,8 @@ __all__ = [
     "TrainConfig",
     "ModelParams",
     "TrainedModel",
-    "AdapterOverrides",
     "init_model_params",
     "named_parameters",
-    "align_temporal",
     "encode",
     "decode_logits",
     "decode_greedy",
@@ -305,8 +310,8 @@ class DecoderLayerParams:
 @dataclass
 class ModalityEncoderParams:
     """Input projection to the context width plus one self-attention layer
-    over the frame/window axis. Temporal alignment to the text length is
-    parameter-free (bucket mean pooling)."""
+    over the frame/window axis. Pooling to the text length is
+    parameter-free: the bucket means of ``_pool_matrix``."""
 
     in_proj: Tensor
     in_bias: Tensor
@@ -396,7 +401,7 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
         if form.video:
             ad.mca2_video = block.init(d, cfg.d_c_video, adapter_rng)
     if form.merge == "gif":
-        ad.gif = GifParams.zero_init(d)
+        ad.gif = GifParams.zero_init(d, audio=form.audio, video=form.video)
     elif form.merge == "concat":
         ad.concat_tri = glorot_uniform(adapter_rng, d + cfg.d_c_audio + cfg.d_c_video, d)
         ad.concat_tri_bias = zeros(1, d, requires_grad=True)
@@ -439,8 +444,12 @@ def _bucket_sizes(total: int, groups: int) -> list[int]:
 
 
 def _pool_matrix(f: int, n: int) -> Tensor:
-    """n x f bucket-mean matrix. Contiguous buckets, larger buckets first;
-    with fewer frames than rows, each output row repeats its nearest frame."""
+    """n x f bucket-mean matrix, mapping f frame rows to n rows.
+
+    f >= n: contiguous buckets of near-equal size, larger buckets first,
+    one mean per output row. f < n: each output row repeats its nearest
+    frame. Every row is a convex combination of frames; f == n is the
+    identity. The pack pools each segment's frames to its L text rows."""
     key = (f, n)
     if key not in _POOL_CACHE:
         p = np.zeros((n, f))
@@ -456,23 +465,6 @@ def _pool_matrix(f: int, n: int) -> Tensor:
                 start += size
         _POOL_CACHE[key] = Tensor(p)
     return _POOL_CACHE[key]
-
-
-def align_temporal(features: Tensor, n: int) -> Tensor:
-    """Map f frame rows to exactly n rows by uniform bucket averaging.
-
-    f >= n: contiguous buckets of near-equal size (larger buckets first),
-    one mean per output row. f < n: rows repeat their nearest frame, so
-    every output row is still the mean of at least one frame. f == n is
-    the identity. Differentiable (a constant matrix multiply). The encoder
-    pools each instance's frames to its L text rows with this matrix.
-    """
-    if not isinstance(features, Tensor):
-        features = Tensor(features)
-    f = features.shape[0]
-    if f < 1 or n < 1:
-        raise ContractError(f"align_temporal needs f >= 1 and n >= 1, got f={f}, n={n}")
-    return matmul(_pool_matrix(f, n), features)
 
 
 # ---- forward pieces -----------------------------------------------------------
@@ -637,23 +629,12 @@ def _modality_context(frames: _Frames, p: ModalityEncoderParams) -> Tensor:
     return matmul(frames.pool, _encoder_layer(x, p.layer, 1, frames.mask))
 
 
-@dataclass
-class AdapterOverrides:
-    """Test/diagnostic pins: constants for the attention gates and the
-    fusion gates. Not used by training."""
-
-    mca2_gate: float | None = None
-    gif_gate: float | None = None
-
-
 def _dpa(h: Tensor, c: Tensor, p: DpaParams, *, mask: np.ndarray | None = None) -> Tensor:
     return attention(matmul(h, p.w_q), matmul(c, p.ctx_k), matmul(c, p.ctx_v), mask=mask)
 
 
 def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: _Form,
-                   ad: AdapterParams, ov: AdapterOverrides | None,
-                   mask: np.ndarray | None) -> Tensor:
-    ov = ov or AdapterOverrides()
+                   ad: AdapterParams, mask: np.ndarray | None) -> Tensor:
     if form.merge == "concat":
         return add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
                    ad.concat_tri_bias)
@@ -664,21 +645,16 @@ def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: 
         elif form.attend == "dpa":
             streams.append(_dpa(h, ctx, p, mask=mask))
         else:
-            streams.append(mca2_forward(h, ctx, p, gate_override=ov.mca2_gate, mask=mask))
+            streams.append(mca2_forward(h, ctx, p, mask=mask))
     if form.merge == "add":
         return add(h, add(*streams))
-    gates = None
-    if ov.gif_gate is not None:
-        g = Tensor(np.full(h.shape, float(ov.gif_gate)))
-        gates = (g, g)
-    return gif_fuse(h, *streams, ad.gif, gates=gates)
+    return gif_fuse(h, *streams, ad.gif)
 
 
 # ---- encode / decode ------------------------------------------------------------
 
 
-def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: ModelParams,
-           overrides: AdapterOverrides | None = None) -> Tensor:
+def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: ModelParams) -> Tensor:
     """Run the encoder stack with the fusion adapter inserted before layer
     ``cfg.fusion_layer_index``. Returns the L x d encoder output, one row
     per token of ``text_ids``.
@@ -693,18 +669,17 @@ def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: Mode
         raise ContractError("encode: empty token sequence")
     if len(ids) > cfg.max_text_len:
         raise ContractError(f"encode: {len(ids)} tokens exceed max_text_len={cfg.max_text_len}")
-    return _encode_pack(_pack([(ids, audio, video, [])], cfg), cfg, params, overrides)
+    return _encode_pack(_pack([(ids, audio, video, [])], cfg), cfg, params)
 
 
-def _encode_pack(pk: _Pack, cfg: ModelConfig, params: ModelParams,
-                 overrides: AdapterOverrides | None = None) -> Tensor:
+def _encode_pack(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:
     x = _embed(pk.ids, pk.positions, params)
     form = _FORMS[cfg.variant]
     for i, layer in enumerate(params.enc):
         if i == cfg.fusion_layer_index - 1 and form.merge is not None:
             ctx_a = _modality_context(pk.audio, params.audio_enc) if form.audio else None
             ctx_v = _modality_context(pk.video, params.video_enc) if form.video else None
-            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, overrides, pk.enc_mask)
+            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, pk.enc_mask)
         x = _encoder_layer(x, layer, cfg.heads, pk.enc_mask)
     return x
 
@@ -1048,9 +1023,12 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
                     raise ParseError(f"'{path}' params entry {i} has no '{key}' {kind.__name__}")
         vocab = Vocabulary.from_tokens(tokens)
         named = dict(named_parameters(params))
-        listed = [entry["name"] for entry in table]
-        if sorted(listed) != sorted(named):
-            raise ParseError(f"'{path}' parameter table does not match the configured architecture")
+        listed, wanted = Counter(entry["name"] for entry in table), Counter(list(named))
+        extra, lacking = listed - wanted, wanted - listed
+        if extra or lacking:  # an unknown or repeated name, or a missing one
+            odd = f"an extra '{next(iter(extra))}'" if extra else f"no '{next(iter(lacking))}'"
+            raise ParseError(f"'{path}' parameter table does not match the configured "
+                             f"architecture: it has {odd}")
         for entry in table:
             rows, cols = entry["rows"], entry["cols"]
             blob = fh.read(rows * cols * 8)

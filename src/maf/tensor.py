@@ -49,8 +49,6 @@ __all__ = [
     "backward",
     "no_grad",
     "zeros",
-    "ones",
-    "zeros_like",
     "glorot_uniform",
     "named_parameters",
 ]
@@ -95,39 +93,9 @@ class Tensor:
     def zero_grad(self) -> None:
         self.grad = None
 
-    def backward(self) -> None:
-        backward(self)
-
     def __repr__(self) -> str:
         head = np.array2string(self.data, precision=4, threshold=8)
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})\n{head}"
-
-    # ---- operator sugar ------------------------------------------------
-
-    def __add__(self, other):
-        return add(self, _coerce(other))
-
-    __radd__ = __add__
-
-    def __sub__(self, other):
-        return sub(self, _coerce(other))
-
-    def __rsub__(self, other):
-        return sub(_coerce(other), self)
-
-    def __mul__(self, other):
-        if isinstance(other, (int, float)):
-            return scale(self, float(other))
-        return mul(self, _coerce(other))
-
-    def __rmul__(self, other):
-        return self.__mul__(other)
-
-    def __neg__(self):
-        return scale(self, -1.0)
-
-    def __matmul__(self, other):
-        return matmul(self, _coerce(other))
 
 
 def _coerce(x) -> Tensor:
@@ -547,14 +515,6 @@ def backward(loss: Tensor) -> None:
 
 def zeros(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
     return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
-
-
-def ones(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.ones((rows, cols)), requires_grad=requires_grad)
-
-
-def zeros_like(t: Tensor, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros_like(t.data), requires_grad=requires_grad)
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

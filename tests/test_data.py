@@ -1,6 +1,7 @@
 """Dataset layer: file parsing and validation diagnostics, sidecar
 matrices, deterministic splits, annotation merging, corpus statistics."""
 
+import itertools
 import json
 import math
 
@@ -23,6 +24,7 @@ from maf.data import (
     write_matrix_file,
 )
 from maf.errors import ContractError, ParseError, ValidationError
+from maf.experiments import main as cli_main
 
 
 def make_instance(k=0, n_utts=2, **overrides):
@@ -134,6 +136,11 @@ def test_invalid_json_names_the_line(tmp_path):
     with pytest.raises(ParseError) as err:
         load_and_validate(p)
     assert err.value.line == 2
+    deep = tmp_path / "deep.jsonl"
+    deep.write_text(rec + "\n" + "[" * 100_000 + "\n")
+    with pytest.raises(ParseError, match="nested too deeply") as err:
+        load_and_validate(deep)
+    assert err.value.line == 2
 
 
 def test_missing_field_is_a_parse_error(tmp_path):
@@ -188,6 +195,117 @@ def test_non_string_description_rejected(tmp_path):
     write_records(tmp_path / "c.jsonl", [rec])
     with pytest.raises(ParseError, match="description"):
         load_and_validate(tmp_path / "c.jsonl")
+
+
+@pytest.mark.parametrize(
+    "mutate, field",
+    [
+        (lambda r: r.update(id=7), "id"),
+        (lambda r: r["utterances"][1].update(speaker={"x": 1}), "utterance 1 speaker"),
+        (lambda r: r["utterances"][0].update(text=["hi"]), "utterance 0 text"),
+        (lambda r: r.update(explanation=None), "explanation"),
+        (lambda r: r.update(sarcasm_source=True), "sarcasm_source"),
+        (lambda r: r.update(sarcasm_target=5), "sarcasm_target"),
+        (lambda r: r.update(action_word=1.5), "action_word"),
+        (lambda r: r.update(audio_features=[[True, False]]), "audio_features"),
+        (lambda r: r.update(video_features=[["1", 2.0]]), "video_features"),
+        (lambda r: r.update(video_features=[[1.0], 2.0]), "video_features"),
+        (lambda r: r.update(audio_features=[[10 ** 400]]), "audio_features"),
+        (lambda r: r.update(audio_features={"rows": 1}), "audio_features"),
+    ],
+)
+def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
+    """Nothing is coerced: a null explanation does not become "None", nor
+    a true feature cell 1.0. The error names the field and the line, and
+    the CLI exits 3."""
+    good, bad = record_dict(make_instance(0)), record_dict(make_instance(1))
+    mutate(bad)
+    write_records(tmp_path / "c.jsonl", [good, bad])
+    with pytest.raises(ParseError, match=field) as err:
+        load_and_validate(tmp_path / "c.jsonl")
+    assert err.value.line == 2
+    assert cli_main(["stats", "--dataset", str(tmp_path / "c.jsonl")]) == 3
+    assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("value", ["", ".", "sub", "a\x00.bin", "x" * 300, "short.bin"])
+def test_unusable_sidecar_path_is_a_parse_error(tmp_path, value):
+    """The corpus directory itself, a subdirectory, a NUL byte, a name the
+    file system refuses or a cut-short file: a ParseError with the line,
+    never an OSError."""
+    write_matrix_file(tmp_path / "a.bin", np.ones((3, 4)))
+    (tmp_path / "short.bin").write_bytes((tmp_path / "a.bin").read_bytes()[:-8])
+    (tmp_path / "sub").mkdir()
+    rec = record_dict(make_instance())
+    rec["video_features"] = value
+    write_records(tmp_path / "c.jsonl", [rec])
+    with pytest.raises(ParseError, match="video_features sidecar") as err:
+        load_and_validate(tmp_path / "c.jsonl")
+    assert err.value.line == 1
+
+
+def test_line_that_is_not_utf8_is_a_parse_error(tmp_path):
+    line = json.dumps(record_dict(make_instance(explanation="spk0 mocks caf\u00e9")), ensure_ascii=False)
+    raw = line.encode("utf-8")
+    cut = raw.index("é".encode("utf-8")) + 1  # inside the two-byte character
+    (tmp_path / "c.jsonl").write_bytes(raw + b"\n" + raw[:cut] + b"\n")
+    with pytest.raises(ParseError, match="UTF-8") as err:
+        load_and_validate(tmp_path / "c.jsonl")
+    assert err.value.line == 2
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    """A corpus directory with one sidecar and one subdirectory, and a
+    counter that names each mutant file: writing a fresh file is much
+    cheaper than overwriting one on some file systems."""
+    d = tmp_path_factory.mktemp("fuzz")
+    write_matrix_file(d / "a.bin", np.ones((3, 4)))
+    (d / "sub").mkdir()
+    return d, itertools.count()
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
+    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=6,
+)
+_SIDECARS = st.sampled_from(["a.bin", "../a.bin", "sub/../../a.bin", "", ".", "sub", "a.bin/",
+                             "a\x00.bin", "x" * 300, "missing.bin", "sub/a.bin"]) | st.text(max_size=8)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(action=st.sampled_from(["drop", "add", "retype", "truncate", "sidecar"]), data=st.data())
+def test_mutated_corpus_line_raises_only_parse_or_validation_errors(fuzz_dir, action, data):
+    """Drop, add or retype a key of a record, of an utterance or a feature
+    cell, cut the line short at any byte, or give a feature field a bad or
+    escaping sidecar path: loading either succeeds or raises ParseError or
+    ValidationError, never anything else."""
+    d, names = fuzz_dir
+    rec = record_dict(make_instance(explanation="spk0 mocks caf\u00e9"))
+    rec["audio_features"] = "a.bin"
+    where = data.draw(st.sampled_from(["record", "utterance", "cell"]))
+    target = {"record": rec, "utterance": rec["utterances"][0],
+              "cell": rec["video_features"][0]}[where]
+    keys = list(range(len(target))) if where == "cell" else sorted(target)
+    if action == "drop" and where != "cell":
+        del target[data.draw(st.sampled_from(keys))]
+    elif action == "add" and where != "cell":
+        target[data.draw(st.text(max_size=4).filter(lambda k: k not in target))] = \
+            data.draw(_JSON_VALUES)
+    elif action in ("retype", "drop", "add"):
+        target[data.draw(st.sampled_from(keys))] = data.draw(_JSON_VALUES)
+    elif action == "sidecar":
+        rec[data.draw(st.sampled_from(["audio_features", "video_features"]))] = data.draw(_SIDECARS)
+    raw = json.dumps(rec, ensure_ascii=False).encode("utf-8")
+    if action == "truncate":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    path = d / f"m{next(names)}.jsonl"
+    path.write_bytes(raw + b"\n")
+    try:
+        load_and_validate(path)
+    except (ParseError, ValidationError):
+        pass
 
 
 # ---- validation errors: field, rule, line -----------------------------------------

@@ -493,6 +493,10 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
         (lambda h: h["config"].update(ffn=0), "ffn"),
         (lambda h: h["config"].update(max_text_len=float("nan")), "max_text_len"),
         (lambda h: h.update(written_by="x"), "written_by"),  # a key this version does not know
+        # a TA checkpoint in the layout that still held the unread video gate
+        (lambda h: h["config"].update(variant="TA") or h.update(params=[
+            e for e in h["params"] if not e["name"].startswith(("video_enc.", "adapter.mca2_video."))
+        ]), "adapter.gif.w_video"),
     ],
 )
 def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, key):

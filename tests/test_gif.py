@@ -1,20 +1,28 @@
 """Gated fusion layer: loop-oracle agreement, identity at zero init,
-gradient flow, and the single-modality form (an absent stream is None)."""
+gates pinned through their parameters, gradient flow, and the
+single-modality form (an absent stream is None and has no gate)."""
 
 import numpy as np
 import pytest
 
-from maf.errors import ShapeError
+from maf.errors import ContractError, ShapeError
 from maf.gif import GifParams, gif_fuse
 from maf.tensor import Tensor, backward, mul, named_parameters, sum_all
 
 from oracles import gradients_close, loop_gif, numeric_gradient
 
 
-def random_params(rng, d):
-    p = GifParams.zero_init(d)
+def random_params(rng, d, **gates):
+    p = GifParams.zero_init(d, **gates)
     for _, t in named_parameters(p):
         t.data = rng.normal(scale=0.5, size=t.data.shape)
+    return p
+
+
+def pin(p, c):
+    """The constant gate c, set the only way there is: W = 0, b = c."""
+    for name, t in named_parameters(p):
+        t.data = np.full(t.shape, c if name.startswith("b_") else 0.0)
     return p
 
 
@@ -60,11 +68,25 @@ def test_silent_modalities_leave_h_untouched():
 def test_pinned_unit_gates_reduce_to_plain_sum():
     rng = np.random.default_rng(3)
     d = 5
-    p = random_params(rng, d)
+    p = pin(random_params(rng, d), 1.0)
     h, ha, hv = (Tensor(rng.normal(size=(3, d))) for _ in range(3))
-    one = Tensor(np.ones((3, d)))
-    out = gif_fuse(h, ha, hv, p, gates=(one, one))
+    out = gif_fuse(h, ha, hv, p)
     assert np.max(np.abs(out.data - (h.data + ha.data + hv.data))) < 1e-15
+
+
+def test_constant_gate_parameters_equal_a_pinned_gate_bit_for_bit():
+    """W = 0, b = c gives exactly the gate tensor c: the output equals the
+    product with a constant gate in every bit, signs of zeros included."""
+    rng = np.random.default_rng(6)
+    for trial in range(200):
+        n, d = int(rng.integers(1, 9)), int(rng.integers(1, 9))
+        h, ha, hv = (rng.normal(size=(n, d)) for _ in range(3))
+        for c in (0.0, 1.0, 0.3, -2.0):
+            got = gif_fuse(Tensor(h), Tensor(ha), Tensor(hv), pin(random_params(rng, d), c)).data
+            g = np.full((n, d), c)
+            want = h + (g * ha + g * hv)
+            assert np.array_equal(got, want) and np.array_equal(np.signbit(got), np.signbit(want)), \
+                (trial, c)
 
 
 def test_single_modality_form_drops_other_term():
@@ -73,15 +95,32 @@ def test_single_modality_form_drops_other_term():
     p = random_params(rng, d)
     h = Tensor(rng.normal(size=(3, d)))
     ha = Tensor(rng.normal(size=(3, d)))
-    got = gif_fuse(h, ha, None, p)
+    audio_only = GifParams.zero_init(d, video=False)
+    assert audio_only.w_video is None and audio_only.b_video is None
+    audio_only.w_audio, audio_only.b_audio = p.w_audio, p.b_audio
+    got = gif_fuse(h, ha, None, audio_only)
     # equals the two-modality form with a silenced video stream
     want = gif_fuse(h, ha, Tensor(np.zeros((3, d))), p).data
     assert np.array_equal(got.data, want)
-    # and the dropped term costs no graph nodes: add(h, g_a * h_a) only
+    # and the absent term costs no graph nodes: add(h, g_a * h_a) only
     assert got.op == "add" and got.parents[1].op == "mul"
-    one = Tensor(np.ones((3, d)))
-    only_video = gif_fuse(h, None, ha, p, gates=(one, one))
+    only_video = gif_fuse(h, None, ha, pin(GifParams.zero_init(d, audio=False), 1.0))
     assert np.array_equal(only_video.data, h.data + ha.data)
+
+
+def test_stream_and_gate_come_together():
+    """A stream without its gate, or a gate without its stream, is an
+    error: neither is dropped silently."""
+    d = 4
+    h, s = Tensor(np.zeros((3, d))), Tensor(np.ones((3, d)))
+    with pytest.raises(ContractError, match="video"):
+        gif_fuse(h, s, None, GifParams.zero_init(d))
+    with pytest.raises(ContractError, match="video"):
+        gif_fuse(h, s, s, GifParams.zero_init(d, video=False))
+    with pytest.raises(ContractError, match="audio"):
+        gif_fuse(h, s, s, GifParams.zero_init(d, audio=False))
+    with pytest.raises(ContractError, match="at least one"):
+        GifParams.zero_init(d, audio=False, video=False)
 
 
 def test_gradients_reach_all_parameters_and_inputs():

@@ -104,8 +104,8 @@ def test_mixed_kv_exact_at_gate_extremes():
     assert np.array_equal(t0.v_mixed.data, t0.v.data)
 
     t1 = mca2_forward(h, c, p, gate_override=1.0, return_trace=True)
-    assert np.array_equal(t1.k_mixed.data, (c @ p.ctx_k).data)
-    assert np.array_equal(t1.v_mixed.data, (c @ p.ctx_v).data)
+    assert np.array_equal(t1.k_mixed.data, c.data @ p.ctx_k.data)
+    assert np.array_equal(t1.v_mixed.data, c.data @ p.ctx_v.data)
 
 
 def test_gates_lie_strictly_inside_unit_interval():

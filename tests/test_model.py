@@ -1,4 +1,4 @@
-"""Host model tests: temporal alignment, adapter wiring, the training loop,
+"""Host model tests: temporal pooling, adapter wiring, the training loop,
 and checkpoint files.
 
 Derived quantities (bucket means, positional angles, Adam updates) are
@@ -26,11 +26,9 @@ from maf.errors import (
 )
 from maf.model import (
     Adam,
-    AdapterOverrides,
     ModelConfig,
     TrainConfig,
     VARIANTS,
-    align_temporal,
     build_vocabulary,
     decode_greedy,
     decode_logits,
@@ -46,8 +44,9 @@ from maf.model import (
     train,
 )
 from maf.model import _instance_loss  # tested directly: it is the training objective
+from maf.model import _pool_matrix  # tested directly: the pack pools every modality with it
 from maf.presets import GAP_MODEL
-from maf.tensor import Tensor, backward, sum_all
+from maf.tensor import Tensor, backward, matmul, scale, sum_all
 from maf.text import Vocabulary
 
 from oracles import FD_STEP, gradients_close, loop_bucket_means, loop_decode_greedy, numeric_gradient
@@ -163,12 +162,16 @@ def test_train_config_rejections():
         TrainConfig(grad_clip=math.inf).validate()
 
 
-# ---- temporal alignment ----------------------------------------------------
+# ---- temporal pooling ------------------------------------------------------
+
+
+def pool(x: np.ndarray, n: int) -> np.ndarray:
+    return _pool_matrix(x.shape[0], n).data @ x
 
 
 def test_align_even_buckets():
     x = np.arange(12, dtype=float).reshape(6, 2)
-    out = align_temporal(Tensor(x), 3).data
+    out = pool(x, 3)
     expected = np.array(
         [
             [(0 + 2) / 2, (1 + 3) / 2],
@@ -181,21 +184,21 @@ def test_align_even_buckets():
 
 def test_align_uneven_buckets_put_larger_first():
     x = np.arange(7, dtype=float).reshape(7, 1)
-    out = align_temporal(Tensor(x), 3).data
+    out = pool(x, 3)
     # sizes 3, 2, 2: means 1, 3.5, 5.5
     assert np.allclose(out[:, 0], [1.0, 3.5, 5.5], rtol=0, atol=1e-15)
 
 
 def test_align_upsamples_by_repeating():
     x = np.array([[10.0], [20.0]])
-    out = align_temporal(Tensor(x), 5).data
+    out = pool(x, 5)
     # two frames spread over five rows: sizes 3 and 2
     assert np.allclose(out[:, 0], [10.0, 10.0, 10.0, 20.0, 20.0], rtol=0, atol=0)
 
 
 def test_align_identity_when_lengths_match():
     x = np.random.default_rng(5).normal(size=(4, 3))
-    assert np.array_equal(align_temporal(Tensor(x), 4).data, x)
+    assert np.array_equal(pool(x, 4), x)
 
 
 def test_align_matches_loop_oracle():
@@ -203,17 +206,16 @@ def test_align_matches_loop_oracle():
     for f in range(1, 10):
         for n in range(1, 8):
             x = rng.normal(size=(f, 3))
-            got = align_temporal(Tensor(x), n).data
+            got = pool(x, n)
             want = np.array(loop_bucket_means(x.tolist(), n))
             assert got.shape == (n, 3)
             assert np.allclose(got, want, rtol=1e-12, atol=1e-14), (f, n)
 
 
 def test_align_rows_are_convex_combinations():
-    # feeding the identity recovers the pooling weights themselves
     for f in (3, 5, 8):
         for n in (1, 2, 3, 7):
-            p = align_temporal(Tensor(np.eye(f)), n).data
+            p = _pool_matrix(f, n).data
             assert np.allclose(p.sum(axis=1), np.ones(n), rtol=0, atol=1e-15)
             assert (p >= 0).all()
 
@@ -221,17 +223,22 @@ def test_align_rows_are_convex_combinations():
 def test_align_is_differentiable():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    loss = sum_all(align_temporal(x, 2))
+    loss = sum_all(matmul(_pool_matrix(5, 2), x))
     backward(loss)
     analytic = x.grad.copy()
-    numeric = numeric_gradient(lambda: sum_all(align_temporal(x, 2)).item(), x.data)
+    numeric = numeric_gradient(lambda: sum_all(matmul(_pool_matrix(5, 2), x)).item(), x.data)
     ok, worst = gradients_close(analytic, numeric, rtol=1e-6, atol=1e-9)
     assert ok, f"worst deviation {worst}"
 
 
 def test_align_rejects_degenerate_sizes():
-    with pytest.raises(ContractError):
-        align_temporal(Tensor(np.zeros((3, 2))), 0)
+    """Pooling never sees zero frames or zero rows: ``encode`` refuses an
+    empty token sequence and a zero-frame modality before the pack is built."""
+    cfg, _, params, inst, ids = fixture_model()
+    with pytest.raises(ContractError, match="empty"):
+        encode([], inst.audio_features, inst.video_features, cfg, params)
+    with pytest.raises(ContractError, match="zero-frame"):
+        encode(ids, np.zeros((0, AUDIO_DIM)), inst.video_features, cfg, params)
 
 
 # ---- positional encoding ---------------------------------------------------
@@ -370,6 +377,12 @@ _PARAM_BLOCKS = {
         adapter.gif.w_audio:64x32 adapter.gif.w_video:64x32 adapter.gif.b_audio:1x32
         adapter.gif.b_video:1x32
     """,
+    "gif_audio": """
+        adapter.gif.w_audio:64x32 adapter.gif.b_audio:1x32
+    """,
+    "gif_video": """
+        adapter.gif.w_video:64x32 adapter.gif.b_video:1x32
+    """,
     "concat": """
         adapter.concat_tri:56x32 adapter.concat_tri_bias:1x32
     """,
@@ -380,8 +393,8 @@ _PARAM_ORDER = {
     "DPA": ('host', 'audio_enc', 'video_enc', 'dpa_audio', 'dpa_video', 'gif'),
     "NoGIF": ('host', 'audio_enc', 'video_enc', 'mca2_audio', 'mca2_video'),
     "TextOnly": ('host',),
-    "TA": ('host', 'audio_enc', 'mca2_audio', 'gif'),
-    "TV": ('host', 'video_enc', 'mca2_video', 'gif'),
+    "TA": ('host', 'audio_enc', 'mca2_audio', 'gif_audio'),
+    "TV": ('host', 'video_enc', 'mca2_video', 'gif_video'),
 }
 
 
@@ -539,35 +552,20 @@ def test_fresh_fusion_block_is_exactly_transparent():
 
 
 def test_pinned_zero_fusion_gate_recovers_text_path():
-    """Even after the adapter has drifted from init, forcing the stream
-    gates to zero must reproduce the text-only encoding exactly, for every
-    variant with a gated merge."""
+    """Even after the adapter has drifted from init, zeroing the fusion
+    gates' parameters must reproduce the text-only encoding exactly, for
+    every variant with a gated merge."""
     corpus = tiny_corpus()
     inst = corpus[0]
     for variant in ("MAF", "DPA", "TA", "TV"):
         cfg, vocab, params = bound_params(tiny_config(variant=variant), corpus)
         _randomise_adapter(params)
+        for _, t in named_parameters(params.adapter.gif):
+            t.data = np.zeros(t.shape)
         ids = instance_token_ids(inst, vocab)
-        pinned = encode(ids, inst.audio_features, inst.video_features, cfg, params,
-                        overrides=AdapterOverrides(gif_gate=0.0))
+        pinned = encode(ids, inst.audio_features, inst.video_features, cfg, params)
         plain = encode(ids, None, None, replace(cfg, variant="TextOnly"), params)
         assert np.array_equal(pinned.data, plain.data), variant
-
-
-def test_pinned_text_attention_ignores_context_features():
-    """With the attention mixing gate pinned to the text side, swapping the
-    audio/video features must not move the encoding at all."""
-    corpus = tiny_corpus()
-    inst = corpus[0]
-    cfg, vocab, params = bound_params(tiny_config(variant="MAF"), corpus)
-    _randomise_adapter(params)
-    ids = instance_token_ids(inst, vocab)
-    rng = np.random.default_rng(31)
-    a = encode(ids, inst.audio_features, inst.video_features, cfg, params,
-               overrides=AdapterOverrides(mca2_gate=0.0))
-    b = encode(ids, rng.normal(size=(7, AUDIO_DIM)), rng.normal(size=(2, VIDEO_DIM)),
-               cfg, params, overrides=AdapterOverrides(mca2_gate=0.0))
-    assert np.array_equal(a.data, b.data)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -653,7 +651,7 @@ def pack_items(corpus, vocab):
 
 def gradients_of(params, losses_and_scales):
     for loss, c in losses_and_scales:
-        backward(loss * c)
+        backward(scale(loss, c))
     grads = {name: None if t.grad is None else t.grad.copy() for name, t in named_parameters(params)}
     for _, t in named_parameters(params):
         t.zero_grad()
@@ -711,11 +709,8 @@ def test_pack_gradient_matches_finite_differences(variant):
 
     backward(model_module._pack_loss(pk, cfg, params))
     rng = np.random.default_rng(3)
-    absent = {"TA": "video", "TV": "audio"}.get(variant)  # its GIF gate has no stream to scale
     for name, t in named_parameters(params):
-        if t.grad is None:
-            assert absent and name.startswith("adapter.gif.") and name.endswith(absent), name
-            continue
+        assert t.grad is not None, name
         flat = t.data.reshape(-1)
         picks = rng.choice(flat.size, size=min(3, flat.size), replace=False)
         numeric = np.empty(len(picks))
@@ -982,8 +977,15 @@ def test_checkpoint_rejects_renamed_parameter(tmp_path):
 
     tampered = tmp_path / "renamed.ckpt"
     _tamper_header(path, tampered, rename)
-    with pytest.raises(ParseError, match="parameter table"):
+    with pytest.raises(ParseError, match="parameter table .* has an extra 'mystery'"):
         load_checkpoint(tampered)
+
+    def drop(h):
+        del h["params"][-1]
+
+    _tamper_header(path, tmp_path / "short_table.ckpt", drop)
+    with pytest.raises(ParseError, match="parameter table .* has no 'adapter.gif.b_video'"):
+        load_checkpoint(tmp_path / "short_table.ckpt")
 
 
 def test_checkpoint_rejects_shape_mismatch(tmp_path):
