@@ -108,6 +108,10 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             raw = json.loads(p.read_text(encoding="utf-8"))
         except json.JSONDecodeError as exc:
             raise ConfigError(f"config file '{path}' is not valid JSON: {exc.msg}") from None
+        except UnicodeDecodeError:
+            raise ConfigError(f"config file '{path}' is not UTF-8 text") from None
+        except RecursionError:  # arrays or objects nested thousands deep
+            raise ConfigError(f"config file '{path}' is JSON nested too deeply") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file '{path}' must hold a JSON object")
     cfg = _build(ExperimentConfig, raw)
@@ -293,6 +297,8 @@ def _read_metric_row(path: Path) -> dict:
         row = json.loads(path.read_text(encoding="utf-8"))
     except ValueError as exc:  # bad JSON, or bytes that do not decode
         raise ParseError(f"metric file '{path}' is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested thousands deep
+        raise ParseError(f"metric file '{path}' is JSON nested too deeply") from None
     if not isinstance(row, dict):
         raise ParseError(f"metric file '{path}' must hold a JSON object")
     for key, kind, required in (("variant", str, True), ("seed", int, True),

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, add, attention, glorot_uniform, matmul, mul, sigmoid, sub, zeros
+from .tensor import Segments, Tensor, add, attention, glorot_uniform, matmul, mul, sigmoid, sub, zeros
 
 __all__ = ["Mca2Params", "AttentionTrace", "mca2_forward"]
 
@@ -109,7 +109,7 @@ def mca2_forward(
     *,
     gate_override: float | None = None,
     return_trace: bool = False,
-    mask: np.ndarray | None = None,
+    layout: Segments | None = None,
 ):
     """Full block in one pass: project, gate, mix, attend. Output is n x d.
 
@@ -118,8 +118,10 @@ def mca2_forward(
     self-attention over (Q, K, V), 1.0 attends purely over projected
     context. The reduction-invariant tests read it; training never does.
     ``return_trace`` returns an ``AttentionTrace`` of the intermediates.
-    ``mask`` is an optional n x n additive attention mask (a packed batch
-    passes its block-diagonal mask, so no row attends to another instance).
+    ``layout`` is the row layout of a packed batch (``tensor.Segments``
+    with the same segments for queries and keys), so no row attends to
+    another instance; None is one instance. The gates and the mix are
+    per row and need no layout.
     """
     n = h.shape[0]
     if h.data.ndim != 2 or h.shape[1] != params.d:
@@ -138,7 +140,7 @@ def mca2_forward(
     k_mixed = add(mul(sub(one, gate_k), k), mul(gate_k, ctx_k))
     v_mixed = add(mul(sub(one, gate_v), v), mul(gate_v, ctx_v))
 
-    out = attention(q, k_mixed, v_mixed, mask=mask)
+    out = attention(q, k_mixed, v_mixed, layout=layout)
     if not return_trace:
         return out
     return AttentionTrace(

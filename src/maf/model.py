@@ -7,9 +7,9 @@ per token, into the hidden states; the decoder generates the explanation
 autoregressively.
 
 Training stacks up to ``_PACK_INSTANCES`` instances into one graph (a
-``_Pack``): every attention gets a block mask, so no row sees another
-instance, and a one-instance pack, which ``encode`` and
-``_instance_loss`` use, needs no mask at all.
+``_Pack``): every attention gets the pack's ``tensor.Segments`` layout,
+so no row sees another instance, and a one-instance pack, which
+``encode`` and ``_instance_loss`` use, attends with no padding at all.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -52,19 +52,20 @@ from .errors import ConfigError, ContractError, ParseError, ShapeError, Training
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
 from .tensor import (
+    Segments,
     Tensor,
     add,
+    add_layer_norm,
     attention,
     backward,
     concat_last,
     cross_entropy_rows,
+    feed_forward,
     gather_rows,
     glorot_uniform,
-    layer_norm_rows,
     matmul,
     named_parameters,
     no_grad,
-    relu,
     scale,
     zeros,
 )
@@ -412,7 +413,6 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
 # ---- constant caches --------------------------------------------------------
 
 _POS_CACHE: dict[tuple[int, int], Tensor] = {}
-_MASK_CACHE: dict[int, np.ndarray] = {}
 _POOL_CACHE: dict[tuple[int, int], Tensor] = {}
 
 
@@ -425,17 +425,6 @@ def sinusoidal_positions(n: int, d: int) -> Tensor:
         pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
         _POS_CACHE[key] = Tensor(pe)
     return _POS_CACHE[key]
-
-
-# additive attention-mask entry for a key a query must not see: softmax gives it weight 0
-_MASKED = -1e9
-
-
-def _causal_mask(n: int) -> np.ndarray:
-    # additive mask: large negative above the diagonal
-    if n not in _MASK_CACHE:
-        _MASK_CACHE[n] = np.triu(np.full((n, n), _MASKED), k=1)
-    return _MASK_CACHE[n]
 
 
 def _bucket_sizes(total: int, groups: int) -> list[int]:
@@ -475,32 +464,32 @@ def _project_kv(kv_in: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor]:
 
 
 def _attend(q_in: Tensor, kv: tuple[Tensor, Tensor], p: AttentionParams, heads: int,
-            mask: np.ndarray | None = None) -> Tensor:
-    return matmul(attention(matmul(q_in, p.w_q), *kv, heads, mask), p.w_o)
+            layout: Segments | None = None) -> Tensor:
+    return matmul(attention(matmul(q_in, p.w_q), *kv, heads, layout), p.w_o)
 
 
 def _ffn(x: Tensor, p: FeedForwardParams) -> Tensor:
-    return add(matmul(relu(add(matmul(x, p.w1), p.b1)), p.w2), p.b2)
+    return feed_forward(x, p.w1, p.b1, p.w2, p.b2)
 
 
-def _ln(x: Tensor, p: LayerNormParams) -> Tensor:
-    return layer_norm_rows(x, p.gain, p.bias)
+def _add_ln(x: Tensor, y: Tensor, p: LayerNormParams) -> Tensor:
+    return add_layer_norm(x, y, p.gain, p.bias)
 
 
 def _encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int,
-                   mask: np.ndarray | None = None) -> Tensor:
-    h = _ln(add(x, _attend(x, _project_kv(x, p.attn), p.attn, heads, mask)), p.ln1)
-    return _ln(add(h, _ffn(h, p.ffn)), p.ln2)
+                   layout: Segments | None = None) -> Tensor:
+    h = _add_ln(x, _attend(x, _project_kv(x, p.attn), p.attn, heads, layout), p.ln1)
+    return _add_ln(h, _ffn(h, p.ffn), p.ln2)
 
 
 def _decoder_layer(x: Tensor, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Tensor, Tensor],
-                   p: DecoderLayerParams, heads: int, mask: np.ndarray | None = None,
-                   cross_mask: np.ndarray | None = None) -> Tensor:
+                   p: DecoderLayerParams, heads: int, layout: Segments | None = None,
+                   cross_layout: Segments | None = None) -> Tensor:
     """Self-attention onto ``self_kv``, cross-attention onto the encoder's
     ``cross_kv`` (both already projected), then the feed-forward block."""
-    h = _ln(add(x, _attend(x, self_kv, p.self_attn, heads, mask)), p.ln1)
-    h = _ln(add(h, _attend(h, cross_kv, p.cross_attn, heads, cross_mask)), p.ln2)
-    return _ln(add(h, _ffn(h, p.ffn)), p.ln3)
+    h = _add_ln(x, _attend(x, self_kv, p.self_attn, heads, layout), p.ln1)
+    h = _add_ln(h, _attend(h, cross_kv, p.cross_attn, heads, cross_layout), p.ln2)
+    return _add_ln(h, _ffn(h, p.ffn), p.ln3)
 
 
 def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor:
@@ -510,58 +499,50 @@ def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor
 
 # ---- packs: instances stacked into one graph ----------------------------------
 
-# Instances per training graph. At the gap config (2 cores, one BLAS thread)
-# a 16-instance step with Adam takes 22.1 ms as one-instance graphs,
-# 13.1 ms in packs of 2, 8.9 ms in packs of 4, 7.4 ms in packs of 8 and
-# 9.7 ms as one whole-batch graph, since masked dense attention grows as
-# the square of the packed length. Peak RSS over three 1-epoch trainings
-# is 43.2 MB with one-instance graphs, 45.2 MB in packs of 4, 48.6 MB in
-# packs of 8 and 57.0 MB for whole batches.
-_PACK_INSTANCES = 4
+# Instances per training graph. Attention runs per segment, so its cost is
+# linear in the pack size. At the gap config (2 cores, one BLAS thread) a
+# 16-instance step with Adam takes 20.9 ms as one-instance graphs, 8.1 ms
+# in packs of 4, 5.6 ms in packs of 8 and 4.6 ms as one whole-batch graph.
+# Peak RSS over three 1-epoch trainings is 44.0, 46.2, 48.5 and 52.4 MB:
+# whole batches would cost about 13 % more memory than packs of 4, beyond
+# the benchmark's 10 % bound, and packs of 8 cost 5 %.
+_PACK_INSTANCES = 8
 
 
 class _Frames(NamedTuple):
     """One modality of a pack: every segment's frames, stacked."""
 
-    features: Tensor         # (sum F_i) x raw width
-    mask: np.ndarray | None  # a frame attends to its own segment's frames only
-    pool: Tensor             # (sum L_i) x (sum F_i): _pool_matrix(F_i, L_i) blocks on the diagonal
+    features: Tensor    # (sum F_i) x raw width
+    layout: Segments    # a frame attends to its own segment's frames only
+    pool: Tensor        # (sum L_i) x (sum F_i): _pool_matrix(F_i, L_i) blocks on the diagonal
 
 
 class _Pack(NamedTuple):
-    """Instances as segments of one graph. A row never attends outside its
-    own segment; for a single segment every mask but the causal one is None."""
+    """Instances as segments of one graph: every attention runs on one of
+    the pack's layouts, so a row never attends outside its own segment."""
 
-    ids: list[int]               # text ids, segment after segment
-    positions: Tensor            # position rows, restarting at 0 in each segment
-    lengths: list[int]           # L_i, text tokens per segment
-    enc_mask: np.ndarray | None  # encoder self-attention, MCA2 and DPA
-    audio: _Frames | None        # only for variants that read the modality
+    ids: list[int]            # text ids, segment after segment
+    positions: Tensor         # position rows, restarting at 0 in each segment
+    lengths: list[int]        # L_i, text tokens per segment
+    enc_layout: Segments      # encoder self-attention, MCA2 and DPA
+    audio: _Frames | None     # only for variants that read the modality
     video: _Frames | None
-    dec_in: list[int]            # BOS + target, per segment
+    dec_in: list[int]         # BOS + target, per segment
     dec_positions: Tensor
-    dec_target: list[int]        # target + EOS, per segment
-    self_mask: np.ndarray        # block-causal decoder self-attention
-    cross_mask: np.ndarray | None  # a target row attends to its own segment's text
-    weights: np.ndarray          # 1/T_i per target row: each instance weighs 1
+    dec_target: list[int]     # target + EOS, per segment
+    self_layout: Segments     # block-causal decoder self-attention
+    cross_layout: Segments    # a target row attends to its own segment's text
+    weights: np.ndarray       # 1/T_i per target row: each instance weighs 1
 
 
-def _block_diag(blocks: Sequence[np.ndarray], fill: float) -> np.ndarray:
-    """The blocks along the diagonal, ``fill`` everywhere else."""
-    out = np.full((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)), fill)
+def _block_diag(blocks: Sequence[np.ndarray]) -> np.ndarray:
+    """The blocks along the diagonal, zeros everywhere else."""
+    out = np.zeros((sum(b.shape[0] for b in blocks), sum(b.shape[1] for b in blocks)))
     r = c = 0
     for b in blocks:
         out[r:r + b.shape[0], c:c + b.shape[1]] = b
         r, c = r + b.shape[0], c + b.shape[1]
     return out
-
-
-def _segment_mask(rows: Sequence[int], cols: Sequence[int]) -> np.ndarray | None:
-    """Additive mask: segment i's rows see segment i's columns only. None
-    for a single segment, which has nothing to hide."""
-    if len(rows) == 1:
-        return None
-    return _block_diag([np.zeros((r, c)) for r, c in zip(rows, cols)], _MASKED)
 
 
 def _segment_positions(lengths: Sequence[int], d: int) -> Tensor:
@@ -587,8 +568,8 @@ def _checked_frames(features, raw: int, label: str, cap: int) -> Tensor:
 def _stack_frames(mats: list, lengths: Sequence[int], raw: int, label: str, cap: int) -> _Frames:
     mats = [_checked_frames(m, raw, label, cap) for m in mats]
     counts = [m.shape[0] for m in mats]
-    pool = _block_diag([_pool_matrix(f, n).data for f, n in zip(counts, lengths)], 0.0)
-    return _Frames(Tensor(np.concatenate([m.data for m in mats])), _segment_mask(counts, counts),
+    pool = _block_diag([_pool_matrix(f, n).data for f, n in zip(counts, lengths)])
+    return _Frames(Tensor(np.concatenate([m.data for m in mats])), Segments(counts, counts),
                    Tensor(pool))
 
 
@@ -610,14 +591,14 @@ def _pack(items: Sequence[tuple], cfg: ModelConfig) -> _Pack:
         ids=[i for src, _, _, _ in items for i in src],
         positions=_segment_positions(lengths, cfg.d),
         lengths=lengths,
-        enc_mask=_segment_mask(lengths, lengths),
+        enc_layout=Segments(lengths, lengths),
         audio=audio,
         video=video,
         dec_in=[i for x in dec_in for i in x],
         dec_positions=_segment_positions(steps, cfg.d),
         dec_target=[i for _, _, _, tgt in items for i in list(tgt) + [Vocabulary.EOS_ID]],
-        self_mask=_block_diag([_causal_mask(t) for t in steps], _MASKED),
-        cross_mask=_segment_mask(steps, lengths),
+        self_layout=Segments(steps, steps, causal=True),
+        cross_layout=Segments(steps, lengths),
         weights=np.concatenate([np.full(t, 1.0 / t) for t in steps]),
     )
 
@@ -626,15 +607,15 @@ def _modality_context(frames: _Frames, p: ModalityEncoderParams) -> Tensor:
     """Frames projected to the context width, one self-attention layer over
     each segment's frames, then pooled to one row per text token."""
     x = add(matmul(frames.features, p.in_proj), p.in_bias)
-    return matmul(frames.pool, _encoder_layer(x, p.layer, 1, frames.mask))
+    return matmul(frames.pool, _encoder_layer(x, p.layer, 1, frames.layout))
 
 
-def _dpa(h: Tensor, c: Tensor, p: DpaParams, *, mask: np.ndarray | None = None) -> Tensor:
-    return attention(matmul(h, p.w_q), matmul(c, p.ctx_k), matmul(c, p.ctx_v), mask=mask)
+def _dpa(h: Tensor, c: Tensor, p: DpaParams, layout: Segments) -> Tensor:
+    return attention(matmul(h, p.w_q), matmul(c, p.ctx_k), matmul(c, p.ctx_v), layout=layout)
 
 
 def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: _Form,
-                   ad: AdapterParams, mask: np.ndarray | None) -> Tensor:
+                   ad: AdapterParams, layout: Segments) -> Tensor:
     if form.merge == "concat":
         return add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
                    ad.concat_tri_bias)
@@ -643,9 +624,9 @@ def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: 
         if ctx is None:
             streams.append(None)
         elif form.attend == "dpa":
-            streams.append(_dpa(h, ctx, p, mask=mask))
+            streams.append(_dpa(h, ctx, p, layout))
         else:
-            streams.append(mca2_forward(h, ctx, p, mask=mask))
+            streams.append(mca2_forward(h, ctx, p, layout=layout))
     if form.merge == "add":
         return add(h, add(*streams))
     return gif_fuse(h, *streams, ad.gif)
@@ -679,17 +660,17 @@ def _encode_pack(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:
         if i == cfg.fusion_layer_index - 1 and form.merge is not None:
             ctx_a = _modality_context(pk.audio, params.audio_enc) if form.audio else None
             ctx_v = _modality_context(pk.video, params.video_enc) if form.video else None
-            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, pk.enc_mask)
-        x = _encoder_layer(x, layer, cfg.heads, pk.enc_mask)
+            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, pk.enc_layout)
+        x = _encoder_layer(x, layer, cfg.heads, pk.enc_layout)
     return x
 
 
 def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelParams,
-                   mask: np.ndarray, cross_mask: np.ndarray | None = None) -> Tensor:
+                   layout: Segments, cross_layout: Segments | None = None) -> Tensor:
     """Teacher-forced decoder layers and output head over embedded rows ``x``."""
     for layer in params.dec:
         x = _decoder_layer(x, _project_kv(x, layer.self_attn), _project_kv(enc_out, layer.cross_attn),
-                           layer, cfg.heads, mask, cross_mask)
+                           layer, cfg.heads, layout, cross_layout)
     return add(matmul(x, params.out_proj), params.out_bias)
 
 
@@ -706,7 +687,7 @@ def decode_logits(enc_out: Tensor, target_in_ids: Sequence[int], cfg: ModelConfi
             f"decode_logits: {len(ids)} target tokens exceed max_target_len={cfg.max_target_len}"
         )
     x = _embed(ids, sinusoidal_positions(len(ids), cfg.d), params)
-    return _decoder_stack(x, enc_out, cfg, params, _causal_mask(len(ids)))
+    return _decoder_stack(x, enc_out, cfg, params, Segments([len(ids)], [len(ids)], causal=True))
 
 
 class _DecoderCache(NamedTuple):
@@ -723,7 +704,7 @@ def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
                  params: ModelParams) -> Tensor:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
     ``decode_logits`` on the prefix. Appends this row's self-attention K/V
-    to the cache; positions after t are never read, so no causal mask."""
+    to the cache; positions after t are never read, so no causal fill."""
     x = _embed([token], Tensor(cache.positions[t:t + 1]), params)
     for layer, cross_kv, keys, values in zip(params.dec, cache.cross_kv, cache.keys, cache.values):
         k, v = _project_kv(x, layer.self_attn)
@@ -861,7 +842,7 @@ def _pack_loss(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:
     """Mean over the pack's instances of each one's mean target-token NLL."""
     enc_out = _encode_pack(pk, cfg, params)
     logits = _decoder_stack(_embed(pk.dec_in, pk.dec_positions, params), enc_out, cfg, params,
-                            pk.self_mask, pk.cross_mask)
+                            pk.self_layout, pk.cross_layout)
     return cross_entropy_rows(logits, pk.dec_target, pk.weights)
 
 
@@ -992,6 +973,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             header = json.loads(header_line)
         except ValueError:  # bad JSON, or bytes that do not even decode
             raise ParseError(f"'{path}' does not start with a checkpoint header") from None
+        except RecursionError:  # arrays or objects nested thousands deep
+            raise ParseError(f"'{path}' header is JSON nested too deeply") from None
         if not isinstance(header, dict):
             raise ParseError(f"'{path}' header must be a JSON object, got '{type(header).__name__}'")
         if header.get("format") != _CKPT_FORMAT:

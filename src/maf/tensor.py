@@ -41,10 +41,13 @@ __all__ = [
     "sigmoid",
     "relu",
     "concat_last",
+    "Segments",
     "attention",
     "gather_rows",
     "sum_all",
     "layer_norm_rows",
+    "add_layer_norm",
+    "feed_forward",
     "cross_entropy_rows",
     "backward",
     "no_grad",
@@ -334,47 +337,159 @@ def sum_all(a: Tensor) -> Tensor:
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
     """Per-row layer normalization with learned gain and bias (both 1 x d)."""
-    x, gain, bias = _coerce(x), _coerce(gain), _coerce(bias)
+    x = _coerce(x)
     _require_matrix(x, "layer_norm_rows")
-    d = x.shape[1]
+    return _layer_norm((x,), x.data, gain, bias, eps, "layer_norm_rows")
+
+
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
+    """``layer_norm_rows(add(x, y), gain, bias)`` as one node: the residual
+    sum is never a tensor, and x and y receive the same gradient."""
+    x, y = _coerce(x), _coerce(y)
+    _require_matrix(x, "add_layer_norm")
+    if y.shape != x.shape:
+        raise ShapeError(f"add_layer_norm: shapes {x.shape} and {y.shape} differ")
+    return _layer_norm((x, y), x.data + y.data, gain, bias, eps, "add_layer_norm")
+
+
+def _layer_norm(inputs: tuple[Tensor, ...], s: np.ndarray, gain: Tensor, bias: Tensor,
+                eps: float, op: str) -> Tensor:
+    """Layer norm of the rows of ``s``, the sum of ``inputs``."""
+    gain, bias = _coerce(gain), _coerce(bias)
+    d = s.shape[1]
     if gain.shape != (1, d) or bias.shape != (1, d):
-        raise ShapeError(
-            f"layer_norm_rows: gain/bias must be (1, {d}), got {gain.shape} and {bias.shape}"
-        )
+        raise ShapeError(f"{op}: gain/bias must be (1, {d}), got {gain.shape} and {bias.shape}")
     # row means as sum / d: what ndarray.mean computes, without its Python wrapper
-    xc = x.data - x.data.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((xc ** 2).sum(axis=1, keepdims=True) / d + eps)
-    xhat = xc * inv
-    out = xhat * gain.data + bias.data
+    sc = s - s.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((sc ** 2).sum(axis=1, keepdims=True) / d + eps)
+    shat = sc * inv
+    out = shat * gain.data + bias.data
 
     def back(g):
-        gx = None
-        if x.requires_grad:
-            dxhat = g * gain.data
-            gx = inv * (
-                dxhat
-                - dxhat.sum(axis=1, keepdims=True) / d
-                - xhat * ((dxhat * xhat).sum(axis=1, keepdims=True) / d)
+        gs = None
+        if any(t.requires_grad for t in inputs):
+            dshat = g * gain.data
+            gs = inv * (
+                dshat
+                - dshat.sum(axis=1, keepdims=True) / d
+                - shat * ((dshat * shat).sum(axis=1, keepdims=True) / d)
             )
-        ggain = (g * xhat).sum(axis=0, keepdims=True) if gain.requires_grad else None
+        ggain = (g * shat).sum(axis=0, keepdims=True) if gain.requires_grad else None
         gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
-        return ((x, gx), (gain, ggain), (bias, gbias))
+        return (*((t, gs) for t in inputs), (gain, ggain), (bias, gbias))
 
-    return _node(out, "layer_norm_rows", (x, gain, bias), back)
+    return _node(out, op, (*inputs, gain, bias), back)
+
+
+def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
+    """relu(x w1 + b1) w2 + b2 as one node; the biases are 1-row matrices."""
+    x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
+    for t in (x, w1, w2):
+        _require_matrix(t, "feed_forward")
+    if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
+        raise ShapeError(f"feed_forward: inner dimensions disagree, {x.shape} @ {w1.shape} "
+                         f"@ {w2.shape}")
+    if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
+        raise ShapeError(f"feed_forward: biases must be (1, {w1.shape[1]}) and "
+                         f"(1, {w2.shape[1]}), got {b1.shape} and {b2.shape}")
+    pre = x.data @ w1.data + b1.data
+    hidden = np.maximum(pre, 0.0)
+    out = hidden @ w2.data + b2.data
+
+    def back(g):
+        gh = (g @ w2.data.T) * (pre > 0)
+        return (
+            (x, gh @ w1.data.T if x.requires_grad else None),
+            (w1, x.data.T @ gh if w1.requires_grad else None),
+            (b1, gh.sum(axis=0, keepdims=True) if b1.requires_grad else None),
+            (w2, hidden.T @ g if w2.requires_grad else None),
+            (b2, g.sum(axis=0, keepdims=True) if b2.requires_grad else None),
+        )
+
+    return _node(out, "feed_forward", (x, w1, b1, w2, b2), back)
+
+
+# additive logit for a key a query must not see: softmax gives it weight 0
+_MASKED = -1e9
+
+
+class Segments:
+    """Row layout of a packed attention: segment i owns ``rows[i]``
+    consecutive query rows and ``cols[i]`` consecutive key/value rows, and
+    its queries see its own keys only. With ``causal``, query j of a
+    segment sees that segment's keys 0..j. Build it once per layout and
+    pass it to every ``attention`` over those rows.
+
+    The kernel stacks the segments into an ``S x heads x L x w`` array,
+    L the longest segment, so the index arrays and the additive fill of
+    padding keys and causal positions are computed here, once. A single
+    segment is a plain reshape: no index arrays and no padding.
+    """
+
+    __slots__ = ("n", "m", "_q_idx", "_k_idx", "_q_sel", "_k_sel", "_fill")
+
+    def __init__(self, rows: Sequence[int], cols: Sequence[int], causal: bool = False):
+        rows_a, cols_a = np.asarray(rows, dtype=np.int64), np.asarray(cols, dtype=np.int64)
+        if rows_a.ndim != 1 or rows_a.shape != cols_a.shape or rows_a.size == 0:
+            raise ContractError(f"Segments: rows {list(rows)} and cols {list(cols)} must be "
+                                f"non-empty and of equal length")
+        if rows_a.min() < 1 or cols_a.min() < 1:
+            raise ContractError("Segments: every segment needs at least one row and one column")
+        self.n, self.m = int(rows_a.sum()), int(cols_a.sum())
+        lq, lk = int(rows_a.max()), int(cols_a.max())
+        fill = np.zeros((len(rows_a), 1, lq, lk))
+        for i, real in enumerate(cols_a):
+            fill[i, :, :, real:] = _MASKED  # padding keys
+        if causal:
+            fill += np.triu(np.full((lq, lk), _MASKED), k=1)
+        if len(rows_a) == 1:
+            self._q_idx = self._k_idx = self._q_sel = self._k_sel = None
+            self._fill = fill if causal else None
+        else:
+            self._q_idx, self._q_sel = _segment_index(rows_a, lq)
+            self._k_idx, self._k_sel = _segment_index(cols_a, lk)
+            self._fill = fill
+
+
+def _segment_index(lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
+    """For segments of ``lengths`` rows stacked in order: the S x width
+    row index of the padded stack (padding repeats row 0) and the flat
+    stack positions of the real rows, in row order."""
+    pos = np.arange(width)
+    real = pos < lengths[:, None]
+    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    return np.where(real, starts[:, None] + pos, 0), np.flatnonzero(real)
+
+
+def _split_heads(xs: np.ndarray, heads: int) -> np.ndarray:
+    """S x L x (heads w) to the S x heads x L x w stack."""
+    return xs.reshape(xs.shape[0], xs.shape[1], heads, -1).transpose(0, 2, 1, 3)
+
+
+def _merge_heads(xs: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
+    """S x heads x L x w stack to rows x (heads w), real rows only."""
+    s, heads, length, w = xs.shape
+    flat = xs.transpose(0, 2, 1, 3).reshape(s * length, heads * w)
+    return flat if sel is None else flat[sel]
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
-              mask: np.ndarray | None = None) -> Tensor:
+              layout: Segments | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as a single graph node.
 
     ``q`` is n x d, ``k`` is m x d and ``v`` is m x d_v. The columns of each
     split into ``heads`` equal blocks; block h of the output is
-    softmax(Q_h K_h^T / sqrt(d / heads) + mask) V_h, with a row-max shift
-    inside the softmax. ``mask`` is an optional n x m additive constant
-    (no gradient), e.g. large negatives above the diagonal for causal
-    attention. The backward pass is analytic and reuses the stored softmax
-    weights: with dW = dO V^T, dS = W * (dW - rowsum(dW * W)) / sqrt(d_k),
-    dQ = dS K, dK = dS^T Q and dV = W^T dO, per head.
+    softmax(Q_h K_h^T / sqrt(d / heads)) V_h, with a row-max shift inside
+    the softmax. ``layout`` splits the rows into segments that attend
+    within themselves only (see ``Segments``); None is one segment holding
+    every row, with no causal fill.
+
+    Every (segment, head) pair is one matrix of an ``S x heads`` stack, so
+    the softmax and its analytic backward are a few batched products:
+    with dW = dO V^T, dS = W * (dW - rowsum(dW * W)) / sqrt(d_k),
+    dQ = dS K, dK = dS^T Q and dV = W^T dO. Keys hidden from a query get
+    the logit -1e9, so weight 0; padded query rows are dropped from the
+    output, so they get no gradient.
     """
     q, k, v = _coerce(q), _coerce(k), _coerce(v)
     for t in (q, k, v):
@@ -386,39 +501,38 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
         raise ShapeError(f"attention: key/value row counts disagree, {k.shape} vs {v.shape}")
     if heads < 1 or d % heads or d_v % heads:
         raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {d_v}")
-    if mask is not None and mask.shape != (n, m):
-        raise ShapeError(f"attention: mask must be {(n, m)}, got {mask.shape}")
-    d_k, h_v = d // heads, d_v // heads
-    c = 1.0 / math.sqrt(d_k)
-    qk_cols = [slice(h * d_k, (h + 1) * d_k) for h in range(heads)]
-    v_cols = [slice(h * h_v, (h + 1) * h_v) for h in range(heads)]
+    if layout is None:
+        q_idx = k_idx = q_sel = k_sel = fill = None
+    elif (layout.n, layout.m) != (n, m):
+        raise ShapeError(f"attention: layout covers {layout.n} queries and {layout.m} keys, "
+                         f"got {n} and {m}")
+    else:
+        q_idx, k_idx, q_sel, k_sel, fill = (layout._q_idx, layout._k_idx, layout._q_sel,
+                                            layout._k_sel, layout._fill)
+    c = 1.0 / math.sqrt(d // heads)
     q_data, k_data, v_data = q.data, k.data, v.data
-
-    out = np.empty((n, d_v))
-    weights = []
-    for qk, vc in zip(qk_cols, v_cols):
-        logits = (q_data[:, qk] @ k_data[:, qk].T) * c
-        if mask is not None:
-            logits = logits + mask
-        e = np.exp(logits - logits.max(axis=1, keepdims=True))
-        w = e / e.sum(axis=1, keepdims=True)
-        out[:, vc] = w @ v_data[:, vc]
-        weights.append(w)
+    qs = _split_heads(q_data[None] if q_idx is None else q_data[q_idx], heads)
+    ks = _split_heads(k_data[None] if k_idx is None else k_data[k_idx], heads)
+    vs = _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads)
+    logits = (qs @ ks.swapaxes(-1, -2)) * c
+    if fill is not None:
+        logits += fill
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = _merge_heads(w @ vs, q_sel)
 
     def back(g):
-        gq = np.empty_like(q_data) if q.requires_grad else None
-        gk = np.empty_like(k_data) if k.requires_grad else None
-        gv = np.empty_like(v_data) if v.requires_grad else None
-        for w, qk, vc in zip(weights, qk_cols, v_cols):
-            g_out = g[:, vc]
-            if gv is not None:
-                gv[:, vc] = w.T @ g_out
-            gw = g_out @ v_data[:, vc].T
-            gs = w * (gw - (gw * w).sum(axis=1, keepdims=True)) * c
-            if gq is not None:
-                gq[:, qk] = gs @ k_data[:, qk]
-            if gk is not None:
-                gk[:, qk] = gs.T @ q_data[:, qk]
+        if q_sel is None:
+            g_rows = g[None]
+        else:  # padded query rows get zero gradient
+            g_rows = np.zeros((qs.shape[0], qs.shape[2], d_v))
+            g_rows.reshape(-1, d_v)[q_sel] = g
+        g_out = _split_heads(g_rows, heads)
+        gw = g_out @ vs.swapaxes(-1, -2)
+        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+        gq = _merge_heads(gs @ ks, q_sel) if q.requires_grad else None
+        gk = _merge_heads(gs.swapaxes(-1, -2) @ qs, k_sel) if k.requires_grad else None
+        gv = _merge_heads(w.swapaxes(-1, -2) @ g_out, k_sel) if v.requires_grad else None
         return ((q, gq), (k, gk), (v, gv))
 
     return _node(out, "attention", (q, k, v), back)

@@ -6,8 +6,10 @@ out, byte-identical on repetition.
 """
 
 import argparse
+import io
 import itertools
 import json
+from contextlib import redirect_stderr
 from operator import delitem
 from pathlib import Path
 
@@ -392,6 +394,8 @@ def test_report_prints_the_fusion_gap(tmp_path):
         ('{"variant": "MAF", "seed": true}', "needs a 'seed' int"),
         ('{"variant": "MAF", "seed": 1, "fusion_layer_index": "2"}', "'fusion_layer_index' int"),
         ('{"variant": "MAF", "seed": 1, "action_acc": "high"}', "'action_acc' must be a number"),
+        # Python's JSON parser recurses once per level
+        pytest.param("[" * 100_000, "nested too deeply", id="nested-100000-deep"),
     ],
 )
 def test_cli_report_rejects_broken_metric_files(tmp_path, capsys, content, fragment):
@@ -430,6 +434,21 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert "config error:" in capsys.readouterr().err
     path = write_config(tmp_path, variants=["MAF", "TextOnly"])
     assert main(["train", "--config", str(path)]) == 2
+
+
+@pytest.mark.parametrize("reader, code", [("config", 2), ("checkpoint", 3)])
+def test_cli_deeply_nested_json_is_a_clean_error(tmp_path, capsys, reader, code):
+    """JSON nested 100000 deep makes the parser raise RecursionError; the
+    config reader turns it into a config error (exit 2) and the checkpoint
+    reader into a bad-file error (exit 3), never a traceback."""
+    deep = tmp_path / "deep"
+    deep.write_text("[" * 100_000, encoding="utf-8")
+    if reader == "config":
+        argv = ["train", "--config", str(deep)]
+    else:
+        argv = ["evaluate", "--config", str(write_config(tmp_path)), "--checkpoint", str(deep)]
+    assert main(argv) == code
+    assert "nested too deeply" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -553,6 +572,98 @@ def test_mutated_checkpoint_raises_only_parse_errors(tiny_checkpoint, mutation, 
         load_checkpoint(path)
     if data.draw(st.integers(0, 4), label="run maf evaluate") == 0:
         assert main(["evaluate", "--config", str(config_path), "--checkpoint", str(path)]) == 3
+
+
+_KINDS = {
+    "bool": st.booleans(),
+    "number": st.integers(-3, 3) | st.floats(-2, 2),
+    "str": st.text(max_size=3),
+    "list": st.lists(st.integers(0, 3), max_size=2),
+    "dict": st.dictionaries(st.text(max_size=2), st.integers(0, 3), max_size=1),
+}
+
+
+def _other_kind(data, value):
+    """A JSON value of another kind than ``value``: never null, which an
+    optional field takes, and never a number for a number, so no value
+    drawn fits the field it replaces."""
+    own = ("bool" if isinstance(value, bool) else "number" if isinstance(value, (int, float))
+           else {str: "str", list: "list", dict: "dict"}[type(value)])
+    return data.draw(st.sampled_from(sorted(set(_KINDS) - {own})).flatmap(_KINDS.get))
+
+
+def _retype_some_key(data, obj: dict, skip=()):
+    key = data.draw(st.sampled_from(sorted(k for k in obj if k not in skip)))
+    obj[key] = _other_kind(data, obj[key])
+
+
+@pytest.fixture(scope="module")
+def cli_inputs(tiny_checkpoint):
+    """Valid bytes of each input file the CLI reads: config, checkpoint,
+    metric file and corpus."""
+    config_path, blob, names = tiny_checkpoint
+    corpus = config_path.parent / "corpus.jsonl"
+    cmd_gen_synthetic(load_experiment_config(str(config_path)), str(corpus))
+    metric = {"variant": "MAF", "seed": 1, "fusion_layer_index": 2, "target_word_acc": 0.5,
+              **{key: 0.5 for key in ("R1", "B1", "action_acc", "exact_match")}}
+    return config_path, blob, metric, corpus.read_bytes(), names
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(kind=st.sampled_from(["config", "checkpoint", "metric", "corpus"]),
+       mutation=st.sampled_from(["retype", "truncate", "non-utf8"]), data=st.data())
+def test_cli_on_mutated_input_files_exits_2_or_3(cli_inputs, kind, mutation, data):
+    """``maf train``, ``evaluate``, ``report`` and ``stats`` on a broken
+    config, checkpoint, metric or corpus file: a retyped field, a file cut
+    short inside its JSON, or a byte that is not UTF-8. Every mutant is
+    invalid by construction, and the CLI exits 2 for a config and 3 for
+    the rest, with a one-line message and no traceback."""
+    config_path, blob, metric, corpus, names = cli_inputs
+    d = config_path.parent / f"cli{next(names)}"
+    d.mkdir()
+    if kind == "corpus":
+        lines = corpus.split(b"\n")[:-1]
+        i = data.draw(st.integers(0, len(lines) - 1))
+        if mutation == "retype":
+            rec = json.loads(lines[i])
+            _retype_some_key(data, rec, skip=("description",))
+            lines[i] = json.dumps(rec).encode()
+        elif mutation == "truncate":  # cut inside line i, drop what follows
+            lines = lines[:i] + [lines[i][:data.draw(st.integers(1, len(lines[i]) - 1))]]
+        raw = b"\n".join(lines) + b"\n"
+    elif kind == "checkpoint":
+        head, rest = blob.split(b"\n", 1)
+        if mutation == "retype":
+            header = json.loads(head)
+            _retype_some_key(data, data.draw(st.sampled_from([header, header["config"]])))
+            head = json.dumps(header, sort_keys=True).encode()
+        raw = head + b"\n" + rest
+    else:
+        obj = (json.loads(config_path.read_bytes()) if kind == "config" else dict(metric))
+        if mutation == "retype":
+            section = obj
+            if kind == "config" and data.draw(st.booleans()):
+                section = obj[data.draw(st.sampled_from(["model", "train", "synthetic"]))]
+            _retype_some_key(data, section)
+        raw = json.dumps(obj).encode()
+    if mutation == "truncate" and kind != "corpus":
+        raw = raw[:data.draw(st.integers(0, len(raw) - 1))]
+    elif mutation == "non-utf8":  # inside the checkpoint header, or anywhere in a text file
+        end = raw.index(b"\n") if kind == "checkpoint" else len(raw)
+        at = data.draw(st.integers(0, end))
+        raw = raw[:at] + b"\xff" + raw[at:]
+    path = d / {"config": "exp.json", "checkpoint": "model.ckpt",
+                "metric": "metrics_MAF_seed1.json", "corpus": "corpus.jsonl"}[kind]
+    path.write_bytes(raw)
+    argv = {"config": ["train", "--config", str(path)],
+            "checkpoint": ["evaluate", "--config", str(config_path), "--checkpoint", str(path)],
+            "metric": ["report", "--out", str(d)],
+            "corpus": ["stats", "--dataset", str(path)]}[kind]
+    err = io.StringIO()
+    with redirect_stderr(err):
+        code = main(argv)
+    assert code == (2 if kind == "config" else 3), err.getvalue()
+    assert err.getvalue().startswith("config error: " if code == 2 else "error: ")
 
 
 def test_cli_stats_needs_dataset(tmp_path, capsys):

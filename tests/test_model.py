@@ -621,13 +621,17 @@ def test_full_model_gradient_spot_checks():
 
 
 def uneven_corpus() -> list[DialogueInstance]:
-    """Three instances whose text, frame, window and target lengths all
-    differ, with fewer frames than tokens in some and more in others."""
+    """Six instances whose text lengths all differ, as do most frame,
+    window and target lengths, with fewer frames than tokens in some and
+    more in others."""
     rng = np.random.default_rng(12)
     shapes = [  # utterances, audio frames, video windows, explanation, source, target
         ([("ana", "sure")], 2, 1, "ana mocks", "ana", "bo"),
         ([("bo", "that went really well"), ("cy", "great")], 9, 4, "cy mocks bo", "cy", "bo"),
         ([("cy", "lovely weather"), ("ana", "yes")], 5, 7, "ana mocks cy badly", "ana", "cy"),
+        ([("bo", "yes yes")], 6, 2, "bo mocks cy", "bo", "cy"),
+        ([("ana", "that went well"), ("bo", "sure"), ("cy", "hi")], 1, 3, "cy mocks", "cy", "ana"),
+        ([("cy", "great plan really")], 11, 9, "cy mocks bo badly", "cy", "bo"),
     ]
     return [
         DialogueInstance(
@@ -660,18 +664,18 @@ def gradients_of(params, losses_and_scales):
 
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_pack_matches_one_instance_losses_and_gradients(variant):
-    """A pack of three instances of unequal lengths gives the mean of the
+    """A pack of six instances of unequal lengths gives the mean of the
     one-instance losses, and the same gradient in every parameter: the
-    block masks keep each instance to its own rows."""
+    segment layouts keep each instance to its own rows."""
     corpus = uneven_corpus()
     cfg, vocab, params = bound_params(tiny_config(variant=variant), corpus)
     _randomise_adapter(params)
     items = pack_items(corpus, vocab)
-    assert len({len(src) for src, _, _, _ in items}) == 3
+    assert len({len(src) for src, _, _, _ in items}) == len(items) == 6
     packed = model_module._pack_loss(model_module._pack(items, cfg), cfg, params)
     singles = [_instance_loss(*item, cfg, params) for item in items]
     assert packed.item() == pytest.approx(np.mean([x.item() for x in singles]), rel=0, abs=1e-10)
-    want = gradients_of(params, [(x, 1.0 / 3) for x in singles])
+    want = gradients_of(params, [(x, 1.0 / len(items)) for x in singles])
     got = gradients_of(params, [(packed, 1.0)])
     for name, g in want.items():
         if g is None:
@@ -727,7 +731,7 @@ def test_pack_gradient_matches_finite_differences(variant):
 
 
 def test_train_backpropagates_once_per_pack(monkeypatch):
-    """Each step builds ceil(B / 4) graphs, so packing cannot quietly fall
+    """Each step builds ceil(B / 8) graphs, so packing cannot quietly fall
     back to one graph per instance."""
     calls, per_step = [], []
     real_backward, real_step = model_module.backward, Adam.step
@@ -744,7 +748,7 @@ def test_train_backpropagates_once_per_pack(monkeypatch):
     monkeypatch.setattr(model_module, "backward", counting_backward)
     monkeypatch.setattr(Adam, "step", counting_step)
     train(tiny_corpus(k=10), tiny_config(), TrainConfig(lr=1e-3, epochs=2, batch_size=9))
-    assert per_step == [3, 1, 3, 1]  # batches of 9 and 1
+    assert per_step == [2, 1, 2, 1]  # batches of 9 and 1
 
 
 # ---- optimiser ---------------------------------------------------------------

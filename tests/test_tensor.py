@@ -7,12 +7,15 @@ from hypothesis import given, settings, strategies as st
 
 from maf.errors import ContractError, ShapeError
 from maf.tensor import (
+    Segments,
     Tensor,
     add,
+    add_layer_norm,
     attention,
     backward,
     concat_last,
     cross_entropy_rows,
+    feed_forward,
     gather_rows,
     glorot_uniform,
     layer_norm_rows,
@@ -214,6 +217,67 @@ def test_grad_layer_norm():
     check_grads(lambda: sum_all(mul(layer_norm_rows(x, gain, bias), w)), [x, gain, bias])
 
 
+def test_grad_add_layer_norm():
+    rng = np.random.default_rng(21)
+    x, y, gain, bias = leaf(rng, 4, 6), leaf(rng, 4, 6), leaf(rng, 1, 6), leaf(rng, 1, 6)
+    w = Tensor(rng.normal(size=(4, 6)))
+    check_grads(lambda: sum_all(mul(add_layer_norm(x, y, gain, bias), w)), [x, y, gain, bias])
+
+
+def test_grad_feed_forward_away_from_kink():
+    rng = np.random.default_rng(22)
+    x, w1, b1, w2, b2 = leaf(rng, 4, 3), leaf(rng, 3, 5), leaf(rng, 1, 5), leaf(rng, 5, 3), leaf(rng, 1, 3)
+    probe = Tensor(rng.normal(size=(4, 3)))
+    pre = x.data @ w1.data + b1.data
+    assert np.abs(pre).min() > 10 * 1e-6  # no hidden unit within a finite-difference step of 0
+    check_grads(lambda: sum_all(mul(feed_forward(x, w1, b1, w2, b2), probe)), [x, w1, b1, w2, b2])
+
+
+def _fused_and_composed_gradients(fused, composed, leaves, probe):
+    """Forward values and leaf gradients of two builds of the same function."""
+    results = []
+    for build in (fused, composed):
+        out = build()
+        backward(sum_all(mul(out, probe)))
+        results.append((out.data, [t.grad for t in leaves]))
+        for t in leaves:
+            t.zero_grad()
+    return results
+
+
+def test_fused_nodes_match_the_composed_ops_bit_for_bit():
+    """One node each for the FFN and the residual layer norm: the same
+    arithmetic as the ops they replace, so the same bits forward and back."""
+    rng = np.random.default_rng(23)
+    x, y, gain, bias = leaf(rng, 5, 4), leaf(rng, 5, 4), leaf(rng, 1, 4), leaf(rng, 1, 4)
+    probe = Tensor(rng.normal(size=(5, 4)))
+    (got, got_g), (want, want_g) = _fused_and_composed_gradients(
+        lambda: add_layer_norm(x, y, gain, bias),
+        lambda: layer_norm_rows(add(x, y), gain, bias), [x, y, gain, bias], probe)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert np.array_equal(g, w)
+    w1, b1, w2, b2 = leaf(rng, 4, 7), leaf(rng, 1, 7), leaf(rng, 7, 4), leaf(rng, 1, 4)
+    (got, got_g), (want, want_g) = _fused_and_composed_gradients(
+        lambda: feed_forward(x, w1, b1, w2, b2),
+        lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert np.array_equal(g, w)
+
+
+def test_fused_nodes_reject_bad_shapes():
+    z = lambda r, c: Tensor(np.zeros((r, c)))  # noqa: E731
+    with pytest.raises(ShapeError, match="differ"):
+        add_layer_norm(z(2, 4), z(3, 4), z(1, 4), z(1, 4))
+    with pytest.raises(ShapeError, match="gain/bias"):
+        add_layer_norm(z(2, 4), z(2, 4), z(1, 3), z(1, 4))
+    with pytest.raises(ShapeError, match="inner"):
+        feed_forward(z(2, 4), z(3, 5), z(1, 5), z(5, 4), z(1, 4))
+    with pytest.raises(ShapeError, match="biases"):
+        feed_forward(z(2, 4), z(4, 5), z(1, 4), z(5, 4), z(1, 4))
+
+
 def test_grad_cross_entropy():
     rng = np.random.default_rng(20)
     logits = leaf(rng, 4, 6)
@@ -388,14 +452,82 @@ def test_attention_matches_loop_oracle_per_head(heads, n, m, masked):
     q = rng.normal(size=(n, heads * d_k))
     k = rng.normal(size=(m, heads * d_k))
     v = rng.normal(size=(m, heads * h_v))
-    mask = causal(n, m) if masked else None
-    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, mask).data
+    layout = Segments([n], [m], causal=True) if masked else None
+    got = attention(Tensor(q), Tensor(k), Tensor(v), heads, layout).data
     assert got.shape == (n, heads * h_v)
     for h in range(heads):
         qk, vc = slice(h * d_k, (h + 1) * d_k), slice(h * h_v, (h + 1) * h_v)
         want = loop_attend(q[:, qk].tolist(), k[:, qk].tolist(), v[:, vc].tolist(), d_k,
-                           None if mask is None else mask.tolist())
+                           causal(n, m).tolist() if masked else None)
         assert np.max(np.abs(got[:, vc] - want)) < 1e-12, f"head {h}"
+
+
+# (query rows, key rows, causal) per segment: self layouts (rows = cols),
+# cross layouts (rows != cols) and block-causal ones, each with a one-row
+# segment and unequal lengths
+LAYOUTS = {
+    "self": ([3, 1, 5], [3, 1, 5], False),
+    "cross": ([2, 4, 1], [5, 1, 3], False),
+    "block_causal": ([4, 1, 3], [4, 1, 3], True),
+    "causal_cross": ([1, 3, 5], [2, 5, 3], True),
+    "eight_segments": ([3, 1, 4, 1, 5, 2, 6, 2], [2, 7, 1, 8, 2, 8, 1, 8], False),
+}
+
+
+def segment_slices(lengths):
+    ends = np.cumsum(lengths)
+    return [slice(e - n, e) for n, e in zip(lengths, ends)]
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("name", sorted(LAYOUTS))
+def test_packed_attention_matches_each_segment_alone(name, heads):
+    """A packed layout gives each segment exactly what the kernel gives it
+    alone and what the loop oracle gives it per head, and each segment's
+    gradients are the ones its lone run gets."""
+    rows, cols, is_causal = LAYOUTS[name]
+    rng = np.random.default_rng(len(rows) * 10 + heads)
+    d_k, h_v = 3, 2
+    q = leaf(rng, sum(rows), heads * d_k)
+    k = leaf(rng, sum(cols), heads * d_k)
+    v = leaf(rng, sum(cols), heads * h_v)
+    probe = rng.normal(size=(sum(rows), heads * h_v))
+    packed = attention(q, k, v, heads, Segments(rows, cols, causal=is_causal))
+    backward(sum_all(mul(packed, Tensor(probe))))
+    packed_grads = [t.grad for t in (q, k, v)]
+    for rs, cs in zip(segment_slices(rows), segment_slices(cols)):
+        n, m = rs.stop - rs.start, cs.stop - cs.start
+        sq, sk, sv = (Tensor(x, requires_grad=True) for x in (q.data[rs], k.data[cs], v.data[cs]))
+        alone = attention(sq, sk, sv, heads, Segments([n], [m], causal=is_causal))
+        np.testing.assert_allclose(packed.data[rs], alone.data, rtol=0, atol=1e-12)
+        for h in range(heads):
+            qk, vc = slice(h * d_k, (h + 1) * d_k), slice(h * h_v, (h + 1) * h_v)
+            want = loop_attend(sq.data[:, qk].tolist(), sk.data[:, qk].tolist(),
+                               sv.data[:, vc].tolist(), d_k,
+                               causal(n, m).tolist() if is_causal else None)
+            assert np.max(np.abs(packed.data[rs, vc] - want)) < 1e-12, f"head {h}"
+        backward(sum_all(mul(alone, Tensor(probe[rs]))))
+        for got, want, sl in zip(packed_grads, (sq.grad, sk.grad, sv.grad), (rs, cs, cs)):
+            np.testing.assert_allclose(got[sl], want, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("is_causal", [False, True])
+def test_grad_attention_through_three_segments(is_causal):
+    rng = np.random.default_rng(33 + is_causal)
+    rows, cols = ([2, 1, 3], [2, 4, 3]) if not is_causal else ([3, 1, 2], [3, 1, 2])
+    layout = Segments(rows, cols, causal=is_causal)
+    q, k, v = leaf(rng, sum(rows), 4), leaf(rng, sum(cols), 4), leaf(rng, sum(cols), 6)
+    probe = Tensor(rng.normal(size=(sum(rows), 6)))
+    check_grads(lambda: sum_all(mul(attention(q, k, v, 2, layout), probe)), [q, k, v])
+
+
+def test_segments_reject_bad_layouts():
+    with pytest.raises(ContractError, match="equal length"):
+        Segments([2, 3], [2])
+    with pytest.raises(ContractError, match="equal length"):
+        Segments([], [])
+    with pytest.raises(ContractError, match="at least one"):
+        Segments([2, 0], [2, 1])
 
 
 def test_attention_large_logits_stay_finite():
@@ -404,8 +536,8 @@ def test_attention_large_logits_stay_finite():
     q = Tensor(rng.normal(scale=1000.0, size=(4, 6)), requires_grad=True)
     k = Tensor(rng.normal(scale=1000.0, size=(4, 6)), requires_grad=True)
     v = Tensor(rng.normal(size=(4, 6)), requires_grad=True)
-    for mask in (None, causal(4, 4)):
-        out = attention(q, k, v, heads=2, mask=mask)
+    for layout in (None, Segments([4], [4], causal=True), Segments([1, 3], [3, 1])):
+        out = attention(q, k, v, heads=2, layout=layout)
         assert np.all(np.isfinite(out.data))
         # rows are convex combinations of value rows
         assert np.all(out.data >= v.data.min(axis=0) - 1e-12)
@@ -421,14 +553,14 @@ def test_grad_attention(heads, n, m, masked):
     rng = np.random.default_rng(31 + heads + n)
     q, k, v = leaf(rng, n, 4), leaf(rng, m, 4), leaf(rng, m, 6)
     probe = Tensor(rng.normal(size=(n, 6)))
-    mask = causal(n, m) if masked else None
-    check_grads(lambda: sum_all(mul(attention(q, k, v, heads, mask), probe)), [q, k, v])
+    layout = Segments([n], [m], causal=True) if masked else None
+    check_grads(lambda: sum_all(mul(attention(q, k, v, heads, layout), probe)), [q, k, v])
 
 
 def test_attention_is_one_graph_node():
     rng = np.random.default_rng(32)
     q, k, v = leaf(rng, 3, 4), leaf(rng, 5, 4), leaf(rng, 5, 4)
-    out = attention(q, k, v, heads=2, mask=causal(3, 5))
+    out = attention(q, k, v, heads=2, layout=Segments([1, 2], [3, 2], causal=True))
     assert out.op == "attention"
     assert out.parents == (q, k, v)
     # a constant query still routes gradients to keys and values only
@@ -451,8 +583,8 @@ def test_attention_shape_errors():
         attention(z(2, 6), z(3, 4), z(3, 6))
     with pytest.raises(ShapeError, match="row counts"):
         attention(z(2, 6), z(3, 6), z(4, 6))
-    with pytest.raises(ShapeError, match="mask"):
-        attention(z(2, 6), z(3, 6), z(3, 6), mask=np.zeros((3, 2)))
+    with pytest.raises(ShapeError, match="layout"):
+        attention(z(2, 6), z(3, 6), z(3, 6), layout=Segments([3], [2]))
 
 
 # ---- property: random smooth graphs gradcheck ----------------------------------
