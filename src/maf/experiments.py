@@ -112,6 +112,8 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             raise ConfigError(f"config file '{path}' is not UTF-8 text") from None
         except RecursionError:  # arrays or objects nested thousands deep
             raise ConfigError(f"config file '{path}' is JSON nested too deeply") from None
+        except OSError as exc:  # a directory, a file without read permission
+            raise ConfigError(f"config file '{path}' cannot be read: {exc.strerror}") from None
         if not isinstance(raw, dict):
             raise ConfigError(f"config file '{path}' must hold a JSON object")
     cfg = _build(ExperimentConfig, raw)

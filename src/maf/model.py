@@ -10,6 +10,9 @@ Training stacks up to ``_PACK_INSTANCES`` instances into one graph (a
 ``_Pack``): every attention gets the pack's ``tensor.Segments`` layout,
 so no row sees another instance, and a one-instance pack, which
 ``encode`` and ``_instance_loss`` use, attends with no padding at all.
+``generate_explanations`` encodes held-out instances on the same packs
+(their encoder half, ``_EncoderPack``) with no graph recorded, then
+decodes each instance greedily on its own rows.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -83,7 +86,7 @@ __all__ = [
     "decode_logits",
     "decode_greedy",
     "train",
-    "generate_explanation",
+    "generate_explanations",
     "instance_token_ids",
     "instance_target_ids",
     "build_vocabulary",
@@ -517,16 +520,23 @@ class _Frames(NamedTuple):
     pool: Tensor        # (sum L_i) x (sum F_i): _pool_matrix(F_i, L_i) blocks on the diagonal
 
 
-class _Pack(NamedTuple):
-    """Instances as segments of one graph: every attention runs on one of
-    the pack's layouts, so a row never attends outside its own segment."""
+class _EncoderPack(NamedTuple):
+    """The encoder half of a pack: instances as segments of one graph,
+    every attention on ``layout``, so a row never sees another instance."""
 
     ids: list[int]            # text ids, segment after segment
     positions: Tensor         # position rows, restarting at 0 in each segment
     lengths: list[int]        # L_i, text tokens per segment
-    enc_layout: Segments      # encoder self-attention, MCA2 and DPA
+    layout: Segments          # encoder self-attention, MCA2 and DPA
     audio: _Frames | None     # only for variants that read the modality
     video: _Frames | None
+
+
+class _Pack(NamedTuple):
+    """A training pack: the encoder half plus the teacher-forced decoder
+    rows of every segment's target."""
+
+    enc: _EncoderPack
     dec_in: list[int]         # BOS + target, per segment
     dec_positions: Tensor
     dec_target: list[int]     # target + EOS, per segment
@@ -573,32 +583,41 @@ def _stack_frames(mats: list, lengths: Sequence[int], raw: int, label: str, cap:
                    Tensor(pool))
 
 
-def _pack(items: Sequence[tuple], cfg: ModelConfig) -> _Pack:
-    """The pack record of ``(text ids, audio, video, target ids)`` items.
-    Audio and video are checked and stacked only if the variant reads them;
-    text and target lengths are the caller's to check."""
-    lengths = [len(src) for src, _, _, _ in items]
-    dec_in = [[Vocabulary.BOS_ID] + list(tgt) for _, _, _, tgt in items]
-    steps = [len(x) for x in dec_in]
+def _encoder_pack(items: Sequence[tuple], cfg: ModelConfig) -> _EncoderPack:
+    """The encoder pack of ``(text ids, audio, video)`` items. Audio and
+    video are checked and stacked only if the variant reads them; text
+    lengths are the caller's to check."""
+    lengths = [len(src) for src, _, _ in items]
     audio = video = None
     if cfg.uses_audio():
-        audio = _stack_frames([a for _, a, _, _ in items], lengths, cfg.audio_raw_dim, "audio",
+        audio = _stack_frames([a for _, a, _ in items], lengths, cfg.audio_raw_dim, "audio",
                               cfg.max_frames)
     if cfg.uses_video():
-        video = _stack_frames([v for _, _, v, _ in items], lengths, cfg.video_raw_dim, "video",
+        video = _stack_frames([v for _, _, v in items], lengths, cfg.video_raw_dim, "video",
                               cfg.max_windows)
-    return _Pack(
-        ids=[i for src, _, _, _ in items for i in src],
+    return _EncoderPack(
+        ids=[i for src, _, _ in items for i in src],
         positions=_segment_positions(lengths, cfg.d),
         lengths=lengths,
-        enc_layout=Segments(lengths, lengths),
+        layout=Segments(lengths, lengths),
         audio=audio,
         video=video,
+    )
+
+
+def _pack(items: Sequence[tuple], cfg: ModelConfig) -> _Pack:
+    """The training pack of ``(text ids, audio, video, target ids)`` items;
+    target lengths are the caller's to check."""
+    enc = _encoder_pack([item[:3] for item in items], cfg)
+    dec_in = [[Vocabulary.BOS_ID] + list(tgt) for _, _, _, tgt in items]
+    steps = [len(x) for x in dec_in]
+    return _Pack(
+        enc=enc,
         dec_in=[i for x in dec_in for i in x],
         dec_positions=_segment_positions(steps, cfg.d),
         dec_target=[i for _, _, _, tgt in items for i in list(tgt) + [Vocabulary.EOS_ID]],
         self_layout=Segments(steps, steps, causal=True),
-        cross_layout=Segments(steps, lengths),
+        cross_layout=Segments(steps, enc.lengths),
         weights=np.concatenate([np.full(t, 1.0 / t) for t in steps]),
     )
 
@@ -645,23 +664,29 @@ def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: Mode
     audio and video are pooled to L rows. Modality features are only
     consulted for variants that use them.
     """
+    ids = _checked_text(text_ids, cfg, "encode")
+    return _encode_pack(_encoder_pack([(ids, audio, video)], cfg), cfg, params)
+
+
+def _checked_text(text_ids: Sequence[int], cfg: ModelConfig, where: str) -> list[int]:
     ids = list(text_ids)
     if not ids:
-        raise ContractError("encode: empty token sequence")
+        raise ContractError(f"{where}: empty token sequence")
     if len(ids) > cfg.max_text_len:
-        raise ContractError(f"encode: {len(ids)} tokens exceed max_text_len={cfg.max_text_len}")
-    return _encode_pack(_pack([(ids, audio, video, [])], cfg), cfg, params)
+        raise ContractError(f"{where}: {len(ids)} tokens exceed max_text_len={cfg.max_text_len}")
+    return ids
 
 
-def _encode_pack(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:
+def _encode_pack(pk: _EncoderPack, cfg: ModelConfig, params: ModelParams) -> Tensor:
+    """Encoder output of every segment, stacked: sum(L_i) x d."""
     x = _embed(pk.ids, pk.positions, params)
     form = _FORMS[cfg.variant]
     for i, layer in enumerate(params.enc):
         if i == cfg.fusion_layer_index - 1 and form.merge is not None:
             ctx_a = _modality_context(pk.audio, params.audio_enc) if form.audio else None
             ctx_v = _modality_context(pk.video, params.video_enc) if form.video else None
-            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, pk.enc_layout)
-        x = _encoder_layer(x, layer, cfg.heads, pk.enc_layout)
+            x = _apply_adapter(x, ctx_a, ctx_v, form, params.adapter, pk.layout)
+        x = _encoder_layer(x, layer, cfg.heads, pk.layout)
     return x
 
 
@@ -795,8 +820,12 @@ class TrainedModel:
 class Adam:
     """Adam with bias correction and global-norm gradient clipping.
 
-    Nothing is updated in place on arrays a recorded graph might still
-    reference; parameter ``data`` is replaced between steps.
+    Parameters, first and second moments each live in one flat buffer, and
+    every parameter's ``data`` becomes a view into the parameter buffer, so
+    a step is a few whole-buffer operations, updating ``data`` in place.
+    That is safe because ``train`` frees each pack's graph before it steps:
+    no recorded node still reads the arrays. A parameter whose ``grad`` is
+    None is left as it is, moments included.
     """
 
     def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float,
@@ -807,8 +836,13 @@ class Adam:
         self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
-        self._m = {name: np.zeros_like(t.data) for name, t in self.named}
-        self._v = {name: np.zeros_like(t.data) for name, t in self.named}
+        ends = np.cumsum([t.data.size for _, t in self.named])
+        self._spans = [slice(hi - t.data.size, hi) for (_, t), hi in zip(self.named, ends)]
+        self._params = np.concatenate([t.data.reshape(-1) for _, t in self.named])
+        for (_, t), span in zip(self.named, self._spans):
+            t.data = self._params[span].reshape(t.data.shape)
+        self._m = np.zeros_like(self._params)
+        self._v = np.zeros_like(self._params)
 
     def zero_grad(self) -> None:
         for _, t in self.named:
@@ -816,31 +850,44 @@ class Adam:
 
     def step(self) -> None:
         self.t += 1
-        grads = {name: t.grad for name, t in self.named if t.grad is not None}
-        if not grads:
+        m, v = self._m, self._v
+        missing = [span for (_, t), span in zip(self.named, self._spans) if t.grad is None]
+        if len(missing) == len(self.named):
             return
-        factor = 1.0
+        # the skipped spans enter the buffer ops as zeros and get their state back after
+        kept = [(span, m[span].copy(), v[span].copy(), self._params[span].copy())
+                for span in missing]
+        g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
+                            for _, t in self.named])
+        # step-local work space: kept between steps, it would add to the peak
+        # memory of every pack's graph
+        u = np.empty_like(g)
         if self.grad_clip is not None:
-            total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+            total = math.sqrt(float(g @ g))
             if total > self.grad_clip:
-                factor = self.grad_clip / total
+                g *= self.grad_clip / total
         b1, b2 = self.beta1, self.beta2
-        c1 = 1.0 - b1 ** self.t
-        c2 = 1.0 - b2 ** self.t
-        for name, t in self.named:
-            g = grads.get(name)
-            if g is None:
-                continue
-            if factor != 1.0:
-                g = g * factor
-            m = self._m[name] = b1 * self._m[name] + (1.0 - b1) * g
-            v = self._v[name] = b2 * self._v[name] + (1.0 - b2) * (g * g)
-            t.data = t.data - self.lr * (m / c1) / (np.sqrt(v / c2) + self.eps)
+        m *= b1
+        np.multiply(g, 1.0 - b1, out=u)
+        m += u
+        v *= b2
+        np.multiply(g, g, out=u)
+        u *= 1.0 - b2
+        v += u
+        np.divide(m, 1.0 - b1 ** self.t, out=u)          # bias-corrected first moment
+        u *= self.lr
+        np.divide(v, 1.0 - b2 ** self.t, out=g)          # g is free now: the second moment
+        np.sqrt(g, out=g)
+        g += self.eps
+        u /= g
+        self._params -= u
+        for span, m_kept, v_kept, p_kept in kept:
+            m[span], v[span], self._params[span] = m_kept, v_kept, p_kept
 
 
 def _pack_loss(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:
     """Mean over the pack's instances of each one's mean target-token NLL."""
-    enc_out = _encode_pack(pk, cfg, params)
+    enc_out = _encode_pack(pk.enc, cfg, params)
     logits = _decoder_stack(_embed(pk.dec_in, pk.dec_positions, params), enc_out, cfg, params,
                             pk.self_layout, pk.cross_layout)
     return cross_entropy_rows(logits, pk.dec_target, pk.weights)
@@ -928,16 +975,29 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
                         epoch_losses=epoch_losses, step_losses=step_losses)
 
 
-def generate_explanation(tm: TrainedModel, inst: DialogueInstance) -> str:
-    """Greedy explanation for one instance, as a token string."""
+def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -> list[str]:
+    """Greedy explanations, as token strings, in the order of ``insts``.
+
+    Graph-free. The encoder runs on packs of ``_PACK_INSTANCES`` instances,
+    each instance's L rows are sliced from its pack's output, and
+    ``decode_greedy`` then runs once per instance."""
     cfg = tm.config
-    ids = instance_token_ids(inst, tm.vocab)
-    audio = inst.audio_features if cfg.uses_audio() else None
-    video = inst.video_features if cfg.uses_video() else None
+    out: list[str] = []
     with no_grad():
-        enc_out = encode(ids, audio, video, cfg, tm.params)
-        out_ids = decode_greedy(enc_out, cfg, tm.params)
-    return " ".join(tm.vocab.decode(out_ids))
+        for lo in range(0, len(insts), _PACK_INSTANCES):
+            items = []
+            for inst in insts[lo:lo + _PACK_INSTANCES]:
+                ids = _checked_text(instance_token_ids(inst, tm.vocab), cfg, f"instance '{inst.id}'")
+                items.append((ids, inst.audio_features if cfg.uses_audio() else None,
+                              inst.video_features if cfg.uses_video() else None))
+            pk = _encoder_pack(items, cfg)
+            rows = _encode_pack(pk, cfg, tm.params).data
+            start = 0
+            for n in pk.lengths:
+                out_ids = decode_greedy(Tensor(rows[start:start + n]), cfg, tm.params)
+                out.append(" ".join(tm.vocab.decode(out_ids)))
+                start += n
+    return out
 
 
 # ---- checkpoints --------------------------------------------------------------------

@@ -17,7 +17,8 @@ audio information the fusion pathway actually transports.
 Filler words are drawn independently of the labels, which makes the
 text/action mutual information zero by construction.
 
-``evaluate_variant`` scores one trained model on held-out instances; the
+``evaluate_variant`` scores one trained model on held-out instances, whose
+greedy explanations ``model.generate_explanations`` writes in one call; the
 experiment report (``maf report``) turns those rows into the gap over
 TextOnly.
 """
@@ -32,7 +33,7 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import TrainedModel, _check_types, generate_explanation
+from .model import TrainedModel, _check_types, generate_explanations
 from .text import tokenize
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -157,7 +158,7 @@ def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict
     """Accuracies and text-overlap scores for one trained model."""
     if not test:
         raise ContractError("evaluate_variant: empty test set")
-    hyps = [generate_explanation(tm, inst) for inst in test]
+    hyps = generate_explanations(tm, test)
     n = len(test)
     source_acc, target_acc = source_target_accuracy(hyps, test)
     action = exact = 0

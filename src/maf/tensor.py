@@ -13,7 +13,8 @@ Conventions used throughout the package:
 * elementwise ops broadcast by trailing-dimension rules: both operands
   need the same number of axes, and an axis of size 1 stretches to match;
 * a tensor that has been recorded in a graph is never mutated in place
-  (optimizers update leaf ``.data`` only between graph builds);
+  while the graph lives (the optimizer updates leaf ``.data`` in place,
+  but only after every graph has been freed);
 * gradients accumulate additively across ``backward`` calls until
   ``zero_grad`` clears them;
 * inside ``with no_grad():`` no graph is recorded at all, which is how

@@ -3,9 +3,11 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
-backward code paths, so agreement is evidence, not tautology. The one
-exception is ``loop_decode_greedy``: it is the slow decoding path that
-the cached decoder replaced, built on the teacher-forced decoder pass.
+backward code paths, so agreement is evidence, not tautology. The two
+exceptions are slow paths the library replaced: ``loop_decode_greedy``,
+the decoding loop the cached decoder replaced, built on the
+teacher-forced decoder pass, and ``loop_adam_step``, the tensor-by-tensor
+Adam step the flat-buffer optimiser replaced.
 """
 
 from __future__ import annotations
@@ -196,3 +198,34 @@ def loop_decode_greedy(enc_out, cfg, params):
             break
         ids.append(nxt)
     return ids[1:], rows
+
+
+# ---- Adam one tensor at a time ---------------------------------------------------
+
+
+def loop_adam_step(named, m: dict, v: dict, t: int, lr: float, grad_clip: float | None,
+                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+    """Step ``t`` (1-based) of Adam with bias correction and global-norm
+    clipping, tensor by tensor: the clip norm is a sum of per-tensor sums,
+    a parameter whose ``grad`` is None keeps its data and moments, and each
+    updated ``data`` is replaced, not written in place. ``m`` and ``v`` map
+    parameter names to moments, zeros until a parameter's first update."""
+    grads = {name: p.grad for name, p in named if p.grad is not None}
+    if not grads:
+        return
+    factor = 1.0
+    if grad_clip is not None:
+        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
+        if total > grad_clip:
+            factor = grad_clip / total
+    c1 = 1.0 - beta1 ** t
+    c2 = 1.0 - beta2 ** t
+    for name, p in named:
+        g = grads.get(name)
+        if g is None:
+            continue
+        if factor != 1.0:
+            g = g * factor
+        m[name] = beta1 * m.get(name, np.zeros_like(p.data)) + (1.0 - beta1) * g
+        v[name] = beta2 * v.get(name, np.zeros_like(p.data)) + (1.0 - beta2) * (g * g)
+        p.data = p.data - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)

@@ -432,6 +432,8 @@ def test_cli_train_narrowed_by_flags(tmp_path, capsys):
 def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert main(["train", "--config", str(tmp_path / "missing.json")]) == 2
     assert "config error:" in capsys.readouterr().err
+    assert main(["train", "--config", str(tmp_path)]) == 2  # a directory cannot be read
+    assert f"config error: config file '{tmp_path}' cannot be read" in capsys.readouterr().err
     path = write_config(tmp_path, variants=["MAF", "TextOnly"])
     assert main(["train", "--config", str(path)]) == 2
 

@@ -33,7 +33,7 @@ from maf.model import (
     decode_greedy,
     decode_logits,
     encode,
-    generate_explanation,
+    generate_explanations,
     init_model_params,
     instance_target_ids,
     instance_token_ids,
@@ -45,11 +45,19 @@ from maf.model import (
 )
 from maf.model import _instance_loss  # tested directly: it is the training objective
 from maf.model import _pool_matrix  # tested directly: the pack pools every modality with it
-from maf.presets import GAP_MODEL
-from maf.tensor import Tensor, backward, matmul, scale, sum_all
+from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
+from maf.synthetic import generate
+from maf.tensor import Tensor, backward, matmul, no_grad, scale, sum_all
 from maf.text import Vocabulary
 
-from oracles import FD_STEP, gradients_close, loop_bucket_means, loop_decode_greedy, numeric_gradient
+from oracles import (
+    FD_STEP,
+    gradients_close,
+    loop_adam_step,
+    loop_bucket_means,
+    loop_decode_greedy,
+    numeric_gradient,
+)
 
 AUDIO_DIM, VIDEO_DIM = 4, 6
 
@@ -706,7 +714,7 @@ def test_pack_gradient_matches_finite_differences(variant):
     cfg, vocab, params = bound_params(cfg, corpus)
     _randomise_adapter(params)
     pk = model_module._pack(pack_items(corpus, vocab), cfg)
-    assert pk.lengths == [3, 4]
+    assert pk.enc.lengths == [3, 4]
 
     def loss_value():
         return model_module._pack_loss(pk, cfg, params).item()
@@ -791,6 +799,71 @@ def test_adam_clip_only_engages_above_threshold():
     assert not np.array_equal(run(1.0, loud), run(1e9, loud))
 
 
+class LoopAdam:
+    """``model.Adam``'s interface over ``oracles.loop_adam_step``."""
+
+    def __init__(self, named, lr, grad_clip=1.0):
+        self.named, self.lr, self.grad_clip = list(named), lr, grad_clip
+        self.t, self.m, self.v = 0, {}, {}
+
+    def zero_grad(self):
+        for _, p in self.named:
+            p.zero_grad()
+
+    def step(self):
+        self.t += 1
+        loop_adam_step(self.named, self.m, self.v, self.t, self.lr, self.grad_clip)
+
+
+@pytest.mark.parametrize("clip", [1.0, None])
+def test_flat_adam_matches_the_loop_step(clip):
+    """Eight steps over tensors of four shapes, some parameters without a
+    gradient on some steps, gradients large enough to clip on every other
+    step. Unclipped, the flat step is bit-identical to the loop; clipping
+    only reorders the norm's sum."""
+    rng = np.random.default_rng(4)
+    shapes = [(3, 4), (1, 5), (2, 2), (6, 1)]
+    start = [rng.normal(size=s) for s in shapes]
+    flat = [Tensor(x.copy(), requires_grad=True) for x in start]
+    loop = [Tensor(x.copy(), requires_grad=True) for x in start]
+    opt = Adam([(f"p{i}", t) for i, t in enumerate(flat)], lr=0.05, grad_clip=clip)
+    ref = LoopAdam([(f"p{i}", t) for i, t in enumerate(loop)], lr=0.05, grad_clip=clip)
+    clipped = 0
+    for step in range(8):
+        grads = [rng.normal(scale=3.0 if step % 2 else 0.1, size=s) for s in shapes]
+        skip = {step % 4} if step % 3 else set()  # steps 0, 3 and 6 update everything
+        for i, g in enumerate(grads):
+            flat[i].grad = None if i in skip else g.copy()
+            loop[i].grad = None if i in skip else g.copy()
+        clipped += clip is not None and math.sqrt(sum(float((g * g).sum())
+                                                      for i, g in enumerate(grads) if i not in skip)) > clip
+        opt.step()
+        ref.step()
+        for i, (a, b) in enumerate(zip(flat, loop)):
+            if clip is None:
+                assert np.array_equal(a.data, b.data), (step, i)
+            else:
+                np.testing.assert_allclose(a.data, b.data, rtol=1e-14, atol=0, err_msg=f"{step} {i}")
+            if i in skip and step == 0:
+                assert np.array_equal(a.data, start[i])
+    assert clipped == (4 if clip is not None else 0)
+
+
+@pytest.mark.parametrize("variant", ["MAF", "TextOnly", "Concat2"])
+def test_flat_adam_training_matches_the_loop_step(monkeypatch, variant):
+    """Two epochs at a reduced gap config: the flat-buffer step gives the
+    loop step's losses and parameters."""
+    insts = generate(replace(GAP_SPEC, num_instances=64, seed=2))
+    cfg = replace(GAP_MODEL, d=16, ffn=32, variant=variant, seed=2)
+    tcfg = replace(GAP_TRAIN, epochs=2)
+    flat = train(insts, cfg, tcfg)
+    monkeypatch.setattr(model_module, "Adam", LoopAdam)
+    loop = train(insts, cfg, tcfg)
+    np.testing.assert_allclose(flat.step_losses, loop.step_losses, rtol=1e-14, atol=0)
+    for (name, a), (_, b) in zip(named_parameters(flat.params), named_parameters(loop.params)):
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-13, err_msg=name)
+
+
 def test_adam_zero_grad_clears_everything():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
     opt = Adam([("p", p)], lr=0.1)
@@ -837,7 +910,7 @@ def test_overfits_a_single_instance():
     cfg = tiny_config(d=16, ffn=32, decoder_layers=1)
     tm = train(corpus, cfg, TrainConfig(lr=0.01, epochs=250, batch_size=1))
     assert tm.epoch_losses[-1] < 0.05
-    assert generate_explanation(tm, corpus[0]) == corpus[0].explanation
+    assert generate_explanations(tm, corpus) == [corpus[0].explanation]
 
 
 def test_loss_log_lengths():
@@ -885,6 +958,57 @@ def test_textonly_never_touches_features():
     assert len(tm.epoch_losses) == 1
 
 
+# ---- generation in packs ---------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def gap_models():
+    """MAF, TextOnly and Concat2 trained for four epochs at a reduced gap
+    config (200 instances, width 16), so greedy outputs differ by instance."""
+    insts = generate(replace(GAP_SPEC, num_instances=200, seed=1))
+    return {v: train(insts, replace(GAP_MODEL, d=16, ffn=32, variant=v, seed=1),
+                     replace(GAP_TRAIN, lr=2e-3, epochs=4))
+            for v in ("MAF", "TextOnly", "Concat2")}
+
+
+@pytest.mark.parametrize("variant", ["MAF", "TextOnly", "Concat2"])
+@pytest.mark.parametrize("n", [1, 8, 9, 17])
+def test_generate_explanations_matches_encode_and_the_prefix_loop(monkeypatch, gap_models, variant, n):
+    """Packed encoding hands each instance's rows to ``decode_greedy``, once
+    per instance and in input order: the rows are within 1e-12 of
+    ``encode`` and the ids are the prefix loop's."""
+    tm, cfg = gap_models[variant], gap_models[variant].config
+    insts = generate(replace(GAP_SPEC, num_instances=n, seed=1 ^ TEST_SEED_SALT))
+    lengths = [len(instance_token_ids(inst, tm.vocab)) for inst in insts]
+    assert n == 1 or len(set(lengths)) > 1
+    calls = []
+    real = model_module.decode_greedy
+
+    def recording(enc_out, *args, **kwargs):
+        calls.append((enc_out.data.copy(), real(enc_out, *args, **kwargs)))
+        return calls[-1][1]
+
+    monkeypatch.setattr(model_module, "decode_greedy", recording)
+    got = generate_explanations(tm, insts)
+    assert len(calls) == len(got) == n
+    with no_grad():
+        for inst, (rows, ids), text in zip(insts, calls, got):
+            enc = encode(instance_token_ids(inst, tm.vocab), inst.audio_features,
+                         inst.video_features, cfg, tm.params)
+            np.testing.assert_allclose(rows, enc.data, rtol=0, atol=1e-12, err_msg=inst.id)
+            assert ids == loop_decode_greedy(enc, cfg, tm.params)[0], inst.id
+            assert text == " ".join(tm.vocab.decode(ids))
+    assert generate_explanations(tm, insts[::-1]) == got[::-1]
+
+
+def test_generate_explanations_rejects_overlong_text(gap_models):
+    tm = gap_models["TextOnly"]
+    insts = generate(replace(GAP_SPEC, num_instances=9, seed=1 ^ TEST_SEED_SALT))
+    insts[8].utterances[0].text = "well " * tm.config.max_text_len
+    with pytest.raises(ContractError, match=f"instance '{insts[8].id}'.*max_text_len"):
+        generate_explanations(tm, insts)
+
+
 # ---- checkpoints ---------------------------------------------------------------
 
 
@@ -905,7 +1029,7 @@ def test_checkpoint_round_trip(tmp_path):
     assert a.keys() == b.keys()
     for name in a:
         assert np.array_equal(a[name].data, b[name].data), name
-    assert generate_explanation(loaded, corpus[0]) == generate_explanation(tm, corpus[0])
+    assert generate_explanations(loaded, corpus) == generate_explanations(tm, corpus)
 
 
 def test_checkpoint_bytes_are_deterministic(tmp_path):

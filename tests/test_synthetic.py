@@ -274,7 +274,7 @@ def test_rich_templates_leave_features_and_text_unchanged():
 
 class _Canned:
     """Stands in for a trained model inside evaluate_variant via the
-    generate_explanation hook."""
+    generate_explanations hook."""
 
     def __init__(self, mapping):
         self.mapping = mapping
@@ -282,8 +282,8 @@ class _Canned:
 
 def _patch_generation(monkeypatch):
     monkeypatch.setattr(
-        "maf.synthetic.generate_explanation",
-        lambda tm, inst: tm.mapping[inst.id],
+        "maf.synthetic.generate_explanations",
+        lambda tm, insts: [tm.mapping[inst.id] for inst in insts],
     )
 
 
