@@ -6,13 +6,14 @@ configurable encoder layer fuses audio/video context, pooled to one row
 per token, into the hidden states; the decoder generates the explanation
 autoregressively.
 
-Training stacks up to ``_PACK_INSTANCES`` instances into one graph (a
-``_Pack``): every attention gets the pack's ``tensor.Segments`` layout,
-so no row sees another instance, and a one-instance pack, which
-``encode`` and ``_instance_loss`` use, attends with no padding at all.
+Training stacks each minibatch into one graph (a ``_Pack``): every
+attention gets the pack's ``tensor.Segments`` layout, so no row sees
+another instance, and a one-instance pack, which ``encode`` and
+``_instance_loss`` use, attends with no padding at all.
 ``generate_explanations`` encodes held-out instances on the same packs
-(their encoder half, ``_EncoderPack``) with no graph recorded, then
-decodes each instance greedily on its own rows.
+(their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time
+with no graph recorded, then decodes each instance greedily on its own
+rows.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -502,14 +503,10 @@ def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor
 
 # ---- packs: instances stacked into one graph ----------------------------------
 
-# Instances per training graph. Attention runs per segment, so its cost is
-# linear in the pack size. At the gap config (2 cores, one BLAS thread) a
-# 16-instance step with Adam takes 20.9 ms as one-instance graphs, 8.1 ms
-# in packs of 4, 5.6 ms in packs of 8 and 4.6 ms as one whole-batch graph.
-# Peak RSS over three 1-epoch trainings is 44.0, 46.2, 48.5 and 52.4 MB:
-# whole batches would cost about 13 % more memory than packs of 4, beyond
-# the benchmark's 10 % bound, and packs of 8 cost 5 %.
-_PACK_INSTANCES = 8
+# Instances per graph-free encoder pass of ``generate_explanations``: the
+# gap config's minibatch. Training packs each whole minibatch instead, so
+# its graph memory grows with ``TrainConfig.batch_size``.
+_PACK_INSTANCES = 16
 
 
 class _Frames(NamedTuple):
@@ -823,9 +820,9 @@ class Adam:
     Parameters, first and second moments each live in one flat buffer, and
     every parameter's ``data`` becomes a view into the parameter buffer, so
     a step is a few whole-buffer operations, updating ``data`` in place.
-    That is safe because ``train`` frees each pack's graph before it steps:
-    no recorded node still reads the arrays. A parameter whose ``grad`` is
-    None is left as it is, moments included.
+    That is safe because ``train`` frees the minibatch's graph before it
+    steps: no recorded node still reads the arrays. A parameter whose
+    ``grad`` is None is left as it is, moments included.
     """
 
     def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float,
@@ -897,20 +894,20 @@ def _instance_loss(src_ids, audio, video, tgt_ids, cfg, params) -> Tensor:
     return _pack_loss(_pack([(src_ids, audio, video, tgt_ids)], cfg), cfg, params)
 
 
-def _pack_backward(items: Sequence[tuple], batch_size: int, cfg: ModelConfig,
-                   params: ModelParams) -> float:
-    """One pack's graph: backpropagate its share of the batch-mean loss and
-    return the summed instance losses. The graph is freed on return."""
+def _batch_backward(items: Sequence[tuple], cfg: ModelConfig, params: ModelParams) -> float:
+    """One minibatch as one pack: backpropagate its loss, the mean over its
+    instances, and return it. The graph is freed on return, before the
+    optimiser writes the parameters in place."""
     loss = _pack_loss(_pack(items, cfg), cfg, params)
-    backward(scale(loss, len(items) / batch_size))
-    return loss.item() * len(items)
+    backward(loss)
+    return loss.item()
 
 
 def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
           tcfg: TrainConfig | None = None) -> TrainedModel:
     """Teacher-forced training on explanation targets. Each minibatch is
-    split into packs of ``_PACK_INSTANCES`` instances, one graph and one
-    ``backward`` per pack.
+    one pack: one graph, whose loss is the batch mean, and one
+    ``backward``. Graph memory therefore grows with ``tcfg.batch_size``.
 
     The vocabulary is built from ``instances`` (pass the training split
     only); each is checked with ``validate_instance`` first.
@@ -959,16 +956,12 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
         for lo in range(0, n, tcfg.batch_size):
             batch = order[lo:lo + tcfg.batch_size]
             opt.zero_grad()
-            batch_total = 0.0
-            for p0 in range(0, len(batch), _PACK_INSTANCES):
-                items = [prepared[i] for i in batch[p0:p0 + _PACK_INSTANCES]]
-                batch_total += _pack_backward(items, len(batch), cfg, params)
+            mean_loss = _batch_backward([prepared[i] for i in batch], cfg, params)
             step += 1
-            mean_loss = batch_total / len(batch)
             if not math.isfinite(mean_loss):
                 raise TrainingDivergedError(f"non-finite loss at step {step}")
             step_losses.append(mean_loss)
-            epoch_total += batch_total
+            epoch_total += mean_loss * len(batch)
             opt.step()
         epoch_losses.append(epoch_total / n)
     return TrainedModel(config=cfg, vocab=vocab, params=params,
@@ -979,8 +972,9 @@ def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -
     """Greedy explanations, as token strings, in the order of ``insts``.
 
     Graph-free. The encoder runs on packs of ``_PACK_INSTANCES`` instances,
-    each instance's L rows are sliced from its pack's output, and
-    ``decode_greedy`` then runs once per instance."""
+    training's packs without their decoder half; each instance's L rows
+    are sliced from its pack's output, and ``decode_greedy`` then runs
+    once per instance."""
     cfg = tm.config
     out: list[str] = []
     with no_grad():
@@ -1058,6 +1052,9 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         if tokens[:len(SPECIALS)] != list(SPECIALS) or len(tokens) != cfg.vocab_size:
             raise ParseError(f"'{path}' 'vocab' must start with the {len(SPECIALS)} specials "
                              f"and hold vocab_size={cfg.vocab_size} tokens, got {len(tokens)}")
+        repeated = next((t for t, c in Counter(tokens).items() if c > 1), None)
+        if repeated is not None:  # the index would map it to its last id only
+            raise ParseError(f"'{path}' 'vocab' repeats the token '{repeated}'")
         if not isinstance(table, list):
             raise ParseError(f"'{path}' header has no 'params' list")
         for i, entry in enumerate(table):

@@ -393,12 +393,13 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"feed_forward: biases must be (1, {w1.shape[1]}) and "
                          f"(1, {w2.shape[1]}), got {b1.shape} and {b2.shape}")
-    pre = x.data @ w1.data + b1.data
-    hidden = np.maximum(pre, 0.0)
+    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
     out = hidden @ w2.data + b2.data
 
     def back(g):
-        gh = (g @ w2.data.T) * (pre > 0)
+        # hidden > 0 exactly where the pre-activation is > 0, NaN included,
+        # so the graph keeps hidden only
+        gh = (g @ w2.data.T) * (hidden > 0)
         return (
             (x, gh @ w1.data.T if x.requires_grad else None),
             (w1, x.data.T @ gh if w1.requires_grad else None),
@@ -512,9 +513,15 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
                                             layout._k_sel, layout._fill)
     c = 1.0 / math.sqrt(d // heads)
     q_data, k_data, v_data = q.data, k.data, v.data
-    qs = _split_heads(q_data[None] if q_idx is None else q_data[q_idx], heads)
-    ks = _split_heads(k_data[None] if k_idx is None else k_data[k_idx], heads)
-    vs = _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads)
+
+    # backward gathers the stacks again from the inputs' data, which the
+    # graph keeps anyway as parent data, rather than hold them
+    def stacks():
+        return (_split_heads(q_data[None] if q_idx is None else q_data[q_idx], heads),
+                _split_heads(k_data[None] if k_idx is None else k_data[k_idx], heads),
+                _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads))
+
+    qs, ks, vs = stacks()
     logits = (qs @ ks.swapaxes(-1, -2)) * c
     if fill is not None:
         logits += fill
@@ -523,6 +530,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     out = _merge_heads(w @ vs, q_sel)
 
     def back(g):
+        qs, ks, vs = stacks()
         if q_sel is None:
             g_rows = g[None]
         else:  # padded query rows get zero gradient

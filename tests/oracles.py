@@ -3,11 +3,12 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
-backward code paths, so agreement is evidence, not tautology. The two
+backward code paths, so agreement is evidence, not tautology. The three
 exceptions are slow paths the library replaced: ``loop_decode_greedy``,
 the decoding loop the cached decoder replaced, built on the
-teacher-forced decoder pass, and ``loop_adam_step``, the tensor-by-tensor
-Adam step the flat-buffer optimiser replaced.
+teacher-forced decoder pass; ``loop_adam_step``, the tensor-by-tensor
+Adam step the flat-buffer optimiser replaced; and ``loop_train_step``,
+the one-graph-per-instance minibatch that whole-batch packs replaced.
 """
 
 from __future__ import annotations
@@ -155,6 +156,52 @@ def loop_attend(q, k, v, d_k, mask=None) -> np.ndarray:
                      for i in range(n)])
 
 
+def loop_held_attention(q, k, v, heads, rows, cols, causal, g):
+    """Output and q/k/v gradients (for output gradient ``g``) of packed
+    attention, from padded ``S x heads x L x w`` stacks built one segment
+    at a time and held from the forward pass to the backward one. The
+    arithmetic is the kernel's, padding rows repeat row 0 as there, so the
+    kernel, which gathers its stacks again in backward, must match this
+    bit for bit."""
+    s, lq, lk = len(rows), max(rows), max(cols)
+    d_v = v.shape[1]
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+
+    def starts(lengths):
+        return np.concatenate([[0], np.cumsum(lengths)[:-1]]).astype(int)
+
+    def stack(x, lengths, width):
+        out = np.empty((s, width, x.shape[1]))
+        for i, (start, n) in enumerate(zip(starts(lengths), lengths)):
+            out[i, :n] = x[start:start + n]
+            out[i, n:] = x[0]
+        return out.reshape(s, width, heads, -1).transpose(0, 2, 1, 3)
+
+    def rows_of(xs, lengths):
+        flat = xs.transpose(0, 2, 1, 3).reshape(s, xs.shape[2], -1)
+        return np.concatenate([flat[i, :n] for i, n in enumerate(lengths)])
+
+    qs, ks, vs = stack(q, rows, lq), stack(k, cols, lk), stack(v, cols, lk)
+    fill = np.zeros((s, 1, lq, lk))
+    for i, m in enumerate(cols):
+        fill[i, :, :, m:] = -1e9
+    if causal:
+        fill += np.triu(np.full((lq, lk), -1e9), k=1)
+    logits = (qs @ ks.swapaxes(-1, -2)) * c + fill
+    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
+    w = e / e.sum(axis=-1, keepdims=True)
+    out = rows_of(w @ vs, rows)
+
+    g_rows = np.zeros((s, lq, d_v))
+    for i, (start, n) in enumerate(zip(starts(rows), rows)):
+        g_rows[i, :n] = g[start:start + n]
+    g_out = g_rows.reshape(s, lq, heads, -1).transpose(0, 2, 1, 3)
+    gw = g_out @ vs.swapaxes(-1, -2)
+    gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+    return (out, rows_of(gs @ ks, rows), rows_of(gs.swapaxes(-1, -2) @ qs, cols),
+            rows_of(w.swapaxes(-1, -2) @ g_out, cols))
+
+
 def loop_bucket_means(frames, n) -> np.ndarray:
     """Temporal alignment oracle: contiguous buckets, larger buckets first;
     fewer frames than rows repeats frames over row groups."""
@@ -229,3 +276,21 @@ def loop_adam_step(named, m: dict, v: dict, t: int, lr: float, grad_clip: float 
         m[name] = beta1 * m.get(name, np.zeros_like(p.data)) + (1.0 - beta1) * g
         v[name] = beta2 * v.get(name, np.zeros_like(p.data)) + (1.0 - beta2) * (g * g)
         p.data = p.data - lr * (m[name] / c1) / (np.sqrt(v[name] / c2) + eps)
+
+
+# ---- a minibatch one instance at a time --------------------------------------------
+
+
+def loop_train_step(items, cfg, params) -> float:
+    """``model._batch_backward`` one instance at a time: a one-instance
+    graph per item, each backpropagated scaled by 1/B. Returns the mean of
+    the instance losses."""
+    from maf.model import _instance_loss
+    from maf.tensor import backward, scale
+
+    total = 0.0
+    for item in items:
+        loss = _instance_loss(*item, cfg, params)
+        backward(scale(loss, 1.0 / len(items)))
+        total += loss.item()
+    return total / len(items)

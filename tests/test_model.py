@@ -56,6 +56,7 @@ from oracles import (
     loop_adam_step,
     loop_bucket_means,
     loop_decode_greedy,
+    loop_train_step,
     numeric_gradient,
 )
 
@@ -738,9 +739,9 @@ def test_pack_gradient_matches_finite_differences(variant):
         assert ok, f"{name}: violation ratio {worst:.3e} beyond rtol=1e-4"
 
 
-def test_train_backpropagates_once_per_pack(monkeypatch):
-    """Each step builds ceil(B / 8) graphs, so packing cannot quietly fall
-    back to one graph per instance."""
+def test_train_backpropagates_once_per_minibatch(monkeypatch):
+    """Each step builds one graph, whatever the batch size, so training
+    cannot quietly fall back to several graphs per step."""
     calls, per_step = [], []
     real_backward, real_step = model_module.backward, Adam.step
 
@@ -756,7 +757,24 @@ def test_train_backpropagates_once_per_pack(monkeypatch):
     monkeypatch.setattr(model_module, "backward", counting_backward)
     monkeypatch.setattr(Adam, "step", counting_step)
     train(tiny_corpus(k=10), tiny_config(), TrainConfig(lr=1e-3, epochs=2, batch_size=9))
-    assert per_step == [2, 1, 2, 1]  # batches of 9 and 1
+    assert per_step == [1, 1, 1, 1]  # batches of 9 and 1
+
+
+@pytest.mark.parametrize("variant", ["MAF", "TextOnly", "Concat2"])
+def test_whole_batch_training_matches_the_loop_step(monkeypatch, variant):
+    """Two epochs at a reduced gap config, 72 instances in batches of 16
+    and a last batch of 8: one graph per minibatch gives the losses and
+    parameters of one graph per instance, each backpropagated at 1/B."""
+    insts = generate(replace(GAP_SPEC, num_instances=72, seed=3))
+    cfg = replace(GAP_MODEL, d=16, ffn=32, variant=variant, seed=3)
+    tcfg = replace(GAP_TRAIN, epochs=2)
+    packed = train(insts, cfg, tcfg)
+    monkeypatch.setattr(model_module, "_batch_backward", loop_train_step)
+    loop = train(insts, cfg, tcfg)
+    assert len(packed.step_losses) == 10
+    np.testing.assert_allclose(packed.step_losses, loop.step_losses, rtol=1e-12, atol=0)
+    for (name, a), (_, b) in zip(named_parameters(packed.params), named_parameters(loop.params)):
+        np.testing.assert_allclose(a.data, b.data, rtol=0, atol=1e-12, err_msg=name)
 
 
 # ---- optimiser ---------------------------------------------------------------
@@ -1072,16 +1090,26 @@ def test_checkpoint_rejects_wrong_format_and_version(tmp_path):
         load_checkpoint(newer)
 
 
-@pytest.mark.parametrize("mutate", [
-    lambda h: h["vocab"].pop(),              # decoded ids would index past the token list
-    lambda h: h["vocab"].append("extra"),
-    lambda h: h["vocab"].reverse(),          # the specials no longer come first
-], ids=["short", "long", "specials-last"])
-def test_checkpoint_rejects_vocab_that_does_not_fit_the_config(tmp_path, mutate):
+def _repeat(h, i, token):
+    h["vocab"][i] = token
+
+
+_NOT_SPECIALS = "'vocab' must start with the 4 specials"
+
+
+@pytest.mark.parametrize("mutate, match", [
+    (lambda h: h["vocab"].pop(), _NOT_SPECIALS),  # decoded ids would index past the token list
+    (lambda h: h["vocab"].append("extra"), _NOT_SPECIALS),
+    (lambda h: h["vocab"].reverse(), _NOT_SPECIALS),  # the specials no longer come first
+    # the index would map a repeated word to its later id only
+    (lambda h: _repeat(h, 5, h["vocab"][4]), "'vocab' repeats the token 'ana'"),
+    (lambda h: _repeat(h, 5, "<eos>"), "'vocab' repeats the token '<eos>'"),
+], ids=["short", "long", "specials-last", "repeated", "repeated-eos"])
+def test_checkpoint_rejects_vocab_that_does_not_fit_the_config(tmp_path, mutate, match):
     _, tm, path = trained_tiny(tmp_path)
     tampered = tmp_path / "vocab.ckpt"
     _tamper_header(path, tampered, mutate)
-    with pytest.raises(ParseError, match="'vocab' must start with the 4 specials"):
+    with pytest.raises(ParseError, match=match):
         load_checkpoint(tampered)
 
 

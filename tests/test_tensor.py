@@ -30,7 +30,7 @@ from maf.tensor import (
     zeros,
 )
 
-from oracles import gradients_close, loop_attend, numeric_gradient
+from oracles import gradients_close, loop_attend, loop_held_attention, numeric_gradient
 
 RTOL = 1e-5
 ATOL = 1e-8
@@ -519,6 +519,48 @@ def test_grad_attention_through_three_segments(is_causal):
     q, k, v = leaf(rng, sum(rows), 4), leaf(rng, sum(cols), 4), leaf(rng, sum(cols), 6)
     probe = Tensor(rng.normal(size=(sum(rows), 6)))
     check_grads(lambda: sum_all(mul(attention(q, k, v, 2, layout), probe)), [q, k, v])
+
+
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("name", ["block_causal", "causal_cross"])
+def test_attention_backward_gathers_its_stacks_again_bit_for_bit(name, heads):
+    """The kernel drops its q/k/v stacks after the forward pass and gathers
+    them again in backward: through the public op, a 3-segment causal
+    layout gets exactly the output and gradients of stacks built segment
+    by segment and held."""
+    rows, cols, is_causal = LAYOUTS[name]
+    assert len(rows) == 3 and is_causal
+    rng = np.random.default_rng(41 + heads)
+    q = leaf(rng, sum(rows), heads * 3)
+    k = leaf(rng, sum(cols), heads * 3)
+    v = leaf(rng, sum(cols), heads * 2)
+    probe = rng.normal(size=(sum(rows), heads * 2))
+    out = attention(q, k, v, heads, Segments(rows, cols, causal=True))
+    backward(sum_all(mul(out, Tensor(probe))))
+    want = loop_held_attention(q.data, k.data, v.data, heads, rows, cols, True, probe)
+    for got, held in zip((out.data, q.grad, k.grad, v.grad), want):
+        assert np.array_equal(got, held)
+
+
+def test_feed_forward_masks_exact_zero_pre_activations_as_relu_does():
+    """The fused block takes its ReLU mask from the kept hidden rows:
+    integer-valued inputs put many pre-activations at exactly 0, where
+    the composed ops' mask must agree bit for bit."""
+    rng = np.random.default_rng(24)
+
+    def ints(rows, cols):
+        return Tensor(rng.integers(-2, 3, size=(rows, cols)).astype(float), requires_grad=True)
+
+    x, w1, b1, w2, b2 = ints(6, 3), ints(3, 8), ints(1, 8), ints(8, 4), ints(1, 4)
+    pre = x.data @ w1.data + b1.data
+    assert (pre == 0).sum() >= 5 and (pre > 0).any() and (pre < 0).any()
+    probe = Tensor(rng.normal(size=(6, 4)))
+    (got, got_g), (want, want_g) = _fused_and_composed_gradients(
+        lambda: feed_forward(x, w1, b1, w2, b2),
+        lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe)
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert np.array_equal(g, w)
 
 
 def test_segments_reject_bad_layouts():
