@@ -424,7 +424,8 @@ class Segments:
 
     The kernel stacks the segments into an ``S x heads x L x w`` array,
     L the longest segment, so the index arrays and the additive fill of
-    padding keys and causal positions are computed here, once. A single
+    padding keys and causal positions are computed here, once, with no
+    per-segment loop: a layout may hold hundreds of segments. A single
     segment is a plain reshape: no index arrays and no padding.
     """
 
@@ -439,11 +440,10 @@ class Segments:
             raise ContractError("Segments: every segment needs at least one row and one column")
         self.n, self.m = int(rows_a.sum()), int(cols_a.sum())
         lq, lk = int(rows_a.max()), int(cols_a.max())
-        fill = np.zeros((len(rows_a), 1, lq, lk))
-        for i, real in enumerate(cols_a):
-            fill[i, :, :, real:] = _MASKED  # padding keys
+        # padding keys, S x 1 x 1 x lk: the kernel broadcasts it over heads and queries
+        fill = np.where(np.arange(lk) < cols_a[:, None], 0.0, _MASKED)[:, None, None, :]
         if causal:
-            fill += np.triu(np.full((lq, lk), _MASKED), k=1)
+            fill = fill + np.triu(np.full((lq, lk), _MASKED), k=1)
         if len(rows_a) == 1:
             self._q_idx = self._k_idx = self._q_sel = self._k_sel = None
             self._fill = fill if causal else None
@@ -459,7 +459,7 @@ def _segment_index(lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndar
     stack positions of the real rows, in row order."""
     pos = np.arange(width)
     real = pos < lengths[:, None]
-    starts = np.concatenate([[0], np.cumsum(lengths)[:-1]])
+    starts = np.cumsum(lengths) - lengths
     return np.where(real, starts[:, None] + pos, 0), np.flatnonzero(real)
 
 
@@ -530,17 +530,19 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     out = _merge_heads(w @ vs, q_sel)
 
     def back(g):
-        qs, ks, vs = stacks()
         if q_sel is None:
             g_rows = g[None]
         else:  # padded query rows get zero gradient
-            g_rows = np.zeros((qs.shape[0], qs.shape[2], d_v))
+            g_rows = np.zeros((w.shape[0], w.shape[2], d_v))
             g_rows.reshape(-1, d_v)[q_sel] = g
         g_out = _split_heads(g_rows, heads)
-        gw = g_out @ vs.swapaxes(-1, -2)
-        gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
-        gq = _merge_heads(gs @ ks, q_sel) if q.requires_grad else None
-        gk = _merge_heads(gs.swapaxes(-1, -2) @ qs, k_sel) if k.requires_grad else None
+        gq = gk = None
+        if q.requires_grad or k.requires_grad:  # constant q and k (pooling) need no dS
+            qs, ks, vs = stacks()
+            gw = g_out @ vs.swapaxes(-1, -2)
+            gs = w * (gw - (gw * w).sum(axis=-1, keepdims=True)) * c
+            gq = _merge_heads(gs @ ks, q_sel) if q.requires_grad else None
+            gk = _merge_heads(gs.swapaxes(-1, -2) @ qs, k_sel) if k.requires_grad else None
         gv = _merge_heads(w.swapaxes(-1, -2) @ g_out, k_sel) if v.requires_grad else None
         return ((q, gq), (k, gk), (v, gv))
 

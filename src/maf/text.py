@@ -48,9 +48,16 @@ class Vocabulary:
 
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
-        if list(tokens[:4]) != list(SPECIALS):
+        """The vocabulary of a saved token list (a checkpoint's 'vocab'):
+        token i gets id i, so every token must be distinct."""
+        tokens = list(tokens)
+        if tokens[:4] != list(SPECIALS):
             raise ContractError("vocabulary token list must start with the four specials")
-        return cls(tokens=list(tokens), index={t: i for i, t in enumerate(tokens)})
+        index = {t: i for i, t in enumerate(tokens)}
+        if len(index) < len(tokens):  # the index keeps a repeated token's last id only
+            repeated = next(t for i, t in enumerate(tokens) if index[t] != i)
+            raise ContractError(f"'vocab' repeats the token '{repeated}'")
+        return cls(tokens=tokens, index=index)
 
     def __len__(self) -> int:
         return len(self.tokens)

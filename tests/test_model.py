@@ -44,11 +44,12 @@ from maf.model import (
     train,
 )
 from maf.model import _instance_loss  # tested directly: it is the training objective
-from maf.model import _pool_matrix  # tested directly: the pack pools every modality with it
+# tested directly: the pack pools every modality through these
+from maf.model import _bucket_means, _pool_segments, _stack_frames
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
 from maf.synthetic import generate
-from maf.tensor import Tensor, backward, matmul, no_grad, scale, sum_all
-from maf.text import Vocabulary
+from maf.tensor import Segments, Tensor, backward, mul, no_grad, scale, sum_all
+from maf.text import SPECIALS, Vocabulary
 
 from oracles import (
     FD_STEP,
@@ -174,8 +175,12 @@ def test_train_config_rejections():
 # ---- temporal pooling ------------------------------------------------------
 
 
+def pool_layout(f: int, n: int) -> Segments:
+    return Segments(*_pool_segments(f, n))
+
+
 def pool(x: np.ndarray, n: int) -> np.ndarray:
-    return _pool_matrix(x.shape[0], n).data @ x
+    return _bucket_means(Tensor(x), pool_layout(x.shape[0], n)).data
 
 
 def test_align_even_buckets():
@@ -224,7 +229,8 @@ def test_align_matches_loop_oracle():
 def test_align_rows_are_convex_combinations():
     for f in (3, 5, 8):
         for n in (1, 2, 3, 7):
-            p = _pool_matrix(f, n).data
+            p = pool(np.eye(f), n)  # row i holds the weight of every frame in output row i
+            assert p.shape == (n, f)
             assert np.allclose(p.sum(axis=1), np.ones(n), rtol=0, atol=1e-15)
             assert (p >= 0).all()
 
@@ -232,12 +238,43 @@ def test_align_rows_are_convex_combinations():
 def test_align_is_differentiable():
     rng = np.random.default_rng(7)
     x = Tensor(rng.normal(size=(5, 3)), requires_grad=True)
-    loss = sum_all(matmul(_pool_matrix(5, 2), x))
-    backward(loss)
+    weights = Tensor(rng.normal(size=(2, 3)))  # unequal output weights, so each bucket shows
+    layout = pool_layout(5, 2)
+
+    def loss():
+        return sum_all(mul(_bucket_means(x, layout), weights))
+
+    backward(loss())
     analytic = x.grad.copy()
-    numeric = numeric_gradient(lambda: sum_all(matmul(_pool_matrix(5, 2), x)).item(), x.data)
+    numeric = numeric_gradient(lambda: loss().item(), x.data)
     ok, worst = gradients_close(analytic, numeric, rtol=1e-6, atol=1e-9)
     assert ok, f"worst deviation {worst}"
+
+
+def test_align_pools_each_instance_of_a_pack_on_its_own():
+    """One pack's pool layout holds every instance's buckets side by side:
+    each instance's pooled rows are its own bucket means, and changing one
+    instance's frames leaves every other instance's rows bit for bit."""
+    rng = np.random.default_rng(3)
+    lengths = [3, 4, 5, 4, 2]
+    counts = [8, 4, 2, 1, 7]  # F > L, F == L, F < L, F == 1, F > L unevenly
+    mats = [rng.normal(size=(f, AUDIO_DIM)) for f in counts]
+
+    def pooled(mats):
+        frames = _stack_frames(mats, lengths, AUDIO_DIM, "audio", 16)
+        rows = _bucket_means(frames.features, frames.pool).data
+        return np.split(rows, np.cumsum(lengths)[:-1])
+
+    before = pooled(mats)
+    for x, n, got in zip(mats, lengths, before):
+        assert got.shape == (n, AUDIO_DIM)
+        assert np.allclose(got, loop_bucket_means(x.tolist(), n), rtol=0, atol=1e-15)
+    for i in range(len(mats)):
+        changed = list(mats)
+        changed[i] = mats[i] + 1.0
+        after = pooled(changed)
+        for j, (a, b) in enumerate(zip(before, after)):
+            assert np.array_equal(a, b) == (j != i), (i, j)
 
 
 def test_align_rejects_degenerate_sizes():
@@ -669,6 +706,28 @@ def gradients_of(params, losses_and_scales):
     for _, t in named_parameters(params):
         t.zero_grad()
     return grads
+
+
+def test_pack_graph_bytes_grow_at_most_linearly():
+    """The training graph of a pack holds at most twice the bytes when the
+    pack holds twice the instances: no tensor in it grows as the square
+    of the pack."""
+    insts = generate(replace(GAP_SPEC, num_instances=16))
+    cfg, vocab, params = bound_params(GAP_MODEL, insts)
+    items = pack_items(insts, vocab)
+
+    def graph_bytes(items):
+        seen, total = set(), 0
+        stack = [model_module._pack_loss(model_module._pack(items, cfg), cfg, params)]
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen:
+                seen.add(id(t))
+                total += t.data.nbytes
+                stack.extend(t.parents)
+        return total
+
+    assert graph_bytes(items * 2) <= 2 * graph_bytes(items)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -1111,6 +1170,19 @@ def test_checkpoint_rejects_vocab_that_does_not_fit_the_config(tmp_path, mutate,
     _tamper_header(path, tampered, mutate)
     with pytest.raises(ParseError, match=match):
         load_checkpoint(tampered)
+
+
+def test_vocabulary_from_tokens_rejects_a_repeated_token():
+    specials = list(SPECIALS)
+    vocab = Vocabulary.from_tokens(specials + ["a", "b"])
+    assert vocab.encode(["a", "b", "c"]) == [4, 5, Vocabulary.UNK_ID]
+    # an index over a repeated token would map it to its last id only
+    with pytest.raises(ContractError, match="'vocab' repeats the token 'a'"):
+        Vocabulary.from_tokens(specials + ["a", "b", "a"])
+    with pytest.raises(ContractError, match="repeats the token '<eos>'"):
+        Vocabulary.from_tokens(specials + ["<eos>"])
+    with pytest.raises(ContractError, match="four specials"):
+        Vocabulary.from_tokens(["a"] + specials)
 
 
 def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
