@@ -87,6 +87,8 @@ class ExperimentConfig:
             raise ConfigError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
+        if min(self.seeds) < 0:
+            raise ConfigError(f"'seeds' must be >= 0, got {min(self.seeds)}")
         if self.test_instances < 1:
             raise ConfigError(f"test_instances must be >= 1, got {self.test_instances}")
 
@@ -262,10 +264,10 @@ def cmd_gen_synthetic(cfg: ExperimentConfig, out_file: str) -> int:
     return len(instances)
 
 
-def cmd_stats(dataset: str) -> str:
+def cmd_stats(dataset: str | None) -> str:
     """Corpus statistics table for a dataset file."""
     if not dataset:
-        raise ConfigError("stats needs --dataset")
+        raise ConfigError("stats needs --dataset FILE")
     stats = corpus_stats(load_and_validate(dataset))
     lines = [stats.render(), ""]
     lines.append("utterances-per-dialogue histogram:")
@@ -425,15 +427,12 @@ def main(argv: Sequence[str] | None = None) -> int:
             print(f"wrote {len(rows)} metric rows to {cfg.out}")
             print((Path(cfg.out) / "report.txt").read_text(encoding="utf-8"))
         elif args.command == "gen-synthetic":
-            if not args.out and not cfg.out:
+            if not cfg.out:  # --out is already in cfg.out
                 raise ConfigError("gen-synthetic needs --out FILE")
-            target = args.out or cfg.out
-            count = cmd_gen_synthetic(cfg, target)
-            print(f"wrote {count} instances to {target}")
+            count = cmd_gen_synthetic(cfg, cfg.out)
+            print(f"wrote {count} instances to {cfg.out}")
         elif args.command == "stats":
-            if not args.dataset and not cfg.dataset:
-                raise ConfigError("stats needs --dataset FILE")
-            print(cmd_stats(args.dataset or cfg.dataset), end="")
+            print(cmd_stats(cfg.dataset), end="")
         elif args.command == "report":
             text, _ = cmd_report(cfg)
             print(text, end="")

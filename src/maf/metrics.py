@@ -91,8 +91,8 @@ def bleu_k(hyp: str, ref: str, k: int) -> float:
 def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float, float]:
     """Fraction of hypotheses containing the gold source / target token(s).
 
-    ``golds`` supplies ``sarcasm_source`` and ``sarcasm_target`` per item,
-    either as attributes or as mapping keys. Matching is exact token
+    Each of ``golds`` has ``sarcasm_source`` and ``sarcasm_target``
+    attributes, as a ``DialogueInstance`` does. Matching is exact token
     membership after shared tokenization; multi-word golds must appear in
     full.
     """
@@ -101,11 +101,6 @@ def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float,
     if not hyps:
         raise ContractError("nothing to score")
 
-    def pick(g, name: str) -> str:
-        if isinstance(g, dict):
-            return g[name]
-        return getattr(g, name)
-
     def contains(hyp_tokens: list[str], gold: str) -> bool:
         want = tokenize(gold)
         return bool(want) and all(w in hyp_tokens for w in want)
@@ -113,8 +108,8 @@ def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float,
     src_hits = tgt_hits = 0
     for hyp, gold in zip(hyps, golds):
         toks = tokenize(hyp)
-        src_hits += contains(toks, pick(gold, "sarcasm_source"))
-        tgt_hits += contains(toks, pick(gold, "sarcasm_target"))
+        src_hits += contains(toks, gold.sarcasm_source)
+        tgt_hits += contains(toks, gold.sarcasm_target)
     return src_hits / len(hyps), tgt_hits / len(hyps)
 
 

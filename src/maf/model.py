@@ -87,7 +87,6 @@ __all__ = [
     "init_model_params",
     "named_parameters",
     "encode",
-    "decode_logits",
     "decode_greedy",
     "train",
     "generate_explanations",
@@ -155,6 +154,8 @@ class ModelConfig:
                 raise ConfigError(f"'{name}' must be >= 1, got {getattr(self, name)}")
         if self.max_target_len < 2:
             raise ConfigError(f"max_target_len must be >= 2, got {self.max_target_len}")
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
         if self.d % self.heads != 0:
             raise ConfigError(f"heads must divide d: d={self.d}, heads={self.heads}")
         if not (1 <= self.fusion_layer_index <= self.encoder_layers):
@@ -681,22 +682,6 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
     return add(matmul(x, params.out_proj), params.out_bias)
 
 
-def decode_logits(enc_out: Tensor, target_in_ids: Sequence[int], cfg: ModelConfig,
-                  params: ModelParams) -> Tensor:
-    """Teacher-forced decoder pass; returns one logit row per input token.
-    Training runs the same layers on packs; ``decode_greedy`` computes
-    these rows one at a time."""
-    ids = list(target_in_ids)
-    if not ids:
-        raise ContractError("decode_logits: empty target input")
-    if len(ids) > cfg.max_target_len + 1:
-        raise ContractError(
-            f"decode_logits: {len(ids)} target tokens exceed max_target_len={cfg.max_target_len}"
-        )
-    x = _embed(ids, sinusoidal_positions(len(ids), cfg.d), params)
-    return _decoder_stack(x, enc_out, cfg, params, Segments([len(ids)], [len(ids)], causal=True))
-
-
 class _DecoderCache(NamedTuple):
     """What one greedy decode keeps between steps. The K/V buffers are
     written in place, so they are only read under ``no_grad``."""
@@ -710,8 +695,8 @@ class _DecoderCache(NamedTuple):
 def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
                  params: ModelParams) -> Tensor:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
-    ``decode_logits`` on the prefix. Appends this row's self-attention K/V
-    to the cache; positions after t are never read, so no causal fill."""
+    the teacher-forced pass on the prefix. Appends this row's self-attention
+    K/V to the cache; positions after t are never read, so no causal fill."""
     x = _embed([token], Tensor(cache.positions[t:t + 1]), params)
     for layer, cross_kv, keys, values in zip(params.dec, cache.cross_kv, cache.keys, cache.values):
         k, v = _project_kv(x, layer.self_attn)
@@ -721,25 +706,16 @@ def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
     return add(matmul(x, params.out_proj), params.out_bias)
 
 
-def decode_greedy(enc_out: Tensor, cfg: ModelConfig, params: ModelParams,
-                  max_len: int | None = None) -> list[int]:
+def decode_greedy(enc_out: Tensor, cfg: ModelConfig, params: ModelParams) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
-    or the length cap. Returns generated content ids (sentinels stripped).
+    or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
     Incremental and graph-free: the encoder output is projected to each
-    layer's cross-attention K/V once, and each step computes one row,
-    attending to the self-attention K/V cached from the steps before. A
-    cap beyond ``max_target_len + 1`` is a ContractError, as in
-    ``decode_logits``."""
-    limit = cfg.max_target_len if max_len is None else max_len
-    if limit > cfg.max_target_len + 1:
-        raise ContractError(
-            f"decode_greedy: max_len={limit} exceeds max_target_len={cfg.max_target_len} + 1"
-        )
+    layer's cross-attention K/V once, and each step computes one row of
+    the teacher-forced decoder pass, attending to the self-attention K/V
+    cached from the steps before."""
+    limit, d = cfg.max_target_len, cfg.d
     out: list[int] = []
-    if limit < 1:
-        return out
-    d = cfg.d
     with no_grad():
         cache = _DecoderCache(
             positions=sinusoidal_positions(limit, d).data,
@@ -799,30 +775,31 @@ class TrainedModel:
     step_losses: list[float] = field(default_factory=list)
 
 
+# Adam's moment decay rates and the guard added to its denominator
+_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+
+
 class Adam:
-    """Adam with bias correction and global-norm gradient clipping.
+    """Adam with bias correction; every step clips to global norm ``grad_clip``.
 
     Parameters, first and second moments each live in one flat buffer, and
     every parameter's ``data`` becomes a view into the parameter buffer, so
     a step is a few whole-buffer operations, updating ``data`` in place.
     That is safe because ``train`` frees the minibatch's graph before it
-    steps: no recorded node still reads the arrays. A parameter whose
-    ``grad`` is None is left as it is, moments included.
+    steps: no recorded node still reads the arrays. Every parameter needs
+    a ``grad`` at every step; in ``train`` each one of every variant
+    reaches the loss.
     """
 
-    def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float,
-                 beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8,
-                 grad_clip: float | None = 1.0):
+    def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float, grad_clip: float):
         self.named = list(named)
         self.lr = lr
-        self.beta1, self.beta2, self.eps = beta1, beta2, eps
         self.grad_clip = grad_clip
         self.t = 0
         ends = np.cumsum([t.data.size for _, t in self.named])
-        self._spans = [slice(hi - t.data.size, hi) for (_, t), hi in zip(self.named, ends)]
         self._params = np.concatenate([t.data.reshape(-1) for _, t in self.named])
-        for (_, t), span in zip(self.named, self._spans):
-            t.data = self._params[span].reshape(t.data.shape)
+        for (_, t), hi in zip(self.named, ends):
+            t.data = self._params[hi - t.data.size:hi].reshape(t.data.shape)
         self._m = np.zeros_like(self._params)
         self._v = np.zeros_like(self._params)
 
@@ -833,38 +810,27 @@ class Adam:
     def step(self) -> None:
         self.t += 1
         m, v = self._m, self._v
-        missing = [span for (_, t), span in zip(self.named, self._spans) if t.grad is None]
-        if len(missing) == len(self.named):
-            return
-        # the skipped spans enter the buffer ops as zeros and get their state back after
-        kept = [(span, m[span].copy(), v[span].copy(), self._params[span].copy())
-                for span in missing]
-        g = np.concatenate([np.zeros(t.data.size) if t.grad is None else t.grad.reshape(-1)
-                            for _, t in self.named])
+        g = np.concatenate([t.grad.reshape(-1) for _, t in self.named])
         # step-local work space: kept between steps, it would add to the peak
         # memory of every pack's graph
         u = np.empty_like(g)
-        if self.grad_clip is not None:
-            total = math.sqrt(float(g @ g))
-            if total > self.grad_clip:
-                g *= self.grad_clip / total
-        b1, b2 = self.beta1, self.beta2
-        m *= b1
-        np.multiply(g, 1.0 - b1, out=u)
+        total = math.sqrt(float(g @ g))
+        if total > self.grad_clip:
+            g *= self.grad_clip / total
+        m *= _BETA1
+        np.multiply(g, 1.0 - _BETA1, out=u)
         m += u
-        v *= b2
+        v *= _BETA2
         np.multiply(g, g, out=u)
-        u *= 1.0 - b2
+        u *= 1.0 - _BETA2
         v += u
-        np.divide(m, 1.0 - b1 ** self.t, out=u)          # bias-corrected first moment
+        np.divide(m, 1.0 - _BETA1 ** self.t, out=u)      # bias-corrected first moment
         u *= self.lr
-        np.divide(v, 1.0 - b2 ** self.t, out=g)          # g is free now: the second moment
+        np.divide(v, 1.0 - _BETA2 ** self.t, out=g)      # g is free now: the second moment
         np.sqrt(g, out=g)
-        g += self.eps
+        g += _ADAM_EPS
         u /= g
         self._params -= u
-        for span, m_kept, v_kept, p_kept in kept:
-            m[span], v[span], self._params[span] = m_kept, v_kept, p_kept
 
 
 def _pack_loss(pk: _Pack, cfg: ModelConfig, params: ModelParams) -> Tensor:

@@ -83,6 +83,8 @@ class SyntheticSpec:
             raise ConfigError("frames and windows must be >= 1")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
+        if self.seed < 0:
+            raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
         if self.actions > self.audio_dim:
             raise ConfigError(f"actions ({self.actions}) exceed audio_dim ({self.audio_dim})")
         if self.targets > self.video_dim:

@@ -6,6 +6,9 @@ holding whatever values its backward rule needs. Calling ``backward`` on a
 scalar result walks that graph once in reverse topological order and
 accumulates gradients into every ``requires_grad`` leaf.
 
+Only the ops the model runs live here; the composed ops that the fused
+nodes replace are references in ``tests/oracles.py``.
+
 Conventions used throughout the package:
 
 * storage is row-major ``float64``; everything is a 2-D matrix and scalars
@@ -40,13 +43,10 @@ __all__ = [
     "matmul",
     "scale",
     "sigmoid",
-    "relu",
     "concat_last",
     "Segments",
     "attention",
     "gather_rows",
-    "sum_all",
-    "layer_norm_rows",
     "add_layer_norm",
     "feed_forward",
     "cross_entropy_rows",
@@ -311,64 +311,34 @@ def sigmoid(a: Tensor) -> Tensor:
     return _node(out, "sigmoid", (a,), back)
 
 
-def relu(a: Tensor) -> Tensor:
-    a = _coerce(a)
-    out = np.maximum(a.data, 0.0)
-    mask = a.data > 0
+# ---- fused ops ---------------------------------------------------------------
 
-    def back(g):
-        return ((a, g * mask),)
-
-    return _node(out, "relu", (a,), back)
+# added to each row's variance inside the layer norm's square root
+_LN_EPS = 1e-5
 
 
-# ---- reductions and fused ops --------------------------------------------
-
-
-def sum_all(a: Tensor) -> Tensor:
-    """Sum of all entries, returned as a 1x1 scalar tensor."""
-    a = _coerce(a)
-    out = np.array([[a.data.sum()]])
-
-    def back(g):
-        return ((a, np.full_like(a.data, g[0, 0])),)
-
-    return _node(out, "sum_all", (a,), back)
-
-
-def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """Per-row layer normalization with learned gain and bias (both 1 x d)."""
-    x = _coerce(x)
-    _require_matrix(x, "layer_norm_rows")
-    return _layer_norm((x,), x.data, gain, bias, eps, "layer_norm_rows")
-
-
-def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-5) -> Tensor:
-    """``layer_norm_rows(add(x, y), gain, bias)`` as one node: the residual
-    sum is never a tensor, and x and y receive the same gradient."""
-    x, y = _coerce(x), _coerce(y)
+def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row layer norm of the residual sum ``x + y``, with learned gain
+    and bias (both 1 x d), as one node: the sum is never a tensor, and x
+    and y receive the same gradient."""
+    x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
     _require_matrix(x, "add_layer_norm")
     if y.shape != x.shape:
         raise ShapeError(f"add_layer_norm: shapes {x.shape} and {y.shape} differ")
-    return _layer_norm((x, y), x.data + y.data, gain, bias, eps, "add_layer_norm")
-
-
-def _layer_norm(inputs: tuple[Tensor, ...], s: np.ndarray, gain: Tensor, bias: Tensor,
-                eps: float, op: str) -> Tensor:
-    """Layer norm of the rows of ``s``, the sum of ``inputs``."""
-    gain, bias = _coerce(gain), _coerce(bias)
+    s = x.data + y.data
     d = s.shape[1]
     if gain.shape != (1, d) or bias.shape != (1, d):
-        raise ShapeError(f"{op}: gain/bias must be (1, {d}), got {gain.shape} and {bias.shape}")
+        raise ShapeError(f"add_layer_norm: gain/bias must be (1, {d}), got {gain.shape} "
+                         f"and {bias.shape}")
     # row means as sum / d: what ndarray.mean computes, without its Python wrapper
     sc = s - s.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((sc ** 2).sum(axis=1, keepdims=True) / d + eps)
+    inv = 1.0 / np.sqrt((sc ** 2).sum(axis=1, keepdims=True) / d + _LN_EPS)
     shat = sc * inv
     out = shat * gain.data + bias.data
 
     def back(g):
         gs = None
-        if any(t.requires_grad for t in inputs):
+        if x.requires_grad or y.requires_grad:
             dshat = g * gain.data
             gs = inv * (
                 dshat
@@ -377,13 +347,13 @@ def _layer_norm(inputs: tuple[Tensor, ...], s: np.ndarray, gain: Tensor, bias: T
             )
         ggain = (g * shat).sum(axis=0, keepdims=True) if gain.requires_grad else None
         gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
-        return (*((t, gs) for t in inputs), (gain, ggain), (bias, gbias))
+        return ((x, gs), (y, gs), (gain, ggain), (bias, gbias))
 
-    return _node(out, op, (*inputs, gain, bias), back)
+    return _node(out, "add_layer_norm", (x, y, gain, bias), back)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
-    """relu(x w1 + b1) w2 + b2 as one node; the biases are 1-row matrices."""
+    """max(x w1 + b1, 0) w2 + b2 as one node; the biases are 1-row matrices."""
     x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
     for t in (x, w1, w2):
         _require_matrix(t, "feed_forward")

@@ -3,12 +3,14 @@
 Everything here is deliberately written the slow, obvious way: explicit
 Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
-backward code paths, so agreement is evidence, not tautology. The three
-exceptions are slow paths the library replaced: ``loop_decode_greedy``,
-the decoding loop the cached decoder replaced, built on the
-teacher-forced decoder pass; ``loop_adam_step``, the tensor-by-tensor
-Adam step the flat-buffer optimiser replaced; and ``loop_train_step``,
-the one-graph-per-instance minibatch that whole-batch packs replaced.
+backward code paths, so agreement is evidence, not tautology. The
+exceptions are references the library no longer runs: the graph ops
+``relu``, ``sum_all`` and ``layer_norm_rows`` that the fused nodes must
+match bit for bit; ``decode_logits``, the teacher-forced pass, and
+``loop_decode_greedy``, the decoding loop the cached decoder replaced;
+``loop_adam_step``, the tensor-by-tensor Adam step the flat-buffer
+optimiser replaced; and ``loop_train_step``, the one-graph-per-instance
+minibatch that whole-batch packs replaced.
 """
 
 from __future__ import annotations
@@ -16,6 +18,8 @@ from __future__ import annotations
 import math
 
 import numpy as np
+
+from maf.tensor import Segments, Tensor, _node
 
 FD_STEP = 1e-5
 
@@ -85,6 +89,38 @@ def loop_sigmoid_scalar(x: float) -> float:
         return 1.0 / (1.0 + math.exp(-x))
     e = math.exp(x)
     return e / (1.0 + e)
+
+
+# ---- graph ops the fused nodes replaced ----------------------------------------
+
+
+def relu(a: Tensor) -> Tensor:
+    mask = a.data > 0
+    return _node(np.maximum(a.data, 0.0), "relu", (a,), lambda g: ((a, g * mask),))
+
+
+def sum_all(a: Tensor) -> Tensor:
+    """Sum of all entries, returned as a 1x1 scalar tensor."""
+    return _node(np.array([[a.data.sum()]]), "sum_all", (a,),
+                 lambda g: ((a, np.full_like(a.data, g[0, 0])),))
+
+
+def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    """Per-row layer norm with learned gain and bias (both 1 x d), in the
+    arithmetic of ``tensor.add_layer_norm`` and with its eps."""
+    s, d = x.data, x.shape[1]
+    sc = s - s.sum(axis=1, keepdims=True) / d
+    inv = 1.0 / np.sqrt((sc ** 2).sum(axis=1, keepdims=True) / d + 1e-5)
+    shat = sc * inv
+
+    def back(g):
+        dshat = g * gain.data
+        gx = inv * (dshat - dshat.sum(axis=1, keepdims=True) / d
+                    - shat * ((dshat * shat).sum(axis=1, keepdims=True) / d))
+        return ((x, gx), (gain, (g * shat).sum(axis=0, keepdims=True)),
+                (bias, g.sum(axis=0, keepdims=True)))
+
+    return _node(shat * gain.data + bias.data, "layer_norm_rows", (x, gain, bias), back)
 
 
 # ---- context-aware attention, equation by equation ---------------------------
@@ -228,12 +264,21 @@ def loop_bucket_means(frames, n) -> np.ndarray:
 # ---- greedy decoding without a cache ------------------------------------------
 
 
+def decode_logits(enc_out, target_in_ids, cfg, params) -> Tensor:
+    """Teacher-forced decoder pass over one target: one causal pass, one
+    logit row per input token. Training runs the same layers on packs."""
+    from maf.model import _decoder_stack, _embed, sinusoidal_positions
+
+    n = len(target_in_ids)
+    x = _embed(target_in_ids, sinusoidal_positions(n, cfg.d), params)
+    return _decoder_stack(x, enc_out, cfg, params, Segments([n], [n], causal=True))
+
+
 def loop_decode_greedy(enc_out, cfg, params):
     """Greedy decoding that reruns the teacher-forced decoder on the whole
     growing prefix at every step and keeps its last row, up to
     ``max_target_len`` steps. Returns the generated ids and the logit row
     of every step taken."""
-    from maf.model import decode_logits
     from maf.text import Vocabulary
 
     ids = [Vocabulary.BOS_ID]
@@ -250,27 +295,18 @@ def loop_decode_greedy(enc_out, cfg, params):
 # ---- Adam one tensor at a time ---------------------------------------------------
 
 
-def loop_adam_step(named, m: dict, v: dict, t: int, lr: float, grad_clip: float | None,
-                   beta1: float = 0.9, beta2: float = 0.999, eps: float = 1e-8) -> None:
+def loop_adam_step(named, m: dict, v: dict, t: int, lr: float, grad_clip: float) -> None:
     """Step ``t`` (1-based) of Adam with bias correction and global-norm
     clipping, tensor by tensor: the clip norm is a sum of per-tensor sums,
-    a parameter whose ``grad`` is None keeps its data and moments, and each
-    updated ``data`` is replaced, not written in place. ``m`` and ``v`` map
-    parameter names to moments, zeros until a parameter's first update."""
-    grads = {name: p.grad for name, p in named if p.grad is not None}
-    if not grads:
-        return
-    factor = 1.0
-    if grad_clip is not None:
-        total = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if total > grad_clip:
-            factor = grad_clip / total
+    and each updated ``data`` is replaced, not written in place. ``m`` and
+    ``v`` map parameter names to moments, zeros before the first step."""
+    beta1, beta2, eps = 0.9, 0.999, 1e-8
+    total = math.sqrt(sum(float((p.grad * p.grad).sum()) for _, p in named))
+    factor = grad_clip / total if total > grad_clip else 1.0
     c1 = 1.0 - beta1 ** t
     c2 = 1.0 - beta2 ** t
     for name, p in named:
-        g = grads.get(name)
-        if g is None:
-            continue
+        g = p.grad
         if factor != 1.0:
             g = g * factor
         m[name] = beta1 * m.get(name, np.zeros_like(p.data)) + (1.0 - beta1) * g

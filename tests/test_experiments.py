@@ -187,6 +187,7 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
         (dict(seeds=[1, 1]), "duplicates"),
         (dict(test_instances=0), "test_instances"),
         (dict(dataset="x.jsonl"), "exactly one"),
+        (dict(seeds=[2, -1]), "seeds"),
     ],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
@@ -436,6 +437,9 @@ def test_cli_config_errors_exit_2(tmp_path, capsys):
     assert f"config error: config file '{tmp_path}' cannot be read" in capsys.readouterr().err
     path = write_config(tmp_path, variants=["MAF", "TextOnly"])
     assert main(["train", "--config", str(path)]) == 2
+    capsys.readouterr()
+    assert main(["train", "--config", str(path), "--variant", "MAF", "--seed", "-1"]) == 2
+    assert "config error: 'seeds' must be >= 0" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize("reader, code", [("config", 2), ("checkpoint", 3)])
@@ -471,6 +475,10 @@ def test_cli_deeply_nested_json_is_a_clean_error(tmp_path, capsys, reader, code)
         # JSON's NaN and Infinity are floats that every range check lets through
         (dict(train={"lr": float("nan")}), "lr"),
         (dict(train={"grad_clip": float("inf")}), "grad_clip"),
+        # NumPy's seeding takes no negative seed
+        (dict(seeds=[-1]), "seeds"),
+        (dict(model={"seed": -1}), "seed"),
+        (dict(synthetic={"seed": -1}), "seed"),
     ],
 )
 def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
@@ -513,6 +521,7 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
         # an out-of-range value is a bad file (exit 3), not a bad run config (exit 2)
         (lambda h: h["config"].update(ffn=0), "ffn"),
         (lambda h: h["config"].update(max_text_len=float("nan")), "max_text_len"),
+        (lambda h: h["config"].update(seed=-1), "seed"),
         (lambda h: h.update(written_by="x"), "written_by"),  # a key this version does not know
         # a TA checkpoint in the layout that still held the unread video gate
         (lambda h: h["config"].update(variant="TA") or h.update(params=[

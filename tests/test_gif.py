@@ -7,9 +7,9 @@ import pytest
 
 from maf.errors import ContractError, ShapeError
 from maf.gif import GifParams, gif_fuse
-from maf.tensor import Tensor, backward, mul, named_parameters, sum_all
+from maf.tensor import Tensor, backward, mul, named_parameters
 
-from oracles import gradients_close, loop_gif, numeric_gradient
+from oracles import gradients_close, loop_gif, numeric_gradient, sum_all
 
 
 def random_params(rng, d, **gates):

@@ -7,9 +7,9 @@ from hypothesis import given, settings, strategies as st
 
 from maf.errors import ContractError, ShapeError
 from maf.mca2 import Mca2Params, mca2_forward
-from maf.tensor import Tensor, attention, backward, matmul, mul, named_parameters, sum_all
+from maf.tensor import Tensor, attention, backward, matmul, mul, named_parameters
 
-from oracles import gradients_close, loop_attend, loop_mca2, numeric_gradient
+from oracles import gradients_close, loop_attend, loop_mca2, numeric_gradient, sum_all
 
 
 def random_params(rng, d=6, d_c=4, random_gates=True):

@@ -2,6 +2,7 @@
 properties, accuracy tallies, and the report table layout."""
 
 import math
+from typing import NamedTuple
 
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -16,6 +17,13 @@ from maf.metrics import (
     score_corpus,
     source_target_accuracy,
 )
+
+class Gold(NamedTuple):
+    """What ``source_target_accuracy`` reads of a gold instance."""
+
+    sarcasm_source: str
+    sarcasm_target: str
+
 
 short_texts = st.lists(
     st.sampled_from("a b c d e".split()), min_size=0, max_size=8
@@ -132,7 +140,7 @@ def test_rouge1_and_bleu1_agree_without_repeats_or_brevity(hyp, ref):
 
 
 def test_accuracy_all_hits_and_all_misses():
-    golds = [{"sarcasm_source": "maya", "sarcasm_target": "the food"} for _ in range(3)]
+    golds = [Gold("maya", "the food") for _ in range(3)]
     hits = ["maya hates the food today"] * 3
     assert source_target_accuracy(hits, golds) == (1.0, 1.0)
     misses = ["nothing relevant here"] * 3
@@ -141,10 +149,10 @@ def test_accuracy_all_hits_and_all_misses():
 
 def test_accuracy_mixed_manual_tally():
     golds = [
-        {"sarcasm_source": "maya", "sarcasm_target": "food"},
-        {"sarcasm_source": "indravardhan", "sarcasm_target": "sahil"},
-        {"sarcasm_source": "monisha", "sarcasm_target": "the neighbours"},
-        {"sarcasm_source": "rosesh", "sarcasm_target": "poetry"},
+        Gold("maya", "food"),
+        Gold("indravardhan", "sahil"),
+        Gold("monisha", "the neighbours"),
+        Gold("rosesh", "poetry"),
     ]
     hyps = [
         "maya mocks the food",          # source hit, target hit
@@ -158,17 +166,17 @@ def test_accuracy_mixed_manual_tally():
 
 
 def test_accuracy_multi_word_gold_requires_all_tokens():
-    golds = [{"sarcasm_source": "maya sarabhai", "sarcasm_target": "x"}]
+    golds = [Gold("maya sarabhai", "x")]
     assert source_target_accuracy(["maya speaks"], golds)[0] == 0.0
     assert source_target_accuracy(["sarabhai maya speaks"], golds)[0] == 1.0
 
 
 def test_accuracy_works_with_attribute_objects():
-    class Gold:
+    class Plain:
         sarcasm_source = "maya"
         sarcasm_target = "food"
 
-    assert source_target_accuracy(["maya food"], [Gold()]) == (1.0, 1.0)
+    assert source_target_accuracy(["maya food"], [Plain()]) == (1.0, 1.0)
 
 
 def test_accuracy_rejects_length_mismatch_and_empty():

@@ -1,4 +1,4 @@
-"""The experiment scripts build their configs from ``maf.presets``; each
+"""The experiment script builds its configs from ``maf.presets``; each
 must load and validate the way ``maf`` reads it from the written file."""
 
 import importlib.util
@@ -7,21 +7,23 @@ from pathlib import Path
 
 import pytest
 
-from maf.experiments import load_experiment_config
+from maf.experiments import _parser, load_experiment_config
 from maf.presets import GAP_VARIANTS
 
-SCRIPTS = Path(__file__).resolve().parent.parent / "scripts"
+_SPEC = importlib.util.spec_from_file_location(
+    "run_experiment", Path(__file__).resolve().parent.parent / "scripts" / "run_experiment.py")
+script = importlib.util.module_from_spec(_SPEC)
+_SPEC.loader.exec_module(script)
 
 
-@pytest.mark.parametrize("script", ["run_ablation", "run_layer_sweep"])
-def test_script_config_loads_and_validates(tmp_path, script):
-    spec = importlib.util.spec_from_file_location(script, SCRIPTS / f"{script}.py")
-    module = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(module)
+@pytest.mark.parametrize("command", list(script.CONFIGS))
+def test_script_config_loads_and_validates(tmp_path, command):
     path = tmp_path / "config.json"
-    path.write_text(json.dumps({**module.CONFIG, "out": str(tmp_path / "run")}), encoding="utf-8")
+    path.write_text(json.dumps({**script.CONFIGS[command], "out": str(tmp_path / "run")}),
+                    encoding="utf-8")
+    assert _parser().parse_args([command, "--config", str(path)]).command == command
     cfg = load_experiment_config(str(path))
     cfg.validate()
     assert cfg.model.vocab_size is None
-    if script == "run_ablation":
+    if command == "ablate":
         assert cfg.variants == list(GAP_VARIANTS)

@@ -52,6 +52,7 @@ def test_default_spec_is_valid():
         (dict(noise=-0.5), "noise"),
         (dict(actions=17, audio_dim=16), "audio_dim"),
         (dict(targets=33, video_dim=32), "video_dim"),
+        (dict(seed=-1), "seed"),
     ],
 )
 def test_spec_rejects(kw, fragment):

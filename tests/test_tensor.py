@@ -18,19 +18,24 @@ from maf.tensor import (
     feed_forward,
     gather_rows,
     glorot_uniform,
-    layer_norm_rows,
     matmul,
     mul,
     no_grad,
-    relu,
     scale,
     sigmoid,
     sub,
-    sum_all,
     zeros,
 )
 
-from oracles import gradients_close, loop_attend, loop_held_attention, numeric_gradient
+from oracles import (
+    gradients_close,
+    layer_norm_rows,
+    loop_attend,
+    loop_held_attention,
+    numeric_gradient,
+    relu,
+    sum_all,
+)
 
 RTOL = 1e-5
 ATOL = 1e-8
@@ -367,7 +372,8 @@ def _records_graph(w: Tensor) -> bool:
 def test_no_grad_records_no_graph():
     w = Tensor(np.eye(2), requires_grad=True)
     with no_grad():
-        out = layer_norm_rows(matmul(w, w), Tensor(np.ones((1, 2))), zeros(1, 2, requires_grad=True))
+        out = add_layer_norm(matmul(w, w), zeros(2, 2), Tensor(np.ones((1, 2))),
+                             zeros(1, 2, requires_grad=True))
     assert not out.requires_grad
     assert out.parents == ()
     assert out._backward is None
@@ -422,8 +428,9 @@ def test_gather_rows_rejects_bad_ids():
 
 
 def test_layer_norm_rejects_bad_gain_shape():
-    with pytest.raises(ShapeError):
-        layer_norm_rows(Tensor(np.zeros((2, 4))), Tensor(np.ones((1, 3))), zeros(1, 4))
+    # a column gain is a d x 1 matrix, not the 1 x d row the rows scale by
+    with pytest.raises(ShapeError, match="gain/bias"):
+        add_layer_norm(zeros(2, 4), zeros(2, 4), Tensor(np.ones((4, 1))), zeros(1, 4))
 
 
 def test_cross_entropy_rejects_zero_weight_total():
