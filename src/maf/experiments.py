@@ -72,6 +72,9 @@ class ExperimentConfig:
 
     def validate(self) -> None:
         _check_types(self)
+        if self.model.vocab_size is not None:
+            raise ConfigError(f"'vocab_size' in config section 'model' must be null: training "
+                              f"binds it to the vocabulary, got {self.model.vocab_size!r}")
         self.model.validate()
         self.train.validate()
         if self.synthetic is not None:

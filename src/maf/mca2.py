@@ -124,9 +124,9 @@ def mca2_forward(
     per row and need no layout.
     """
     n = h.shape[0]
-    if h.data.ndim != 2 or h.shape[1] != params.d:
+    if h.shape[1] != params.d:
         raise ShapeError(f"hidden states must be n x {params.d}, got {h.shape}")
-    if c.data.ndim != 2 or c.shape != (n, params.d_c):
+    if c.shape != (n, params.d_c):
         raise ShapeError(f"context must be {n} x {params.d_c} (aligned), got {c.shape}")
     q, k, v = matmul(h, params.w_q), matmul(h, params.w_k), matmul(h, params.w_v)
     ctx_k, ctx_v = matmul(c, params.ctx_k), matmul(c, params.ctx_v)

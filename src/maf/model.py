@@ -13,6 +13,8 @@ another instance, and a one-instance pack, which ``encode`` and
 modality's frames to the text rows runs through the same kernel: each
 bucket of ``_pool_segments`` is a segment whose logits are all equal, so
 its text rows get the bucket mean, and the pack holds nothing O(pack²).
+Each instance is checked once, by ``_model_input``, on its way into the
+model; the packs only stack what it returns.
 ``generate_explanations`` encodes held-out instances on the same packs
 (their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time
 with no graph recorded, then decodes each instance greedily on its own
@@ -551,8 +553,9 @@ def _checked_frames(features, raw: int, label: str, cap: int) -> Tensor:
     return features
 
 
-def _stack_frames(mats: list, lengths: Sequence[int], raw: int, label: str, cap: int) -> _Frames:
-    mats = [_checked_frames(m, raw, label, cap) for m in mats]
+def _stack_frames(mats: Sequence[Tensor], lengths: Sequence[int]) -> _Frames:
+    """One modality of a pack: the segments' frames stacked, and their frame
+    and pool layouts. Each matrix was checked when it became model input."""
     counts = [m.shape[0] for m in mats]
     pools = [_pool_segments(f, n) for f, n in zip(counts, lengths)]
     return _Frames(Tensor(np.concatenate([m.data for m in mats])), Segments(counts, counts),
@@ -561,24 +564,17 @@ def _stack_frames(mats: list, lengths: Sequence[int], raw: int, label: str, cap:
 
 
 def _encoder_pack(items: Sequence[tuple], cfg: ModelConfig) -> _EncoderPack:
-    """The encoder pack of ``(text ids, audio, video)`` items. Audio and
-    video are checked and stacked only if the variant reads them; text
-    lengths are the caller's to check."""
+    """The encoder pack of ``(text ids, audio, video)`` items, each as
+    ``_model_input`` returned it: this only stacks, and stacks audio and
+    video only if the variant reads them."""
     lengths = [len(src) for src, _, _ in items]
-    audio = video = None
-    if cfg.uses_audio():
-        audio = _stack_frames([a for _, a, _ in items], lengths, cfg.audio_raw_dim, "audio",
-                              cfg.max_frames)
-    if cfg.uses_video():
-        video = _stack_frames([v for _, _, v in items], lengths, cfg.video_raw_dim, "video",
-                              cfg.max_windows)
     return _EncoderPack(
         ids=[i for src, _, _ in items for i in src],
         positions=_segment_positions(lengths, cfg.d),
         lengths=lengths,
         layout=Segments(lengths, lengths),
-        audio=audio,
-        video=video,
+        audio=_stack_frames([a for _, a, _ in items], lengths) if cfg.uses_audio() else None,
+        video=_stack_frames([v for _, _, v in items], lengths) if cfg.uses_video() else None,
     )
 
 
@@ -647,17 +643,27 @@ def encode(text_ids: Sequence[int], audio, video, cfg: ModelConfig, params: Mode
     audio and video are pooled to L rows. Modality features are only
     consulted for variants that use them.
     """
-    ids = _checked_text(text_ids, cfg, "encode")
-    return _encode_pack(_encoder_pack([(ids, audio, video)], cfg), cfg, params)
+    item = _model_input(text_ids, audio, video, cfg, "encode")
+    return _encode_pack(_encoder_pack([item], cfg), cfg, params)
 
 
-def _checked_text(text_ids: Sequence[int], cfg: ModelConfig, where: str) -> list[int]:
+def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
+                 where: str) -> tuple[list[int], Tensor | None, Tensor | None]:
+    """One instance as model input, checked here and only here: 1 to
+    ``max_text_len`` text ids, and each modality the variant reads as a
+    Tensor of 1 to its cap of frames at the configured raw width. A
+    modality the variant does not read becomes None."""
     ids = list(text_ids)
     if not ids:
         raise ContractError(f"{where}: empty token sequence")
     if len(ids) > cfg.max_text_len:
-        raise ContractError(f"{where}: {len(ids)} tokens exceed max_text_len={cfg.max_text_len}")
-    return ids
+        raise ContractError(f"{where}: {len(ids)} text tokens exceed "
+                            f"max_text_len={cfg.max_text_len}")
+    return (ids,
+            _checked_frames(audio, cfg.audio_raw_dim, f"{where}: audio", cfg.max_frames)
+            if cfg.uses_audio() else None,
+            _checked_frames(video, cfg.video_raw_dim, f"{where}: video", cfg.max_windows)
+            if cfg.uses_video() else None)
 
 
 def _encode_pack(pk: _EncoderPack, cfg: ModelConfig, params: ModelParams) -> Tensor:
@@ -861,7 +867,8 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
     ``backward``. Graph memory therefore grows with ``tcfg.batch_size``.
 
     The vocabulary is built from ``instances`` (pass the training split
-    only); each is checked with ``validate_instance`` first.
+    only); each is checked with ``validate_instance``, then as model input
+    (``_model_input``), all before the first step.
     Deterministic given cfg.seed: shuffling, init, and every loss.
     Raises TrainingDivergedError naming the step if the loss goes
     non-finite.
@@ -874,25 +881,18 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
         validate_instance(inst)
     vocab = build_vocabulary(instances)
     cfg = replace(cfg, vocab_size=len(vocab))
-    cfg.validate()
     params = init_model_params(cfg)
 
     prepared = []
     for inst in instances:
-        src = instance_token_ids(inst, vocab)
+        where = f"instance '{inst.id}'"
+        item = _model_input(instance_token_ids(inst, vocab), inst.audio_features,
+                            inst.video_features, cfg, where)
         tgt = instance_target_ids(inst, vocab)
-        if len(src) > cfg.max_text_len:
-            raise ContractError(
-                f"instance '{inst.id}': {len(src)} text tokens exceed max_text_len={cfg.max_text_len}"
-            )
         if len(tgt) + 1 > cfg.max_target_len:
-            raise ContractError(
-                f"instance '{inst.id}': explanation length {len(tgt)} exceeds "
-                f"max_target_len={cfg.max_target_len}"
-            )
-        audio = Tensor(inst.audio_features) if cfg.uses_audio() else None
-        video = Tensor(inst.video_features) if cfg.uses_video() else None
-        prepared.append((src, audio, video, tgt))
+            raise ContractError(f"{where}: explanation length {len(tgt)} exceeds "
+                                f"max_target_len={cfg.max_target_len}")
+        prepared.append((*item, tgt))
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
     opt = Adam(named_parameters(params), lr=tcfg.lr, grad_clip=tcfg.grad_clip)
@@ -930,11 +930,9 @@ def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -
     out: list[str] = []
     with no_grad():
         for lo in range(0, len(insts), _PACK_INSTANCES):
-            items = []
-            for inst in insts[lo:lo + _PACK_INSTANCES]:
-                ids = _checked_text(instance_token_ids(inst, tm.vocab), cfg, f"instance '{inst.id}'")
-                items.append((ids, inst.audio_features if cfg.uses_audio() else None,
-                              inst.video_features if cfg.uses_video() else None))
+            items = [_model_input(instance_token_ids(inst, tm.vocab), inst.audio_features,
+                                  inst.video_features, cfg, f"instance '{inst.id}'")
+                     for inst in insts[lo:lo + _PACK_INSTANCES]]
             pk = _encoder_pack(items, cfg)
             rows = _encode_pack(pk, cfg, tm.params).data
             start = 0
@@ -1021,16 +1019,15 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             raise ParseError(f"'{path}' parameter table does not match the configured "
                              f"architecture: it has {odd}")
         for entry in table:
-            rows, cols = entry["rows"], entry["cols"]
-            blob = fh.read(rows * cols * 8)
-            if len(blob) != rows * cols * 8:
-                raise ParseError(f"'{path}' is truncated at parameter '{entry['name']}'")
+            # shape first: the table's rows * cols is not trusted as a read size
             t = named[entry["name"]]
-            if t.shape != (rows, cols):
-                raise ParseError(
-                    f"parameter '{entry['name']}' has shape {t.shape}, file says {(rows, cols)}"
-                )
-            t.data = np.frombuffer(blob, dtype="<f8").reshape(rows, cols).astype(np.float64)
+            if t.shape != (entry["rows"], entry["cols"]):
+                raise ParseError(f"parameter '{entry['name']}' has shape {t.shape}, file says "
+                                 f"{(entry['rows'], entry['cols'])}")
+            blob = fh.read(t.data.nbytes)
+            if len(blob) != t.data.nbytes:
+                raise ParseError(f"'{path}' is truncated at parameter '{entry['name']}'")
+            t.data = np.frombuffer(blob, dtype="<f8").reshape(t.shape).astype(np.float64)
         if fh.read(1):
             raise ParseError(f"'{path}' has trailing bytes after the last parameter")
     return TrainedModel(config=cfg, vocab=vocab, params=params)

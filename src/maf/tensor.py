@@ -11,10 +11,10 @@ nodes replace are references in ``tests/oracles.py``.
 
 Conventions used throughout the package:
 
-* storage is row-major ``float64``; everything is a 2-D matrix and scalars
-  are represented as ``1 x 1``;
-* elementwise ops broadcast by trailing-dimension rules: both operands
-  need the same number of axes, and an axis of size 1 stretches to match;
+* storage is row-major ``float64``; a Tensor is a 2-D matrix by
+  construction (a scalar is ``1 x 1``), so ops take their Tensor operands
+  as given and do not re-check them;
+* elementwise ops broadcast: an axis of size 1 stretches to match;
 * a tensor that has been recorded in a graph is never mutated in place
   while the graph lives (the optimizer updates leaf ``.data`` in place,
   but only after every graph has been freed);
@@ -59,7 +59,8 @@ __all__ = [
 
 
 class Tensor:
-    """A float64 matrix plus the bookkeeping needed for backprop.
+    """A 2-D float64 matrix plus the bookkeeping needed for backprop; the
+    constructor is the one place the 2-D shape is checked.
 
     ``op`` names the operation that produced the tensor (``"leaf"`` for
     inputs and parameters), ``parents`` are the input tensors, and the
@@ -72,10 +73,8 @@ class Tensor:
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
-        if arr.ndim == 0:
-            arr = arr.reshape(1, 1)
-        elif arr.ndim == 1:
-            arr = arr.reshape(1, -1)
+        if arr.ndim != 2:
+            raise ShapeError(f"a Tensor is a 2-D matrix, got shape {arr.shape}")
         self.data = arr
         self.requires_grad = bool(requires_grad)
         self.grad: np.ndarray | None = None
@@ -92,7 +91,7 @@ class Tensor:
     def item(self) -> float:
         if self.data.size != 1:
             raise ContractError(f"item() needs a single-element tensor, got shape {self.data.shape}")
-        return float(self.data.reshape(-1)[0])
+        return float(self.data[0, 0])
 
     def zero_grad(self) -> None:
         self.grad = None
@@ -100,10 +99,6 @@ class Tensor:
     def __repr__(self) -> str:
         head = np.array2string(self.data, precision=4, threshold=8)
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})\n{head}"
-
-
-def _coerce(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 # Process-wide, like the package: one thread records graphs at a time.
@@ -141,28 +136,12 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward_fn) -> 
     return out
 
 
-def _require_matrix(t: Tensor, op: str) -> None:
-    if t.data.ndim != 2:
-        raise ShapeError(f"{op} expects 2-D tensors, got shape {t.data.shape}")
-
-
 # ---- broadcasting helpers ----------------------------------------------
 
 
-def _broadcast_shape(sa: tuple[int, ...], sb: tuple[int, ...], op: str) -> tuple[int, ...]:
-    if len(sa) != len(sb):
-        raise ShapeError(f"{op}: operands need the same rank, got {sa} and {sb}")
-    out = []
-    for x, y in zip(sa, sb):
-        if x == y:
-            out.append(x)
-        elif x == 1:
-            out.append(y)
-        elif y == 1:
-            out.append(x)
-        else:
-            raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
-    return tuple(out)
+def _require_broadcast(sa: tuple[int, int], sb: tuple[int, int], op: str) -> None:
+    if any(x != y and 1 not in (x, y) for x, y in zip(sa, sb)):
+        raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
@@ -177,8 +156,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _broadcast_shape(a.shape, b.shape, "add")
+    _require_broadcast(a.shape, b.shape, "add")
     out = a.data + b.data
 
     def back(g):
@@ -191,8 +169,7 @@ def add(a: Tensor, b: Tensor) -> Tensor:
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _broadcast_shape(a.shape, b.shape, "sub")
+    _require_broadcast(a.shape, b.shape, "sub")
     out = a.data - b.data
 
     def back(g):
@@ -205,8 +182,7 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _broadcast_shape(a.shape, b.shape, "mul")
+    _require_broadcast(a.shape, b.shape, "mul")
     out = a.data * b.data
     a_data, b_data = a.data, b.data
 
@@ -221,7 +197,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a Python scalar constant."""
-    a = _coerce(a)
     c = float(c)
     out = a.data * c
 
@@ -235,9 +210,6 @@ def scale(a: Tensor, c: float) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    a, b = _coerce(a), _coerce(b)
-    _require_matrix(a, "matmul")
-    _require_matrix(b, "matmul")
     if a.shape[1] != b.shape[0]:
         raise ShapeError(f"matmul: inner dimensions disagree, {a.shape} @ {b.shape}")
     out = a.data @ b.data
@@ -254,9 +226,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
 
 def concat_last(a: Tensor, b: Tensor) -> Tensor:
     """Concatenate two matrices along the last (column) axis."""
-    a, b = _coerce(a), _coerce(b)
-    _require_matrix(a, "concat_last")
-    _require_matrix(b, "concat_last")
     if a.shape[0] != b.shape[0]:
         raise ShapeError(f"concat_last: row counts disagree, {a.shape} vs {b.shape}")
     out = np.concatenate([a.data, b.data], axis=1)
@@ -273,8 +242,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 
 def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
     """Row lookup (embedding): out[i] = table[ids[i]]."""
-    table = _coerce(table)
-    _require_matrix(table, "gather_rows")
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"gather_rows: ids must be a flat sequence, got shape {idx.shape}")
@@ -297,7 +264,6 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
 
 def sigmoid(a: Tensor) -> Tensor:
     """Numerically stable logistic function, outputs strictly inside (0, 1)."""
-    a = _coerce(a)
     x = a.data
     out = np.empty_like(x)
     pos = x >= 0
@@ -321,8 +287,6 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer norm of the residual sum ``x + y``, with learned gain
     and bias (both 1 x d), as one node: the sum is never a tensor, and x
     and y receive the same gradient."""
-    x, y, gain, bias = (_coerce(t) for t in (x, y, gain, bias))
-    _require_matrix(x, "add_layer_norm")
     if y.shape != x.shape:
         raise ShapeError(f"add_layer_norm: shapes {x.shape} and {y.shape} differ")
     s = x.data + y.data
@@ -354,9 +318,6 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:
     """max(x w1 + b1, 0) w2 + b2 as one node; the biases are 1-row matrices."""
-    x, w1, b1, w2, b2 = (_coerce(t) for t in (x, w1, b1, w2, b2))
-    for t in (x, w1, w2):
-        _require_matrix(t, "feed_forward")
     if x.shape[1] != w1.shape[0] or w1.shape[1] != w2.shape[0]:
         raise ShapeError(f"feed_forward: inner dimensions disagree, {x.shape} @ {w1.shape} "
                          f"@ {w2.shape}")
@@ -463,9 +424,6 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     the logit -1e9, so weight 0; padded query rows are dropped from the
     output, so they get no gradient.
     """
-    q, k, v = _coerce(q), _coerce(k), _coerce(v)
-    for t in (q, k, v):
-        _require_matrix(t, "attention")
     (n, d), (m, d_v) = q.shape, v.shape
     if k.shape[1] != d:
         raise ShapeError(f"attention: query/key widths disagree, {q.shape} vs {k.shape}")
@@ -527,8 +485,6 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence
     sum(w_i * nll_i) / sum(w_i), so appending zero-weight rows leaves the
     value untouched.
     """
-    logits = _coerce(logits)
-    _require_matrix(logits, "cross_entropy_rows")
     idx = np.asarray(targets, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
     rows, classes = logits.shape

@@ -188,6 +188,8 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
         (dict(test_instances=0), "test_instances"),
         (dict(dataset="x.jsonl"), "exactly one"),
         (dict(seeds=[2, -1]), "seeds"),
+        # training binds it to the vocabulary, so a set value would misstate the run
+        (dict(model={"vocab_size": 7}), "'vocab_size'"),
     ],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
@@ -523,6 +525,8 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
         (lambda h: h["config"].update(max_text_len=float("nan")), "max_text_len"),
         (lambda h: h["config"].update(seed=-1), "seed"),
         (lambda h: h.update(written_by="x"), "written_by"),  # a key this version does not know
+        # the shape is checked before the blob is read, not read at the declared size
+        (lambda h: h["params"][0].update(rows=10**12), "embedding"),
         # a TA checkpoint in the layout that still held the unread video gate
         (lambda h: h["config"].update(variant="TA") or h.update(params=[
             e for e in h["params"] if not e["name"].startswith(("video_enc.", "adapter.mca2_video."))

@@ -263,7 +263,7 @@ def test_align_pools_each_instance_of_a_pack_on_its_own():
     mats = [rng.normal(size=(f, AUDIO_DIM)) for f in counts]
 
     def pooled(mats):
-        frames = _stack_frames(mats, lengths, AUDIO_DIM, "audio", 16)
+        frames = _stack_frames([Tensor(m) for m in mats], lengths)
         rows = _bucket_means(frames.features, frames.pool).data
         return np.split(rows, np.cumsum(lengths)[:-1])
 
@@ -811,6 +811,20 @@ def test_train_backpropagates_once_per_minibatch(monkeypatch):
     assert per_step == [1, 1, 1, 1]  # batches of 9 and 1
 
 
+def test_train_rejects_an_overlong_modality_before_the_first_step(monkeypatch):
+    """Each instance is checked once, as it becomes model input, so one
+    with more audio frames than ``max_frames`` stops training before any
+    optimizer step: at seed 3 the shuffle puts it in the last minibatch."""
+    steps = []
+    monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1))
+    corpus = tiny_corpus(k=8)
+    corpus[7] = replace(corpus[7], audio_features=np.zeros((7, AUDIO_DIM)))
+    with pytest.raises(ContractError, match="7 frames exceed the configured cap of 6"):
+        train(corpus, tiny_config(max_frames=6, seed=3),
+              TrainConfig(lr=1e-3, epochs=1, batch_size=2))
+    assert steps == []
+
+
 @pytest.mark.parametrize("variant", ["MAF", "TextOnly", "Concat2"])
 def test_whole_batch_training_matches_the_loop_step(monkeypatch, variant):
     """Two epochs at a reduced gap config, 72 instances in batches of 16
@@ -1194,13 +1208,18 @@ def test_checkpoint_rejects_renamed_parameter(tmp_path):
         load_checkpoint(tmp_path / "short_table.ckpt")
 
 
-def test_checkpoint_rejects_shape_mismatch(tmp_path):
+@pytest.mark.parametrize("rows", ["fewer", "more", 10**12, 2**62])
+def test_checkpoint_rejects_shape_mismatch(tmp_path, rows):
+    """A shape in the table that the architecture does not have is refused
+    before any blob is read: reading the declared 10**12 or 2**62 rows
+    would raise MemoryError or OverflowError instead."""
     _, tm, path = trained_tiny(tmp_path)
 
-    def shrink(h):
-        h["params"][0]["rows"] -= 1
+    def reshape(h):
+        entry = h["params"][0]
+        entry["rows"] = {"fewer": entry["rows"] - 1, "more": entry["rows"] + 1}.get(rows, rows)
 
-    tampered = tmp_path / "shrunk.ckpt"
-    _tamper_header(path, tampered, shrink)
-    with pytest.raises(ParseError, match="shape|truncated|trailing"):
+    tampered = tmp_path / "reshaped.ckpt"
+    _tamper_header(path, tampered, reshape)
+    with pytest.raises(ParseError, match="shape"):
         load_checkpoint(tampered)

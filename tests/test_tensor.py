@@ -62,18 +62,25 @@ def check_grads(build, leaves, rtol=RTOL, atol=ATOL):
         assert ok, f"leaf {i}: worst violation ratio {worst:.3g}"
 
 
-# ---- construction and coercion ----------------------------------------------
+# ---- construction ---------------------------------------------------------------
 
 
-def test_scalar_and_vector_coerce_to_matrices():
-    assert Tensor(3.5).shape == (1, 1)
-    assert Tensor([1.0, 2.0, 3.0]).shape == (1, 3)
-    assert Tensor([[1.0], [2.0]]).shape == (2, 1)
-    assert Tensor(3.5).data.dtype == np.float64
+@pytest.mark.parametrize("data", [3.5, [1.0, 2.0, 3.0], np.zeros((2, 2, 2))],
+                         ids=["0-D", "1-D", "3-D"])
+def test_construction_refuses_anything_but_a_matrix(data):
+    with pytest.raises(ShapeError, match="2-D"):
+        Tensor(data)
+
+
+def test_nested_list_becomes_a_float64_matrix():
+    t = Tensor([[1, 2], [3, 4], [5, 6]])
+    assert t.shape == (3, 2)
+    assert t.data.dtype == np.float64
+    assert np.array_equal(t.data, [[1.0, 2.0], [3.0, 4.0], [5.0, 6.0]])
 
 
 def test_item_requires_single_element():
-    assert Tensor(7.0).item() == 7.0
+    assert Tensor([[7.0]]).item() == 7.0
     with pytest.raises(ContractError):
         Tensor([[1.0, 2.0]]).item()
 
