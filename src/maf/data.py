@@ -25,7 +25,7 @@ from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Callable, Iterable, Sequence
 
 import numpy as np
 
@@ -38,6 +38,7 @@ __all__ = [
     "DatasetSplit",
     "MergeOutcome",
     "load_and_validate",
+    "read_json_object",
     "save_corpus",
     "read_matrix_file",
     "write_matrix_file",
@@ -119,7 +120,7 @@ def validate_instance(inst: DialogueInstance, line: int | None = None) -> None:
                  "matrix contains NaN or infinite values", line)
 
 
-# ---- binary sidecar matrices ------------------------------------------------
+# ---- file i/o: sidecar matrices, JSON documents, corpus files -----------------
 
 _HEADER = struct.Struct("<QQ")
 
@@ -147,7 +148,21 @@ def read_matrix_file(path: str | Path) -> np.ndarray:
     return flat.reshape(rows, cols).astype(np.float64)
 
 
-# ---- corpus file i/o ---------------------------------------------------------
+def read_json_object(raw: bytes, what: str, error: Callable[[str], Exception]) -> dict:
+    """The JSON object that ``raw`` holds. Bytes that are not UTF-8, bad
+    JSON, nesting too deep for the parser and any value but an object
+    raise ``error(message)``, the message naming ``what``."""
+    try:
+        obj = json.loads(raw.decode("utf-8"))
+    except UnicodeDecodeError:
+        raise error(f"{what} is not UTF-8 text") from None
+    except ValueError as exc:  # bad JSON, or an integer of more digits than Python converts
+        raise error(f"{what} is not valid JSON: {exc}") from None
+    except RecursionError:  # arrays or objects nested thousands deep
+        raise error(f"{what} is JSON nested too deeply") from None
+    if not isinstance(obj, dict):
+        raise error(f"{what} must hold a JSON object, got {type(obj).__name__}")
+    return obj
 
 
 def _json_text(value) -> str:
@@ -204,8 +219,6 @@ def _matrix_from_field(value, field_name: str, base: Path, line: int) -> np.ndar
 
 
 def _instance_from_record(rec: dict, base: Path, line: int) -> DialogueInstance:
-    if not isinstance(rec, dict):
-        raise ParseError(f"record is not an object, got {type(rec).__name__}", line)
     missing = [f for f in _FIELDS if f not in rec]
     if missing:
         raise ParseError(f"missing field(s) {missing}", line)
@@ -250,14 +263,7 @@ def load_and_validate(path: str | Path) -> list[DialogueInstance]:
         for line_no, raw in enumerate(fh, start=1):
             if not raw.strip():
                 continue
-            try:
-                rec = json.loads(raw.decode("utf-8"))
-            except UnicodeDecodeError:
-                raise ParseError("line is not UTF-8 text", line_no) from None
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"invalid JSON ({exc.msg})", line_no) from None
-            except RecursionError:  # arrays or objects nested thousands deep
-                raise ParseError("JSON nested too deeply", line_no) from None
+            rec = read_json_object(raw, "record", lambda message: ParseError(message, line_no))
             inst = _instance_from_record(rec, base, line_no)
             validate_instance(inst, line=line_no)
             if inst.id in seen_ids:

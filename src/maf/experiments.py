@@ -2,15 +2,17 @@
 
 Subcommands: train, evaluate, ablate, sweep-fusion-layer, gen-synthetic,
 stats, report. All state flows through the JSON config file and flags;
---seed and --variant narrow the config's grids to a single cell. Exit
-codes: 0 success, 2 configuration error, 3 runtime error (divergence,
-missing or malformed files).
+--seed and --variant narrow the config's grids to a single cell, and a
+subcommand takes only the flags it reads (``_COMMANDS``). Exit codes: 0
+success, 2 configuration error or unknown flag, 3 runtime error
+(divergence, missing or malformed files).
 
-The config dataclasses are the only schema: the file's keys are the
-fields of ``ExperimentConfig`` (its sections those of ``ModelConfig``,
-``TrainConfig`` and ``SyntheticSpec``), read by ``model._build`` and
-type-checked field by field in ``validate``. The report ends with the
-fusion gap: each variant's action accuracy over TextOnly's.
+The dataclasses are the only schema of the JSON files: a config's keys
+are the fields of ``ExperimentConfig`` (its sections those of
+``ModelConfig``, ``TrainConfig`` and ``SyntheticSpec``) and a metric
+file's those of ``MetricRow``. Both are read by ``model._build`` and
+type-checked field by field by ``model._check_types``. The report ends
+with the fusion gap: each variant's action accuracy over TextOnly's.
 
 Every metric row embeds the resolved config hash, the seed, and the
 package version. Output files never contain timestamps, so re-running a
@@ -25,10 +27,11 @@ import json
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Sequence
+from typing import Sequence, get_type_hints
 
 from . import __version__
-from .data import corpus_stats, instances_for, load_and_validate, save_corpus, split
+from .data import (corpus_stats, instances_for, load_and_validate, read_json_object, save_corpus,
+                   split)
 from .errors import ConfigError, MafError, ParseError
 from .metrics import MetricReport
 from .model import (VARIANTS, ModelConfig, TrainConfig, _build, _check_types, load_checkpoint,
@@ -38,6 +41,7 @@ from .synthetic import SyntheticSpec, evaluate_variant, generate
 
 __all__ = [
     "ExperimentConfig",
+    "MetricRow",
     "load_experiment_config",
     "config_hash",
     "cmd_train",
@@ -110,17 +114,9 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
         if not p.exists():
             raise ConfigError(f"config file '{path}' not found")
         try:
-            raw = json.loads(p.read_text(encoding="utf-8"))
-        except json.JSONDecodeError as exc:
-            raise ConfigError(f"config file '{path}' is not valid JSON: {exc.msg}") from None
-        except UnicodeDecodeError:
-            raise ConfigError(f"config file '{path}' is not UTF-8 text") from None
-        except RecursionError:  # arrays or objects nested thousands deep
-            raise ConfigError(f"config file '{path}' is JSON nested too deeply") from None
+            raw = read_json_object(p.read_bytes(), f"config file '{path}'", ConfigError)
         except OSError as exc:  # a directory, a file without read permission
             raise ConfigError(f"config file '{path}' cannot be read: {exc.strerror}") from None
-        if not isinstance(raw, dict):
-            raise ConfigError(f"config file '{path}' must hold a JSON object")
     cfg = _build(ExperimentConfig, raw)
     if args is not None:
         if getattr(args, "dataset", None):
@@ -163,18 +159,34 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
+@dataclass
+class MetricRow:
+    """One metric file, one key per field: the run, then the scores of
+    ``synthetic.evaluate_variant`` as fractions. ``maf report`` reads it back."""
+
+    artifact_version: str
+    config_hash: str
+    variant: str
+    seed: int
+    fusion_layer_index: int
+    action_acc: float
+    source_acc: float
+    target_acc: float
+    exact_match: float
+    R1: float
+    R2: float
+    RL: float
+    B1: float
+    B2: float
+    B3: float
+    B4: float
+
+
+_SCORES = tuple(name for name, hint in get_type_hints(MetricRow).items() if hint is float)
+
+
 def _metric_row(cfg: ExperimentConfig, variant: str, seed: int, layer: int, scores: dict) -> dict:
-    row = {
-        "artifact_version": __version__,
-        "config_hash": config_hash(cfg),
-        "variant": variant,
-        "seed": seed,
-        "fusion_layer_index": layer,
-        "meteor": None,
-        "bert_score": None,
-    }
-    row.update(scores)
-    return row
+    return asdict(MetricRow(__version__, config_hash(cfg), variant, seed, layer, **scores))
 
 
 def _write_loss_log(path: Path, step_losses: Sequence[float]) -> None:
@@ -283,40 +295,26 @@ def cmd_stats(dataset: str | None) -> str:
     return "\n".join(lines) + "\n"
 
 
-_MEAN_KEYS = ("R1", "R2", "RL", "B1", "B2", "B3", "B4",
-              "source_acc", "target_acc", "action_acc", "exact_match")
-
-
 def _mean_std(values: list[float]) -> str:
     n = len(values)
     mean = sum(values) / n
-    if n > 1:
-        var = sum((v - mean) ** 2 for v in values) / (n - 1)
-        std = var ** 0.5
-    else:
-        std = 0.0
+    std = (sum((v - mean) ** 2 for v in values) / (n - 1)) ** 0.5 if n > 1 else 0.0
     return f"{100.0 * mean:.2f}±{100.0 * std:.2f}"
 
 
-def _read_metric_row(path: Path) -> dict:
-    """One metric file, checked for every field the report reads."""
+def _read_metric_row(path: Path) -> MetricRow:
+    """One metric file, checked against ``MetricRow``: every field present,
+    no other key, each value of its field's type, every score in [0, 1]."""
+    what = f"metric file '{path}'"
+    raw = read_json_object(path.read_bytes(), what, ParseError)
     try:
-        row = json.loads(path.read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON, or bytes that do not decode
-        raise ParseError(f"metric file '{path}' is not valid JSON: {exc}") from None
-    except RecursionError:  # arrays or objects nested thousands deep
-        raise ParseError(f"metric file '{path}' is JSON nested too deeply") from None
-    if not isinstance(row, dict):
-        raise ParseError(f"metric file '{path}' must hold a JSON object")
-    for key, kind, required in (("variant", str, True), ("seed", int, True),
-                                ("fusion_layer_index", int, False)):
-        if (required or key in row) and type(row.get(key)) is not kind:
-            raise ParseError(f"metric file '{path}' needs a '{key}' {kind.__name__}, "
-                             f"got {row.get(key)!r}")
-    for key in _MEAN_KEYS + ("target_word_acc",):
-        value = row.get(key)
-        if key in row and (not isinstance(value, (int, float)) or isinstance(value, bool)):
-            raise ParseError(f"metric file '{path}': '{key}' must be a number, got {value!r}")
+        row = _build(MetricRow, raw, complete=True)
+        _check_types(row)
+    except ConfigError as exc:  # the bad input is the file, not the run's config
+        raise ParseError(f"{what}: {exc}") from None
+    for key in _SCORES:
+        if not 0.0 <= getattr(row, key) <= 1.0:
+            raise ParseError(f"{what}: '{key}' must lie in [0, 1], got {getattr(row, key)!r}")
     return row
 
 
@@ -330,14 +328,9 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     files = sorted(out.glob("metrics_*.json"))
     if not files:
         raise ConfigError(f"nothing to report: no metrics_*.json files in '{out}'")
-    rows = [_read_metric_row(f) for f in files]
-
-    def group_key(row):
-        return (row["variant"], row.get("fusion_layer_index", 0))
-
     groups: dict = {}
-    for row in rows:
-        groups.setdefault(group_key(row), []).append(row)
+    for row in map(_read_metric_row, files):
+        groups.setdefault((row.variant, row.fusion_layer_index), []).append(row)
 
     sweep = len({k[1] for k in groups}) > 1
     report = MetricReport()
@@ -345,20 +338,12 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     for key in sorted(groups):
         variant, layer = key
         label = f"{variant}@L{layer}" if sweep else variant
-        members = sorted(groups[key], key=lambda r: r["seed"])
+        members = sorted(groups[key], key=lambda r: r.seed)
         for row in members:
-            values = {k: row[k] for k in _MEAN_KEYS if k in row}
-            values["target_acc"] = row.get("target_word_acc", row.get("target_acc"))
-            report.add_row(f"{label} s{row['seed']}", values)
-        agg: dict = {}
-        for k in _MEAN_KEYS:
-            src_key = "target_word_acc" if k == "target_acc" else k
-            vals = [r[src_key] for r in members if src_key in r]
-            if vals:
-                agg[k] = _mean_std(vals)
-                if k == "action_acc":
-                    action_means[key] = (label, sum(vals) / len(vals))
-        report.add_row(f"{label} mean", agg)
+            report.add_row(f"{label} s{row.seed}", {k: getattr(row, k) for k in _SCORES})
+        report.add_row(f"{label} mean",
+                       {k: _mean_std([getattr(r, k) for r in members]) for k in _SCORES})
+        action_means[key] = (label, sum(r.action_acc for r in members) / len(members))
 
     header = ("# fusion-mechanism comparison: rows differ only in the fusion pathway "
               "(and seed); host stack, data, and training are held fixed\n")
@@ -379,33 +364,36 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
 # ---- CLI -------------------------------------------------------------------------
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--config", help="JSON experiment config file")
-    p.add_argument("--seed", type=int, help="replace the config's seed list with one seed")
-    p.add_argument("--out", help="output directory (or file for gen-synthetic)")
-    p.add_argument("--variant", help="replace the config's variant list with one variant")
-    p.add_argument("--dataset", help="dataset file; overrides the config's data source")
+_FLAGS = {
+    "--config": dict(help="JSON experiment config file"),
+    "--seed": dict(type=int, help="replace the config's seed list with one seed"),
+    "--out": dict(help="output directory (or file for gen-synthetic)"),
+    "--variant": dict(help="replace the config's variant list with one variant"),
+    "--dataset": dict(help="dataset file; overrides the config's data source"),
+    "--checkpoint": dict(required=True, help="model checkpoint to score"),
+}
+_GRID_FLAGS = ("--config", "--seed", "--out", "--variant", "--dataset")
+# each subcommand takes only the flags it reads; any other is a usage error
+_COMMANDS = {
+    "train": ("train one variant/seed; writes checkpoint and loss log", _GRID_FLAGS),
+    "evaluate": ("score a checkpoint on held-out data",
+                 ("--config", "--seed", "--out", "--dataset", "--checkpoint")),
+    "ablate": ("train and evaluate every configured variant and seed", _GRID_FLAGS),
+    "sweep-fusion-layer": ("move the adapter across encoder layers", _GRID_FLAGS),
+    "gen-synthetic": ("write a synthetic corpus file", ("--config", "--out")),
+    "stats": ("print corpus statistics for a dataset file", ("--config", "--dataset")),
+    "report": ("aggregate metric files in the output directory", ("--config", "--out")),
+}
 
 
 def _parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
-        prog="maf",
-        description="train, ablate and report on multimodal fusion variants",
-    )
+        prog="maf", description="train, ablate and report on multimodal fusion variants")
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, doc in (
-        ("train", "train one variant/seed; writes checkpoint and loss log"),
-        ("evaluate", "score a checkpoint on held-out data"),
-        ("ablate", "train and evaluate every configured variant and seed"),
-        ("sweep-fusion-layer", "move the adapter across encoder layers"),
-        ("gen-synthetic", "write a synthetic corpus file"),
-        ("stats", "print corpus statistics for a dataset file"),
-        ("report", "aggregate metric files in the output directory"),
-    ):
+    for name, (doc, flags) in _COMMANDS.items():
         p = sub.add_parser(name, help=doc)
-        _add_common(p)
-        if name == "evaluate":
-            p.add_argument("--checkpoint", required=True, help="model checkpoint to score")
+        for flag in flags:
+            p.add_argument(flag, **_FLAGS[flag])
     return parser
 
 
@@ -421,12 +409,8 @@ def main(argv: Sequence[str] | None = None) -> int:
         elif args.command == "evaluate":
             row = cmd_evaluate(cfg, args.checkpoint)
             print(json.dumps(row, sort_keys=True, indent=2))
-        elif args.command == "ablate":
-            rows = cmd_ablate(cfg)
-            print(f"wrote {len(rows)} metric rows to {cfg.out}")
-            print((Path(cfg.out) / "report.txt").read_text(encoding="utf-8"))
-        elif args.command == "sweep-fusion-layer":
-            rows = cmd_sweep_fusion_layer(cfg)
+        elif args.command in ("ablate", "sweep-fusion-layer"):
+            rows = (cmd_ablate if args.command == "ablate" else cmd_sweep_fusion_layer)(cfg)
             print(f"wrote {len(rows)} metric rows to {cfg.out}")
             print((Path(cfg.out) / "report.txt").read_text(encoding="utf-8"))
         elif args.command == "gen-synthetic":

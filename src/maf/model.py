@@ -48,15 +48,16 @@ from __future__ import annotations
 
 import json
 import math
+import reprlib
+import sys
 import types
-from collections import Counter
 from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import DialogueInstance, validate_instance
+from .data import DialogueInstance, read_json_object, validate_instance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
@@ -78,7 +79,7 @@ from .tensor import (
     scale,
     zeros,
 )
-from .text import SPECIALS, Vocabulary, tokenize
+from .text import Vocabulary, tokenize
 
 __all__ = [
     "VARIANTS",
@@ -193,43 +194,43 @@ class TrainConfig:
 
 
 def _holds(value, hint) -> bool:
-    """Does a value read from JSON fit the annotation? An int is a float,
-    a bool is never a number."""
+    """Does a value read from JSON fit the annotation? A bool is never a
+    number, and a float must be finite as a float: JSON's NaN and Infinity,
+    and an int beyond float range, pass every range check."""
     if get_origin(hint) in (Union, types.UnionType):
         return any(_holds(value, h) for h in get_args(hint))
     if get_origin(hint) is list:
         return isinstance(value, list) and all(_holds(v, get_args(hint)[0]) for v in value)
-    if hint is float:
-        hint = (int, float)
-    return isinstance(value, hint) and (hint is bool or not isinstance(value, bool))
+    if isinstance(value, bool):
+        return hint is bool
+    if hint is float:  # an exact comparison, so no int is converted
+        return isinstance(value, (int, float)) and abs(value) <= sys.float_info.max
+    return isinstance(value, hint)
 
 
 def _check_types(cfg) -> None:
-    """Every field of a config dataclass must hold its annotated type, and
-    a float must be finite: JSON's NaN and Infinity pass every range check."""
+    """Every field of a dataclass read from JSON must hold its annotated type."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _holds(value, hints[f.name]):
-            raise ConfigError(f"'{f.name}' must be {f.type}, got {value!r}")
-        if isinstance(value, float) and not math.isfinite(value):
-            raise ConfigError(f"'{f.name}' must be a finite float, got {value!r}")
+            raise ConfigError(f"'{f.name}' must be {f.type}, got {reprlib.repr(value)}")
 
 
 def _build(cls, raw, section: str | None = None, complete: bool = False):
-    """Config dataclass ``cls`` from a JSON object: an unknown key is an
-    error, a missing one takes its default (an error if ``complete``), a
-    field typed as a config dataclass is built from its own object. Value
-    types are left to ``validate``."""
+    """Dataclass ``cls``, a config or a metric row, from a JSON object: an
+    unknown key is an error, a missing one takes its default (an error if
+    ``complete``), a field typed as a dataclass is built from its own
+    object. Value types are left to ``_check_types``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{section}' must be an object")
     hints = get_type_hints(cls)
+    where = f" in config section '{section}'" if section else ""
     for key in raw:
         if key not in hints:
-            raise ConfigError(f"unknown config key '{key}'" +
-                              (f" in config section '{section}'" if section else ""))
+            raise ConfigError(f"unknown key '{key}'{where}")
     if complete and len(raw) < len(hints):
-        raise ConfigError(f"config section '{section}' lacks key '{min(set(hints) - set(raw))}'")
+        raise ConfigError(f"missing key '{min(set(hints) - set(raw))}'{where}")
     kwargs = {}
     for name, value in raw.items():
         nested = next((h for h in get_args(hints[name]) or (hints[name],) if is_dataclass(h)), None)
@@ -950,6 +951,12 @@ _CKPT_VERSION = 1
 _CKPT_KEYS = {"format", "version", "config", "vocab", "params"}
 
 
+def _param_table(named: list[tuple[str, Tensor]]) -> list[dict]:
+    """A checkpoint's shape table: name, rows and cols of each parameter,
+    in blob order."""
+    return [{"name": n, "rows": t.shape[0], "cols": t.shape[1]} for n, t in named]
+
+
 def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
     """One JSON header line (version, config, vocab, shape table) followed by
     row-major float64 little-endian blobs, one per parameter in header order.
@@ -960,7 +967,7 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
         "version": _CKPT_VERSION,
         "config": asdict(tm.config),
         "vocab": tm.vocab.tokens,
-        "params": [{"name": n, "rows": t.shape[0], "cols": t.shape[1]} for n, t in named],
+        "params": _param_table(named),
     }
     with open(path, "wb") as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
@@ -970,16 +977,10 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
+    """The model ``save_checkpoint`` wrote. The vocab length and the whole
+    shape table are compared with the header's config before any read."""
     with open(path, "rb") as fh:
-        header_line = fh.readline()
-        try:
-            header = json.loads(header_line)
-        except ValueError:  # bad JSON, or bytes that do not even decode
-            raise ParseError(f"'{path}' does not start with a checkpoint header") from None
-        except RecursionError:  # arrays or objects nested thousands deep
-            raise ParseError(f"'{path}' header is JSON nested too deeply") from None
-        if not isinstance(header, dict):
-            raise ParseError(f"'{path}' header must be a JSON object, got '{type(header).__name__}'")
+        header = read_json_object(fh.readline(), f"checkpoint '{path}' header", ParseError)
         if header.get("format") != _CKPT_FORMAT:
             raise ParseError(f"'{path}' is not a model checkpoint")
         version = header.get("version")
@@ -992,41 +993,35 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         # today's default, and one this version no longer has cannot be honoured
         try:
             cfg = _build(ModelConfig, header.get("config"), "config", complete=True)
-            params = init_model_params(cfg)
+            cfg.validate()
         except ConfigError as exc:  # the bad input is the file, not the run's config
             raise ParseError(f"'{path}' config is invalid: {exc}") from None
-        tokens, table = header.get("vocab"), header.get("params")
-        if not isinstance(tokens, list) or not all(isinstance(t, str) for t in tokens):
-            raise ParseError(f"'{path}' header has no 'vocab' list of tokens")
-        if tokens[:len(SPECIALS)] != list(SPECIALS) or len(tokens) != cfg.vocab_size:
-            raise ParseError(f"'{path}' 'vocab' must start with the {len(SPECIALS)} specials "
-                             f"and hold vocab_size={cfg.vocab_size} tokens, got {len(tokens)}")
+        tokens = header.get("vocab")  # checked before init allocates vocab_size rows
+        if not (isinstance(tokens, list) and len(tokens) == cfg.vocab_size
+                and all(isinstance(t, str) for t in tokens)):
+            raise ParseError(f"'{path}' 'vocab' must be a list of vocab_size={cfg.vocab_size} "
+                             f"token strings")
         try:
             vocab = Vocabulary.from_tokens(tokens)
         except ContractError as exc:
             raise ParseError(f"'{path}' {exc}") from None
+        params = init_model_params(cfg)
+        named = named_parameters(params)
+        table, wanted = header.get("params"), _param_table(named)
         if not isinstance(table, list):
             raise ParseError(f"'{path}' header has no 'params' list")
-        for i, entry in enumerate(table):
-            for key, kind in (("name", str), ("rows", int), ("cols", int)):
-                if not isinstance(entry, dict) or type(entry.get(key)) is not kind:
-                    raise ParseError(f"'{path}' params entry {i} has no '{key}' {kind.__name__}")
-        named = dict(named_parameters(params))
-        listed, wanted = Counter(entry["name"] for entry in table), Counter(list(named))
-        extra, lacking = listed - wanted, wanted - listed
-        if extra or lacking:  # an unknown or repeated name, or a missing one
-            odd = f"an extra '{next(iter(extra))}'" if extra else f"no '{next(iter(lacking))}'"
-            raise ParseError(f"'{path}' parameter table does not match the configured "
-                             f"architecture: it has {odd}")
-        for entry in table:
-            # shape first: the table's rows * cols is not trusted as a read size
-            t = named[entry["name"]]
-            if t.shape != (entry["rows"], entry["cols"]):
-                raise ParseError(f"parameter '{entry['name']}' has shape {t.shape}, file says "
-                                 f"{(entry['rows'], entry['cols'])}")
+        for entry, want in zip(table, wanted):  # as JSON text, so true and 1.0 are not 1
+            got, want = json.dumps(entry, sort_keys=True), json.dumps(want, sort_keys=True)
+            if got != want:
+                raise ParseError(f"'{path}' 'params' lists {got} where the configured "
+                                 f"architecture has {want}")
+        if len(table) != len(wanted):
+            raise ParseError(f"'{path}' 'params' lists {len(table)} parameters, the configured "
+                             f"architecture has {len(wanted)}")
+        for name, t in named:
             blob = fh.read(t.data.nbytes)
             if len(blob) != t.data.nbytes:
-                raise ParseError(f"'{path}' is truncated at parameter '{entry['name']}'")
+                raise ParseError(f"'{path}' is truncated at parameter '{name}'")
             t.data = np.frombuffer(blob, dtype="<f8").reshape(t.shape).astype(np.float64)
         if fh.read(1):
             raise ParseError(f"'{path}' has trailing bytes after the last parameter")

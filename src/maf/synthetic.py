@@ -171,7 +171,7 @@ def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict
     row = {
         "action_acc": action / n,
         "source_acc": source_acc,
-        "target_word_acc": target_acc,
+        "target_acc": target_acc,
         "exact_match": exact / n,
     }
     row.update(score_corpus(hyps, [inst.explanation for inst in test]))

@@ -161,7 +161,7 @@ def test_unknown_field_is_rejected(tmp_path):
 
 def test_non_object_record_rejected(tmp_path):
     (tmp_path / "c.jsonl").write_text("[1, 2]\n")
-    with pytest.raises(ParseError, match="not an object"):
+    with pytest.raises(ParseError, match="record must hold a JSON object, got list"):
         load_and_validate(tmp_path / "c.jsonl")
 
 

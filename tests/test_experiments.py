@@ -10,6 +10,7 @@ import io
 import itertools
 import json
 from contextlib import redirect_stderr
+from dataclasses import fields
 from operator import delitem
 from pathlib import Path
 
@@ -21,6 +22,8 @@ from maf.data import load_and_validate
 from maf.errors import ConfigError, ParseError
 from maf.experiments import (
     ExperimentConfig,
+    MetricRow,
+    _parser,
     cmd_ablate,
     cmd_evaluate,
     cmd_gen_synthetic,
@@ -81,6 +84,20 @@ def load(tmp_path, **overrides):
     return load_experiment_config(str(write_config(tmp_path, **overrides)))
 
 
+DROP = object()
+
+
+def metric_row(**changes):
+    """A complete metric file's object, with ``changes`` applied; a change
+    to ``DROP`` deletes the key."""
+    row = {"artifact_version": maf.__version__, "config_hash": "abc", "variant": "MAF",
+           "seed": 1, "fusion_layer_index": 2, "action_acc": 0.75, "source_acc": 1.0,
+           "target_acc": 0.5, "exact_match": 0.25, "R1": 0.5, "R2": 0.25, "RL": 0.5,
+           "B1": 0.5, "B2": 0.4, "B3": 0.3, "B4": 0.2}
+    row.update(changes)
+    return {k: v for k, v in row.items() if v is not DROP}
+
+
 # ---- config loading ------------------------------------------------------------
 
 
@@ -104,7 +121,7 @@ def test_config_must_be_an_object(tmp_path):
 
 
 def test_unknown_top_level_key(tmp_path):
-    with pytest.raises(ConfigError, match="unknown config key"):
+    with pytest.raises(ConfigError, match="unknown key 'extra_knob'"):
         load(tmp_path, extra_knob=1)
 
 
@@ -243,7 +260,7 @@ def test_train_then_evaluate(tmp_path):
     assert row["artifact_version"] == maf.__version__
     assert row["variant"] == "MAF"
     assert row["seed"] == 1
-    assert row["meteor"] is None and row["bert_score"] is None
+    assert list(row) == [f.name for f in fields(MetricRow)]
     assert 0.0 <= row["exact_match"] <= 1.0
     assert json.loads(metrics_file.read_text(encoding="utf-8")) == row
 
@@ -343,18 +360,8 @@ def test_report_aggregates_seeds(tmp_path):
     cfg = load(tmp_path)
     out = tmp_path / "run"
     out.mkdir()
-    base = {
-        "artifact_version": maf.__version__,
-        "config_hash": "abc",
-        "variant": "MAF",
-        "fusion_layer_index": 2,
-        "meteor": None,
-        "bert_score": None,
-        "R1": 0.5, "R2": 0.25, "RL": 0.5, "B1": 0.5, "B2": 0.4, "B3": 0.3, "B4": 0.2,
-        "source_acc": 1.0, "target_word_acc": 0.5, "action_acc": 0.75, "exact_match": 0.25,
-    }
     for seed, r1 in ((1, 0.5), (2, 0.7)):
-        row = dict(base, seed=seed, R1=r1)
+        row = metric_row(seed=seed, R1=r1)
         (out / f"metrics_MAF_seed{seed}.json").write_text(json.dumps(row), encoding="utf-8")
     text, csv = cmd_report(cfg)
     assert "MAF s1" in text and "MAF s2" in text
@@ -372,7 +379,7 @@ def test_report_prints_the_fusion_gap(tmp_path):
     accs = {"TextOnly": (0.0, 0.0), "MAF": (1.0, 1.0), "Concat2": (0.5, 0.25)}
     for variant, per_seed in accs.items():
         for seed, acc in zip((1, 2), per_seed):
-            row = {"variant": variant, "seed": seed, "fusion_layer_index": 2, "action_acc": acc}
+            row = metric_row(variant=variant, seed=seed, action_acc=acc)
             (out / f"metrics_{variant}_seed{seed}.json").write_text(json.dumps(row), encoding="utf-8")
     text, csv = cmd_report(cfg)
     assert text.endswith("\naction gap over TextOnly, Concat2: +37.50 points\n"
@@ -391,25 +398,35 @@ def test_report_prints_the_fusion_gap(tmp_path):
     [
         ("{bad", "is not valid JSON"),
         ("[1]", "must hold a JSON object"),
-        ('{"variant": "MAF"}', "needs a 'seed' int"),
-        ('{"seed": 1}', "needs a 'variant' str"),
-        ('{"variant": 5, "seed": 1}', "needs a 'variant' str"),
-        ('{"variant": "MAF", "seed": true}', "needs a 'seed' int"),
-        ('{"variant": "MAF", "seed": 1, "fusion_layer_index": "2"}', "'fusion_layer_index' int"),
-        ('{"variant": "MAF", "seed": 1, "action_acc": "high"}', "'action_acc' must be a number"),
+        (dict(seed=DROP), "missing key 'seed'"),
+        (dict(variant=DROP), "missing key 'variant'"),
+        (dict(fusion_layer_index=DROP), "missing key 'fusion_layer_index'"),
+        (dict(variant=5), "'variant' must be str"),
+        (dict(seed=True), "'seed' must be int"),
+        (dict(fusion_layer_index="2"), "'fusion_layer_index' must be int"),
+        (dict(action_acc="high"), "'action_acc' must be float"),
+        # JSON's NaN, and an int beyond float range, are numbers no range check stops
+        (dict(action_acc=float("nan")), "'action_acc' must be float, got nan"),
+        (dict(action_acc=10**400), "'action_acc' must be float, got 1000"),
+        (dict(action_acc=1.5), "'action_acc' must lie in [0, 1], got 1.5"),
+        # the layout before the scores had one name each
+        (dict(meteor=None), "unknown key 'meteor'"),
+        (dict(target_acc=DROP, target_word_acc=0.5), "unknown key 'target_word_acc'"),
         # Python's JSON parser recurses once per level
         pytest.param("[" * 100_000, "nested too deeply", id="nested-100000-deep"),
     ],
 )
 def test_cli_report_rejects_broken_metric_files(tmp_path, capsys, content, fragment):
-    """A metric file the report cannot read is a runtime error naming the
-    file (exit 3), not a traceback."""
+    """A metric file that is not a ``MetricRow`` (``content`` is its text,
+    or the changes to a valid row) is a runtime error naming the file and
+    the key (exit 3), not a traceback."""
     out = tmp_path / "run"
     out.mkdir()
     (out / "metrics_TextOnly_seed1.json").write_text(
-        json.dumps({"variant": "TextOnly", "seed": 1, "action_acc": 0.2}), encoding="utf-8")
+        json.dumps(metric_row(variant="TextOnly", action_acc=0.2)), encoding="utf-8")
     bad = out / "metrics_MAF_seed1.json"
-    bad.write_text(content, encoding="utf-8")
+    bad.write_text(content if isinstance(content, str) else json.dumps(metric_row(**content)),
+                   encoding="utf-8")
     assert main(["report", "--out", str(out)]) == 3
     err = capsys.readouterr().err
     assert err.startswith(f"error: metric file '{bad}'")
@@ -477,6 +494,9 @@ def test_cli_deeply_nested_json_is_a_clean_error(tmp_path, capsys, reader, code)
         # JSON's NaN and Infinity are floats that every range check lets through
         (dict(train={"lr": float("nan")}), "lr"),
         (dict(train={"grad_clip": float("inf")}), "grad_clip"),
+        # an int is a float only if it converts to a finite one
+        (dict(train={"lr": 10**400}), "lr"),
+        (dict(train={"grad_clip": 10**400}), "grad_clip"),
         # NumPy's seeding takes no negative seed
         (dict(seeds=[-1]), "seeds"),
         (dict(model={"seed": -1}), "seed"),
@@ -493,7 +513,7 @@ def test_cli_removed_bleu_smoothing_key_exits_2(tmp_path, capsys):
     """Nothing read this knob, so it is no longer a config key."""
     path = write_config(tmp_path, bleu_smoothing=False)
     assert main(["train", "--config", str(path)]) == 2
-    assert "unknown config key 'bleu_smoothing'" in capsys.readouterr().err
+    assert "unknown key 'bleu_smoothing'" in capsys.readouterr().err
 
 
 def test_cli_runtime_errors_exit_3(tmp_path, capsys):
@@ -509,31 +529,33 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
 
 
 @pytest.mark.parametrize(
-    "mutate, key",
+    "mutate, fragment",
     [
         # every checkpoint written while the config had this knob carries it
-        (lambda h: h["config"].update(sigmoid_gates=False), "sigmoid_gates"),
-        (lambda h: delitem(h, "config"), "config"),
-        (lambda h: delitem(h["config"], "heads"), "heads"),
-        (lambda h: [h], "list"),  # a returned value replaces the whole header
-        (lambda h: delitem(h, "vocab"), "vocab"),
-        (lambda h: h.update(params=5), "params"),
-        (lambda h: delitem(h["params"][0], "rows"), "rows"),
-        (lambda h: h["config"].update(d="8"), "d"),
+        (lambda h: h["config"].update(sigmoid_gates=False), "'sigmoid_gates'"),
+        (lambda h: delitem(h, "config"), "'config'"),
+        (lambda h: delitem(h["config"], "heads"), "'heads'"),
+        (lambda h: [h], "must hold a JSON object, got list"),  # a returned value replaces the header
+        (lambda h: delitem(h, "vocab"), "'vocab'"),
+        (lambda h: h.update(params=5), "'params'"),
+        (lambda h: delitem(h["params"][0], "rows"), '\'params\' lists {"cols": 8, "name": "embedding"}'),
+        (lambda h: h["config"].update(d="8"), "'d'"),
         # an out-of-range value is a bad file (exit 3), not a bad run config (exit 2)
-        (lambda h: h["config"].update(ffn=0), "ffn"),
-        (lambda h: h["config"].update(max_text_len=float("nan")), "max_text_len"),
-        (lambda h: h["config"].update(seed=-1), "seed"),
-        (lambda h: h.update(written_by="x"), "written_by"),  # a key this version does not know
-        # the shape is checked before the blob is read, not read at the declared size
-        (lambda h: h["params"][0].update(rows=10**12), "embedding"),
+        (lambda h: h["config"].update(ffn=0), "'ffn'"),
+        (lambda h: h["config"].update(max_text_len=float("nan")), "'max_text_len'"),
+        (lambda h: h["config"].update(seed=-1), "'seed'"),
+        (lambda h: h.update(written_by="x"), "'written_by'"),  # a key this version does not know
+        # the table is compared before any blob is read, not read at the declared size
+        (lambda h: h["params"][0].update(rows=10**12), '"rows": 1000000000000'),
+        # and the vocab before init allocates vocab_size rows
+        (lambda h: h["config"].update(vocab_size=10**12), "vocab_size=1000000000000"),
         # a TA checkpoint in the layout that still held the unread video gate
         (lambda h: h["config"].update(variant="TA") or h.update(params=[
             e for e in h["params"] if not e["name"].startswith(("video_enc.", "adapter.mca2_video."))
-        ]), "adapter.gif.w_video"),
+        ]), '"name": "adapter.gif.w_video"'),
     ],
 )
-def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, key):
+def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, fragment):
     path = write_config(tmp_path)
     ckpt = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"])
     head, rest = ckpt.read_bytes().split(b"\n", 1)
@@ -541,7 +563,7 @@ def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, ke
     header = mutate(header) or header
     ckpt.write_bytes(json.dumps(header, sort_keys=True).encode() + b"\n" + rest)
     assert main(["evaluate", "--config", str(path), "--checkpoint", str(ckpt)]) == 3
-    assert f"'{key}'" in capsys.readouterr().err
+    assert fragment in capsys.readouterr().err
 
 
 @pytest.fixture(scope="module")
@@ -619,8 +641,7 @@ def cli_inputs(tiny_checkpoint):
     config_path, blob, names = tiny_checkpoint
     corpus = config_path.parent / "corpus.jsonl"
     cmd_gen_synthetic(load_experiment_config(str(config_path)), str(corpus))
-    metric = {"variant": "MAF", "seed": 1, "fusion_layer_index": 2, "target_word_acc": 0.5,
-              **{key: 0.5 for key in ("R1", "B1", "action_acc", "exact_match")}}
+    metric = metric_row()
     return config_path, blob, metric, corpus.read_bytes(), names
 
 
@@ -679,6 +700,40 @@ def test_cli_on_mutated_input_files_exits_2_or_3(cli_inputs, kind, mutation, dat
         code = main(argv)
     assert code == (2 if kind == "config" else 3), err.getvalue()
     assert err.getvalue().startswith("config error: " if code == 2 else "error: ")
+
+
+# the flags each subcommand takes: the CLI table of the README
+_GRID_FLAGS = ("--config", "--seed", "--out", "--variant", "--dataset")
+_TAKES = {
+    "train": _GRID_FLAGS,
+    "evaluate": ("--config", "--seed", "--out", "--dataset", "--checkpoint"),
+    "ablate": _GRID_FLAGS,
+    "sweep-fusion-layer": _GRID_FLAGS,
+    "gen-synthetic": ("--config", "--out"),
+    "stats": ("--config", "--dataset"),
+    "report": ("--config", "--out"),
+}
+_ALL_FLAGS = sorted(set(itertools.chain(*_TAKES.values())))
+
+
+@pytest.mark.parametrize("command, flag", [(c, f) for c in _TAKES for f in _ALL_FLAGS
+                                           if f not in _TAKES[c]])
+def test_cli_flag_the_subcommand_does_not_take_exits_2(capsys, command, flag):
+    """A flag the subcommand would ignore is a usage error: ``gen-synthetic
+    --seed 5`` would write the same bytes as without it, and ``evaluate
+    --variant`` would score the checkpoint's own variant."""
+    argv = [command, flag, "1"] + (["--checkpoint", "x.ckpt"] if command == "evaluate" else [])
+    with pytest.raises(SystemExit) as exit:
+        main(argv)
+    assert exit.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("command", sorted(_TAKES))
+def test_cli_subcommand_parses_its_own_flags(command):
+    args = _parser().parse_args([command, *itertools.chain(*((f, "1") for f in _TAKES[command]))])
+    given = {name for name, value in vars(args).items() if value is not None}
+    assert given == {"command", *(f.removeprefix("--") for f in _TAKES[command])}
 
 
 def test_cli_stats_needs_dataset(tmp_path, capsys):

@@ -168,10 +168,14 @@ def test_train_config_rejections():
     with pytest.raises(ConfigError, match="grad_clip"):
         TrainConfig(grad_clip=0.0).validate()
     TrainConfig(lr=0.0).validate()  # a frozen run is allowed
-    with pytest.raises(ConfigError, match="'lr' must be a finite float, got nan"):
+    with pytest.raises(ConfigError, match="'lr' must be float, got nan"):
         TrainConfig(lr=math.nan).validate()
-    with pytest.raises(ConfigError, match="'grad_clip' must be a finite float, got inf"):
+    with pytest.raises(ConfigError, match="'grad_clip' must be float, got inf"):
         TrainConfig(grad_clip=math.inf).validate()
+    # an int is a float only if it converts to a finite one
+    TrainConfig(lr=1, grad_clip=2).validate()
+    with pytest.raises(ConfigError, match="'lr' must be float, got 1000"):
+        TrainConfig(lr=10**400).validate()
 
 
 # ---- temporal pooling ------------------------------------------------------
@@ -1145,13 +1149,14 @@ def _repeat(h, i, token):
     h["vocab"][i] = token
 
 
-_NOT_SPECIALS = "'vocab' must start with the 4 specials"
+_NOT_VOCAB_SIZE = "'vocab' must be a list of vocab_size=[0-9]+ token strings"
 
 
 @pytest.mark.parametrize("mutate, match", [
-    (lambda h: h["vocab"].pop(), _NOT_SPECIALS),  # decoded ids would index past the token list
-    (lambda h: h["vocab"].append("extra"), _NOT_SPECIALS),
-    (lambda h: h["vocab"].reverse(), _NOT_SPECIALS),  # the specials no longer come first
+    (lambda h: h["vocab"].pop(), _NOT_VOCAB_SIZE),  # decoded ids would index past the token list
+    (lambda h: h["vocab"].append("extra"), _NOT_VOCAB_SIZE),
+    # the specials no longer come first
+    (lambda h: h["vocab"].reverse(), "token list must start with the four specials"),
     # the index would map a repeated word to its later id only
     (lambda h: _repeat(h, 5, h["vocab"][4]), "'vocab' repeats the token 'ana'"),
     (lambda h: _repeat(h, 5, "<eos>"), "'vocab' repeats the token '<eos>'"),
@@ -1197,14 +1202,15 @@ def test_checkpoint_rejects_renamed_parameter(tmp_path):
 
     tampered = tmp_path / "renamed.ckpt"
     _tamper_header(path, tampered, rename)
-    with pytest.raises(ParseError, match="parameter table .* has an extra 'mystery'"):
+    with pytest.raises(ParseError, match="'params' lists .*\"name\": \"mystery\""):
         load_checkpoint(tampered)
 
     def drop(h):
         del h["params"][-1]
 
     _tamper_header(path, tmp_path / "short_table.ckpt", drop)
-    with pytest.raises(ParseError, match="parameter table .* has no 'adapter.gif.b_video'"):
+    with pytest.raises(ParseError, match="'params' lists [0-9]+ parameters, the configured "
+                                         "architecture has [0-9]+"):
         load_checkpoint(tmp_path / "short_table.ckpt")
 
 
@@ -1221,5 +1227,37 @@ def test_checkpoint_rejects_shape_mismatch(tmp_path, rows):
 
     tampered = tmp_path / "reshaped.ckpt"
     _tamper_header(path, tampered, reshape)
-    with pytest.raises(ParseError, match="shape"):
+    with pytest.raises(ParseError, match="'params' lists .*\"name\": \"embedding\""):
+        load_checkpoint(tampered)
+
+
+def _swap_first_two(h):
+    h["params"][:2] = h["params"][1::-1]
+
+
+@pytest.mark.parametrize("mutate", [
+    _swap_first_two,
+    # the last parameter, a bias, is one row: true and 1.0 equal 1 in Python, not in JSON text
+    lambda h: h["params"][-1].update(rows=True),
+    lambda h: h["params"][-1].update(rows=1.0),
+    lambda h: h["params"][0].update(dtype="float64"),
+], ids=["reordered", "rows-true", "rows-float", "extra-key"])
+def test_checkpoint_table_must_be_the_written_one(tmp_path, mutate):
+    """The table is compared whole with the one ``save_checkpoint`` writes:
+    a reordered table would load each blob into the wrong parameter."""
+    _, tm, path = trained_tiny(tmp_path)
+    assert json.loads(path.read_bytes().split(b"\n", 1)[0])["params"][-1]["rows"] == 1
+    tampered = tmp_path / "table.ckpt"
+    _tamper_header(path, tampered, mutate)
+    with pytest.raises(ParseError, match="'params' lists "):
+        load_checkpoint(tampered)
+
+
+def test_checkpoint_vocab_is_checked_before_init_allocates(tmp_path):
+    """A config claiming 10**12 tokens would make init allocate terabytes;
+    the vocab length is compared first."""
+    _, tm, path = trained_tiny(tmp_path)
+    tampered = tmp_path / "huge.ckpt"
+    _tamper_header(path, tampered, lambda h: h["config"].update(vocab_size=10**12))
+    with pytest.raises(ParseError, match="vocab_size=1000000000000 token strings"):
         load_checkpoint(tampered)

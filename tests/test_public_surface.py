@@ -64,3 +64,23 @@ def test_every_function_and_class_has_a_reader_outside_the_tests(definition):
     count, so recursion keeps nothing alive."""
     assert any(definition.name in names for stmt, names in _STATEMENTS if stmt is not definition), \
         f"'{definition.name}' is read only by the tests, or only by itself"
+
+
+def _json_parses(tree: ast.Module):
+    """The top-level definition around each ``json.load``/``json.loads``
+    of a module, and each import of either by name."""
+    for stmt in tree.body:
+        for node in ast.walk(stmt):
+            if (isinstance(node, ast.Attribute) and node.attr in ("load", "loads")
+                    and isinstance(node.value, ast.Name) and node.value.id == "json"):
+                yield getattr(stmt, "name", "module level")
+            elif isinstance(node, ast.ImportFrom) and node.module == "json":
+                yield "from json import"
+
+
+def test_json_is_parsed_only_by_read_json_object():
+    """Every JSON document the package reads back goes through one parser,
+    so each reader refuses bad bytes, bad JSON and deep nesting alike."""
+    parses = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
+              for where in _json_parses(_TREES[path])]
+    assert parses == [("data", "read_json_object")]

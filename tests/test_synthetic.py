@@ -306,7 +306,7 @@ def test_evaluate_variant_scores_by_hand(monkeypatch, corpus):
     assert row["exact_match"] == pytest.approx(2 / 4)
     assert row["action_acc"] == pytest.approx(3 / 4)
     assert row["source_acc"] == pytest.approx(3 / 4)
-    assert row["target_word_acc"] == pytest.approx(2 / 4)
+    assert row["target_acc"] == pytest.approx(2 / 4)
     assert row["R1"] == pytest.approx((1.0 + 1.0 + 2 / 3 + 0.0) / 4)
     for key in ("R2", "RL", "B1", "B2", "B3", "B4"):
         assert key in row
@@ -320,8 +320,8 @@ def test_gap_variant_roster():
 
 
 @pytest.mark.parametrize("variant, learned, blind", [
-    ("TA", "action_acc", "target_word_acc"),
-    ("TV", "target_word_acc", "action_acc"),
+    ("TA", "action_acc", "target_acc"),
+    ("TV", "target_acc", "action_acc"),
 ])
 def test_single_modality_variant_learns_only_its_label(variant, learned, blind):
     """TA reads audio only, so it learns the action and stays at chance on
@@ -333,6 +333,6 @@ def test_single_modality_variant_learns_only_its_label(variant, learned, blind):
     test_insts = generate(replace(spec, seed=1 ^ TEST_SEED_SALT, num_instances=100))
     cfg = replace(GAP_MODEL, d=16, ffn=32, variant=variant, seed=1)
     row = evaluate_variant(train(train_insts, cfg, TrainConfig(lr=2e-3, epochs=6)), test_insts)
-    chance = {"action_acc": 1 / spec.actions, "target_word_acc": 1 / spec.targets}
+    chance = {"action_acc": 1 / spec.actions, "target_acc": 1 / spec.targets}
     assert row[learned] >= 0.8, row
     assert row[blind] <= chance[blind] + 0.15, row
