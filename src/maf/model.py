@@ -18,7 +18,9 @@ model; the packs only stack what it returns.
 ``generate_explanations`` encodes held-out instances on the same packs
 (their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time
 with no graph recorded, then decodes each instance greedily on its own
-rows.
+rows. Greedy decoding is graph-free: it runs on arrays, through the
+forward arithmetic that the fused graph ops call (``tensor._attention``,
+``_add_layer_norm``, ``_feed_forward``).
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -64,6 +66,9 @@ from .mca2 import Mca2Params, mca2_forward
 from .tensor import (
     Segments,
     Tensor,
+    _add_layer_norm,
+    _attention,
+    _feed_forward,
     add,
     add_layer_norm,
     attention,
@@ -150,13 +155,7 @@ class ModelConfig:
         _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
-        for name in ("d", "encoder_layers", "decoder_layers", "ffn", "heads", "d_c_audio",
-                     "d_c_video", "audio_raw_dim", "video_raw_dim", "max_text_len",
-                     "max_frames", "max_windows"):
-            if getattr(self, name) < 1:
-                raise ConfigError(f"'{name}' must be >= 1, got {getattr(self, name)}")
-        if self.max_target_len < 2:
-            raise ConfigError(f"max_target_len must be >= 2, got {self.max_target_len}")
+        _check_sizes(self, _MODEL_SIZES)
         if self.seed < 0:
             raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
         if self.d % self.heads != 0:
@@ -191,6 +190,37 @@ class TrainConfig:
             raise ConfigError("epochs and batch_size must be >= 1")
         if self.grad_clip <= 0:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
+
+
+# Inclusive range of every size field. The upper bounds are far above any
+# model this float64 NumPy implementation trains in reasonable time; they
+# exist so that an absurd size (a config or checkpoint header saying
+# "d": 10**12) is refused before anything is allocated, not after
+# gigabytes or an allocation error. ``vocab_size`` has no bound here: a
+# checkpoint must list that many tokens, and training counts them.
+_MODEL_SIZES = {
+    "d": (1, 512),
+    "encoder_layers": (1, 8),
+    "decoder_layers": (1, 8),
+    "ffn": (1, 2048),
+    "heads": (1, 64),
+    "d_c_audio": (1, 512),
+    "d_c_video": (1, 512),
+    "audio_raw_dim": (1, 4096),
+    "video_raw_dim": (1, 4096),
+    "max_text_len": (1, 512),
+    "max_target_len": (2, 256),   # one target token plus EOS at least
+    "max_frames": (1, 4096),
+    "max_windows": (1, 4096),
+}
+
+
+def _check_sizes(cfg, sizes: dict[str, tuple[int, int]]) -> None:
+    """Each named integer field of a config lies in its inclusive range."""
+    for name, (lo, hi) in sizes.items():
+        value = getattr(cfg, name)
+        if not lo <= value <= hi:
+            raise ConfigError(f"'{name}' must be in {lo}..{hi}, got {value}")
 
 
 def _holds(value, hint) -> bool:
@@ -690,53 +720,58 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
 
 
 class _DecoderCache(NamedTuple):
-    """What one greedy decode keeps between steps. The K/V buffers are
-    written in place, so they are only read under ``no_grad``."""
+    """What one greedy decode keeps between steps, all arrays."""
 
-    positions: np.ndarray                 # limit x d position table
-    cross_kv: list[tuple[Tensor, Tensor]]  # per layer: encoder output projected to K, V
-    keys: list[np.ndarray]                # per layer: limit x d self-attention K rows
-    values: list[np.ndarray]              # per layer: limit x d self-attention V rows
+    positions: np.ndarray                          # limit x d position table
+    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer: encoder rows projected to K, V
+    keys: list[np.ndarray]                         # per layer: limit x d self-attention K rows
+    values: list[np.ndarray]                       # per layer: limit x d self-attention V rows
 
 
 def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
-                 params: ModelParams) -> Tensor:
+                 params: ModelParams) -> np.ndarray:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
-    the teacher-forced pass on the prefix. Appends this row's self-attention
-    K/V to the cache; positions after t are never read, so no causal fill."""
-    x = _embed([token], Tensor(cache.positions[t:t + 1]), params)
-    for layer, cross_kv, keys, values in zip(params.dec, cache.cross_kv, cache.keys, cache.values):
-        k, v = _project_kv(x, layer.self_attn)
-        keys[t], values[t] = k.data[0], v.data[0]
-        self_kv = (Tensor(keys[:t + 1]), Tensor(values[:t + 1]))
-        x = _decoder_layer(x, self_kv, cross_kv, layer, cfg.heads)
-    return add(matmul(x, params.out_proj), params.out_bias)
+    the teacher-forced pass on the prefix, in the arithmetic of its graph
+    ops (``tensor``'s array forwards), with no graph. Writes this row's
+    self-attention K/V into the cache; rows after t are never read, so no
+    causal fill."""
+    x = params.embedding.data[token:token + 1] * math.sqrt(cfg.d) + cache.positions[t:t + 1]
+    for layer, (cross_k, cross_v), keys, values in zip(params.dec, cache.cross_kv, cache.keys,
+                                                        cache.values):
+        sa, ca, ffn = layer.self_attn, layer.cross_attn, layer.ffn
+        keys[t], values[t] = (x @ sa.w_k.data)[0], (x @ sa.w_v.data)[0]
+        a = _attention(x @ sa.w_q.data, keys[:t + 1], values[:t + 1], cfg.heads) @ sa.w_o.data
+        h = _add_layer_norm(x, a, layer.ln1.gain.data, layer.ln1.bias.data)[0]
+        a = _attention(h @ ca.w_q.data, cross_k, cross_v, cfg.heads) @ ca.w_o.data
+        h = _add_layer_norm(h, a, layer.ln2.gain.data, layer.ln2.bias.data)[0]
+        f = _feed_forward(h, ffn.w1.data, ffn.b1.data, ffn.w2.data, ffn.b2.data)[0]
+        x = _add_layer_norm(h, f, layer.ln3.gain.data, layer.ln3.bias.data)[0]
+    return x @ params.out_proj.data + params.out_bias.data
 
 
 def decode_greedy(enc_out: Tensor, cfg: ModelConfig, params: ModelParams) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
     or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
-    Incremental and graph-free: the encoder output is projected to each
-    layer's cross-attention K/V once, and each step computes one row of
-    the teacher-forced decoder pass, attending to the self-attention K/V
-    cached from the steps before."""
+    Incremental and graph-free, on arrays: the encoder output is projected
+    to each layer's cross-attention K/V once, and each step computes one
+    row of the teacher-forced decoder pass, attending to the self-attention
+    K/V cached from the steps before."""
     limit, d = cfg.max_target_len, cfg.d
+    cache = _DecoderCache(
+        positions=sinusoidal_positions(limit, d).data,
+        cross_kv=[(enc_out.data @ layer.cross_attn.w_k.data, enc_out.data @ layer.cross_attn.w_v.data)
+                  for layer in params.dec],
+        keys=[np.empty((limit, d)) for _ in params.dec],
+        values=[np.empty((limit, d)) for _ in params.dec],
+    )
     out: list[int] = []
-    with no_grad():
-        cache = _DecoderCache(
-            positions=sinusoidal_positions(limit, d).data,
-            cross_kv=[_project_kv(enc_out, layer.cross_attn) for layer in params.dec],
-            keys=[np.empty((limit, d)) for _ in params.dec],
-            values=[np.empty((limit, d)) for _ in params.dec],
-        )
-        token = Vocabulary.BOS_ID
-        for t in range(limit):
-            logits = _decode_step(token, t, cache, cfg, params)
-            token = int(np.argmax(logits.data[0]))
-            if token == Vocabulary.EOS_ID:
-                break
-            out.append(token)
+    token = Vocabulary.BOS_ID
+    for t in range(limit):
+        token = int(np.argmax(_decode_step(token, t, cache, cfg, params)[0]))
+        if token == Vocabulary.EOS_ID:
+            break
+        out.append(token)
     return out
 
 

@@ -33,7 +33,7 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import TrainedModel, _check_types, generate_explanations
+from .model import TrainedModel, _check_sizes, _check_types, generate_explanations
 from .text import tokenize
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -55,6 +55,24 @@ def _description_clause(action: int, target: int) -> str:
     return f"while {first} and {second}"
 
 
+# Inclusive range of every size field: the upper bounds refuse an absurd
+# size before a single feature matrix is allocated (see model._MODEL_SIZES).
+# A class needs at least two values to carry a label.
+_SPEC_SIZES = {
+    "num_instances": (1, 100_000),
+    "speakers": (2, 1000),
+    "actions": (2, 4096),
+    "targets": (2, 4096),
+    "frames": (1, 4096),
+    "windows": (1, 4096),
+    "audio_dim": (1, 4096),
+    "video_dim": (1, 4096),
+}
+# Feature values of a whole corpus, which ``generate`` holds at once: 1 GiB
+# of float64. Sizes each inside their range can still multiply past it.
+_MAX_FEATURE_VALUES = 2 ** 27
+
+
 @dataclass
 class SyntheticSpec:
     """Generator settings. Class patterns are rows of the identity, so the
@@ -74,13 +92,12 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         _check_types(self)
-        if self.num_instances < 1:
-            raise ConfigError(f"num_instances must be >= 1, got {self.num_instances}")
-        for name in ("speakers", "actions", "targets"):
-            if getattr(self, name) < 2:
-                raise ConfigError(f"{name} must be >= 2, got {getattr(self, name)}")
-        if self.frames < 1 or self.windows < 1:
-            raise ConfigError("frames and windows must be >= 1")
+        _check_sizes(self, _SPEC_SIZES)
+        values = self.num_instances * (self.frames * self.audio_dim + self.windows * self.video_dim)
+        if values > _MAX_FEATURE_VALUES:
+            raise ConfigError(f"the corpus would hold {values} feature values, over the limit of "
+                              f"{_MAX_FEATURE_VALUES}: num_instances x (frames x audio_dim + "
+                              f"windows x video_dim)")
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:

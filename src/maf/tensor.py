@@ -21,7 +21,10 @@ Conventions used throughout the package:
 * gradients accumulate additively across ``backward`` calls until
   ``zero_grad`` clears them;
 * inside ``with no_grad():`` no graph is recorded at all, which is how
-  inference runs.
+  the encoder runs at inference;
+* the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
+  (one segment) ``attention`` are private array functions, which the ops
+  call and greedy decoding calls directly, with no Tensor at all.
 """
 
 from __future__ import annotations
@@ -283,22 +286,40 @@ def sigmoid(a: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
+def _add_layer_norm(x: np.ndarray, y: np.ndarray, gain: np.ndarray,
+                    bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """``add_layer_norm``'s forward on arrays: the output, the normalised
+    rows and each row's 1/std, the last two for its backward."""
+    s = x + y
+    d = s.shape[1]
+    # row means as sum / d: what ndarray.mean computes; np.add.reduce is what
+    # ndarray.sum computes, both without their Python wrappers, which cost
+    # as much as the arithmetic on a decoder step's one row
+    sc = s - np.add.reduce(s, 1, keepdims=True) / d
+    inv = 1.0 / np.sqrt(np.add.reduce(sc ** 2, 1, keepdims=True) / d + _LN_EPS)
+    shat = sc * inv
+    return shat * gain + bias, shat, inv
+
+
+def _feed_forward(x: np.ndarray, w1: np.ndarray, b1: np.ndarray, w2: np.ndarray,
+                  b2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``feed_forward``'s forward on arrays: the output and the hidden
+    activations its backward reads."""
+    hidden = np.maximum(x @ w1 + b1, 0.0)
+    return hidden @ w2 + b2, hidden
+
+
 def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     """Per-row layer norm of the residual sum ``x + y``, with learned gain
     and bias (both 1 x d), as one node: the sum is never a tensor, and x
     and y receive the same gradient."""
     if y.shape != x.shape:
         raise ShapeError(f"add_layer_norm: shapes {x.shape} and {y.shape} differ")
-    s = x.data + y.data
-    d = s.shape[1]
+    d = x.shape[1]
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ShapeError(f"add_layer_norm: gain/bias must be (1, {d}), got {gain.shape} "
                          f"and {bias.shape}")
-    # row means as sum / d: what ndarray.mean computes, without its Python wrapper
-    sc = s - s.sum(axis=1, keepdims=True) / d
-    inv = 1.0 / np.sqrt((sc ** 2).sum(axis=1, keepdims=True) / d + _LN_EPS)
-    shat = sc * inv
-    out = shat * gain.data + bias.data
+    out, shat, inv = _add_layer_norm(x.data, y.data, gain.data, bias.data)
 
     def back(g):
         gs = None
@@ -324,8 +345,7 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
     if b1.shape != (1, w1.shape[1]) or b2.shape != (1, w2.shape[1]):
         raise ShapeError(f"feed_forward: biases must be (1, {w1.shape[1]}) and "
                          f"(1, {w2.shape[1]}), got {b1.shape} and {b2.shape}")
-    hidden = np.maximum(x.data @ w1.data + b1.data, 0.0)
-    out = hidden @ w2.data + b2.data
+    out, hidden = _feed_forward(x.data, w1.data, b1.data, w2.data, b2.data)
 
     def back(g):
         # hidden > 0 exactly where the pre-activation is > 0, NaN included,
@@ -406,6 +426,26 @@ def _merge_heads(xs: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
     return flat if sel is None else flat[sel]
 
 
+def _attention_weights(qs: np.ndarray, ks: np.ndarray, c: float,
+                       fill: np.ndarray | None) -> np.ndarray:
+    """Softmax weights of an S x heads stack: logits Q K^T * c plus the
+    additive ``fill``, shifted by their row max."""
+    logits = (qs @ ks.swapaxes(-1, -2)) * c
+    if fill is not None:
+        logits += fill
+    # ndarray.max and .sum without their Python wrappers, as in _add_layer_norm
+    e = np.exp(logits - np.maximum.reduce(logits, -1, keepdims=True))
+    return e / np.add.reduce(e, -1, keepdims=True)
+
+
+def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """``attention(q, k, v, heads)`` with no layout, on arrays: one segment,
+    every query sees every key. Shapes are the caller's to check."""
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+    w = _attention_weights(_split_heads(q[None], heads), _split_heads(k[None], heads), c, None)
+    return _merge_heads(w @ _split_heads(v[None], heads), None)
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
               layout: Segments | None = None) -> Tensor:
     """Multi-head scaled dot-product attention as a single graph node.
@@ -450,11 +490,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
                 _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads))
 
     qs, ks, vs = stacks()
-    logits = (qs @ ks.swapaxes(-1, -2)) * c
-    if fill is not None:
-        logits += fill
-    e = np.exp(logits - logits.max(axis=-1, keepdims=True))
-    w = e / e.sum(axis=-1, keepdims=True)
+    w = _attention_weights(qs, ks, c, fill)
     out = _merge_heads(w @ vs, q_sel)
 
     def back(g):

@@ -8,6 +8,8 @@ exceptions are references the library no longer runs: the graph ops
 ``relu``, ``sum_all`` and ``layer_norm_rows`` that the fused nodes must
 match bit for bit; ``decode_logits``, the teacher-forced pass, and
 ``loop_decode_greedy``, the decoding loop the cached decoder replaced;
+``graph_decode_greedy``, the cached decoder as graph ops, which the array
+decoder must match bit for bit;
 ``loop_adam_step``, the tensor-by-tensor Adam step the flat-buffer
 optimiser replaced; and ``loop_train_step``, the one-graph-per-instance
 minibatch that whole-batch packs replaced.
@@ -290,6 +292,38 @@ def loop_decode_greedy(enc_out, cfg, params):
             break
         ids.append(nxt)
     return ids[1:], rows
+
+
+def graph_decode_greedy(enc_out, cfg, params):
+    """The cached greedy decoder as graph ops under ``no_grad``: each step
+    embeds one token, appends its self-attention K/V to per-layer buffers
+    and runs the decoder layers of training on that one row. Returns the
+    generated ids and the logit row of every step taken."""
+    from maf.model import _decoder_layer, _embed, _project_kv, sinusoidal_positions
+    from maf.tensor import add, matmul, no_grad
+    from maf.text import Vocabulary
+
+    limit, d = cfg.max_target_len, cfg.d
+    positions = sinusoidal_positions(limit, d).data
+    keys = [np.empty((limit, d)) for _ in params.dec]
+    values = [np.empty((limit, d)) for _ in params.dec]
+    ids, rows = [], []
+    token = Vocabulary.BOS_ID
+    with no_grad():
+        cross_kv = [_project_kv(enc_out, layer.cross_attn) for layer in params.dec]
+        for t in range(limit):
+            x = _embed([token], Tensor(positions[t:t + 1]), params)
+            for layer, kv, k_rows, v_rows in zip(params.dec, cross_kv, keys, values):
+                k, v = _project_kv(x, layer.self_attn)
+                k_rows[t], v_rows[t] = k.data[0], v.data[0]
+                x = _decoder_layer(x, (Tensor(k_rows[:t + 1]), Tensor(v_rows[:t + 1])), kv,
+                                   layer, cfg.heads)
+            rows.append(add(matmul(x, params.out_proj), params.out_bias).data[0])
+            token = int(np.argmax(rows[-1]))
+            if token == Vocabulary.EOS_ID:
+                break
+            ids.append(token)
+    return ids, rows
 
 
 # ---- Adam one tensor at a time ---------------------------------------------------

@@ -15,6 +15,7 @@ import numpy as np
 import pytest
 
 from maf import model as model_module
+from maf import tensor as tensor_module
 from maf.data import DialogueInstance, Utterance
 from maf.errors import (
     ConfigError,
@@ -54,6 +55,7 @@ from oracles import (
     FD_STEP,
     decode_logits,
     gradients_close,
+    graph_decode_greedy,
     loop_adam_step,
     loop_bucket_means,
     loop_decode_greedy,
@@ -135,6 +137,8 @@ def test_default_config_is_valid():
         (dict(fusion_layer_index=3), "fusion_layer_index"),
         (dict(max_target_len=1), "max_target_len"),
         (dict(ffn=0), "ffn"),
+        (dict(d=1024), "'d' must be in 1..512, got 1024"),
+        (dict(max_frames=10**9), "max_frames"),
         (dict(vocab_size=4), "vocab_size"),
         (dict(seed=-1), "seed"),
     ],
@@ -526,7 +530,7 @@ def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
 
     def recording_step(*args):
         logits = step(*args)
-        steps.append(logits.data[0])
+        steps.append(logits[0])
         return logits
 
     monkeypatch.setattr(model_module, "_decode_step", recording_step)
@@ -536,6 +540,49 @@ def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
     assert len(steps) == len(rows) > 1
     for cached, full in zip(steps, rows):
         np.testing.assert_allclose(cached, full, rtol=0, atol=1e-12)
+
+
+@pytest.mark.parametrize("cap", [2, GAP_MODEL.max_target_len])
+@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_array_decoder_matches_the_graph_ops_bit_for_bit(monkeypatch, variant, heads, cap):
+    """Every step's logits equal, bit for bit, those of the same cached
+    decoder built from graph ops, so the array step runs their arithmetic."""
+    cfg, _, params, inst, ids = fixture_model(variant, heads=heads, decoder_layers=2,
+                                              max_target_len=cap)
+    _randomise_adapter(params)
+    enc = encode(ids, inst.audio_features, inst.video_features, cfg, params)
+    steps = []
+    step = model_module._decode_step
+
+    def recording_step(*args):
+        steps.append(step(*args))
+        return steps[-1]
+
+    monkeypatch.setattr(model_module, "_decode_step", recording_step)
+    got = decode_greedy(enc, cfg, params)
+    want, rows = graph_decode_greedy(enc, cfg, params)
+    assert got == want
+    assert len(steps) == len(rows) == min(len(got) + 1, cap)
+    for logits, row in zip(steps, rows):
+        assert logits.shape == (1, cfg.vocab_size)
+        assert np.array_equal(logits[0], row)
+
+
+def test_decode_greedy_records_no_graph_node(monkeypatch):
+    """Greedy decoding runs on arrays: not one ``tensor._node`` call."""
+    cfg, _, params, inst, ids = fixture_model(max_target_len=8)
+    enc = encode(ids, inst.audio_features, inst.video_features, cfg, params)
+    nodes = []
+    real = tensor_module._node
+
+    def counting(*args):
+        nodes.append(args[1])
+        return real(*args)
+
+    monkeypatch.setattr(tensor_module, "_node", counting)
+    assert len(decode_greedy(enc, cfg, params)) == cfg.max_target_len
+    assert nodes == []
 
 
 def test_encode_deterministic():
