@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, ShapeError
-from .tensor import Tensor, add, concat_last, matmul, mul, zeros
+from .tensor import Slot, Tensor, add, allocate, concat_last, matmul, mul
 
 __all__ = ["GifParams", "gif_fuse"]
 
@@ -42,16 +42,20 @@ class GifParams:
         return next(b for b in (self.b_audio, self.b_video) if b is not None).shape[1]
 
     @classmethod
-    def zero_init(cls, d: int, audio: bool = True, video: bool = True) -> "GifParams":
+    def slots(cls, d: int, audio: bool = True, video: bool = True) -> "GifParams":
         # all-zero start makes the fusion an identity map at step 0
         if not (audio or video):
             raise ContractError("a fusion needs the gate of at least one modality")
         return cls(
-            w_audio=zeros(2 * d, d, requires_grad=True) if audio else None,
-            w_video=zeros(2 * d, d, requires_grad=True) if video else None,
-            b_audio=zeros(1, d, requires_grad=True) if audio else None,
-            b_video=zeros(1, d, requires_grad=True) if video else None,
+            w_audio=Slot(2 * d, d, "zeros") if audio else None,
+            w_video=Slot(2 * d, d, "zeros") if video else None,
+            b_audio=Slot(1, d, "zeros") if audio else None,
+            b_video=Slot(1, d, "zeros") if video else None,
         )
+
+    @classmethod
+    def zero_init(cls, d: int, audio: bool = True, video: bool = True) -> "GifParams":
+        return allocate(cls.slots(d, audio, video), None)
 
 
 def gif_fuse(h: Tensor, h_audio: Tensor | None, h_video: Tensor | None,

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Segments, Tensor, add, attention, glorot_uniform, matmul, mul, sigmoid, sub, zeros
+from .tensor import Segments, Slot, Tensor, add, allocate, attention, matmul, mul, sigmoid, sub
 
 __all__ = ["Mca2Params", "AttentionTrace", "mca2_forward"]
 
@@ -71,21 +71,25 @@ class Mca2Params:
         return self.ctx_k.shape[0]
 
     @classmethod
-    def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "Mca2Params":
+    def slots(cls, d: int, d_c: int) -> "Mca2Params":
         """Fan-balanced projections; gate weights start at zero (gates 0.5)."""
         if d <= 0 or d_c <= 0:
             raise ContractError(f"widths must be positive, got d={d}, d_c={d_c}")
         return cls(
-            w_q=glorot_uniform(rng, d, d),
-            w_k=glorot_uniform(rng, d, d),
-            w_v=glorot_uniform(rng, d, d),
-            ctx_k=glorot_uniform(rng, d_c, d),
-            ctx_v=glorot_uniform(rng, d_c, d),
-            gate_k_text=zeros(d, 1, requires_grad=True),
-            gate_k_ctx=zeros(d, 1, requires_grad=True),
-            gate_v_text=zeros(d, 1, requires_grad=True),
-            gate_v_ctx=zeros(d, 1, requires_grad=True),
+            w_q=Slot(d, d),
+            w_k=Slot(d, d),
+            w_v=Slot(d, d),
+            ctx_k=Slot(d_c, d),
+            ctx_v=Slot(d_c, d),
+            gate_k_text=Slot(d, 1, "zeros"),
+            gate_k_ctx=Slot(d, 1, "zeros"),
+            gate_v_text=Slot(d, 1, "zeros"),
+            gate_v_ctx=Slot(d, 1, "zeros"),
         )
+
+    @classmethod
+    def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "Mca2Params":
+        return allocate(cls.slots(d, d_c), rng)
 
 
 @dataclass

@@ -65,19 +65,21 @@ from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
 from .tensor import (
     Segments,
+    Slot,
     Tensor,
     _add_layer_norm,
     _attention,
     _feed_forward,
+    _split_heads,
     add,
     add_layer_norm,
+    allocate,
     attention,
     backward,
     concat_last,
     cross_entropy_rows,
     feed_forward,
     gather_rows,
-    glorot_uniform,
     matmul,
     named_parameters,
     no_grad,
@@ -155,7 +157,7 @@ class ModelConfig:
         _check_types(self)
         if self.variant not in VARIANTS:
             raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
-        _check_sizes(self, _MODEL_SIZES)
+        _check_minimums(self, _MODEL_MINIMUMS)
         if self.seed < 0:
             raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
         if self.d % self.heads != 0:
@@ -167,6 +169,10 @@ class ModelConfig:
             )
         if self.vocab_size is not None and self.vocab_size < 5:
             raise ConfigError(f"vocab_size must cover the four specials plus content, got {self.vocab_size}")
+        size = _config_bytes(self)
+        if size > _MAX_MODEL_BYTES:
+            raise ConfigError(f"the model would allocate {size} bytes, over the limit of "
+                              f"{_MAX_MODEL_BYTES}: its parameters and greedy decoding's buffers")
 
     def uses_audio(self) -> bool:
         return _FORMS[self.variant].audio
@@ -192,35 +198,52 @@ class TrainConfig:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
-# Inclusive range of every size field. The upper bounds are far above any
-# model this float64 NumPy implementation trains in reasonable time; they
-# exist so that an absurd size (a config or checkpoint header saying
-# "d": 10**12) is refused before anything is allocated, not after
-# gigabytes or an allocation error. ``vocab_size`` has no bound here: a
-# checkpoint must list that many tokens, and training counts them.
-_MODEL_SIZES = {
-    "d": (1, 512),
-    "encoder_layers": (1, 8),
-    "decoder_layers": (1, 8),
-    "ffn": (1, 2048),
-    "heads": (1, 64),
-    "d_c_audio": (1, 512),
-    "d_c_video": (1, 512),
-    "audio_raw_dim": (1, 4096),
-    "video_raw_dim": (1, 4096),
-    "max_text_len": (1, 512),
-    "max_target_len": (2, 256),   # one target token plus EOS at least
-    "max_frames": (1, 4096),
-    "max_windows": (1, 4096),
+# Least value of every size field. No field has a greatest value of its
+# own: a config is refused when what it allocates is too large
+# (``_config_bytes``), and the input caps ``max_text_len``, ``max_frames``
+# and ``max_windows`` allocate nothing.
+_MODEL_MINIMUMS = {
+    "d": 1, "encoder_layers": 1, "decoder_layers": 1, "ffn": 1, "heads": 1, "d_c_audio": 1,
+    "d_c_video": 1, "audio_raw_dim": 1, "video_raw_dim": 1, "max_text_len": 1,
+    "max_target_len": 2,  # one target token plus EOS at least
+    "max_frames": 1, "max_windows": 1,
 }
 
+# What a config may ask parameter init and greedy decoding to allocate,
+# checked before anything is: 1 GiB. A float64 value is 8 bytes; a
+# parameter tensor's Python objects, with its gradient and Adam state,
+# about 1 KiB (906 bytes measured per tensor of a d=2 model with 1000 +
+# 1000 layers). A training step peaked at 6.4 times the parameter bytes
+# (d=256, ffn=1024, a 4-instance pack), so a model at the limit peaks
+# near 7 GB in training; d=768, ffn=3072 at the default depth (33M
+# values) is well inside it.
+_MAX_MODEL_BYTES = 2 ** 30
+_TENSOR_BYTES = 1024
 
-def _check_sizes(cfg, sizes: dict[str, tuple[int, int]]) -> None:
-    """Each named integer field of a config lies in its inclusive range."""
-    for name, (lo, hi) in sizes.items():
+
+def _config_bytes(cfg: ModelConfig) -> int:
+    """Bytes that parameter init and greedy decoding allocate for ``cfg``:
+    each parameter's values and Tensor, then decoding's position table and
+    per-layer K/V rows. Counted on the slots of one layer per stack times
+    the depth, so an absurd depth costs nothing to count; a vocabulary not
+    yet bound counts no rows."""
+    one = _param_slots(replace(cfg, vocab_size=cfg.vocab_size or 0, encoder_layers=1,
+                               decoder_layers=1))
+
+    def cost(slots) -> int:
+        return sum(8 * s.rows * s.cols + _TENSOR_BYTES for _, s in named_parameters(slots))
+
+    params = (cost(one) + (cfg.encoder_layers - 1) * cost(one.enc)
+              + (cfg.decoder_layers - 1) * cost(one.dec))
+    return params + 8 * (1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+
+
+def _check_minimums(cfg, minimums: dict[str, int]) -> None:
+    """Each named integer field of a config is at least its minimum."""
+    for name, lo in minimums.items():
         value = getattr(cfg, name)
-        if not lo <= value <= hi:
-            raise ConfigError(f"'{name}' must be in {lo}..{hi}, got {value}")
+        if value < lo:
+            raise ConfigError(f"'{name}' must be >= {lo}, got {value}")
 
 
 def _holds(value, hint) -> bool:
@@ -279,8 +302,8 @@ class AttentionParams:
     w_o: Tensor
 
     @classmethod
-    def init(cls, d: int, rng: np.random.Generator) -> "AttentionParams":
-        return cls(*(glorot_uniform(rng, d, d) for _ in range(4)))
+    def slots(cls, d: int) -> "AttentionParams":
+        return cls(*(Slot(d, d) for _ in range(4)))
 
 
 @dataclass
@@ -289,9 +312,8 @@ class LayerNormParams:
     bias: Tensor
 
     @classmethod
-    def init(cls, d: int) -> "LayerNormParams":
-        return cls(gain=Tensor(np.ones((1, d)), requires_grad=True),
-                   bias=zeros(1, d, requires_grad=True))
+    def slots(cls, d: int) -> "LayerNormParams":
+        return cls(gain=Slot(1, d, "ones"), bias=Slot(1, d, "zeros"))
 
 
 @dataclass
@@ -302,13 +324,9 @@ class FeedForwardParams:
     b2: Tensor
 
     @classmethod
-    def init(cls, d: int, hidden: int, rng: np.random.Generator) -> "FeedForwardParams":
-        return cls(
-            w1=glorot_uniform(rng, d, hidden),
-            b1=zeros(1, hidden, requires_grad=True),
-            w2=glorot_uniform(rng, hidden, d),
-            b2=zeros(1, d, requires_grad=True),
-        )
+    def slots(cls, d: int, hidden: int) -> "FeedForwardParams":
+        return cls(w1=Slot(d, hidden), b1=Slot(1, hidden, "zeros"), w2=Slot(hidden, d),
+                   b2=Slot(1, d, "zeros"))
 
 
 @dataclass
@@ -319,12 +337,12 @@ class EncoderLayerParams:
     ln2: LayerNormParams
 
     @classmethod
-    def init(cls, d: int, hidden: int, rng: np.random.Generator) -> "EncoderLayerParams":
+    def slots(cls, d: int, hidden: int) -> "EncoderLayerParams":
         return cls(
-            attn=AttentionParams.init(d, rng),
-            ln1=LayerNormParams.init(d),
-            ffn=FeedForwardParams.init(d, hidden, rng),
-            ln2=LayerNormParams.init(d),
+            attn=AttentionParams.slots(d),
+            ln1=LayerNormParams.slots(d),
+            ffn=FeedForwardParams.slots(d, hidden),
+            ln2=LayerNormParams.slots(d),
         )
 
 
@@ -338,14 +356,14 @@ class DecoderLayerParams:
     ln3: LayerNormParams
 
     @classmethod
-    def init(cls, d: int, hidden: int, rng: np.random.Generator) -> "DecoderLayerParams":
+    def slots(cls, d: int, hidden: int) -> "DecoderLayerParams":
         return cls(
-            self_attn=AttentionParams.init(d, rng),
-            ln1=LayerNormParams.init(d),
-            cross_attn=AttentionParams.init(d, rng),
-            ln2=LayerNormParams.init(d),
-            ffn=FeedForwardParams.init(d, hidden, rng),
-            ln3=LayerNormParams.init(d),
+            self_attn=AttentionParams.slots(d),
+            ln1=LayerNormParams.slots(d),
+            cross_attn=AttentionParams.slots(d),
+            ln2=LayerNormParams.slots(d),
+            ffn=FeedForwardParams.slots(d, hidden),
+            ln3=LayerNormParams.slots(d),
         )
 
 
@@ -360,12 +378,9 @@ class ModalityEncoderParams:
     layer: EncoderLayerParams
 
     @classmethod
-    def init(cls, raw_dim: int, d_c: int, rng: np.random.Generator) -> "ModalityEncoderParams":
-        return cls(
-            in_proj=glorot_uniform(rng, raw_dim, d_c),
-            in_bias=zeros(1, d_c, requires_grad=True),
-            layer=EncoderLayerParams.init(d_c, 2 * d_c, rng),
-        )
+    def slots(cls, raw_dim: int, d_c: int) -> "ModalityEncoderParams":
+        return cls(in_proj=Slot(raw_dim, d_c), in_bias=Slot(1, d_c, "zeros"),
+                   layer=EncoderLayerParams.slots(d_c, 2 * d_c))
 
 
 @dataclass
@@ -377,8 +392,8 @@ class DpaParams:
     ctx_v: Tensor
 
     @classmethod
-    def init(cls, d: int, d_c: int, rng: np.random.Generator) -> "DpaParams":
-        return cls(glorot_uniform(rng, d, d), glorot_uniform(rng, d_c, d), glorot_uniform(rng, d_c, d))
+    def slots(cls, d: int, d_c: int) -> "DpaParams":
+        return cls(Slot(d, d), Slot(d_c, d), Slot(d_c, d))
 
 
 @dataclass
@@ -407,6 +422,38 @@ class ModelParams:
     adapter: AdapterParams
 
 
+def _param_slots(cfg: ModelConfig) -> ModelParams:
+    """The parameters of ``cfg``'s model as ``Slot``s, not yet allocated:
+    the one place their shapes are set."""
+    d, v = cfg.d, cfg.vocab_size
+    form = _FORMS[cfg.variant]
+    ad = AdapterParams()
+    if form.attend is not None:
+        block = Mca2Params if form.attend == "mca2" else DpaParams
+        if form.audio:
+            ad.mca2_audio = block.slots(d, cfg.d_c_audio)
+        if form.video:
+            ad.mca2_video = block.slots(d, cfg.d_c_video)
+    if form.merge == "gif":
+        ad.gif = GifParams.slots(d, audio=form.audio, video=form.video)
+    elif form.merge == "concat":
+        ad.concat_tri = Slot(d + cfg.d_c_audio + cfg.d_c_video, d)
+        ad.concat_tri_bias = Slot(1, d, "zeros")
+    return ModelParams(
+        embedding=Slot(v, d),
+        enc=[EncoderLayerParams.slots(d, cfg.ffn) for _ in range(cfg.encoder_layers)],
+        dec=[DecoderLayerParams.slots(d, cfg.ffn) for _ in range(cfg.decoder_layers)],
+        out_proj=Slot(d, v),
+        out_bias=Slot(1, v, "zeros"),
+        audio_enc=ModalityEncoderParams.slots(cfg.audio_raw_dim, cfg.d_c_audio) if form.audio else None,
+        video_enc=ModalityEncoderParams.slots(cfg.video_raw_dim, cfg.d_c_video) if form.video else None,
+        adapter=ad,
+    )
+
+
+_ADAPTER_SIDE = ("audio_enc", "video_enc", "adapter")
+
+
 def init_model_params(cfg: ModelConfig) -> ModelParams:
     """Deterministic init from cfg.seed.
 
@@ -421,34 +468,10 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
     host_ss, adapter_ss, _ = np.random.SeedSequence(cfg.seed).spawn(3)
     host = np.random.default_rng(host_ss)
     adapter_rng = np.random.default_rng(adapter_ss)
-
-    d, v = cfg.d, cfg.vocab_size
-    embedding = glorot_uniform(host, v, d)
-    enc = [EncoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.encoder_layers)]
-    dec = [DecoderLayerParams.init(d, cfg.ffn, host) for _ in range(cfg.decoder_layers)]
-    out_proj = glorot_uniform(host, d, v)
-    out_bias = zeros(1, v, requires_grad=True)
-
-    form = _FORMS[cfg.variant]
-    audio_enc = video_enc = None
-    if form.audio:
-        audio_enc = ModalityEncoderParams.init(cfg.audio_raw_dim, cfg.d_c_audio, adapter_rng)
-    if form.video:
-        video_enc = ModalityEncoderParams.init(cfg.video_raw_dim, cfg.d_c_video, adapter_rng)
-    ad = AdapterParams()
-    if form.attend is not None:
-        block = Mca2Params if form.attend == "mca2" else DpaParams
-        if form.audio:
-            ad.mca2_audio = block.init(d, cfg.d_c_audio, adapter_rng)
-        if form.video:
-            ad.mca2_video = block.init(d, cfg.d_c_video, adapter_rng)
-    if form.merge == "gif":
-        ad.gif = GifParams.zero_init(d, audio=form.audio, video=form.video)
-    elif form.merge == "concat":
-        ad.concat_tri = glorot_uniform(adapter_rng, d + cfg.d_c_audio + cfg.d_c_video, d)
-        ad.concat_tri_bias = zeros(1, d, requires_grad=True)
-
-    return ModelParams(embedding, enc, dec, out_proj, out_bias, audio_enc, video_enc, ad)
+    slots = _param_slots(cfg)
+    return ModelParams(**{f.name: allocate(getattr(slots, f.name),
+                                           adapter_rng if f.name in _ADAPTER_SIDE else host)
+                          for f in fields(ModelParams)})
 
 
 # ---- positions and pooling layouts ----------------------------------------------
@@ -728,6 +751,14 @@ class _DecoderCache(NamedTuple):
     values: list[np.ndarray]                       # per layer: limit x d self-attention V rows
 
 
+def _attend_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
+    """``attention(q, k, v, heads)`` with no layout, on arrays: one
+    segment, so the head stacks are plain reshapes."""
+    c = 1.0 / math.sqrt(q.shape[1] // heads)
+    return _attention(_split_heads(q[None], heads), _split_heads(k[None], heads),
+                      _split_heads(v[None], heads), c, None, None)[0]
+
+
 def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
                  params: ModelParams) -> np.ndarray:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
@@ -740,9 +771,9 @@ def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
                                                         cache.values):
         sa, ca, ffn = layer.self_attn, layer.cross_attn, layer.ffn
         keys[t], values[t] = (x @ sa.w_k.data)[0], (x @ sa.w_v.data)[0]
-        a = _attention(x @ sa.w_q.data, keys[:t + 1], values[:t + 1], cfg.heads) @ sa.w_o.data
+        a = _attend_rows(x @ sa.w_q.data, keys[:t + 1], values[:t + 1], cfg.heads) @ sa.w_o.data
         h = _add_layer_norm(x, a, layer.ln1.gain.data, layer.ln1.bias.data)[0]
-        a = _attention(h @ ca.w_q.data, cross_k, cross_v, cfg.heads) @ ca.w_o.data
+        a = _attend_rows(h @ ca.w_q.data, cross_k, cross_v, cfg.heads) @ ca.w_o.data
         h = _add_layer_norm(h, a, layer.ln2.gain.data, layer.ln2.bias.data)[0]
         f = _feed_forward(h, ffn.w1.data, ffn.b1.data, ffn.w2.data, ffn.b2.data)[0]
         x = _add_layer_norm(h, f, layer.ln3.gain.data, layer.ln3.bias.data)[0]
@@ -986,7 +1017,7 @@ _CKPT_VERSION = 1
 _CKPT_KEYS = {"format", "version", "config", "vocab", "params"}
 
 
-def _param_table(named: list[tuple[str, Tensor]]) -> list[dict]:
+def _param_table(named: list[tuple[str, Tensor | Slot]]) -> list[dict]:
     """A checkpoint's shape table: name, rows and cols of each parameter,
     in blob order."""
     return [{"name": n, "rows": t.shape[0], "cols": t.shape[1]} for n, t in named]
@@ -1013,7 +1044,8 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """The model ``save_checkpoint`` wrote. The vocab length and the whole
-    shape table are compared with the header's config before any read."""
+    shape table are compared with the header's config before any read or
+    allocation."""
     with open(path, "rb") as fh:
         header = read_json_object(fh.readline(), f"checkpoint '{path}' header", ParseError)
         if header.get("format") != _CKPT_FORMAT:
@@ -1040,9 +1072,7 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             vocab = Vocabulary.from_tokens(tokens)
         except ContractError as exc:
             raise ParseError(f"'{path}' {exc}") from None
-        params = init_model_params(cfg)
-        named = named_parameters(params)
-        table, wanted = header.get("params"), _param_table(named)
+        table, wanted = header.get("params"), _param_table(named_parameters(_param_slots(cfg)))
         if not isinstance(table, list):
             raise ParseError(f"'{path}' header has no 'params' list")
         for entry, want in zip(table, wanted):  # as JSON text, so true and 1.0 are not 1
@@ -1053,6 +1083,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
         if len(table) != len(wanted):
             raise ParseError(f"'{path}' 'params' lists {len(table)} parameters, the configured "
                              f"architecture has {len(wanted)}")
+        params = init_model_params(cfg)
+        named = named_parameters(params)
         for name, t in named:
             blob = fh.read(t.data.nbytes)
             if len(blob) != t.data.nbytes:

@@ -33,7 +33,7 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import TrainedModel, _check_sizes, _check_types, generate_explanations
+from .model import TrainedModel, _check_minimums, _check_types, generate_explanations
 from .text import tokenize
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -55,22 +55,15 @@ def _description_clause(action: int, target: int) -> str:
     return f"while {first} and {second}"
 
 
-# Inclusive range of every size field: the upper bounds refuse an absurd
-# size before a single feature matrix is allocated (see model._MODEL_SIZES).
-# A class needs at least two values to carry a label.
-_SPEC_SIZES = {
-    "num_instances": (1, 100_000),
-    "speakers": (2, 1000),
-    "actions": (2, 4096),
-    "targets": (2, 4096),
-    "frames": (1, 4096),
-    "windows": (1, 4096),
-    "audio_dim": (1, 4096),
-    "video_dim": (1, 4096),
-}
-# Feature values of a whole corpus, which ``generate`` holds at once: 1 GiB
-# of float64. Sizes each inside their range can still multiply past it.
-_MAX_FEATURE_VALUES = 2 ** 27
+# Least value of every size field: a class needs at least two values to
+# carry a label. The sizes have no greatest value of their own; the corpus
+# they make, which ``generate`` holds at once, is limited to 1 GiB: 8 bytes
+# per feature value and 2 KiB per instance (2037 bytes measured per
+# instance of one frame and one window).
+_SPEC_MINIMUMS = {"num_instances": 1, "speakers": 2, "actions": 2, "targets": 2, "frames": 1,
+                  "windows": 1}
+_MAX_CORPUS_BYTES = 2 ** 30
+_INSTANCE_BYTES = 2048
 
 
 @dataclass
@@ -92,12 +85,7 @@ class SyntheticSpec:
 
     def validate(self) -> None:
         _check_types(self)
-        _check_sizes(self, _SPEC_SIZES)
-        values = self.num_instances * (self.frames * self.audio_dim + self.windows * self.video_dim)
-        if values > _MAX_FEATURE_VALUES:
-            raise ConfigError(f"the corpus would hold {values} feature values, over the limit of "
-                              f"{_MAX_FEATURE_VALUES}: num_instances x (frames x audio_dim + "
-                              f"windows x video_dim)")
+        _check_minimums(self, _SPEC_MINIMUMS)
         if self.noise < 0:
             raise ConfigError(f"noise must be >= 0, got {self.noise}")
         if self.seed < 0:
@@ -106,6 +94,12 @@ class SyntheticSpec:
             raise ConfigError(f"actions ({self.actions}) exceed audio_dim ({self.audio_dim})")
         if self.targets > self.video_dim:
             raise ConfigError(f"targets ({self.targets}) exceed video_dim ({self.video_dim})")
+        size = self.num_instances * (8 * (self.frames * self.audio_dim + self.windows * self.video_dim)
+                                     + _INSTANCE_BYTES)
+        if size > _MAX_CORPUS_BYTES:
+            raise ConfigError(f"the corpus would take {size} bytes, over the limit of "
+                              f"{_MAX_CORPUS_BYTES}: num_instances x (8 x (frames x audio_dim + "
+                              f"windows x video_dim) + {_INSTANCE_BYTES})")
 
 
 def speaker_name(i: int) -> str:

@@ -23,16 +23,20 @@ Conventions used throughout the package:
 * inside ``with no_grad():`` no graph is recorded at all, which is how
   the encoder runs at inference;
 * the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
-  (one segment) ``attention`` are private array functions, which the ops
-  call and greedy decoding calls directly, with no Tensor at all.
+  ``attention`` are private array functions (``_attention`` takes the
+  stacked heads of any layout), which the ops call and greedy decoding
+  calls directly, with no Tensor at all;
+* a parameter tree is first built of ``Slot``s, shapes with no storage,
+  which ``allocate`` fills: its size is known before anything is
+  allocated.
 """
 
 from __future__ import annotations
 
 import math
 from contextlib import contextmanager
-from dataclasses import fields, is_dataclass
-from typing import Callable, Iterable, Iterator, Sequence
+from dataclasses import fields, is_dataclass, replace
+from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -57,6 +61,8 @@ __all__ = [
     "no_grad",
     "zeros",
     "glorot_uniform",
+    "Slot",
+    "allocate",
     "named_parameters",
 ]
 
@@ -426,24 +432,19 @@ def _merge_heads(xs: np.ndarray, sel: np.ndarray | None) -> np.ndarray:
     return flat if sel is None else flat[sel]
 
 
-def _attention_weights(qs: np.ndarray, ks: np.ndarray, c: float,
-                       fill: np.ndarray | None) -> np.ndarray:
-    """Softmax weights of an S x heads stack: logits Q K^T * c plus the
-    additive ``fill``, shifted by their row max."""
+def _attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray, c: float,
+               fill: np.ndarray | None, q_sel: np.ndarray | None) -> tuple[np.ndarray, np.ndarray]:
+    """``attention``'s forward on an S x heads stack: the output rows
+    softmax(Q K^T * c + fill) V, real query rows ``q_sel`` only (None:
+    all), and the softmax weights its backward reads. The logits are
+    shifted by their row max."""
     logits = (qs @ ks.swapaxes(-1, -2)) * c
     if fill is not None:
         logits += fill
     # ndarray.max and .sum without their Python wrappers, as in _add_layer_norm
     e = np.exp(logits - np.maximum.reduce(logits, -1, keepdims=True))
-    return e / np.add.reduce(e, -1, keepdims=True)
-
-
-def _attention(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
-    """``attention(q, k, v, heads)`` with no layout, on arrays: one segment,
-    every query sees every key. Shapes are the caller's to check."""
-    c = 1.0 / math.sqrt(q.shape[1] // heads)
-    w = _attention_weights(_split_heads(q[None], heads), _split_heads(k[None], heads), c, None)
-    return _merge_heads(w @ _split_heads(v[None], heads), None)
+    w = e / np.add.reduce(e, -1, keepdims=True)
+    return _merge_heads(w @ vs, q_sel), w
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
@@ -489,9 +490,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
                 _split_heads(k_data[None] if k_idx is None else k_data[k_idx], heads),
                 _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads))
 
-    qs, ks, vs = stacks()
-    w = _attention_weights(qs, ks, c, fill)
-    out = _merge_heads(w @ vs, q_sel)
+    out, w = _attention(*stacks(), c, fill, q_sel)
 
     def back(g):
         if q_sel is None:
@@ -613,16 +612,46 @@ def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:
 # ---- parameter containers ----------------------------------------------------
 
 
+class Slot(NamedTuple):
+    """A trainable parameter before it is allocated: its shape and its
+    start values, "glorot" (``glorot_uniform``), "zeros" or "ones"."""
+
+    rows: int
+    cols: int
+    fill: str = "glorot"
+
+    @property
+    def shape(self) -> tuple[int, int]:
+        return self.rows, self.cols
+
+
+def allocate(slots, rng: np.random.Generator | None):
+    """A dataclass tree of ``Slot``s with each one replaced by a trainable
+    Tensor. Slots are filled in ``named_parameters`` order, so the glorot
+    ones draw from ``rng`` in that order."""
+    if isinstance(slots, Slot):
+        if slots.fill == "glorot":
+            return glorot_uniform(rng, slots.rows, slots.cols)
+        fill = np.ones if slots.fill == "ones" else np.zeros
+        return Tensor(fill(slots.shape), requires_grad=True)
+    if isinstance(slots, list):
+        return [allocate(item, rng) for item in slots]
+    if is_dataclass(slots):
+        return replace(slots, **{f.name: allocate(getattr(slots, f.name), rng) for f in fields(slots)})
+    return slots
+
+
 def named_parameters(params) -> list[tuple[str, Tensor]]:
-    """Every Tensor in a dataclass tree, named by its path, in declaration
-    order: fields by name, list items by index, ``None`` skipped
-    (``enc.0.attn.w_q``). Checkpoint layout and the order of the
-    optimizer's clip-norm sum follow this order."""
+    """Every Tensor in a dataclass tree (every Slot, in a tree not yet
+    allocated), named by its path, in declaration order: fields by name,
+    list items by index, ``None`` skipped (``enc.0.attn.w_q``). Checkpoint
+    layout and the order of the optimizer's clip-norm sum follow this
+    order."""
     return list(_walk(params, ""))
 
 
 def _walk(value, name: str) -> Iterator[tuple[str, Tensor]]:
-    if isinstance(value, Tensor):
+    if isinstance(value, (Tensor, Slot)):
         yield name, value
     elif isinstance(value, list):
         for i, item in enumerate(value):

@@ -509,17 +509,24 @@ def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
     assert f"config error: '{field}' must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, field", [("model", "d"), ("model", "ffn"),
-                                            ("synthetic", "frames"), ("synthetic", "windows")])
-def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, section, field):
-    """A size far beyond its bound is a config error, raised before data
-    generation or parameter init tries to allocate 10**15 rows."""
+@pytest.mark.parametrize("section, field, fragment", [
+    ("model", "d", "the model would allocate"),
+    ("model", "ffn", "the model would allocate"),
+    ("model", "encoder_layers", "the model would allocate"),
+    ("model", "max_target_len", "the model would allocate"),
+    ("synthetic", "num_instances", "the corpus would take"),
+    ("synthetic", "frames", "the corpus would take"),
+    ("synthetic", "windows", "the corpus would take"),
+])
+def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, section, field, fragment):
+    """A size whose allocation would pass its limit is a config error,
+    raised before data generation or parameter init tries to allocate."""
     raw = config_dict(tmp_path / "run")
     raw[section][field] = 10**15
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 2
-    assert f"config error: '{field}' must be in 1.." in capsys.readouterr().err
+    assert f"config error: {fragment}" in capsys.readouterr().err
 
 
 def test_cli_removed_bleu_smoothing_key_exits_2(tmp_path, capsys):
@@ -561,9 +568,10 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys):
         # the table is compared before any blob is read, not read at the declared size
         (lambda h: h["params"][0].update(rows=10**12), '"rows": 1000000000000'),
         # and the vocab before init allocates vocab_size rows
-        (lambda h: h["config"].update(vocab_size=10**12), "vocab_size=1000000000000"),
-        # and every size before init allocates it
-        (lambda h: h["config"].update(d=10**15), "'d' must be in 1..512"),
+        (lambda h: h["config"].update(vocab_size=10**6), "vocab_size=1000000 token strings"),
+        # and what the sizes allocate before init allocates it
+        (lambda h: h["config"].update(d=10**15), "the model would allocate"),
+        (lambda h: h["config"].update(decoder_layers=10**15), "the model would allocate"),
         # a TA checkpoint in the layout that still held the unread video gate
         (lambda h: h["config"].update(variant="TA") or h.update(params=[
             e for e in h["params"] if not e["name"].startswith(("video_enc.", "adapter.mca2_video."))

@@ -137,8 +137,10 @@ def test_default_config_is_valid():
         (dict(fusion_layer_index=3), "fusion_layer_index"),
         (dict(max_target_len=1), "max_target_len"),
         (dict(ffn=0), "ffn"),
-        (dict(d=1024), "'d' must be in 1..512, got 1024"),
-        (dict(max_frames=10**9), "max_frames"),
+        # no size has a greatest value of its own: what it allocates does
+        (dict(d=10**6), "the model would allocate"),
+        (dict(encoder_layers=10**12), "the model would allocate"),
+        (dict(max_target_len=10**9), "the model would allocate"),
         (dict(vocab_size=4), "vocab_size"),
         (dict(seed=-1), "seed"),
     ],
@@ -146,6 +148,26 @@ def test_default_config_is_valid():
 def test_config_validation_rejects(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
         tiny_config(**kw).validate()
+
+
+def test_config_sizes_are_bounded_only_by_what_they_allocate():
+    """Transformer-base widths fit the allocation limit, and an input cap
+    allocates nothing, so neither is refused."""
+    ModelConfig(vocab_size=50, d=768, ffn=3072, heads=12).validate()
+    tiny_config(max_frames=10**9, max_windows=10**9, max_text_len=10**9).validate()
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_config_bytes_count_what_init_and_decoding_allocate(variant):
+    """The limit is checked on the parameter slots of one layer per stack
+    times the depth; that equals the tensors init builds, and decoding's
+    position table and K/V rows."""
+    cfg = tiny_config(vocab_size=30, variant=variant, encoder_layers=3, decoder_layers=2,
+                      max_target_len=5)
+    named = named_parameters(init_model_params(cfg))
+    params = sum(8 * t.data.size + model_module._TENSOR_BYTES for _, t in named)
+    decoding = 8 * (1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+    assert model_module._config_bytes(cfg) == params + decoding
 
 
 def test_modality_usage_by_variant():
@@ -1300,11 +1322,16 @@ def test_checkpoint_table_must_be_the_written_one(tmp_path, mutate):
         load_checkpoint(tampered)
 
 
-def test_checkpoint_vocab_is_checked_before_init_allocates(tmp_path):
-    """A config claiming 10**12 tokens would make init allocate terabytes;
-    the vocab length is compared first."""
+@pytest.mark.parametrize("vocab_size, fragment", [
+    (10**12, "the model would allocate"),   # terabytes: refused from the config alone
+    (10**6, "vocab_size=1000000 token strings"),  # within the limit, but not the vocab listed
+])
+def test_checkpoint_vocab_is_checked_before_init_allocates(tmp_path, vocab_size, fragment):
+    """A config claiming more tokens than the header lists would make init
+    allocate their rows; the allocation limit and the vocab length are
+    checked first."""
     _, tm, path = trained_tiny(tmp_path)
     tampered = tmp_path / "huge.ckpt"
-    _tamper_header(path, tampered, lambda h: h["config"].update(vocab_size=10**12))
-    with pytest.raises(ParseError, match="vocab_size=1000000000000 token strings"):
+    _tamper_header(path, tampered, lambda h: h["config"].update(vocab_size=vocab_size))
+    with pytest.raises(ParseError, match=fragment):
         load_checkpoint(tampered)
