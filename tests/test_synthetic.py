@@ -49,14 +49,14 @@ def test_default_spec_is_valid():
         (dict(actions=1), "actions"),
         (dict(targets=1), "targets"),
         (dict(frames=0), "frames"),
-        (dict(windows=10**6), "the corpus would take"),
-        (dict(num_instances=10_000, frames=4096, audio_dim=64), "the corpus would take"),
-        # 384 MB of features, but 2 KiB of objects per instance on top
-        (dict(num_instances=10**6, frames=1, windows=1), "the corpus would take"),
         (dict(noise=-0.5), "noise"),
         (dict(actions=17, audio_dim=16), "audio_dim"),
         (dict(targets=33, video_dim=32), "video_dim"),
         (dict(seed=-1), "seed"),
+        (dict(windows=10**6), "the corpus would take"),
+        (dict(num_instances=10_000, frames=4096, audio_dim=64), "the corpus would take"),
+        # 384 MB of features, but 2 KiB of objects per instance on top
+        (dict(num_instances=10**6, frames=1, windows=1), "the corpus would take"),
     ],
 )
 def test_spec_rejects(kw, fragment):
