@@ -100,8 +100,21 @@ class ExperimentConfig:
             raise ConfigError(f"test_instances must be >= 1, got {self.test_instances}")
 
 
+def _file_sha256(path: str) -> str:
+    digest = hashlib.sha256()
+    with open(path, "rb") as fh:
+        for block in iter(lambda: fh.read(1 << 20), b""):
+            digest.update(block)
+    return digest.hexdigest()
+
+
 def config_hash(cfg: ExperimentConfig) -> str:
-    blob = json.dumps(cfg.resolved(), sort_keys=True).encode("utf-8")
+    """What identifies the experiment, hashed. A corpus enters by its bytes,
+    not by its path, so one experiment hashes alike from any directory."""
+    resolved = cfg.resolved()
+    if cfg.dataset is not None:
+        resolved["dataset"] = _file_sha256(cfg.dataset)
+    blob = json.dumps(resolved, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12]
 
 
@@ -185,8 +198,8 @@ class MetricRow:
 _SCORES = tuple(name for name, hint in get_type_hints(MetricRow).items() if hint is float)
 
 
-def _metric_row(cfg: ExperimentConfig, variant: str, seed: int, layer: int, scores: dict) -> dict:
-    return asdict(MetricRow(__version__, config_hash(cfg), variant, seed, layer, **scores))
+def _metric_row(digest: str, variant: str, seed: int, layer: int, scores: dict) -> dict:
+    return asdict(MetricRow(__version__, digest, variant, seed, layer, **scores))
 
 
 def _write_loss_log(path: Path, step_losses: Sequence[float]) -> None:
@@ -205,13 +218,14 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
     """Train and score every (variant, fusion layer, file tag) cell at every
     seed; write each cell's metric row and loss log, then the report."""
     out = _out_dir(cfg)
+    digest = config_hash(cfg)
     rows = []
     for seed in cfg.seeds:
         train_insts, test_insts = _prepare_data(cfg, seed)
         for variant, layer, tag in cells:
             mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
             tm = train(train_insts, mcfg, cfg.train)
-            row = _metric_row(cfg, variant, seed, layer, evaluate_variant(tm, test_insts))
+            row = _metric_row(digest, variant, seed, layer, evaluate_variant(tm, test_insts))
             _dump_json(out / f"metrics_{tag}_seed{seed}.json", row)
             _write_loss_log(out / f"loss_{tag}_seed{seed}.csv", tm.step_losses)
             rows.append(row)
@@ -248,8 +262,9 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
     tm = load_checkpoint(checkpoint)
     _, test_insts = _prepare_data(cfg, seed)
     scores = evaluate_variant(tm, test_insts)
-    row = _metric_row(cfg, tm.config.variant, seed, tm.config.fusion_layer_index, scores)
-    _dump_json(out / f"metrics_{tm.config.variant}_seed{seed}.json", row)
+    mcfg = tm.config
+    row = _metric_row(config_hash(cfg), mcfg.variant, seed, mcfg.fusion_layer_index, scores)
+    _dump_json(out / f"metrics_{mcfg.variant}_seed{seed}.json", row)
     return row
 
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import NamedTuple, Sequence
 
 from .errors import ContractError
 from .text import tokenize
@@ -34,18 +34,6 @@ def _f1(p: float, r: float) -> float:
     return 0.0 if p + r == 0 else 2 * p * r / (p + r)
 
 
-def rouge_n(hyp: str, ref: str, n: int) -> float:
-    """Clipped n-gram overlap F1 between one hypothesis and one reference."""
-    if n < 1:
-        raise ContractError(f"n-gram order must be >= 1, got {n}")
-    h = _ngrams(tokenize(hyp), n)
-    r = _ngrams(tokenize(ref), n)
-    if not h or not r:
-        return 0.0
-    overlap = sum(min(c, r[g]) for g, c in h.items())
-    return _f1(overlap / sum(h.values()), overlap / sum(r.values()))
-
-
 def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     # one-row dynamic program; O(len(a) * len(b))
     prev = [0] * (len(b) + 1)
@@ -57,13 +45,63 @@ def _lcs_len(a: Sequence[str], b: Sequence[str]) -> int:
     return prev[-1]
 
 
+class _Counts(NamedTuple):
+    """One hypothesis/reference pair, tokenised and counted once: the token
+    counts, then for each n-gram order 1..k the hypothesis and reference
+    n-gram totals and their clipped matches, then the LCS length."""
+
+    hyp: int
+    ref: int
+    orders: tuple[tuple[int, int, int], ...]
+    lcs: int
+
+
+def _count(hyp: str, ref: str, k: int) -> _Counts:
+    h, r = tokenize(hyp), tokenize(ref)
+    orders = []
+    for n in range(1, k + 1):
+        hg, rg = _ngrams(h, n), _ngrams(r, n)
+        matched = sum(min(c, rg[g]) for g, c in hg.items())
+        orders.append((sum(hg.values()), sum(rg.values()), matched))
+    return _Counts(len(h), len(r), tuple(orders), _lcs_len(h, r))
+
+
+def _rouge_n(c: _Counts, n: int) -> float:
+    hyp_total, ref_total, overlap = c.orders[n - 1]
+    if not hyp_total or not ref_total:
+        return 0.0
+    return _f1(overlap / hyp_total, overlap / ref_total)
+
+
+def _rouge_l(c: _Counts) -> float:
+    if not c.hyp or not c.ref:
+        return 0.0
+    return _f1(c.lcs / c.hyp, c.lcs / c.ref)
+
+
+def _bleu(c: _Counts, k: int) -> float:
+    if not c.hyp:
+        return 0.0
+    precisions = []
+    for hyp_total, _, matched in c.orders[:k]:
+        if matched == 0:  # no n-gram matches, or the hypothesis has none
+            return 0.0
+        precisions.append(matched / hyp_total)
+    log_mean = sum(math.log(p) for p in precisions) / k
+    bp = 1.0 if c.hyp >= c.ref else math.exp(1.0 - c.ref / c.hyp)
+    return bp * math.exp(log_mean)
+
+
+def rouge_n(hyp: str, ref: str, n: int) -> float:
+    """Clipped n-gram overlap F1 between one hypothesis and one reference."""
+    if n < 1:
+        raise ContractError(f"n-gram order must be >= 1, got {n}")
+    return _rouge_n(_count(hyp, ref, n), n)
+
+
 def rouge_l(hyp: str, ref: str) -> float:
     """Longest-common-subsequence F1."""
-    h, r = tokenize(hyp), tokenize(ref)
-    if not h or not r:
-        return 0.0
-    lcs = _lcs_len(h, r)
-    return _f1(lcs / len(h), lcs / len(r))
+    return _rouge_l(_count(hyp, ref, 0))
 
 
 def bleu_k(hyp: str, ref: str, k: int) -> float:
@@ -73,19 +111,7 @@ def bleu_k(hyp: str, ref: str, k: int) -> float:
     """
     if k < 1:
         raise ContractError(f"BLEU order must be >= 1, got {k}")
-    h, r = tokenize(hyp), tokenize(ref)
-    if not h:
-        return 0.0
-    precisions = []
-    for n in range(1, k + 1):
-        hg, rg = _ngrams(h, n), _ngrams(r, n)
-        matched = sum(min(c, rg[g]) for g, c in hg.items())
-        if matched == 0:  # no n-gram matches, or the hypothesis has none
-            return 0.0
-        precisions.append(matched / sum(hg.values()))
-    log_mean = sum(math.log(p) for p in precisions) / k
-    bp = 1.0 if len(h) >= len(r) else math.exp(1.0 - len(r) / len(h))
-    return bp * math.exp(log_mean)
+    return _bleu(_count(hyp, ref, k), k)
 
 
 def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float, float]:
@@ -120,13 +146,14 @@ def score_corpus(hyps: Sequence[str], refs: Sequence[str]) -> dict[str, float]:
     if not hyps:
         raise ContractError("nothing to score")
     n = len(hyps)
+    counts = [_count(h, r, 4) for h, r in zip(hyps, refs)]
     out = {
-        "R1": sum(rouge_n(h, r, 1) for h, r in zip(hyps, refs)) / n,
-        "R2": sum(rouge_n(h, r, 2) for h, r in zip(hyps, refs)) / n,
-        "RL": sum(rouge_l(h, r) for h, r in zip(hyps, refs)) / n,
+        "R1": sum(_rouge_n(c, 1) for c in counts) / n,
+        "R2": sum(_rouge_n(c, 2) for c in counts) / n,
+        "RL": sum(_rouge_l(c) for c in counts) / n,
     }
     for k in (1, 2, 3, 4):
-        out[f"B{k}"] = sum(bleu_k(h, r, k) for h, r in zip(hyps, refs)) / n
+        out[f"B{k}"] = sum(_bleu(c, k) for c in counts) / n
     return out
 
 

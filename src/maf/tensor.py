@@ -18,8 +18,12 @@ Conventions used throughout the package:
 * a tensor that has been recorded in a graph is never mutated in place
   while the graph lives (the optimizer updates leaf ``.data`` in place,
   but only after every graph has been freed);
-* gradients accumulate additively across ``backward`` calls until
-  ``zero_grad`` clears them;
+* ``backward`` walks a graph once and frees it as it goes: each node
+  below the loss drops its parents and backward closure as soon as it
+  has been walked, so a second ``backward`` through the same graph
+  raises ``ContractError``; build the graph again instead. Leaf
+  gradients accumulate additively across graphs until ``zero_grad``
+  clears them;
 * inside ``with no_grad():`` no graph is recorded at all, which is how
   the encoder runs at inference;
 * the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
@@ -78,7 +82,7 @@ class Tensor:
     parent links, so constant subgraphs cost nothing at backward time.
     """
 
-    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward")
+    __slots__ = ("data", "requires_grad", "grad", "op", "parents", "_backward", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         arr = np.asarray(data, dtype=np.float64)
@@ -258,7 +262,7 @@ def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
         raise ContractError("gather_rows: empty id sequence")
     if idx.min() < 0 or idx.max() >= table.shape[0]:
         raise ContractError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
-    out = table.data[idx].copy()
+    out = table.data[idx]  # integer indexing already copies
 
     def back(g):
         gt = np.zeros_like(table.data)
@@ -550,12 +554,22 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence
 # ---- backward -------------------------------------------------------------
 
 
+def _walked(g):
+    raise ContractError("backward: this graph node was freed by an earlier backward")
+
+
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every requires_grad leaf below loss.
+    """Accumulate d(loss)/d(leaf) into every requires_grad leaf below loss,
+    freeing the graph as the walk goes.
 
     The loss must be a scalar (single-element) tensor produced by a
     recorded graph. Each graph node is visited exactly once, in reverse
-    topological order; repeated calls keep adding into leaf ``.grad``.
+    topological order. Once walked, a node keeps its ``data`` but drops its
+    parents and backward closure, whether or not a gradient reached it, so
+    a step's peak memory is its forward graph alone. A graph is walked
+    once: a second ``backward`` that reaches a walked node raises
+    ``ContractError`` before anything is accumulated. Leaf ``.grad`` keeps
+    adding across graphs until ``zero_grad`` clears it.
     """
     if loss.data.size != 1:
         raise ContractError(f"backward needs a scalar loss, got shape {loss.data.shape}")
@@ -572,21 +586,30 @@ def backward(loss: Tensor) -> None:
             continue
         if id(node) in seen:
             continue
+        if node._backward is _walked:
+            raise ContractError("backward: the graph below this loss has already been walked "
+                                "and freed; build it again to backpropagate again")
         seen.add(id(node))
         stack.append((node, True))
         for p in node.parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
+    # popping lets each node go as soon as it has been walked: its children
+    # have dropped their parent links already, and the list no longer holds it
     flow: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
+    while topo:
+        node = topo.pop()
         g = flow.pop(id(node), None)
+        back = node._backward
+        if back is None:
+            if g is not None:
+                node.grad = g if node.grad is None else node.grad + g
+            continue
+        node._backward, node.parents = _walked, ()
         if g is None:
             continue
-        if node._backward is None:
-            node.grad = g if node.grad is None else node.grad + g
-            continue
-        for parent, pg in node._backward(g):
+        for parent, pg in back(g):
             if pg is None or not parent.requires_grad:
                 continue
             pid = id(parent)

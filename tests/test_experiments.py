@@ -302,6 +302,25 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out / name).read_bytes() == first[name], name
 
 
+def test_corpus_runs_write_the_same_bytes_whatever_the_path_spelling(tmp_path, monkeypatch, capsys):
+    """The corpus enters the config hash by its bytes, so the metric files
+    of one experiment do not depend on how its path is written."""
+    path = write_config(tmp_path)
+    assert main(["gen-synthetic", "--config", str(path), "--out", str(tmp_path / "corpus.jsonl")]) == 0
+    monkeypatch.chdir(tmp_path)
+    spellings = ["corpus.jsonl", "./corpus.jsonl", str(tmp_path / "corpus.jsonl")]
+    for i, spelling in enumerate(spellings):
+        assert main(["ablate", "--config", str(path), "--dataset", spelling, "--out", f"run{i}"]) == 0
+    capsys.readouterr()
+    first = (tmp_path / "run0" / "metrics_MAF_seed1.json").read_bytes()
+    for i in range(1, len(spellings)):
+        assert (tmp_path / f"run{i}" / "metrics_MAF_seed1.json").read_bytes() == first, spellings[i]
+    # a corpus that is missing or cannot be read stays a runtime error
+    for unreadable in ("missing.jsonl", "run0"):
+        assert main(["ablate", "--config", str(path), "--dataset", unreadable, "--out", "bad"]) == 3
+        assert "error:" in capsys.readouterr().err
+
+
 def test_sweep_fusion_layer(tmp_path):
     cfg = load(tmp_path)
     rows = cmd_sweep_fusion_layer(cfg)

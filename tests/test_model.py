@@ -9,6 +9,7 @@ finite differences.
 
 import json
 import math
+import tracemalloc
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -793,6 +794,32 @@ def test_pack_graph_bytes_grow_at_most_linearly():
         return total
 
     assert graph_bytes(items * 2) <= 2 * graph_bytes(items)
+
+
+def test_backward_adds_little_to_a_steps_peak_memory(monkeypatch):
+    """A training step peaks at its forward graph: ``backward`` frees each
+    node once walked, so the traced peak of one 16-instance step at a
+    reduced gap config passes the bytes alive when ``backward`` starts by
+    under a tenth. Measured: 4.5 % (0.17 of 3.69 MB); 20 % while
+    backward kept every node to the end of its walk."""
+    insts = generate(replace(GAP_SPEC, num_instances=16, seed=3))
+    cfg, vocab, params = bound_params(replace(GAP_MODEL, d=16, ffn=32, seed=3), insts)
+    items = pack_items(insts, vocab)
+    alive = []
+
+    def spy(loss):
+        alive.append(tracemalloc.get_traced_memory()[0])
+        tracemalloc.reset_peak()
+        backward(loss)
+
+    monkeypatch.setattr(model_module, "backward", spy)
+    tracemalloc.start()
+    try:
+        model_module._batch_backward(items, cfg, params)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak - alive[0] < 0.1 * alive[0], (peak, alive[0])
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -1,11 +1,27 @@
 """Autodiff engine tests: forward values, gradients against finite
 differences, graph bookkeeping, and shape errors."""
 
+import gc
+import math
+import weakref
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from maf.errors import ContractError, ShapeError
+from maf.model import (
+    _model_input,
+    _pack,
+    _pack_loss,
+    build_vocabulary,
+    init_model_params,
+    instance_target_ids,
+    instance_token_ids,
+)
+from maf.presets import GAP_MODEL, GAP_SPEC
+from maf.synthetic import generate
 from maf.tensor import (
     Segments,
     Tensor,
@@ -327,14 +343,61 @@ def test_shared_node_backward_called_exactly_once():
 
 
 def test_repeated_backward_accumulates():
+    # two graphs built from the same leaf add into its gradient
     x = Tensor([[2.0]], requires_grad=True)
-    loss = mul(x, x)
-    backward(loss)
+    backward(mul(x, x))
     g1 = x.grad.copy()
-    backward(loss)
+    backward(mul(x, x))
     assert np.allclose(x.grad, 2.0 * g1)
     x.zero_grad()
     assert x.grad is None
+
+
+def test_a_graph_is_walked_once():
+    x = Tensor([[2.0]], requires_grad=True)
+    y = mul(x, x)
+    loss = scale(y, 3.0)
+    backward(loss)
+    g = x.grad.copy()
+    with pytest.raises(ContractError, match="already been walked"):
+        backward(loss)
+    # a new graph over a walked node is refused too, before any leaf changes
+    with pytest.raises(ContractError, match="already been walked"):
+        backward(add(y, x))
+    assert np.array_equal(x.grad, g)
+    assert y.grad is None and loss.grad is None
+    assert loss.item() == 12.0
+
+
+def test_backward_frees_the_graph_as_it_walks():
+    """Once ``backward`` returns, every intermediate node of a training
+    graph is gone, by reference counting alone, while the loss still
+    reads."""
+    insts = generate(replace(GAP_SPEC, num_instances=4, seed=3))
+    vocab = build_vocabulary(insts)
+    cfg = replace(GAP_MODEL, d=16, ffn=32, vocab_size=len(vocab), seed=3)
+    params = init_model_params(cfg)
+    items = [(*_model_input(instance_token_ids(inst, vocab), inst.audio_features,
+                            inst.video_features, cfg, inst.id), instance_target_ids(inst, vocab))
+             for inst in insts]
+    loss = _pack_loss(_pack(items, cfg), cfg, params)
+    inner, seen, stack = [], {id(loss)}, list(loss.parents)
+    while stack:
+        t = stack.pop()
+        if id(t) not in seen and t.parents:
+            seen.add(id(t))
+            inner.append(weakref.ref(t))
+            stack.extend(t.parents)
+    del t, stack
+    assert len(inner) > 100
+    gc.disable()
+    try:
+        backward(loss)
+        alive = [r() for r in inner if r() is not None]
+    finally:
+        gc.enable()
+    assert [t.op for t in alive] == []
+    assert math.isfinite(loss.item())
 
 
 def test_constant_subgraph_is_pruned():
