@@ -108,14 +108,20 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """What identifies the experiment, hashed. A corpus enters by its bytes,
-    not by its path, so one experiment hashes alike from any directory."""
+def _identity(cfg: ExperimentConfig) -> tuple[str, dict]:
+    """What identifies the experiment, and its hash. A corpus enters by the
+    SHA-256 of its bytes, not by its path, so one experiment reads and
+    hashes alike from any directory."""
     resolved = cfg.resolved()
     if cfg.dataset is not None:
         resolved["dataset"] = _file_sha256(cfg.dataset)
     blob = json.dumps(resolved, sort_keys=True).encode("utf-8")
-    return hashlib.sha256(blob).hexdigest()[:12]
+    return hashlib.sha256(blob).hexdigest()[:12], resolved
+
+
+def config_hash(cfg: ExperimentConfig) -> str:
+    """The 12-hex-digit hash of what identifies the experiment."""
+    return _identity(cfg)[0]
 
 
 def load_experiment_config(path: str | None, args: argparse.Namespace | None = None) -> ExperimentConfig:
@@ -247,7 +253,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     save_checkpoint(tm, ckpt)
     loss_log = out / f"loss_{variant}_seed{seed}.csv"
     _write_loss_log(loss_log, tm.step_losses)
-    _dump_json(out / "run_config.json", {"config_hash": config_hash(cfg), **cfg.resolved()})
+    digest, resolved = _identity(cfg)
+    _dump_json(out / "run_config.json", {"config_hash": digest, **resolved})
     return {"checkpoint": str(ckpt), "loss_log": str(loss_log),
             "final_loss": tm.epoch_losses[-1]}
 

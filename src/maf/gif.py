@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, ShapeError
-from .tensor import Slot, Tensor, add, allocate, concat_last, matmul, mul
+from .tensor import Slot, Tensor, add, allocate, concat_last, linear, mul
 
 __all__ = ["GifParams", "gif_fuse"]
 
@@ -78,5 +78,5 @@ def gif_fuse(h: Tensor, h_audio: Tensor | None, h_video: Tensor | None,
             continue
         if stream.shape != h.shape:
             raise ShapeError(f"{label} stream must match hidden states {h.shape}, got {stream.shape}")
-        terms.append(mul(add(matmul(concat_last(h, stream), w), b), stream))
+        terms.append(mul(linear(concat_last(h, stream), w, b), stream))
     return add(h, terms[0] if len(terms) == 1 else add(*terms))

@@ -36,7 +36,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Segments, Slot, Tensor, add, allocate, attention, matmul, mul, sigmoid, sub
+from .tensor import Segments, Slot, Tensor, add, allocate, attention, gate_mix, matmul, sigmoid
 
 __all__ = ["Mca2Params", "AttentionTrace", "mca2_forward"]
 
@@ -140,9 +140,8 @@ def mca2_forward(
     else:
         gate_k = gate_v = Tensor(np.full((n, 1), float(gate_override)))
     # the n x 1 gates broadcast across the d feature columns
-    one = Tensor(np.ones((n, 1)))
-    k_mixed = add(mul(sub(one, gate_k), k), mul(gate_k, ctx_k))
-    v_mixed = add(mul(sub(one, gate_v), v), mul(gate_v, ctx_v))
+    k_mixed = gate_mix(gate_k, k, ctx_k)
+    v_mixed = gate_mix(gate_v, v, ctx_v)
 
     out = attention(q, k_mixed, v_mixed, layout=layout)
     if not return_trace:

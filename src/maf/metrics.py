@@ -4,6 +4,8 @@ and token-membership accuracy for structured explanation attributes.
 All scorers share the package tokenizer, score a single reference per
 hypothesis, and return fractions in [0, 1]; report tables convert to
 percentages. Corpus scores are arithmetic means of per-instance scores.
+The corpus scorers ``score_corpus`` and ``source_target_accuracy`` take
+texts already tokenised, so a scoring pass tokenises each text once.
 """
 
 from __future__ import annotations
@@ -56,8 +58,7 @@ class _Counts(NamedTuple):
     lcs: int
 
 
-def _count(hyp: str, ref: str, k: int) -> _Counts:
-    h, r = tokenize(hyp), tokenize(ref)
+def _count(h: Sequence[str], r: Sequence[str], k: int) -> _Counts:
     orders = []
     for n in range(1, k + 1):
         hg, rg = _ngrams(h, n), _ngrams(r, n)
@@ -96,12 +97,12 @@ def rouge_n(hyp: str, ref: str, n: int) -> float:
     """Clipped n-gram overlap F1 between one hypothesis and one reference."""
     if n < 1:
         raise ContractError(f"n-gram order must be >= 1, got {n}")
-    return _rouge_n(_count(hyp, ref, n), n)
+    return _rouge_n(_count(tokenize(hyp), tokenize(ref), n), n)
 
 
 def rouge_l(hyp: str, ref: str) -> float:
     """Longest-common-subsequence F1."""
-    return _rouge_l(_count(hyp, ref, 0))
+    return _rouge_l(_count(tokenize(hyp), tokenize(ref), 0))
 
 
 def bleu_k(hyp: str, ref: str, k: int) -> float:
@@ -111,40 +112,47 @@ def bleu_k(hyp: str, ref: str, k: int) -> float:
     """
     if k < 1:
         raise ContractError(f"BLEU order must be >= 1, got {k}")
-    return _bleu(_count(hyp, ref, k), k)
+    return _bleu(_count(tokenize(hyp), tokenize(ref), k), k)
 
 
-def source_target_accuracy(hyps: Sequence[str], golds: Sequence) -> tuple[float, float]:
-    """Fraction of hypotheses containing the gold source / target token(s).
+def _check_pairs(hyps: Sequence[Sequence[str]], others: Sequence, what: str) -> None:
+    """Refuse unequal lengths, nothing to score, and a string where a token
+    list belongs: scored as one, it would count characters."""
+    if len(hyps) != len(others):
+        raise ContractError(f"got {len(hyps)} hypotheses for {len(others)} {what}")
+    if not hyps:
+        raise ContractError("nothing to score")
+    if any(isinstance(x, str) for x in (*hyps, *others)):
+        raise ContractError(f"hypotheses and {what} must be token lists (text.tokenize), "
+                            f"not strings")
+
+
+def source_target_accuracy(hyps: Sequence[Sequence[str]], golds: Sequence) -> tuple[float, float]:
+    """Fraction of tokenised hypotheses containing the gold source / target
+    token(s).
 
     Each of ``golds`` has ``sarcasm_source`` and ``sarcasm_target``
     attributes, as a ``DialogueInstance`` does. Matching is exact token
     membership after shared tokenization; multi-word golds must appear in
     full.
     """
-    if len(hyps) != len(golds):
-        raise ContractError(f"got {len(hyps)} hypotheses for {len(golds)} golds")
-    if not hyps:
-        raise ContractError("nothing to score")
+    _check_pairs(hyps, golds, "golds")
 
-    def contains(hyp_tokens: list[str], gold: str) -> bool:
+    def contains(hyp_tokens: Sequence[str], gold: str) -> bool:
         want = tokenize(gold)
         return bool(want) and all(w in hyp_tokens for w in want)
 
     src_hits = tgt_hits = 0
-    for hyp, gold in zip(hyps, golds):
-        toks = tokenize(hyp)
+    for toks, gold in zip(hyps, golds):
         src_hits += contains(toks, gold.sarcasm_source)
         tgt_hits += contains(toks, gold.sarcasm_target)
     return src_hits / len(hyps), tgt_hits / len(hyps)
 
 
-def score_corpus(hyps: Sequence[str], refs: Sequence[str]) -> dict[str, float]:
-    """Mean per-instance scores for the standard columns, as fractions."""
-    if len(hyps) != len(refs):
-        raise ContractError(f"got {len(hyps)} hypotheses for {len(refs)} references")
-    if not hyps:
-        raise ContractError("nothing to score")
+def score_corpus(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> dict[str, float]:
+    """Mean per-instance scores for the standard columns, as fractions, of
+    tokenised hypotheses against tokenised references."""
+    _check_pairs(hyps, refs, "references")
     n = len(hyps)
     counts = [_count(h, r, 4) for h, r in zip(hyps, refs)]
     out = {

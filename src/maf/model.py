@@ -78,12 +78,12 @@ from .tensor import (
     backward,
     concat_last,
     cross_entropy_rows,
+    embed,
     feed_forward,
-    gather_rows,
+    linear,
     matmul,
     named_parameters,
     no_grad,
-    scale,
     zeros,
 )
 from .text import Vocabulary, tokenize
@@ -539,7 +539,7 @@ def _decoder_layer(x: Tensor, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Te
 
 def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor:
     d = positions.shape[1]
-    return add(scale(gather_rows(params.embedding, ids), math.sqrt(d)), positions)
+    return embed(params.embedding, ids, math.sqrt(d), positions)
 
 
 # ---- packs: instances stacked into one graph ----------------------------------
@@ -652,7 +652,7 @@ def _pack(items: Sequence[tuple], cfg: ModelConfig) -> _Pack:
 def _modality_context(frames: _Frames, p: ModalityEncoderParams) -> Tensor:
     """Frames projected to the context width, one self-attention layer over
     each segment's frames, then pooled to one row per text token."""
-    x = add(matmul(frames.features, p.in_proj), p.in_bias)
+    x = linear(frames.features, p.in_proj, p.in_bias)
     return _bucket_means(_encoder_layer(x, p.layer, 1, frames.layout), frames.pool)
 
 
@@ -669,8 +669,8 @@ def _dpa(h: Tensor, c: Tensor, p: DpaParams, layout: Segments) -> Tensor:
 def _apply_adapter(h: Tensor, ctx_a: Tensor | None, ctx_v: Tensor | None, form: _Form,
                    ad: AdapterParams, layout: Segments) -> Tensor:
     if form.merge == "concat":
-        return add(matmul(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri),
-                   ad.concat_tri_bias)
+        return linear(concat_last(concat_last(h, ctx_a), ctx_v), ad.concat_tri,
+                      ad.concat_tri_bias)
     streams = []
     for ctx, p in ((ctx_a, ad.mca2_audio), (ctx_v, ad.mca2_video)):
         if ctx is None:
@@ -739,7 +739,7 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
     for layer in params.dec:
         x = _decoder_layer(x, _project_kv(x, layer.self_attn), _project_kv(enc_out, layer.cross_attn),
                            layer, cfg.heads, layout, cross_layout)
-    return add(matmul(x, params.out_proj), params.out_bias)
+    return linear(x, params.out_proj, params.out_bias)
 
 
 class _DecoderCache(NamedTuple):

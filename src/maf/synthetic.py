@@ -171,19 +171,18 @@ def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict
     """Accuracies and text-overlap scores for one trained model."""
     if not test:
         raise ContractError("evaluate_variant: empty test set")
-    hyps = generate_explanations(tm, test)
+    # each hypothesis and reference is tokenised once, for every check
+    hyps = [tokenize(hyp) for hyp in generate_explanations(tm, test)]
+    refs = [tokenize(inst.explanation) for inst in test]
     n = len(test)
     source_acc, target_acc = source_target_accuracy(hyps, test)
-    action = exact = 0
-    for hyp, inst in zip(hyps, test):
-        toks = hyp.split()
-        action += inst.action_word in toks
-        exact += toks == tokenize(inst.explanation)
+    action = sum(inst.action_word in toks for toks, inst in zip(hyps, test))
+    exact = sum(toks == ref for toks, ref in zip(hyps, refs))
     row = {
         "action_acc": action / n,
         "source_acc": source_acc,
         "target_acc": target_acc,
         "exact_match": exact / n,
     }
-    row.update(score_corpus(hyps, [inst.explanation for inst in test]))
+    row.update(score_corpus(hyps, refs))
     return row

@@ -26,6 +26,11 @@ Conventions used throughout the package:
   clears them;
 * inside ``with no_grad():`` no graph is recorded at all, which is how
   the encoder runs at inference;
+* the fused ops ``linear``, ``embed``, ``gate_mix``, ``add_layer_norm``,
+  ``feed_forward`` and ``attention`` are one graph node each where
+  composed ops would be several: the same arithmetic in the same order,
+  so the same bits, with no intermediate product kept that backward does
+  not read;
 * the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
   ``attention`` are private array functions (``_attention`` takes the
   stacked heads of any layout), which the ops call and greedy decoding
@@ -49,15 +54,15 @@ from .errors import ContractError, ShapeError
 __all__ = [
     "Tensor",
     "add",
-    "sub",
     "mul",
     "matmul",
-    "scale",
+    "linear",
     "sigmoid",
     "concat_last",
     "Segments",
     "attention",
-    "gather_rows",
+    "embed",
+    "gate_mix",
     "add_layer_norm",
     "feed_forward",
     "cross_entropy_rows",
@@ -181,19 +186,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
     return _node(out, "add", (a, b), back)
 
 
-def sub(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcast(a.shape, b.shape, "sub")
-    out = a.data - b.data
-
-    def back(g):
-        return (
-            (a, _unbroadcast(g, a.shape) if a.requires_grad else None),
-            (b, _unbroadcast(-g, b.shape) if b.requires_grad else None),
-        )
-
-    return _node(out, "sub", (a, b), back)
-
-
 def mul(a: Tensor, b: Tensor) -> Tensor:
     _require_broadcast(a.shape, b.shape, "mul")
     out = a.data * b.data
@@ -206,17 +198,6 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node(out, "mul", (a, b), back)
-
-
-def scale(a: Tensor, c: float) -> Tensor:
-    """Multiply by a Python scalar constant."""
-    c = float(c)
-    out = a.data * c
-
-    def back(g):
-        return ((a, g * c),)
-
-    return _node(out, "scale", (a,), back)
 
 
 # ---- linear algebra ------------------------------------------------------
@@ -251,25 +232,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node(out, "concat_last", (a, b), back)
-
-
-def gather_rows(table: Tensor, ids: Sequence[int]) -> Tensor:
-    """Row lookup (embedding): out[i] = table[ids[i]]."""
-    idx = np.asarray(ids, dtype=np.int64)
-    if idx.ndim != 1:
-        raise ShapeError(f"gather_rows: ids must be a flat sequence, got shape {idx.shape}")
-    if idx.size == 0:
-        raise ContractError("gather_rows: empty id sequence")
-    if idx.min() < 0 or idx.max() >= table.shape[0]:
-        raise ContractError(f"gather_rows: id out of range for table with {table.shape[0]} rows")
-    out = table.data[idx]  # integer indexing already copies
-
-    def back(g):
-        gt = np.zeros_like(table.data)
-        np.add.at(gt, idx, g)
-        return ((table, gt),)
-
-    return _node(out, "gather_rows", (table,), back)
 
 
 # ---- nonlinearities -------------------------------------------------------
@@ -370,6 +332,77 @@ def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> T
         )
 
     return _node(out, "feed_forward", (x, w1, b1, w2, b2), back)
+
+
+def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """x w + b as one node, b a 1-row bias: ``add(matmul(x, w), b)``'s
+    arithmetic, with no x w product kept for backward."""
+    if x.shape[1] != w.shape[0]:
+        raise ShapeError(f"linear: inner dimensions disagree, {x.shape} @ {w.shape}")
+    if b.shape != (1, w.shape[1]):
+        raise ShapeError(f"linear: bias must be (1, {w.shape[1]}), got {b.shape}")
+    x_data, w_data = x.data, w.data
+
+    def back(g):
+        return (
+            (x, g @ w_data.T if x.requires_grad else None),
+            (w, x_data.T @ g if w.requires_grad else None),
+            (b, g.sum(axis=0, keepdims=True) if b.requires_grad else None),
+        )
+
+    return _node(x_data @ w_data + b.data, "linear", (x, w, b), back)
+
+
+def embed(table: Tensor, ids: Sequence[int], c: float, positions: Tensor) -> Tensor:
+    """Embedding rows table[ids] * c + positions as one node: the row
+    lookup, the scale by the constant c and the position sum in that
+    order, with none of their products kept for backward. Repeated ids
+    add their gradients into one table row."""
+    idx = np.asarray(ids, dtype=np.int64)
+    if idx.ndim != 1:
+        raise ShapeError(f"embed: ids must be a flat sequence, got shape {idx.shape}")
+    if idx.size == 0:
+        raise ContractError("embed: empty id sequence")
+    if idx.min() < 0 or idx.max() >= table.shape[0]:
+        raise ContractError(f"embed: id out of range for table with {table.shape[0]} rows")
+    if positions.shape != (idx.size, table.shape[1]):
+        raise ShapeError(f"embed: positions must be ({idx.size}, {table.shape[1]}), "
+                         f"got {positions.shape}")
+    c = float(c)
+
+    def back(g):
+        gt = None
+        if table.requires_grad:
+            gt = np.zeros_like(table.data)
+            np.add.at(gt, idx, g * c)
+        return ((table, gt), (positions, g if positions.requires_grad else None))
+
+    return _node(table.data[idx] * c + positions.data, "embed", (table, positions), back)
+
+
+def gate_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
+    """(1 - g) a + g b as one node, the n x 1 gate g broadcast across the
+    columns of the n x d a and b: the arithmetic of the composed
+    subtract, multiply and add ops, with none of their products kept for
+    backward."""
+    n, d = a.shape
+    if b.shape != a.shape or g.shape != (n, 1):
+        raise ShapeError(f"gate_mix: needs an ({n}, 1) gate and two ({n}, {d}) inputs, "
+                         f"got {g.shape}, {a.shape} and {b.shape}")
+    g_data, a_data, b_data = g.data, a.data, b.data
+
+    def back(grad):
+        gg = None
+        if g.requires_grad:
+            gg = ((grad * b_data).sum(axis=1, keepdims=True)
+                  - (grad * a_data).sum(axis=1, keepdims=True))
+        return (
+            (g, gg),
+            (a, grad * (1.0 - g_data) if a.requires_grad else None),
+            (b, grad * g_data if b.requires_grad else None),
+        )
+
+    return _node((1.0 - g_data) * a_data + g_data * b_data, "gate_mix", (g, a, b), back)
 
 
 # additive logit for a key a query must not see: softmax gives it weight 0

@@ -5,12 +5,12 @@ Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
 backward code paths, so agreement is evidence, not tautology. The
 exceptions are references the library no longer runs: the graph ops
-``relu``, ``sum_all`` and ``layer_norm_rows`` that the fused nodes must
-match bit for bit; ``decode_logits``, the teacher-forced pass, and
-``loop_decode_greedy``, the decoding loop the cached decoder replaced;
-``graph_decode_greedy``, the cached decoder as graph ops, which the array
-decoder must match bit for bit;
-``loop_adam_step``, the tensor-by-tensor Adam step the flat-buffer
+``relu``, ``sum_all``, ``layer_norm_rows``, ``sub``, ``scale`` and
+``gather_rows`` that the fused nodes must match bit for bit;
+``decode_logits``, the teacher-forced pass, and ``loop_decode_greedy``,
+the decoding loop the cached decoder replaced; ``graph_decode_greedy``,
+the cached decoder as graph ops, which the array decoder must match bit
+for bit; ``loop_adam_step``, the tensor-by-tensor Adam step the flat-buffer
 optimiser replaced; and ``loop_train_step``, the one-graph-per-instance
 minibatch that whole-batch packs replaced.
 """
@@ -21,7 +21,7 @@ import math
 
 import numpy as np
 
-from maf.tensor import Segments, Tensor, _node
+from maf.tensor import Segments, Tensor, _node, _unbroadcast
 
 FD_STEP = 1e-5
 
@@ -105,6 +105,34 @@ def sum_all(a: Tensor) -> Tensor:
     """Sum of all entries, returned as a 1x1 scalar tensor."""
     return _node(np.array([[a.data.sum()]]), "sum_all", (a,),
                  lambda g: ((a, np.full_like(a.data, g[0, 0])),))
+
+
+def sub(a: Tensor, b: Tensor) -> Tensor:
+    def back(g):
+        return (
+            (a, _unbroadcast(g, a.shape) if a.requires_grad else None),
+            (b, _unbroadcast(-g, b.shape) if b.requires_grad else None),
+        )
+
+    return _node(a.data - b.data, "sub", (a, b), back)
+
+
+def scale(a: Tensor, c: float) -> Tensor:
+    """Multiply by a Python scalar constant."""
+    c = float(c)
+    return _node(a.data * c, "scale", (a,), lambda g: ((a, g * c),))
+
+
+def gather_rows(table: Tensor, ids) -> Tensor:
+    """Row lookup: out[i] = table[ids[i]]."""
+    idx = np.asarray(ids, dtype=np.int64)
+
+    def back(g):
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g)
+        return ((table, gt),)
+
+    return _node(table.data[idx], "gather_rows", (table,), back)
 
 
 def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
@@ -356,7 +384,7 @@ def loop_train_step(items, cfg, params) -> float:
     graph per item, each backpropagated scaled by 1/B. Returns the mean of
     the instance losses."""
     from maf.model import _instance_loss
-    from maf.tensor import backward, scale
+    from maf.tensor import backward
 
     total = 0.0
     for item in items:

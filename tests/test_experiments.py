@@ -303,20 +303,28 @@ def test_reruns_are_byte_identical(tmp_path):
 
 
 def test_corpus_runs_write_the_same_bytes_whatever_the_path_spelling(tmp_path, monkeypatch, capsys):
-    """The corpus enters the config hash by its bytes, so the metric files
-    of one experiment do not depend on how its path is written."""
+    """The corpus enters the config hash and ``run_config.json`` by its
+    bytes, so no file that ``maf ablate`` or ``maf train`` writes for one
+    experiment depends on how its corpus path is written."""
     path = write_config(tmp_path)
     assert main(["gen-synthetic", "--config", str(path), "--out", str(tmp_path / "corpus.jsonl")]) == 0
     monkeypatch.chdir(tmp_path)
     spellings = ["corpus.jsonl", "./corpus.jsonl", str(tmp_path / "corpus.jsonl")]
-    for i, spelling in enumerate(spellings):
-        assert main(["ablate", "--config", str(path), "--dataset", spelling, "--out", f"run{i}"]) == 0
+    written = {"ablate": ["loss_MAF_seed1.csv", "metrics_MAF_seed1.json", "report.csv", "report.txt"],
+               "train": ["checkpoint_MAF_seed1.ckpt", "loss_MAF_seed1.csv", "run_config.json"]}
+    for command, names in written.items():
+        runs = []
+        for i, spelling in enumerate(spellings):
+            out = tmp_path / f"{command}{i}"
+            assert main([command, "--config", str(path), "--dataset", spelling,
+                         "--out", str(out)]) == 0
+            runs.append({p.name: p.read_bytes() for p in sorted(out.iterdir())})
+        assert list(runs[0]) == names
+        for spelling, files in zip(spellings[1:], runs[1:]):
+            assert files == runs[0], (command, spelling)
     capsys.readouterr()
-    first = (tmp_path / "run0" / "metrics_MAF_seed1.json").read_bytes()
-    for i in range(1, len(spellings)):
-        assert (tmp_path / f"run{i}" / "metrics_MAF_seed1.json").read_bytes() == first, spellings[i]
     # a corpus that is missing or cannot be read stays a runtime error
-    for unreadable in ("missing.jsonl", "run0"):
+    for unreadable in ("missing.jsonl", "ablate0"):
         assert main(["ablate", "--config", str(path), "--dataset", unreadable, "--out", "bad"]) == 3
         assert "error:" in capsys.readouterr().err
 

@@ -17,12 +17,17 @@ from maf.metrics import (
     score_corpus,
     source_target_accuracy,
 )
+from maf.text import tokenize
 
 class Gold(NamedTuple):
     """What ``source_target_accuracy`` reads of a gold instance."""
 
     sarcasm_source: str
     sarcasm_target: str
+
+
+def tokenised(texts):
+    return [tokenize(t) for t in texts]
 
 
 short_texts = st.lists(
@@ -142,9 +147,9 @@ def test_rouge1_and_bleu1_agree_without_repeats_or_brevity(hyp, ref):
 def test_accuracy_all_hits_and_all_misses():
     golds = [Gold("maya", "the food") for _ in range(3)]
     hits = ["maya hates the food today"] * 3
-    assert source_target_accuracy(hits, golds) == (1.0, 1.0)
+    assert source_target_accuracy(tokenised(hits), golds) == (1.0, 1.0)
     misses = ["nothing relevant here"] * 3
-    assert source_target_accuracy(misses, golds) == (0.0, 0.0)
+    assert source_target_accuracy(tokenised(misses), golds) == (0.0, 0.0)
 
 
 def test_accuracy_mixed_manual_tally():
@@ -160,15 +165,15 @@ def test_accuracy_mixed_manual_tally():
         "monisha laughs at neighbours", # source hit, target miss (partial phrase)
         "someone recites poetry",       # source miss, target hit
     ]
-    src, tgt = source_target_accuracy(hyps, golds)
+    src, tgt = source_target_accuracy(tokenised(hyps), golds)
     assert src == pytest.approx(2.0 / 4.0)
     assert tgt == pytest.approx(3.0 / 4.0)
 
 
 def test_accuracy_multi_word_gold_requires_all_tokens():
     golds = [Gold("maya sarabhai", "x")]
-    assert source_target_accuracy(["maya speaks"], golds)[0] == 0.0
-    assert source_target_accuracy(["sarabhai maya speaks"], golds)[0] == 1.0
+    assert source_target_accuracy([["maya", "speaks"]], golds)[0] == 0.0
+    assert source_target_accuracy([["sarabhai", "maya", "speaks"]], golds)[0] == 1.0
 
 
 def test_accuracy_works_with_attribute_objects():
@@ -176,12 +181,12 @@ def test_accuracy_works_with_attribute_objects():
         sarcasm_source = "maya"
         sarcasm_target = "food"
 
-    assert source_target_accuracy(["maya food"], [Plain()]) == (1.0, 1.0)
+    assert source_target_accuracy([["maya", "food"]], [Plain()]) == (1.0, 1.0)
 
 
 def test_accuracy_rejects_length_mismatch_and_empty():
     with pytest.raises(ContractError):
-        source_target_accuracy(["a"], [])
+        source_target_accuracy([["a"]], [])
     with pytest.raises(ContractError):
         source_target_accuracy([], [])
 
@@ -192,7 +197,7 @@ def test_accuracy_rejects_length_mismatch_and_empty():
 def test_score_corpus_is_mean_of_per_instance_scores():
     hyps = ["a b c", "a b", "x y"]
     refs = ["a b d", "a b c", "x y"]
-    got = score_corpus(hyps, refs)
+    got = score_corpus(tokenised(hyps), tokenised(refs))
     for key, fn in (("R1", lambda h, r: rouge_n(h, r, 1)),
                     ("R2", lambda h, r: rouge_n(h, r, 2)),
                     ("RL", rouge_l)):
@@ -205,7 +210,18 @@ def test_score_corpus_is_mean_of_per_instance_scores():
 
 def test_score_corpus_rejects_mismatch():
     with pytest.raises(ContractError):
-        score_corpus(["a"], ["a", "b"])
+        score_corpus([["a"]], [["a"], ["b"]])
+
+
+def test_corpus_scorers_refuse_untokenised_text():
+    """A string where a token list belongs would be scored character by
+    character, so both corpus scorers refuse it."""
+    with pytest.raises(ContractError, match="token lists"):
+        source_target_accuracy(["a"], [Gold("a", "b")])
+    with pytest.raises(ContractError, match="token lists"):
+        score_corpus([["a", "b"]], ["a b"])
+    with pytest.raises(ContractError, match="token lists"):
+        score_corpus(["a b"], [["a", "b"]])
 
 
 # ---- report table ---------------------------------------------------------------------------

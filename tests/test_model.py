@@ -49,7 +49,7 @@ from maf.model import _instance_loss  # tested directly: it is the training obje
 from maf.model import _bucket_means, _pool_segments, _stack_frames
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
 from maf.synthetic import generate
-from maf.tensor import Segments, Tensor, backward, mul, no_grad, scale
+from maf.tensor import Segments, Tensor, backward, mul, no_grad
 from maf.text import SPECIALS, Vocabulary
 
 from oracles import (
@@ -62,6 +62,7 @@ from oracles import (
     loop_decode_greedy,
     loop_train_step,
     numeric_gradient,
+    scale,
     sum_all,
 )
 
@@ -796,12 +797,10 @@ def test_pack_graph_bytes_grow_at_most_linearly():
     assert graph_bytes(items * 2) <= 2 * graph_bytes(items)
 
 
-def test_backward_adds_little_to_a_steps_peak_memory(monkeypatch):
-    """A training step peaks at its forward graph: ``backward`` frees each
-    node once walked, so the traced peak of one 16-instance step at a
-    reduced gap config passes the bytes alive when ``backward`` starts by
-    under a tenth. Measured: 4.5 % (0.17 of 3.69 MB); 20 % while
-    backward kept every node to the end of its walk."""
+def _traced_step(monkeypatch) -> tuple[int, int]:
+    """Tracemalloc bytes alive when ``backward`` starts, and the traced
+    peak of the whole step, for one 16-instance MAF training step at a
+    reduced gap config (d=16, seed 3)."""
     insts = generate(replace(GAP_SPEC, num_instances=16, seed=3))
     cfg, vocab, params = bound_params(replace(GAP_MODEL, d=16, ffn=32, seed=3), insts)
     items = pack_items(insts, vocab)
@@ -819,7 +818,25 @@ def test_backward_adds_little_to_a_steps_peak_memory(monkeypatch):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak - alive[0] < 0.1 * alive[0], (peak, alive[0])
+    return alive[0], peak
+
+
+def test_backward_adds_little_to_a_steps_peak_memory(monkeypatch):
+    """A training step peaks at its forward graph: ``backward`` frees each
+    node once walked, so the traced peak passes the bytes alive when
+    ``backward`` starts by under a tenth. Measured: 5.1 % (0.17 of
+    3.24 MB); 20 % while backward kept every node to the end of its walk."""
+    alive, peak = _traced_step(monkeypatch)
+    assert peak - alive < 0.1 * alive, (peak, alive)
+
+
+def test_the_forward_graph_keeps_little_that_backward_does_not_read(monkeypatch):
+    """MCA2's gated mix, the embedding and the biased projections are one
+    node each and keep only their inputs, so the bytes alive when
+    ``backward`` starts stay under 3.45 MB. Measured: 3.24 MB; 3.69 MB
+    while they were composed ops whose products no backward read."""
+    alive, _ = _traced_step(monkeypatch)
+    assert alive < 3.45e6, alive
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

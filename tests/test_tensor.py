@@ -31,25 +31,28 @@ from maf.tensor import (
     backward,
     concat_last,
     cross_entropy_rows,
+    embed,
     feed_forward,
-    gather_rows,
+    gate_mix,
     glorot_uniform,
+    linear,
     matmul,
     mul,
     no_grad,
-    scale,
     sigmoid,
-    sub,
     zeros,
 )
 
 from oracles import (
+    gather_rows,
     gradients_close,
     layer_norm_rows,
     loop_attend,
     loop_held_attention,
     numeric_gradient,
     relu,
+    scale,
+    sub,
     sum_all,
 )
 
@@ -226,15 +229,15 @@ def test_grad_concat_slice():
     check_grads(lambda: sum_all(mul(concat_last(a, b), cols)), [a, b])
 
 
-def test_grad_gather_rows_accumulates_duplicates():
+def test_grad_embed_accumulates_duplicates():
     rng = np.random.default_rng(18)
-    table = leaf(rng, 5, 3)
+    table, positions = leaf(rng, 5, 3), leaf(rng, 5, 3)
     ids = [1, 1, 4, 0, 1]
-    check_grads(lambda: sum_all(gather_rows(table, ids)), [table])
+    check_grads(lambda: sum_all(embed(table, ids, 1.5, positions)), [table, positions])
     # row 1 is looked up three times, so its gradient is 3x the others
     table.zero_grad()
-    backward(sum_all(gather_rows(table, ids)))
-    assert np.allclose(table.grad[1], 3.0)
+    backward(sum_all(embed(table, ids, 1.5, positions)))
+    assert np.allclose(table.grad[1], 3 * 1.5)
     assert np.allclose(table.grad[2], 0.0)
 
 
@@ -274,24 +277,31 @@ def _fused_and_composed_gradients(fused, composed, leaves, probe):
 
 
 def test_fused_nodes_match_the_composed_ops_bit_for_bit():
-    """One node each for the FFN and the residual layer norm: the same
-    arithmetic as the ops they replace, so the same bits forward and back."""
+    """One node each for the FFN, the residual layer norm, the gated mix,
+    the embedding and the biased projection: the same arithmetic as the
+    ops they replace, so the same bits forward and back."""
     rng = np.random.default_rng(23)
     x, y, gain, bias = leaf(rng, 5, 4), leaf(rng, 5, 4), leaf(rng, 1, 4), leaf(rng, 1, 4)
-    probe = Tensor(rng.normal(size=(5, 4)))
-    (got, got_g), (want, want_g) = _fused_and_composed_gradients(
-        lambda: add_layer_norm(x, y, gain, bias),
-        lambda: layer_norm_rows(add(x, y), gain, bias), [x, y, gain, bias], probe)
-    assert np.array_equal(got, want)
-    for g, w in zip(got_g, want_g):
-        assert np.array_equal(g, w)
     w1, b1, w2, b2 = leaf(rng, 4, 7), leaf(rng, 1, 7), leaf(rng, 7, 4), leaf(rng, 1, 4)
-    (got, got_g), (want, want_g) = _fused_and_composed_gradients(
-        lambda: feed_forward(x, w1, b1, w2, b2),
-        lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe)
-    assert np.array_equal(got, want)
-    for g, w in zip(got_g, want_g):
-        assert np.array_equal(g, w)
+    gate, table = Tensor(rng.uniform(size=(5, 1)), requires_grad=True), leaf(rng, 6, 4)
+    ids, c, one = [3, 0, 3, 5, 1], math.sqrt(4), Tensor(np.ones((5, 1)))
+    probe, wide_probe = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 7)))
+    cases = [
+        (lambda: add_layer_norm(x, y, gain, bias),
+         lambda: layer_norm_rows(add(x, y), gain, bias), [x, y, gain, bias], probe),
+        (lambda: feed_forward(x, w1, b1, w2, b2),
+         lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe),
+        (lambda: gate_mix(gate, x, y),
+         lambda: add(mul(sub(one, gate), x), mul(gate, y)), [gate, x, y], probe),
+        (lambda: embed(table, ids, c, y),
+         lambda: add(scale(gather_rows(table, ids), c), y), [table, y], probe),
+        (lambda: linear(x, w1, b1), lambda: add(matmul(x, w1), b1), [x, w1, b1], wide_probe),
+    ]
+    for fused, composed, leaves, p in cases:
+        (got, got_g), (want, want_g) = _fused_and_composed_gradients(fused, composed, leaves, p)
+        assert np.array_equal(got, want)
+        for g, w in zip(got_g, want_g):
+            assert g is not None and np.array_equal(g, w)
 
 
 def test_fused_nodes_reject_bad_shapes():
@@ -304,6 +314,18 @@ def test_fused_nodes_reject_bad_shapes():
         feed_forward(z(2, 4), z(3, 5), z(1, 5), z(5, 4), z(1, 4))
     with pytest.raises(ShapeError, match="biases"):
         feed_forward(z(2, 4), z(4, 5), z(1, 4), z(5, 4), z(1, 4))
+    with pytest.raises(ShapeError, match="inner"):
+        linear(z(2, 4), z(3, 5), z(1, 5))
+    with pytest.raises(ShapeError, match="bias"):
+        linear(z(2, 4), z(4, 5), z(2, 5))
+    with pytest.raises(ShapeError, match="gate_mix"):
+        gate_mix(z(2, 4), z(2, 4), z(2, 4))
+    with pytest.raises(ShapeError, match="gate_mix"):
+        gate_mix(z(2, 1), z(2, 4), z(2, 3))
+    with pytest.raises(ShapeError, match="positions"):
+        embed(z(5, 4), [0, 1, 2], 1.0, z(2, 4))
+    with pytest.raises(ShapeError, match="positions"):
+        embed(z(5, 4), [0, 1], 1.0, z(2, 3))
 
 
 def test_grad_cross_entropy():
@@ -489,12 +511,16 @@ def test_backward_rejects_unconnected_loss():
         backward(Tensor([[1.0]]))
 
 
-def test_gather_rows_rejects_bad_ids():
+def test_embed_rejects_bad_ids():
     table = Tensor(np.zeros((3, 2)))
-    with pytest.raises(ContractError):
-        gather_rows(table, [0, 3])
-    with pytest.raises(ContractError):
-        gather_rows(table, [])
+    with pytest.raises(ContractError, match="out of range"):
+        embed(table, [0, 3], 1.0, zeros(2, 2))
+    with pytest.raises(ContractError, match="out of range"):
+        embed(table, [-1, 0], 1.0, zeros(2, 2))
+    with pytest.raises(ContractError, match="empty"):
+        embed(table, [], 1.0, zeros(0, 2))
+    with pytest.raises(ShapeError, match="flat"):
+        embed(table, [[0, 1]], 1.0, zeros(2, 2))
 
 
 def test_layer_norm_rejects_bad_gain_shape():
