@@ -34,8 +34,8 @@ from .data import (corpus_stats, instances_for, load_and_validate, read_json_obj
                    split)
 from .errors import ConfigError, MafError, ParseError
 from .metrics import MetricReport
-from .model import (VARIANTS, ModelConfig, TrainConfig, _build, _check_types, load_checkpoint,
-                    save_checkpoint, train)
+from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_types,
+                    load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
 from .synthetic import SyntheticSpec, evaluate_variant, generate
 
@@ -90,6 +90,8 @@ class ExperimentConfig:
         for v in self.variants:
             if v not in VARIANTS:
                 raise ConfigError(f"unknown variant '{v}', expected one of {VARIANTS}")
+        if len(set(self.variants)) != len(self.variants):
+            raise ConfigError(f"variants contain duplicates: {self.variants}")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
@@ -287,6 +289,9 @@ def cmd_sweep_fusion_layer(cfg: ExperimentConfig) -> list[dict]:
     if len(cfg.variants) != 1:
         raise ConfigError(f"sweep-fusion-layer uses one variant; narrow with --variant (got {cfg.variants})")
     variant = cfg.variants[0]
+    if _FORMS[variant].merge is None:
+        raise ConfigError(f"sweep-fusion-layer: {variant} has no adapter, so the fusion layer "
+                          f"changes nothing it runs and every layer would train the same model")
     return _run_grid(cfg, [(variant, layer, f"{variant}_layer{layer}")
                            for layer in range(1, cfg.model.encoder_layers + 1)])
 

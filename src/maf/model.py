@@ -16,10 +16,12 @@ its text rows get the bucket mean, and the pack holds nothing O(pack²).
 Each instance is checked once, by ``_model_input``, on its way into the
 model; the packs only stack what it returns.
 ``generate_explanations`` encodes held-out instances on the same packs
-(their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time
-with no graph recorded, then decodes each instance greedily on its own
-rows. Greedy decoding is graph-free: it runs on arrays, through the
-forward arithmetic that the fused graph ops call (``tensor._attention``,
+(their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time,
+then decodes each instance greedily on its own rows. A trained model is
+frozen (``train`` and ``load_checkpoint`` return parameters with no
+``requires_grad`` and no gradient), so its encoder records no graph.
+Greedy decoding is graph-free: it runs on arrays, through the forward
+arithmetic that the fused graph ops call (``tensor._attention``,
 ``_add_layer_norm``, ``_feed_forward``).
 
 Adapter variants, selected by ``ModelConfig.variant``:
@@ -83,7 +85,6 @@ from .tensor import (
     linear,
     matmul,
     named_parameters,
-    no_grad,
     zeros,
 )
 from .text import Vocabulary, tokenize
@@ -544,13 +545,13 @@ def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor
 
 # ---- packs: instances stacked into one graph ----------------------------------
 
-# Instances per graph-free encoder pass of ``generate_explanations``: the
-# gap config's minibatch. Training packs each whole minibatch instead, so
-# its graph memory grows with ``TrainConfig.batch_size``. Encoding the
-# whole 100-instance held-out set of a 6-epoch gap MAF as one pack (2
-# cores, one BLAS thread) took 112.2 ms a pass against 113.6 ms (medians
-# of 20 alternating passes, within noise) and raised peak RSS from 49.7
-# to 51.7 MB, so 16 stays.
+# Instances per encoder pass of ``generate_explanations``: the gap
+# config's minibatch. Training packs each whole minibatch instead, so its
+# graph memory grows with ``TrainConfig.batch_size``. Encoding the whole
+# 100-instance held-out set of a 6-epoch gap MAF as one pack (2 cores,
+# one BLAS thread) took 112.2 ms a pass against 113.6 ms (medians of 20
+# alternating passes, within noise) and raised peak RSS from 49.7 to
+# 51.7 MB, so 16 stays.
 _PACK_INSTANCES = 16
 
 
@@ -780,18 +781,18 @@ def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
     return x @ params.out_proj.data + params.out_bias.data
 
 
-def decode_greedy(enc_out: Tensor, cfg: ModelConfig, params: ModelParams) -> list[int]:
+def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
     or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
-    Incremental and graph-free, on arrays: the encoder output is projected
-    to each layer's cross-attention K/V once, and each step computes one
-    row of the teacher-forced decoder pass, attending to the self-attention
-    K/V cached from the steps before."""
+    Incremental and graph-free, on arrays: the L x d encoder rows
+    ``enc_out`` are projected to each layer's cross-attention K/V once, and
+    each step computes one row of the teacher-forced decoder pass,
+    attending to the self-attention K/V cached from the steps before."""
     limit, d = cfg.max_target_len, cfg.d
     cache = _DecoderCache(
         positions=sinusoidal_positions(limit, d).data,
-        cross_kv=[(enc_out.data @ layer.cross_attn.w_k.data, enc_out.data @ layer.cross_attn.w_v.data)
+        cross_kv=[(enc_out @ layer.cross_attn.w_k.data, enc_out @ layer.cross_attn.w_v.data)
                   for layer in params.dec],
         keys=[np.empty((limit, d)) for _ in params.dec],
         values=[np.empty((limit, d)) for _ in params.dec],
@@ -982,31 +983,39 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
             epoch_total += mean_loss * len(batch)
             opt.step()
         epoch_losses.append(epoch_total / n)
-    return TrainedModel(config=cfg, vocab=vocab, params=params,
+    return TrainedModel(config=cfg, vocab=vocab, params=_frozen(params),
                         epoch_losses=epoch_losses, step_losses=step_losses)
+
+
+def _frozen(params: ModelParams) -> ModelParams:
+    """``params`` with no parameter left trainable: no ``requires_grad``,
+    so ops on them record no graph, and no gradient held."""
+    for _, t in named_parameters(params):
+        t.requires_grad = False
+        t.grad = None
+    return params
 
 
 def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -> list[str]:
     """Greedy explanations, as token strings, in the order of ``insts``.
 
-    Graph-free. The encoder runs on packs of ``_PACK_INSTANCES`` instances,
-    training's packs without their decoder half; each instance's L rows
-    are sliced from its pack's output, and ``decode_greedy`` then runs
-    once per instance."""
+    The encoder runs on packs of ``_PACK_INSTANCES`` instances, training's
+    packs without their decoder half, and records no graph on a frozen
+    model; each instance's L rows are sliced from its pack's output, and
+    ``decode_greedy`` then runs once per instance."""
     cfg = tm.config
     out: list[str] = []
-    with no_grad():
-        for lo in range(0, len(insts), _PACK_INSTANCES):
-            items = [_model_input(instance_token_ids(inst, tm.vocab), inst.audio_features,
-                                  inst.video_features, cfg, f"instance '{inst.id}'")
-                     for inst in insts[lo:lo + _PACK_INSTANCES]]
-            pk = _encoder_pack(items, cfg)
-            rows = _encode_pack(pk, cfg, tm.params).data
-            start = 0
-            for n in pk.lengths:
-                out_ids = decode_greedy(Tensor(rows[start:start + n]), cfg, tm.params)
-                out.append(" ".join(tm.vocab.decode(out_ids)))
-                start += n
+    for lo in range(0, len(insts), _PACK_INSTANCES):
+        items = [_model_input(instance_token_ids(inst, tm.vocab), inst.audio_features,
+                              inst.video_features, cfg, f"instance '{inst.id}'")
+                 for inst in insts[lo:lo + _PACK_INSTANCES]]
+        pk = _encoder_pack(items, cfg)
+        rows = _encode_pack(pk, cfg, tm.params).data
+        start = 0
+        for n in pk.lengths:
+            out_ids = decode_greedy(rows[start:start + n], cfg, tm.params)
+            out.append(" ".join(tm.vocab.decode(out_ids)))
+            start += n
     return out
 
 
@@ -1043,9 +1052,9 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
 
 
 def load_checkpoint(path: str | Path) -> TrainedModel:
-    """The model ``save_checkpoint`` wrote. The vocab length and the whole
-    shape table are compared with the header's config before any read or
-    allocation."""
+    """The model ``save_checkpoint`` wrote, frozen like ``train``'s. The
+    vocab length and the whole shape table are compared with the header's
+    config before any read or allocation."""
     with open(path, "rb") as fh:
         header = read_json_object(fh.readline(), f"checkpoint '{path}' header", ParseError)
         if header.get("format") != _CKPT_FORMAT:
@@ -1092,4 +1101,4 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             t.data = np.frombuffer(blob, dtype="<f8").reshape(t.shape).astype(np.float64)
         if fh.read(1):
             raise ParseError(f"'{path}' has trailing bytes after the last parameter")
-    return TrainedModel(config=cfg, vocab=vocab, params=params)
+    return TrainedModel(config=cfg, vocab=vocab, params=_frozen(params))

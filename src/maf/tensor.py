@@ -24,8 +24,9 @@ Conventions used throughout the package:
   raises ``ContractError``; build the graph again instead. Leaf
   gradients accumulate additively across graphs until ``zero_grad``
   clears them;
-* inside ``with no_grad():`` no graph is recorded at all, which is how
-  the encoder runs at inference;
+* an op records a graph node only if one of its inputs has
+  ``requires_grad``; a trained model's parameters are frozen (no
+  ``requires_grad``), so the encoder runs on them with no graph;
 * the fused ops ``linear``, ``embed``, ``gate_mix``, ``add_layer_norm``,
   ``feed_forward`` and ``attention`` are one graph node each where
   composed ops would be several: the same arithmetic in the same order,
@@ -43,7 +44,6 @@ Conventions used throughout the package:
 from __future__ import annotations
 
 import math
-from contextlib import contextmanager
 from dataclasses import fields, is_dataclass, replace
 from typing import Callable, Iterable, Iterator, NamedTuple, Sequence
 
@@ -67,7 +67,6 @@ __all__ = [
     "feed_forward",
     "cross_entropy_rows",
     "backward",
-    "no_grad",
     "zeros",
     "glorot_uniform",
     "Slot",
@@ -119,30 +118,12 @@ class Tensor:
         return f"Tensor(shape={self.data.shape}, op={self.op!r}, requires_grad={self.requires_grad})\n{head}"
 
 
-# Process-wide, like the package: one thread records graphs at a time.
-_grad_enabled = True
-
-
-@contextmanager
-def no_grad() -> Iterator[None]:
-    """Record no graph inside the block: every op result is a constant
-    (``requires_grad`` False, no parents, no backward closure), whatever
-    its inputs. The flag is process-wide, not per thread. Nesting works,
-    and the previous state comes back on exit, on an exception too."""
-    global _grad_enabled
-    prev, _grad_enabled = _grad_enabled, False
-    try:
-        yield
-    finally:
-        _grad_enabled = prev
-
-
 def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward_fn) -> Tensor:
     out = Tensor.__new__(Tensor)
     out.data = data
     out.grad = None
     out.op = op
-    if _grad_enabled and any(p.requires_grad for p in parents):
+    if any(p.requires_grad for p in parents):
         out.requires_grad = True
         out.parents = tuple(parents)
         out._backward = backward_fn
@@ -549,6 +530,12 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     return _node(out, "attention", (q, k, v), back)
 
 
+def _log_softmax(x: np.ndarray) -> np.ndarray:
+    """Each row's log-softmax, shifted by the row max."""
+    z = x - x.max(axis=1, keepdims=True)
+    return z - np.log(np.exp(z).sum(axis=1, keepdims=True))
+
+
 def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence[float]) -> Tensor:
     """Weighted mean negative log-likelihood over rows of a logit matrix.
 
@@ -570,14 +557,14 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence
     denom = w.sum()
     if denom <= 0:
         raise ContractError("cross_entropy_rows: weights sum to zero, nothing to score")
-    z = logits.data - logits.data.max(axis=1, keepdims=True)
-    lse = np.log(np.exp(z).sum(axis=1, keepdims=True))
-    logp = z - lse
-    nll = -logp[np.arange(rows), idx]
+    logits_data = logits.data
+    nll = -_log_softmax(logits_data)[np.arange(rows), idx]
     out = np.array([[float((nll * w).sum() / denom)]])
 
+    # backward computes the log-softmax again from the logits, which the
+    # graph keeps anyway as parent data, rather than hold a second copy
     def back(g):
-        p = np.exp(logp)
+        p = np.exp(_log_softmax(logits_data))
         p[np.arange(rows), idx] -= 1.0
         return ((logits, p * (w / denom)[:, None] * g[0, 0]),)
 

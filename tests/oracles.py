@@ -323,12 +323,13 @@ def loop_decode_greedy(enc_out, cfg, params):
 
 
 def graph_decode_greedy(enc_out, cfg, params):
-    """The cached greedy decoder as graph ops under ``no_grad``: each step
-    embeds one token, appends its self-attention K/V to per-layer buffers
-    and runs the decoder layers of training on that one row. Returns the
-    generated ids and the logit row of every step taken."""
+    """The cached greedy decoder as graph ops: each step embeds one token,
+    appends its self-attention K/V to per-layer buffers and runs the
+    decoder layers of training on that one row. Returns the generated ids
+    and the logit row of every step taken; on trainable ``params`` the
+    ops record a graph, which nothing walks."""
     from maf.model import _decoder_layer, _embed, _project_kv, sinusoidal_positions
-    from maf.tensor import add, matmul, no_grad
+    from maf.tensor import add, matmul
     from maf.text import Vocabulary
 
     limit, d = cfg.max_target_len, cfg.d
@@ -337,20 +338,19 @@ def graph_decode_greedy(enc_out, cfg, params):
     values = [np.empty((limit, d)) for _ in params.dec]
     ids, rows = [], []
     token = Vocabulary.BOS_ID
-    with no_grad():
-        cross_kv = [_project_kv(enc_out, layer.cross_attn) for layer in params.dec]
-        for t in range(limit):
-            x = _embed([token], Tensor(positions[t:t + 1]), params)
-            for layer, kv, k_rows, v_rows in zip(params.dec, cross_kv, keys, values):
-                k, v = _project_kv(x, layer.self_attn)
-                k_rows[t], v_rows[t] = k.data[0], v.data[0]
-                x = _decoder_layer(x, (Tensor(k_rows[:t + 1]), Tensor(v_rows[:t + 1])), kv,
-                                   layer, cfg.heads)
-            rows.append(add(matmul(x, params.out_proj), params.out_bias).data[0])
-            token = int(np.argmax(rows[-1]))
-            if token == Vocabulary.EOS_ID:
-                break
-            ids.append(token)
+    cross_kv = [_project_kv(enc_out, layer.cross_attn) for layer in params.dec]
+    for t in range(limit):
+        x = _embed([token], Tensor(positions[t:t + 1]), params)
+        for layer, kv, k_rows, v_rows in zip(params.dec, cross_kv, keys, values):
+            k, v = _project_kv(x, layer.self_attn)
+            k_rows[t], v_rows[t] = k.data[0], v.data[0]
+            x = _decoder_layer(x, (Tensor(k_rows[:t + 1]), Tensor(v_rows[:t + 1])), kv,
+                               layer, cfg.heads)
+        rows.append(add(matmul(x, params.out_proj), params.out_bias).data[0])
+        token = int(np.argmax(rows[-1]))
+        if token == Vocabulary.EOS_ID:
+            break
+        ids.append(token)
     return ids, rows
 
 

@@ -207,6 +207,7 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
         (dict(seeds=[2, -1]), "seeds"),
         # training binds it to the vocabulary, so a set value would misstate the run
         (dict(model={"vocab_size": 7}), "'vocab_size'"),
+        (dict(variants=["TextOnly", "MAF", "TextOnly"]), "variants contain duplicates"),
     ],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
@@ -349,6 +350,18 @@ def test_sweep_requires_one_variant(tmp_path):
         cmd_sweep_fusion_layer(cfg)
 
 
+def test_sweep_refuses_a_variant_without_adapter(tmp_path, capsys):
+    """TextOnly has no adapter, so every fusion layer would train the same
+    model: the sweep is refused before anything is trained or written."""
+    cfg = load(tmp_path, variants=["TextOnly"])
+    with pytest.raises(ConfigError, match="TextOnly has no adapter"):
+        cmd_sweep_fusion_layer(cfg)
+    path = write_config(tmp_path, variants=["MAF"])
+    assert main(["sweep-fusion-layer", "--config", str(path), "--variant", "TextOnly"]) == 2
+    assert "config error: sweep-fusion-layer: TextOnly has no adapter" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
 def test_gen_synthetic_and_stats(tmp_path):
     cfg = load(tmp_path)
     corpus_file = tmp_path / "syn.jsonl"
@@ -466,6 +479,14 @@ def test_cli_ablate_succeeds(tmp_path, capsys):
     out = capsys.readouterr().out
     assert "wrote 1 metric rows" in out
     assert "TextOnly" in out
+
+
+def test_cli_ablate_refuses_duplicate_variants(tmp_path, capsys):
+    """A repeated variant would train its cell twice into one metric file."""
+    path = write_config(tmp_path, variants=["TextOnly", "TextOnly"])
+    assert main(["ablate", "--config", str(path)]) == 2
+    assert "config error: variants contain duplicates" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_train_narrowed_by_flags(tmp_path, capsys):

@@ -49,7 +49,7 @@ from maf.model import _instance_loss  # tested directly: it is the training obje
 from maf.model import _bucket_means, _pool_segments, _stack_frames
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
 from maf.synthetic import generate
-from maf.tensor import Segments, Tensor, backward, mul, no_grad
+from maf.tensor import Segments, Tensor, backward, mul
 from maf.text import SPECIALS, Vocabulary
 
 from oracles import (
@@ -536,7 +536,7 @@ def test_decode_greedy_respects_length_cap():
     for cap in (2, GAP_MODEL.max_target_len):
         cfg, _, params, inst, ids = fixture_model(max_target_len=cap)
         enc = encode(ids, inst.audio_features, inst.video_features, cfg, params)
-        out = decode_greedy(enc, cfg, params)
+        out = decode_greedy(enc.data, cfg, params)
         assert len(out) == cap
         assert Vocabulary.BOS_ID not in out and Vocabulary.EOS_ID not in out
         assert out == loop_decode_greedy(enc, cfg, params)[0]
@@ -558,7 +558,7 @@ def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
         return logits
 
     monkeypatch.setattr(model_module, "_decode_step", recording_step)
-    got = decode_greedy(enc, cfg, params)
+    got = decode_greedy(enc.data, cfg, params)
     want, rows = loop_decode_greedy(enc, cfg, params)
     assert got == want
     assert len(steps) == len(rows) > 1
@@ -584,7 +584,7 @@ def test_array_decoder_matches_the_graph_ops_bit_for_bit(monkeypatch, variant, h
         return steps[-1]
 
     monkeypatch.setattr(model_module, "_decode_step", recording_step)
-    got = decode_greedy(enc, cfg, params)
+    got = decode_greedy(enc.data, cfg, params)
     want, rows = graph_decode_greedy(enc, cfg, params)
     assert got == want
     assert len(steps) == len(rows) == min(len(got) + 1, cap)
@@ -605,7 +605,7 @@ def test_decode_greedy_records_no_graph_node(monkeypatch):
         return real(*args)
 
     monkeypatch.setattr(tensor_module, "_node", counting)
-    assert len(decode_greedy(enc, cfg, params)) == cfg.max_target_len
+    assert len(decode_greedy(enc.data, cfg, params)) == cfg.max_target_len
     assert nodes == []
 
 
@@ -1171,19 +1171,18 @@ def test_generate_explanations_matches_encode_and_the_prefix_loop(monkeypatch, g
     real = model_module.decode_greedy
 
     def recording(enc_out, *args, **kwargs):
-        calls.append((enc_out.data.copy(), real(enc_out, *args, **kwargs)))
+        calls.append((enc_out.copy(), real(enc_out, *args, **kwargs)))
         return calls[-1][1]
 
     monkeypatch.setattr(model_module, "decode_greedy", recording)
     got = generate_explanations(tm, insts)
     assert len(calls) == len(got) == n
-    with no_grad():
-        for inst, (rows, ids), text in zip(insts, calls, got):
-            enc = encode(instance_token_ids(inst, tm.vocab), inst.audio_features,
-                         inst.video_features, cfg, tm.params)
-            np.testing.assert_allclose(rows, enc.data, rtol=0, atol=1e-12, err_msg=inst.id)
-            assert ids == loop_decode_greedy(enc, cfg, tm.params)[0], inst.id
-            assert text == " ".join(tm.vocab.decode(ids))
+    for inst, (rows, ids), text in zip(insts, calls, got):
+        enc = encode(instance_token_ids(inst, tm.vocab), inst.audio_features,
+                     inst.video_features, cfg, tm.params)
+        np.testing.assert_allclose(rows, enc.data, rtol=0, atol=1e-12, err_msg=inst.id)
+        assert ids == loop_decode_greedy(enc, cfg, tm.params)[0], inst.id
+        assert text == " ".join(tm.vocab.decode(ids))
     assert generate_explanations(tm, insts[::-1]) == got[::-1]
 
 
@@ -1193,6 +1192,42 @@ def test_generate_explanations_rejects_overlong_text(gap_models):
     insts[8].utterances[0].text = "well " * tm.config.max_text_len
     with pytest.raises(ContractError, match=f"instance '{insts[8].id}'.*max_text_len"):
         generate_explanations(tm, insts)
+
+
+@pytest.mark.parametrize("variant", ["MAF", "Concat2"])
+def test_trained_and_loaded_models_are_frozen_and_decode_as_trainable_ones(
+        monkeypatch, tmp_path, gap_models, variant):
+    """``train`` and ``load_checkpoint`` return parameters with no
+    ``requires_grad`` and no gradient, so evaluating them makes no graph
+    node that needs one; the explanations are those of the same weights
+    left trainable, whose evaluation does make such nodes."""
+    tm = gap_models[variant]
+    save_checkpoint(tm, tmp_path / "model.ckpt")
+    loaded = load_checkpoint(tmp_path / "model.ckpt")
+    trainable = init_model_params(tm.config)
+    for (_, t), (_, frozen) in zip(named_parameters(trainable), named_parameters(tm.params)):
+        t.data = frozen.data.copy()
+    insts = generate(replace(GAP_SPEC, num_instances=9, seed=1 ^ TEST_SEED_SALT))
+    real = tensor_module._node
+    needs_grad = []
+
+    def spying(*args):
+        out = real(*args)
+        needs_grad.append(out.requires_grad)
+        return out
+
+    def explain(m):
+        needs_grad.clear()
+        with monkeypatch.context() as patch:
+            patch.setattr(tensor_module, "_node", spying)
+            return generate_explanations(m, insts)
+
+    want = explain(replace(tm, params=trainable))
+    assert any(needs_grad)
+    for m in (tm, loaded):
+        assert all(not t.requires_grad and t.grad is None for _, t in named_parameters(m.params))
+        assert explain(m) == want
+        assert needs_grad and not any(needs_grad)
 
 
 # ---- checkpoints ---------------------------------------------------------------

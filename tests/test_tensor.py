@@ -38,7 +38,6 @@ from maf.tensor import (
     linear,
     matmul,
     mul,
-    no_grad,
     sigmoid,
     zeros,
 )
@@ -454,37 +453,6 @@ def test_leaf_gradient_only_on_requires_grad():
     backward(sum_all(mul(a, b)))
     assert np.allclose(a.grad, 2.0)
     assert b.grad is None
-
-
-def _records_graph(w: Tensor) -> bool:
-    out = matmul(w, w)
-    return out.requires_grad and out.parents == (w, w) and out._backward is not None
-
-
-def test_no_grad_records_no_graph():
-    w = Tensor(np.eye(2), requires_grad=True)
-    with no_grad():
-        out = add_layer_norm(matmul(w, w), zeros(2, 2), Tensor(np.ones((1, 2))),
-                             zeros(1, 2, requires_grad=True))
-    assert not out.requires_grad
-    assert out.parents == ()
-    assert out._backward is None
-    assert np.allclose(out.data, [[1.0, -1.0], [-1.0, 1.0]], atol=1e-4)
-
-
-def test_no_grad_restores_the_flag_after_nesting_and_errors():
-    w = Tensor(np.eye(2), requires_grad=True)
-    with no_grad():
-        with no_grad():
-            assert not _records_graph(w)
-        assert not _records_graph(w)
-    assert _records_graph(w)
-    with pytest.raises(ShapeError):
-        with no_grad():
-            matmul(w, Tensor(np.ones((3, 3))))
-    assert _records_graph(w)
-    backward(sum_all(matmul(w, w)))
-    assert np.array_equal(w.grad, 2.0 * np.ones((2, 2)))
 
 
 # ---- error contracts -----------------------------------------------------------
