@@ -8,8 +8,8 @@ autoregressively.
 
 Training stacks each minibatch into one graph (a ``_Pack``): every
 attention gets the pack's ``tensor.Segments`` layout, so no row sees
-another instance, and a one-instance pack, which ``encode`` and
-``_instance_loss`` use, attends with no padding at all. Pooling a
+another instance; ``encode`` and ``_instance_loss`` run one-instance
+packs. Position rows are constants, arrays outside the graph. Pooling a
 modality's frames to the text rows runs through the same kernel: each
 bucket of ``_pool_segments`` is a segment whose logits are all equal, so
 its text rows get the bucket mean, and the pack holds nothing O(pack²).
@@ -477,17 +477,19 @@ def init_model_params(cfg: ModelConfig) -> ModelParams:
 
 # ---- positions and pooling layouts ----------------------------------------------
 
-_POS_CACHE: dict[tuple[int, int], Tensor] = {}
+_POS_CACHE: dict[tuple[int, int], np.ndarray] = {}
 
 
-def sinusoidal_positions(n: int, d: int) -> Tensor:
+def sinusoidal_positions(n: int, d: int) -> np.ndarray:
+    """The n x d sinusoidal position table, cached and read-only."""
     key = (n, d)
     if key not in _POS_CACHE:
         pos = np.arange(n, dtype=np.float64)[:, None]
         i = np.arange(d, dtype=np.float64)[None, :]
         angle = pos / np.power(10000.0, 2.0 * np.floor(i / 2.0) / d)
         pe = np.where(i % 2 == 0, np.sin(angle), np.cos(angle))
-        _POS_CACHE[key] = Tensor(pe)
+        pe.flags.writeable = False
+        _POS_CACHE[key] = pe
     return _POS_CACHE[key]
 
 
@@ -510,7 +512,7 @@ def _project_kv(kv_in: Tensor, p: AttentionParams) -> tuple[Tensor, Tensor]:
 
 
 def _attend(q_in: Tensor, kv: tuple[Tensor, Tensor], p: AttentionParams, heads: int,
-            layout: Segments | None = None) -> Tensor:
+            layout: Segments) -> Tensor:
     return matmul(attention(matmul(q_in, p.w_q), *kv, heads, layout), p.w_o)
 
 
@@ -522,15 +524,14 @@ def _add_ln(x: Tensor, y: Tensor, p: LayerNormParams) -> Tensor:
     return add_layer_norm(x, y, p.gain, p.bias)
 
 
-def _encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int,
-                   layout: Segments | None = None) -> Tensor:
+def _encoder_layer(x: Tensor, p: EncoderLayerParams, heads: int, layout: Segments) -> Tensor:
     h = _add_ln(x, _attend(x, _project_kv(x, p.attn), p.attn, heads, layout), p.ln1)
     return _add_ln(h, _ffn(h, p.ffn), p.ln2)
 
 
 def _decoder_layer(x: Tensor, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Tensor, Tensor],
-                   p: DecoderLayerParams, heads: int, layout: Segments | None = None,
-                   cross_layout: Segments | None = None) -> Tensor:
+                   p: DecoderLayerParams, heads: int, layout: Segments,
+                   cross_layout: Segments) -> Tensor:
     """Self-attention onto ``self_kv``, cross-attention onto the encoder's
     ``cross_kv`` (both already projected), then the feed-forward block."""
     h = _add_ln(x, _attend(x, self_kv, p.self_attn, heads, layout), p.ln1)
@@ -538,7 +539,7 @@ def _decoder_layer(x: Tensor, self_kv: tuple[Tensor, Tensor], cross_kv: tuple[Te
     return _add_ln(h, _ffn(h, p.ffn), p.ln3)
 
 
-def _embed(ids: Sequence[int], positions: Tensor, params: ModelParams) -> Tensor:
+def _embed(ids: Sequence[int], positions: np.ndarray, params: ModelParams) -> Tensor:
     d = positions.shape[1]
     return embed(params.embedding, ids, math.sqrt(d), positions)
 
@@ -568,7 +569,7 @@ class _EncoderPack(NamedTuple):
     every attention on ``layout``, so a row never sees another instance."""
 
     ids: list[int]            # text ids, segment after segment
-    positions: Tensor         # position rows, restarting at 0 in each segment
+    positions: np.ndarray     # position rows, restarting at 0 in each segment
     lengths: list[int]        # L_i, text tokens per segment
     layout: Segments          # encoder self-attention, MCA2 and DPA
     audio: _Frames | None     # only for variants that read the modality
@@ -581,15 +582,15 @@ class _Pack(NamedTuple):
 
     enc: _EncoderPack
     dec_in: list[int]         # BOS + target, per segment
-    dec_positions: Tensor
+    dec_positions: np.ndarray
     dec_target: list[int]     # target + EOS, per segment
     self_layout: Segments     # block-causal decoder self-attention
     cross_layout: Segments    # a target row attends to its own segment's text
     weights: np.ndarray       # 1/T_i per target row: each instance weighs 1
 
 
-def _segment_positions(lengths: Sequence[int], d: int) -> Tensor:
-    return Tensor(np.concatenate([sinusoidal_positions(n, d).data for n in lengths]))
+def _segment_positions(lengths: Sequence[int], d: int) -> np.ndarray:
+    return np.concatenate([sinusoidal_positions(n, d) for n in lengths])
 
 
 def _checked_frames(features, raw: int, label: str, cap: int) -> Tensor:
@@ -735,7 +736,7 @@ def _encode_pack(pk: _EncoderPack, cfg: ModelConfig, params: ModelParams) -> Ten
 
 
 def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelParams,
-                   layout: Segments, cross_layout: Segments | None = None) -> Tensor:
+                   layout: Segments, cross_layout: Segments) -> Tensor:
     """Teacher-forced decoder layers and output head over embedded rows ``x``."""
     for layer in params.dec:
         x = _decoder_layer(x, _project_kv(x, layer.self_attn), _project_kv(enc_out, layer.cross_attn),
@@ -791,7 +792,7 @@ def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) ->
     attending to the self-attention K/V cached from the steps before."""
     limit, d = cfg.max_target_len, cfg.d
     cache = _DecoderCache(
-        positions=sinusoidal_positions(limit, d).data,
+        positions=sinusoidal_positions(limit, d),
         cross_kv=[(enc_out @ layer.cross_attn.w_k.data, enc_out @ layer.cross_attn.w_v.data)
                   for layer in params.dec],
         keys=[np.empty((limit, d)) for _ in params.dec],
@@ -1054,7 +1055,8 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
 def load_checkpoint(path: str | Path) -> TrainedModel:
     """The model ``save_checkpoint`` wrote, frozen like ``train``'s. The
     vocab length and the whole shape table are compared with the header's
-    config before any read or allocation."""
+    config before any read or allocation; every value read must be
+    finite."""
     with open(path, "rb") as fh:
         header = read_json_object(fh.readline(), f"checkpoint '{path}' header", ParseError)
         if header.get("format") != _CKPT_FORMAT:
@@ -1099,6 +1101,8 @@ def load_checkpoint(path: str | Path) -> TrainedModel:
             if len(blob) != t.data.nbytes:
                 raise ParseError(f"'{path}' is truncated at parameter '{name}'")
             t.data = np.frombuffer(blob, dtype="<f8").reshape(t.shape).astype(np.float64)
+            if not np.isfinite(t.data).all():
+                raise ParseError(f"'{path}' parameter '{name}' holds a non-finite value")
         if fh.read(1):
             raise ParseError(f"'{path}' has trailing bytes after the last parameter")
     return TrainedModel(config=cfg, vocab=vocab, params=_frozen(params))

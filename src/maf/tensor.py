@@ -334,11 +334,12 @@ def linear(x: Tensor, w: Tensor, b: Tensor) -> Tensor:
     return _node(x_data @ w_data + b.data, "linear", (x, w, b), back)
 
 
-def embed(table: Tensor, ids: Sequence[int], c: float, positions: Tensor) -> Tensor:
-    """Embedding rows table[ids] * c + positions as one node: the row
-    lookup, the scale by the constant c and the position sum in that
-    order, with none of their products kept for backward. Repeated ids
-    add their gradients into one table row."""
+def embed(table: Tensor, ids: Sequence[int], c: float, positions: np.ndarray) -> Tensor:
+    """Embedding rows table[ids] * c + positions as one node, whose one
+    parent is the table: the row lookup, the scale by the constant c and
+    the sum with the constant position rows in that order, with none of
+    their products kept for backward. Repeated ids add their gradients
+    into one table row."""
     idx = np.asarray(ids, dtype=np.int64)
     if idx.ndim != 1:
         raise ShapeError(f"embed: ids must be a flat sequence, got shape {idx.shape}")
@@ -352,13 +353,11 @@ def embed(table: Tensor, ids: Sequence[int], c: float, positions: Tensor) -> Ten
     c = float(c)
 
     def back(g):
-        gt = None
-        if table.requires_grad:
-            gt = np.zeros_like(table.data)
-            np.add.at(gt, idx, g * c)
-        return ((table, gt), (positions, g if positions.requires_grad else None))
+        gt = np.zeros_like(table.data)
+        np.add.at(gt, idx, g * c)
+        return ((table, gt),)
 
-    return _node(table.data[idx] * c + positions.data, "embed", (table, positions), back)
+    return _node(table.data[idx] * c + positions, "embed", (table,), back)
 
 
 def gate_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
@@ -400,8 +399,7 @@ class Segments:
     The kernel stacks the segments into an ``S x heads x L x w`` array,
     L the longest segment, so the index arrays and the additive fill of
     padding keys and causal positions are computed here, once, with no
-    per-segment loop: a layout may hold hundreds of segments. A single
-    segment is a plain reshape: no index arrays and no padding.
+    per-segment loop: a layout may hold hundreds of segments.
     """
 
     __slots__ = ("n", "m", "_q_idx", "_k_idx", "_q_sel", "_k_sel", "_fill")
@@ -419,13 +417,9 @@ class Segments:
         fill = np.where(np.arange(lk) < cols_a[:, None], 0.0, _MASKED)[:, None, None, :]
         if causal:
             fill = fill + np.triu(np.full((lq, lk), _MASKED), k=1)
-        if len(rows_a) == 1:
-            self._q_idx = self._k_idx = self._q_sel = self._k_sel = None
-            self._fill = fill if causal else None
-        else:
-            self._q_idx, self._q_sel = _segment_index(rows_a, lq)
-            self._k_idx, self._k_sel = _segment_index(cols_a, lk)
-            self._fill = fill
+        self._fill = fill
+        self._q_idx, self._q_sel = _segment_index(rows_a, lq)
+        self._k_idx, self._k_sel = _segment_index(cols_a, lk)
 
 
 def _segment_index(lengths: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray]:
@@ -473,8 +467,8 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     split into ``heads`` equal blocks; block h of the output is
     softmax(Q_h K_h^T / sqrt(d / heads)) V_h, with a row-max shift inside
     the softmax. ``layout`` splits the rows into segments that attend
-    within themselves only (see ``Segments``); None is one segment holding
-    every row, with no causal fill.
+    within themselves only (see ``Segments``); None is ``Segments([n],
+    [m])``, one segment holding every row, with no causal fill.
 
     Every (segment, head) pair is one matrix of an ``S x heads`` stack, so
     the softmax and its analytic backward are a few batched products:
@@ -491,31 +485,26 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int = 1,
     if heads < 1 or d % heads or d_v % heads:
         raise ShapeError(f"attention: {heads} heads do not divide widths {d} and {d_v}")
     if layout is None:
-        q_idx = k_idx = q_sel = k_sel = fill = None
+        layout = Segments([n], [m])
     elif (layout.n, layout.m) != (n, m):
         raise ShapeError(f"attention: layout covers {layout.n} queries and {layout.m} keys, "
                          f"got {n} and {m}")
-    else:
-        q_idx, k_idx, q_sel, k_sel, fill = (layout._q_idx, layout._k_idx, layout._q_sel,
-                                            layout._k_sel, layout._fill)
+    q_idx, k_idx, q_sel, k_sel = layout._q_idx, layout._k_idx, layout._q_sel, layout._k_sel
     c = 1.0 / math.sqrt(d // heads)
     q_data, k_data, v_data = q.data, k.data, v.data
 
     # backward gathers the stacks again from the inputs' data, which the
     # graph keeps anyway as parent data, rather than hold them
     def stacks():
-        return (_split_heads(q_data[None] if q_idx is None else q_data[q_idx], heads),
-                _split_heads(k_data[None] if k_idx is None else k_data[k_idx], heads),
-                _split_heads(v_data[None] if k_idx is None else v_data[k_idx], heads))
+        return (_split_heads(q_data[q_idx], heads), _split_heads(k_data[k_idx], heads),
+                _split_heads(v_data[k_idx], heads))
 
-    out, w = _attention(*stacks(), c, fill, q_sel)
+    out, w = _attention(*stacks(), c, layout._fill, q_sel)
 
     def back(g):
-        if q_sel is None:
-            g_rows = g[None]
-        else:  # padded query rows get zero gradient
-            g_rows = np.zeros((w.shape[0], w.shape[2], d_v))
-            g_rows.reshape(-1, d_v)[q_sel] = g
+        # padded query rows get zero gradient
+        g_rows = np.zeros((w.shape[0], w.shape[2], d_v))
+        g_rows.reshape(-1, d_v)[q_sel] = g
         g_out = _split_heads(g_rows, heads)
         gq = gk = None
         if q.requires_grad or k.requires_grad:  # constant q and k (pooling) need no dS
@@ -540,9 +529,8 @@ def cross_entropy_rows(logits: Tensor, targets: Sequence[int], weights: Sequence
     """Weighted mean negative log-likelihood over rows of a logit matrix.
 
     ``targets[i]`` is the correct class for row i and ``weights[i]`` its
-    contribution (0 masks a padding row out entirely). The result is
-    sum(w_i * nll_i) / sum(w_i), so appending zero-weight rows leaves the
-    value untouched.
+    contribution (a row of weight 0 adds nothing). The result is
+    sum(w_i * nll_i) / sum(w_i).
     """
     idx = np.asarray(targets, dtype=np.int64)
     w = np.asarray(weights, dtype=np.float64)
@@ -642,8 +630,8 @@ def backward(loss: Tensor) -> None:
 # ---- constructors ----------------------------------------------------------
 
 
-def zeros(rows: int, cols: int, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.zeros((rows, cols)), requires_grad=requires_grad)
+def zeros(rows: int, cols: int) -> Tensor:
+    return Tensor(np.zeros((rows, cols)))
 
 
 def glorot_uniform(rng: np.random.Generator, rows: int, cols: int) -> Tensor:

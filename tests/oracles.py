@@ -72,10 +72,6 @@ def loop_matmul(a, b):
     return out
 
 
-def loop_add(a, b):
-    return [[a[i][j] + b[i][j] for j in range(len(a[0]))] for i in range(len(a))]
-
-
 def loop_softmax_rows(x):
     out = []
     for row in x:
@@ -301,7 +297,8 @@ def decode_logits(enc_out, target_in_ids, cfg, params) -> Tensor:
 
     n = len(target_in_ids)
     x = _embed(target_in_ids, sinusoidal_positions(n, cfg.d), params)
-    return _decoder_stack(x, enc_out, cfg, params, Segments([n], [n], causal=True))
+    return _decoder_stack(x, enc_out, cfg, params, Segments([n], [n], causal=True),
+                          Segments([n], [enc_out.shape[0]]))
 
 
 def loop_decode_greedy(enc_out, cfg, params):
@@ -325,27 +322,29 @@ def loop_decode_greedy(enc_out, cfg, params):
 def graph_decode_greedy(enc_out, cfg, params):
     """The cached greedy decoder as graph ops: each step embeds one token,
     appends its self-attention K/V to per-layer buffers and runs the
-    decoder layers of training on that one row. Returns the generated ids
-    and the logit row of every step taken; on trainable ``params`` the
-    ops record a graph, which nothing walks."""
+    decoder layers of training on that one row, each attention on a
+    one-segment layout. Returns the generated ids and the logit row of
+    every step taken; on trainable ``params`` the ops record a graph,
+    which nothing walks."""
     from maf.model import _decoder_layer, _embed, _project_kv, sinusoidal_positions
     from maf.tensor import add, matmul
     from maf.text import Vocabulary
 
     limit, d = cfg.max_target_len, cfg.d
-    positions = sinusoidal_positions(limit, d).data
+    positions = sinusoidal_positions(limit, d)
     keys = [np.empty((limit, d)) for _ in params.dec]
     values = [np.empty((limit, d)) for _ in params.dec]
     ids, rows = [], []
     token = Vocabulary.BOS_ID
     cross_kv = [_project_kv(enc_out, layer.cross_attn) for layer in params.dec]
+    cross_layout = Segments([1], [enc_out.shape[0]])
     for t in range(limit):
-        x = _embed([token], Tensor(positions[t:t + 1]), params)
+        x = _embed([token], positions[t:t + 1], params)
         for layer, kv, k_rows, v_rows in zip(params.dec, cross_kv, keys, values):
             k, v = _project_kv(x, layer.self_attn)
             k_rows[t], v_rows[t] = k.data[0], v.data[0]
             x = _decoder_layer(x, (Tensor(k_rows[:t + 1]), Tensor(v_rows[:t + 1])), kv,
-                               layer, cfg.heads)
+                               layer, cfg.heads, Segments([1], [t + 1]), cross_layout)
         rows.append(add(matmul(x, params.out_proj), params.out_bias).data[0])
         token = int(np.argmax(rows[-1]))
         if token == Vocabulary.EOS_ID:

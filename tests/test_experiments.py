@@ -14,6 +14,7 @@ from dataclasses import fields
 from operator import delitem
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -645,6 +646,20 @@ def tiny_checkpoint(tmp_path_factory):
     path = write_config(tmp_path_factory.mktemp("ckpt"))
     blob = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"]).read_bytes()
     return path, blob, itertools.count()
+
+
+def test_cli_evaluate_refuses_a_checkpoint_of_nan_weights(tiny_checkpoint, tmp_path, capsys):
+    """Every blob NaN: ``maf evaluate`` exits 3 naming the first parameter
+    and writes no metric row; decoding such a model would score zeros."""
+    config_path, blob, _ = tiny_checkpoint
+    head, rest = blob.split(b"\n", 1)
+    path = tmp_path / "nan.ckpt"
+    path.write_bytes(head + b"\n" + np.full(len(rest) // 8, np.nan, dtype="<f8").tobytes())
+    out = tmp_path / "scores"
+    argv = ["evaluate", "--config", str(config_path), "--checkpoint", str(path), "--out", str(out)]
+    assert main(argv) == 3
+    assert "parameter 'embedding' holds a non-finite value" in capsys.readouterr().err
+    assert not list(out.glob("metrics_*.json"))
 
 
 @settings(derandomize=True, max_examples=200, deadline=None)

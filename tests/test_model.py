@@ -326,7 +326,7 @@ def test_align_rejects_degenerate_sizes():
 
 def test_sinusoidal_positions_match_direct_formula():
     n, d = 7, 6
-    got = sinusoidal_positions(n, d).data
+    got = sinusoidal_positions(n, d)
     for pos in range(n):
         for i in range(d):
             angle = pos / (10000.0 ** (2.0 * (i // 2) / d))
@@ -336,6 +336,8 @@ def test_sinusoidal_positions_match_direct_formula():
 
 def test_sinusoidal_positions_are_cached():
     assert sinusoidal_positions(5, 8) is sinusoidal_positions(5, 8)
+    # the cached table is shared, so no caller may write into it
+    assert not sinusoidal_positions(5, 8).flags.writeable
 
 
 # ---- parameter initialisation ----------------------------------------------
@@ -1340,6 +1342,25 @@ def test_checkpoint_rejects_truncation_and_trailing(tmp_path):
     long.write_bytes(path.read_bytes() + b"x")
     with pytest.raises(ParseError, match="trailing"):
         load_checkpoint(long)
+
+
+@pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf], ids=["nan", "inf", "-inf"])
+def test_checkpoint_rejects_non_finite_values(tmp_path, value):
+    """A blob value that is not finite is refused as the blob is read,
+    naming its parameter: a model of NaN weights would decode every
+    instance to an empty explanation and score a row of zeros."""
+    _, tm, path = trained_tiny(tmp_path)
+    head, rest = path.read_bytes().split(b"\n", 1)
+    names = [name for name, _ in named_parameters(tm.params)]
+    bad = np.array([value], dtype="<f8").tobytes()
+    one = tmp_path / "one.ckpt"  # the last value of the last parameter
+    one.write_bytes(head + b"\n" + rest[:-8] + bad)
+    with pytest.raises(ParseError, match=f"parameter '{names[-1]}' holds a non-finite value"):
+        load_checkpoint(one)
+    every = tmp_path / "every.ckpt"
+    every.write_bytes(head + b"\n" + bad * (len(rest) // 8))
+    with pytest.raises(ParseError, match=f"parameter '{names[0]}' holds a non-finite value"):
+        load_checkpoint(every)
 
 
 def test_checkpoint_rejects_renamed_parameter(tmp_path):

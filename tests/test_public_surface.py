@@ -1,7 +1,7 @@
 """Every public name of the package, and every function and class it
 defines, has a reader outside the tests: code that only tests run belongs
 in ``tests/oracles.py``, not in ``src/``, and a helper whose last caller
-is gone goes with it."""
+is gone goes with it. Every oracle there has a reader among the tests."""
 
 import ast
 import importlib
@@ -64,6 +64,35 @@ def test_every_function_and_class_has_a_reader_outside_the_tests(definition):
     count, so recursion keeps nothing alive."""
     assert any(definition.name in names for stmt, names in _STATEMENTS if stmt is not definition), \
         f"'{definition.name}' is read only by the tests, or only by itself"
+
+
+ORACLES = ROOT / "tests" / "oracles.py"
+# each function and class of the oracles, with the names its body reads
+_ORACLE_DEFS = {stmt.name: _names_read(stmt)
+                for stmt in ast.parse(ORACLES.read_text(encoding="utf-8")).body
+                if isinstance(stmt, (ast.FunctionDef, ast.ClassDef))}
+
+
+def _oracles_reached() -> set[str]:
+    """The oracles a test reads, and those they read in turn."""
+    reached = set().union(*(_names_read(ast.parse(path.read_text(encoding="utf-8")))
+                            for path in sorted(ORACLES.parent.glob("test_*.py"))))
+    todo = [name for name in _ORACLE_DEFS if name in reached]
+    while todo:
+        for name in _ORACLE_DEFS[todo.pop()] & (_ORACLE_DEFS.keys() - reached):
+            reached.add(name)
+            todo.append(name)
+    return reached
+
+
+_REACHED = _oracles_reached()
+
+
+@pytest.mark.parametrize("name", sorted(_ORACLE_DEFS))
+def test_every_oracle_is_read_by_a_test(name):
+    """Read by a ``tests/test_*.py`` file, or by an oracle that one reads;
+    an oracle no test reaches checks nothing."""
+    assert name in _REACHED, f"tests/oracles.py defines '{name}', which no test reaches"
 
 
 def _json_parses(tree: ast.Module):

@@ -105,7 +105,7 @@ def test_item_requires_single_element():
 
 def test_constructors():
     assert np.array_equal(zeros(2, 3).data, np.zeros((2, 3)))
-    assert zeros(2, 3, requires_grad=True).requires_grad
+    assert not zeros(2, 3).requires_grad
 
 
 def test_glorot_uniform_bounds_and_grad_flag():
@@ -230,12 +230,15 @@ def test_grad_concat_slice():
 
 def test_grad_embed_accumulates_duplicates():
     rng = np.random.default_rng(18)
-    table, positions = leaf(rng, 5, 3), leaf(rng, 5, 3)
+    table, positions = leaf(rng, 5, 3), rng.uniform(-2.0, 2.0, size=(5, 3))
     ids = [1, 1, 4, 0, 1]
-    check_grads(lambda: sum_all(embed(table, ids, 1.5, positions)), [table, positions])
+    check_grads(lambda: sum_all(embed(table, ids, 1.5, positions)), [table])
+    # the position rows are a constant: the table is the node's one parent
+    out = embed(table, ids, 1.5, positions)
+    assert out.parents == (table,)
     # row 1 is looked up three times, so its gradient is 3x the others
     table.zero_grad()
-    backward(sum_all(embed(table, ids, 1.5, positions)))
+    backward(sum_all(out))
     assert np.allclose(table.grad[1], 3 * 1.5)
     assert np.allclose(table.grad[2], 0.0)
 
@@ -292,8 +295,8 @@ def test_fused_nodes_match_the_composed_ops_bit_for_bit():
          lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe),
         (lambda: gate_mix(gate, x, y),
          lambda: add(mul(sub(one, gate), x), mul(gate, y)), [gate, x, y], probe),
-        (lambda: embed(table, ids, c, y),
-         lambda: add(scale(gather_rows(table, ids), c), y), [table, y], probe),
+        (lambda: embed(table, ids, c, y.data),
+         lambda: add(scale(gather_rows(table, ids), c), Tensor(y.data)), [table], probe),
         (lambda: linear(x, w1, b1), lambda: add(matmul(x, w1), b1), [x, w1, b1], wide_probe),
     ]
     for fused, composed, leaves, p in cases:
@@ -322,9 +325,9 @@ def test_fused_nodes_reject_bad_shapes():
     with pytest.raises(ShapeError, match="gate_mix"):
         gate_mix(z(2, 1), z(2, 4), z(2, 3))
     with pytest.raises(ShapeError, match="positions"):
-        embed(z(5, 4), [0, 1, 2], 1.0, z(2, 4))
+        embed(z(5, 4), [0, 1, 2], 1.0, np.zeros((2, 4)))
     with pytest.raises(ShapeError, match="positions"):
-        embed(z(5, 4), [0, 1], 1.0, z(2, 3))
+        embed(z(5, 4), [0, 1], 1.0, np.zeros((2, 3)))
 
 
 def test_grad_cross_entropy():
@@ -482,13 +485,13 @@ def test_backward_rejects_unconnected_loss():
 def test_embed_rejects_bad_ids():
     table = Tensor(np.zeros((3, 2)))
     with pytest.raises(ContractError, match="out of range"):
-        embed(table, [0, 3], 1.0, zeros(2, 2))
+        embed(table, [0, 3], 1.0, np.zeros((2, 2)))
     with pytest.raises(ContractError, match="out of range"):
-        embed(table, [-1, 0], 1.0, zeros(2, 2))
+        embed(table, [-1, 0], 1.0, np.zeros((2, 2)))
     with pytest.raises(ContractError, match="empty"):
-        embed(table, [], 1.0, zeros(0, 2))
+        embed(table, [], 1.0, np.zeros((0, 2)))
     with pytest.raises(ShapeError, match="flat"):
-        embed(table, [[0, 1]], 1.0, zeros(2, 2))
+        embed(table, [[0, 1]], 1.0, np.zeros((2, 2)))
 
 
 def test_layer_norm_rejects_bad_gain_shape():
