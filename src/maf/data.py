@@ -354,17 +354,17 @@ def cosine_token_similarity(a: str, b: str) -> float:
     return dot / (na * nb)
 
 
-def merge_annotations(a: str, b: str, threshold: float = 0.9) -> MergeOutcome:
+def merge_annotations(a: str, b: str) -> MergeOutcome:
     """Merge two explanation annotations of the same instance.
 
-    Similarity strictly above ``threshold`` selects the annotation with
+    Similarity strictly above 0.9 selects the annotation with
     fewer tokens (ties: fewer characters, then the first argument);
     anything at or below the threshold is reported as a conflict.
     """
     if not a.strip() or not b.strip():
         raise ContractError("merge_annotations requires two non-empty annotations")
     sim = cosine_token_similarity(a, b)
-    if sim > threshold:
+    if sim > 0.9:
         ta, tb = len(tokenize(a)), len(tokenize(b))
         if ta != tb:
             chosen = a if ta < tb else b

@@ -153,10 +153,15 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
     return cfg
 
 
-def _out_dir(cfg: ExperimentConfig) -> Path:
+def _out_path(cfg: ExperimentConfig) -> Path:
     if not cfg.out:
         raise ConfigError("an output directory is required (--out or config 'out')")
-    out = Path(cfg.out)
+    return Path(cfg.out)
+
+
+def _out_dir(cfg: ExperimentConfig) -> Path:
+    """The output directory, made if missing; runs make it after their inputs load."""
+    out = _out_path(cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as exc:
@@ -225,11 +230,11 @@ def _single_cell(cfg: ExperimentConfig, what: str) -> tuple[str, int]:
 def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> list[dict]:
     """Train and score every (variant, fusion layer, file tag) cell at every
     seed; write each cell's metric row and loss log, then the report."""
-    out = _out_dir(cfg)
     digest = config_hash(cfg)
     rows = []
     for seed in cfg.seeds:
         train_insts, test_insts = _prepare_data(cfg, seed)
+        out = _out_dir(cfg)
         for variant, layer, tag in cells:
             mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
             tm = train(train_insts, mcfg, cfg.train)
@@ -248,8 +253,8 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     """Train one (variant, seed) cell; write checkpoint + loss log."""
     cfg.validate()
     variant, seed = _single_cell(cfg, "train")
-    out = _out_dir(cfg)
     train_insts, _ = _prepare_data(cfg, seed)
+    out = _out_dir(cfg)
     tm = train(train_insts, replace(cfg.model, variant=variant, seed=seed), cfg.train)
     ckpt = out / f"checkpoint_{variant}_seed{seed}.ckpt"
     save_checkpoint(tm, ckpt)
@@ -267,9 +272,9 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
     if len(cfg.seeds) != 1:
         raise ConfigError(f"evaluate uses one seed; narrow with --seed (got {cfg.seeds})")
     seed = cfg.seeds[0]
-    out = _out_dir(cfg)
     tm = load_checkpoint(checkpoint)
     _, test_insts = _prepare_data(cfg, seed)
+    out = _out_dir(cfg)
     scores = evaluate_variant(tm, test_insts)
     mcfg = tm.config
     row = _metric_row(config_hash(cfg), mcfg.variant, seed, mcfg.fusion_layer_index, scores)
@@ -351,8 +356,8 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     text report ends with the fusion gap: each group's seed-mean action
     accuracy minus TextOnly's at the same fusion layer (no TextOnly group,
     no gap lines). Re-rendering the same directory is byte-identical."""
-    out = _out_dir(cfg)
-    files = sorted(out.glob("metrics_*.json"))
+    out = _out_path(cfg)
+    files = sorted(out.glob("metrics_*.json"))  # none in a missing directory
     if not files:
         raise ConfigError(f"nothing to report: no metrics_*.json files in '{out}'")
     groups: dict = {}

@@ -22,7 +22,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .errors import ContractError, ShapeError
-from .tensor import Slot, Tensor, add, allocate, concat_last, linear, mul
+from .tensor import Slot, Tensor, add, allocate, gated_stream
 
 __all__ = ["GifParams", "gif_fuse"]
 
@@ -54,16 +54,18 @@ class GifParams:
         )
 
     @classmethod
-    def zero_init(cls, d: int, audio: bool = True, video: bool = True) -> "GifParams":
-        return allocate(cls.slots(d, audio, video), None)
+    def zero_init(cls, d: int) -> "GifParams":
+        return allocate(cls.slots(d), None)
 
 
 def gif_fuse(h: Tensor, h_audio: Tensor | None, h_video: Tensor | None,
              params: GifParams) -> Tensor:
     """Fuse the modality streams into the text stream; output is n x d.
 
-    Each gate in ``params`` scales its stream and adds it to ``h``. A
-    stream without its gate, or a gate without its stream, is a
+    Each gate in ``params`` scales its stream, one ``tensor.gated_stream``
+    node per stream, and ``add`` sums them into ``h`` (one node for both
+    would sum h's gradient terms in another order, and change the bits).
+    A stream without its gate, or a gate without its stream, is a
     ContractError: nothing is dropped silently.
     """
     if h.shape[1] != params.d:
@@ -78,5 +80,5 @@ def gif_fuse(h: Tensor, h_audio: Tensor | None, h_video: Tensor | None,
             continue
         if stream.shape != h.shape:
             raise ShapeError(f"{label} stream must match hidden states {h.shape}, got {stream.shape}")
-        terms.append(mul(linear(concat_last(h, stream), w, b), stream))
+        terms.append(gated_stream(h, stream, w, b))
     return add(h, terms[0] if len(terms) == 1 else add(*terms))

@@ -25,8 +25,7 @@ parameter values give those collapses exactly. (The fusion gates of
 ``gif.py`` are linear and are pinned through their parameters.)
 
 ``mca2_forward`` is the whole block in one pass: C U_k and C U_v are
-computed once and feed both the gates and the mix, and
-``return_trace=True`` hands back those same intermediates.
+computed once and feed both the gates and the mix.
 """
 
 from __future__ import annotations
@@ -36,9 +35,9 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, ShapeError
-from .tensor import Segments, Slot, Tensor, add, allocate, attention, gate_mix, matmul, sigmoid
+from .tensor import Segments, Slot, Tensor, allocate, attention, gate, gate_mix, matmul
 
-__all__ = ["Mca2Params", "AttentionTrace", "mca2_forward"]
+__all__ = ["Mca2Params", "mca2_forward"]
 
 
 @dataclass
@@ -92,36 +91,20 @@ class Mca2Params:
         return allocate(cls.slots(d, d_c), rng)
 
 
-@dataclass
-class AttentionTrace:
-    """Intermediate values of one forward pass, for tests and diagnostics."""
-
-    q: Tensor
-    k: Tensor
-    v: Tensor
-    gate_k: Tensor
-    gate_v: Tensor
-    k_mixed: Tensor
-    v_mixed: Tensor
-    output: Tensor
-
-
 def mca2_forward(
     h: Tensor,
     c: Tensor,
     params: Mca2Params,
     *,
     gate_override: float | None = None,
-    return_trace: bool = False,
     layout: Segments | None = None,
-):
+) -> Tensor:
     """Full block in one pass: project, gate, mix, attend. Output is n x d.
 
     ``gate_override`` pins both gates to a constant
     (bypassing the learned gate path); 0.0 collapses the block to plain
     self-attention over (Q, K, V), 1.0 attends purely over projected
     context. The reduction-invariant tests read it; training never does.
-    ``return_trace`` returns an ``AttentionTrace`` of the intermediates.
     ``layout`` is the row layout of a packed batch (``tensor.Segments``
     with the same segments for queries and keys), so no row attends to
     another instance; None is one instance. The gates and the mix are
@@ -135,18 +118,12 @@ def mca2_forward(
     q, k, v = matmul(h, params.w_q), matmul(h, params.w_k), matmul(h, params.w_v)
     ctx_k, ctx_v = matmul(c, params.ctx_k), matmul(c, params.ctx_v)
     if gate_override is None:
-        gate_k = sigmoid(add(matmul(k, params.gate_k_text), matmul(ctx_k, params.gate_k_ctx)))
-        gate_v = sigmoid(add(matmul(v, params.gate_v_text), matmul(ctx_v, params.gate_v_ctx)))
+        gate_k = gate(k, params.gate_k_text, ctx_k, params.gate_k_ctx)
+        gate_v = gate(v, params.gate_v_text, ctx_v, params.gate_v_ctx)
     else:
         gate_k = gate_v = Tensor(np.full((n, 1), float(gate_override)))
     # the n x 1 gates broadcast across the d feature columns
     k_mixed = gate_mix(gate_k, k, ctx_k)
     v_mixed = gate_mix(gate_v, v, ctx_v)
 
-    out = attention(q, k_mixed, v_mixed, layout=layout)
-    if not return_trace:
-        return out
-    return AttentionTrace(
-        q=q, k=k, v=v, gate_k=gate_k, gate_v=gate_v,
-        k_mixed=k_mixed, v_mixed=v_mixed, output=out,
-    )
+    return attention(q, k_mixed, v_mixed, layout=layout)

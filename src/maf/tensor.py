@@ -27,11 +27,11 @@ Conventions used throughout the package:
 * an op records a graph node only if one of its inputs has
   ``requires_grad``; a trained model's parameters are frozen (no
   ``requires_grad``), so the encoder runs on them with no graph;
-* the fused ops ``linear``, ``embed``, ``gate_mix``, ``add_layer_norm``,
-  ``feed_forward`` and ``attention`` are one graph node each where
-  composed ops would be several: the same arithmetic in the same order,
-  so the same bits, with no intermediate product kept that backward does
-  not read;
+* the fused ops ``linear``, ``embed``, ``gate``, ``gate_mix``,
+  ``gated_stream``, ``add_layer_norm``, ``feed_forward`` and
+  ``attention`` are one graph node each where composed ops would be
+  several: the same arithmetic in the same order, so the same bits, with
+  no intermediate product kept that backward does not read;
 * the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
   ``attention`` are private array functions (``_attention`` takes the
   stacked heads of any layout), which the ops call and greedy decoding
@@ -54,15 +54,15 @@ from .errors import ContractError, ShapeError
 __all__ = [
     "Tensor",
     "add",
-    "mul",
     "matmul",
     "linear",
-    "sigmoid",
     "concat_last",
     "Segments",
     "attention",
     "embed",
+    "gate",
     "gate_mix",
+    "gated_stream",
     "add_layer_norm",
     "feed_forward",
     "cross_entropy_rows",
@@ -138,11 +138,6 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward_fn) -> 
 # ---- broadcasting helpers ----------------------------------------------
 
 
-def _require_broadcast(sa: tuple[int, int], sb: tuple[int, int], op: str) -> None:
-    if any(x != y and 1 not in (x, y) for x, y in zip(sa, sb)):
-        raise ShapeError(f"{op}: shapes {sa} and {sb} do not broadcast")
-
-
 def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
     """Sum an output gradient back down to a broadcast operand's shape."""
     if grad.shape == shape:
@@ -155,7 +150,8 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcast(a.shape, b.shape, "add")
+    if any(x != y and 1 not in (x, y) for x, y in zip(a.shape, b.shape)):
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
     out = a.data + b.data
 
     def back(g):
@@ -165,20 +161,6 @@ def add(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node(out, "add", (a, b), back)
-
-
-def mul(a: Tensor, b: Tensor) -> Tensor:
-    _require_broadcast(a.shape, b.shape, "mul")
-    out = a.data * b.data
-    a_data, b_data = a.data, b.data
-
-    def back(g):
-        return (
-            (a, _unbroadcast(g * b_data, a.shape) if a.requires_grad else None),
-            (b, _unbroadcast(g * a_data, b.shape) if b.requires_grad else None),
-        )
-
-    return _node(out, "mul", (a, b), back)
 
 
 # ---- linear algebra ------------------------------------------------------
@@ -213,24 +195,6 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node(out, "concat_last", (a, b), back)
-
-
-# ---- nonlinearities -------------------------------------------------------
-
-
-def sigmoid(a: Tensor) -> Tensor:
-    """Numerically stable logistic function, outputs strictly inside (0, 1)."""
-    x = a.data
-    out = np.empty_like(x)
-    pos = x >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
-    ex = np.exp(x[~pos])
-    out[~pos] = ex / (1.0 + ex)
-
-    def back(g):
-        return ((a, g * out * (1.0 - out)),)
-
-    return _node(out, "sigmoid", (a,), back)
 
 
 # ---- fused ops ---------------------------------------------------------------
@@ -383,6 +347,57 @@ def gate_mix(g: Tensor, a: Tensor, b: Tensor) -> Tensor:
         )
 
     return _node((1.0 - g_data) * a_data + g_data * b_data, "gate_mix", (g, a, b), back)
+
+
+def gate(a: Tensor, w_a: Tensor, b: Tensor, w_b: Tensor) -> Tensor:
+    """logistic(a w_a + b w_b) as one node, the logistic in its numerically
+    stable form: the arithmetic of the composed products, sum and logistic,
+    with neither product nor their sum kept for backward."""
+    if (a.shape[1], b.shape[1]) != (w_a.shape[0], w_b.shape[0]) \
+            or (a.shape[0], w_a.shape[1]) != (b.shape[0], w_b.shape[1]):
+        raise ShapeError(f"gate: cannot sum the products {a.shape} @ {w_a.shape} and "
+                         f"{b.shape} @ {w_b.shape}")
+    z = a.data @ w_a.data + b.data @ w_b.data
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ex = np.exp(z[~pos])
+    out[~pos] = ex / (1.0 + ex)
+
+    def back(g):
+        gz = g * out * (1.0 - out)
+        return (
+            (a, gz @ w_a.data.T if a.requires_grad else None),
+            (w_a, a.data.T @ gz if w_a.requires_grad else None),
+            (b, gz @ w_b.data.T if b.requires_grad else None),
+            (w_b, b.data.T @ gz if w_b.requires_grad else None),
+        )
+
+    return _node(out, "gate", (a, w_a, b, w_b), back)
+
+
+def gated_stream(h: Tensor, s: Tensor, w: Tensor, b: Tensor) -> Tensor:
+    """([h | s] w + b) * s as one node, b a 1-row bias: the stream s scaled
+    by a linear gate on h and s. The node keeps the gate, not [h | s],
+    which backward builds again from the inputs' data."""
+    (n, split), d = h.shape, s.shape[1]
+    if s.shape[0] != n or w.shape != (split + d, d) or b.shape != (1, d):
+        raise ShapeError(f"gated_stream: needs ({split + d}, {d}) w and (1, {d}) b for h {h.shape} "
+                         f"and s ({n}, {d}), got s {s.shape}, w {w.shape} and b {b.shape}")
+    g_s = np.concatenate([h.data, s.data], axis=1) @ w.data + b.data
+
+    def back(g):
+        gg = g * s.data
+        g_cat = gg @ w.data.T if h.requires_grad or s.requires_grad else None
+        return (
+            (h, g_cat[:, :split] if h.requires_grad else None),
+            # s reaches the output twice: as the gated stream and through its gate
+            (s, g * g_s + g_cat[:, split:] if s.requires_grad else None),
+            (w, np.concatenate([h.data, s.data], axis=1).T @ gg if w.requires_grad else None),
+            (b, gg.sum(axis=0, keepdims=True) if b.requires_grad else None),
+        )
+
+    return _node(g_s * s.data, "gated_stream", (h, s, w, b), back)
 
 
 # additive logit for a key a query must not see: softmax gives it weight 0

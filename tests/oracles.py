@@ -5,8 +5,10 @@ Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
 backward code paths, so agreement is evidence, not tautology. The
 exceptions are references the library no longer runs: the graph ops
-``relu``, ``sum_all``, ``layer_norm_rows``, ``sub``, ``scale`` and
-``gather_rows`` that the fused nodes must match bit for bit;
+``relu``, ``sum_all``, ``layer_norm_rows``, ``sub``, ``mul``, ``scale``,
+``sigmoid`` and ``gather_rows`` that the fused nodes must match bit for
+bit; ``composed_mca2``, the context-aware attention block on the
+composed gate ops, with every intermediate;
 ``decode_logits``, the teacher-forced pass, and ``loop_decode_greedy``,
 the decoding loop the cached decoder replaced; ``graph_decode_greedy``,
 the cached decoder as graph ops, which the array decoder must match bit
@@ -18,10 +20,11 @@ minibatch that whole-batch packs replaced.
 from __future__ import annotations
 
 import math
+from types import SimpleNamespace
 
 import numpy as np
 
-from maf.tensor import Segments, Tensor, _node, _unbroadcast
+from maf.tensor import Segments, Tensor, _node, _unbroadcast, add, attention, gate_mix, matmul
 
 FD_STEP = 1e-5
 
@@ -113,6 +116,29 @@ def sub(a: Tensor, b: Tensor) -> Tensor:
     return _node(a.data - b.data, "sub", (a, b), back)
 
 
+def mul(a: Tensor, b: Tensor) -> Tensor:
+    a_data, b_data = a.data, b.data
+
+    def back(g):
+        return (
+            (a, _unbroadcast(g * b_data, a.shape) if a.requires_grad else None),
+            (b, _unbroadcast(g * a_data, b.shape) if b.requires_grad else None),
+        )
+
+    return _node(a_data * b_data, "mul", (a, b), back)
+
+
+def sigmoid(a: Tensor) -> Tensor:
+    """Numerically stable logistic function, outputs strictly inside (0, 1)."""
+    x = a.data
+    out = np.empty_like(x)
+    pos = x >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-x[pos]))
+    ex = np.exp(x[~pos])
+    out[~pos] = ex / (1.0 + ex)
+    return _node(out, "sigmoid", (a,), lambda g: ((a, g * out * (1.0 - out)),))
+
+
 def scale(a: Tensor, c: float) -> Tensor:
     """Multiply by a Python scalar constant."""
     c = float(c)
@@ -150,6 +176,24 @@ def layer_norm_rows(x: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
 
 
 # ---- context-aware attention, equation by equation ---------------------------
+
+
+def composed_mca2(h: Tensor, c: Tensor, p, gate_override: float | None = None) -> SimpleNamespace:
+    """``mca2.mca2_forward`` with each gate as the composed ops the fused
+    ``tensor.gate`` replaced, ``sigmoid(add(matmul, matmul))``; ``gate_override``
+    pins both gates as there. Returns every intermediate: q, k, v, ctx_k,
+    ctx_v, gate_k, gate_v, k_mixed, v_mixed and the output."""
+    q, k, v = matmul(h, p.w_q), matmul(h, p.w_k), matmul(h, p.w_v)
+    ctx_k, ctx_v = matmul(c, p.ctx_k), matmul(c, p.ctx_v)
+    if gate_override is None:
+        gate_k = sigmoid(add(matmul(k, p.gate_k_text), matmul(ctx_k, p.gate_k_ctx)))
+        gate_v = sigmoid(add(matmul(v, p.gate_v_text), matmul(ctx_v, p.gate_v_ctx)))
+    else:
+        gate_k = gate_v = Tensor(np.full((h.shape[0], 1), float(gate_override)))
+    k_mixed, v_mixed = gate_mix(gate_k, k, ctx_k), gate_mix(gate_v, v, ctx_v)
+    return SimpleNamespace(q=q, k=k, v=v, ctx_k=ctx_k, ctx_v=ctx_v, gate_k=gate_k,
+                           gate_v=gate_v, k_mixed=k_mixed, v_mixed=v_mixed,
+                           output=attention(q, k_mixed, v_mixed))
 
 
 def loop_mca2(h, c, p) -> np.ndarray:
@@ -327,7 +371,6 @@ def graph_decode_greedy(enc_out, cfg, params):
     every step taken; on trainable ``params`` the ops record a graph,
     which nothing walks."""
     from maf.model import _decoder_layer, _embed, _project_kv, sinusoidal_positions
-    from maf.tensor import add, matmul
     from maf.text import Vocabulary
 
     limit, d = cfg.max_target_len, cfg.d

@@ -397,6 +397,14 @@ def test_report_requires_metric_files(tmp_path):
         cmd_report(cfg)
 
 
+def test_report_on_a_missing_directory_creates_nothing(tmp_path, capsys):
+    path = write_config(tmp_path)
+    missing = tmp_path / "missing"
+    assert main(["report", "--config", str(path), "--out", str(missing)]) == 2
+    assert "nothing to report" in capsys.readouterr().err
+    assert not missing.exists()
+
+
 def test_report_aggregates_seeds(tmp_path):
     cfg = load(tmp_path)
     out = tmp_path / "run"
@@ -646,6 +654,18 @@ def tiny_checkpoint(tmp_path_factory):
     path = write_config(tmp_path_factory.mktemp("ckpt"))
     blob = Path(cmd_train(load_experiment_config(str(path)))["checkpoint"]).read_bytes()
     return path, blob, itertools.count()
+
+
+def test_cli_evaluate_on_a_truncated_checkpoint_creates_no_output_directory(tiny_checkpoint,
+                                                                           tmp_path, capsys):
+    config_path, blob, _ = tiny_checkpoint
+    path = tmp_path / "cut.ckpt"
+    path.write_bytes(blob[:len(blob) // 2])
+    out = tmp_path / "scores"
+    argv = ["evaluate", "--config", str(config_path), "--checkpoint", str(path), "--out", str(out)]
+    assert main(argv) == 3
+    assert "cut.ckpt" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_evaluate_refuses_a_checkpoint_of_nan_weights(tiny_checkpoint, tmp_path, capsys):

@@ -7,13 +7,18 @@ import pytest
 
 from maf.errors import ContractError, ShapeError
 from maf.gif import GifParams, gif_fuse
-from maf.tensor import Tensor, backward, mul, named_parameters
+from maf.tensor import Tensor, allocate, backward, named_parameters
 
-from oracles import gradients_close, loop_gif, numeric_gradient, sum_all
+from oracles import gradients_close, loop_gif, mul, numeric_gradient, sum_all
+
+
+def zero_params(d, **gates):
+    """All-zero gates, for the modalities ``gates`` does not switch off."""
+    return allocate(GifParams.slots(d, **gates), None)
 
 
 def random_params(rng, d, **gates):
-    p = GifParams.zero_init(d, **gates)
+    p = zero_params(d, **gates)
     for _, t in named_parameters(p):
         t.data = rng.normal(scale=0.5, size=t.data.shape)
     return p
@@ -95,7 +100,7 @@ def test_single_modality_form_drops_other_term():
     p = random_params(rng, d)
     h = Tensor(rng.normal(size=(3, d)))
     ha = Tensor(rng.normal(size=(3, d)))
-    audio_only = GifParams.zero_init(d, video=False)
+    audio_only = zero_params(d, video=False)
     assert audio_only.w_video is None and audio_only.b_video is None
     audio_only.w_audio, audio_only.b_audio = p.w_audio, p.b_audio
     got = gif_fuse(h, ha, None, audio_only)
@@ -103,8 +108,8 @@ def test_single_modality_form_drops_other_term():
     want = gif_fuse(h, ha, Tensor(np.zeros((3, d))), p).data
     assert np.array_equal(got.data, want)
     # and the absent term costs no graph nodes: add(h, g_a * h_a) only
-    assert got.op == "add" and got.parents[1].op == "mul"
-    only_video = gif_fuse(h, None, ha, pin(GifParams.zero_init(d, audio=False), 1.0))
+    assert got.op == "add" and got.parents[1].op == "gated_stream"
+    only_video = gif_fuse(h, None, ha, pin(zero_params(d, audio=False), 1.0))
     assert np.array_equal(only_video.data, h.data + ha.data)
 
 
@@ -116,11 +121,11 @@ def test_stream_and_gate_come_together():
     with pytest.raises(ContractError, match="video"):
         gif_fuse(h, s, None, GifParams.zero_init(d))
     with pytest.raises(ContractError, match="video"):
-        gif_fuse(h, s, s, GifParams.zero_init(d, video=False))
+        gif_fuse(h, s, s, zero_params(d, video=False))
     with pytest.raises(ContractError, match="audio"):
-        gif_fuse(h, s, s, GifParams.zero_init(d, audio=False))
+        gif_fuse(h, s, s, zero_params(d, audio=False))
     with pytest.raises(ContractError, match="at least one"):
-        GifParams.zero_init(d, audio=False, video=False)
+        GifParams.slots(d, audio=False, video=False)
 
 
 def test_gradients_reach_all_parameters_and_inputs():

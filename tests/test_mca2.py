@@ -7,9 +7,17 @@ from hypothesis import given, settings, strategies as st
 
 from maf.errors import ContractError, ShapeError
 from maf.mca2 import Mca2Params, mca2_forward
-from maf.tensor import Tensor, attention, backward, matmul, mul, named_parameters
+from maf.tensor import Tensor, attention, backward, matmul, named_parameters
 
-from oracles import gradients_close, loop_attend, loop_mca2, numeric_gradient, sum_all
+from oracles import (
+    composed_mca2,
+    gradients_close,
+    loop_attend,
+    loop_mca2,
+    mul,
+    numeric_gradient,
+    sum_all,
+)
 
 
 def random_params(rng, d=6, d_c=4, random_gates=True):
@@ -61,7 +69,8 @@ def test_zero_gate_weights_give_half_gates():
     p = random_params(rng, random_gates=False)
     h = Tensor(rng.normal(size=(5, p.d)))
     c = Tensor(rng.normal(size=(5, p.d_c)))
-    trace = mca2_forward(h, c, p, return_trace=True)
+    trace = composed_mca2(h, c, p)
+    assert np.array_equal(mca2_forward(h, c, p).data, trace.output.data)
     assert np.array_equal(trace.gate_k.data, np.full((5, 1), 0.5))
     assert np.array_equal(trace.gate_v.data, np.full((5, 1), 0.5))
 
@@ -99,11 +108,11 @@ def test_mixed_kv_exact_at_gate_extremes():
     h = Tensor(rng.normal(size=(n, p.d)))
     c = Tensor(rng.normal(size=(n, p.d_c)))
 
-    t0 = mca2_forward(h, c, p, gate_override=0.0, return_trace=True)
+    t0 = composed_mca2(h, c, p, gate_override=0.0)
     assert np.array_equal(t0.k_mixed.data, t0.k.data)
     assert np.array_equal(t0.v_mixed.data, t0.v.data)
 
-    t1 = mca2_forward(h, c, p, gate_override=1.0, return_trace=True)
+    t1 = composed_mca2(h, c, p, gate_override=1.0)
     assert np.array_equal(t1.k_mixed.data, c.data @ p.ctx_k.data)
     assert np.array_equal(t1.v_mixed.data, c.data @ p.ctx_v.data)
 
@@ -113,7 +122,8 @@ def test_gates_lie_strictly_inside_unit_interval():
     p = random_params(rng)
     h = Tensor(rng.normal(scale=10.0, size=(6, p.d)))
     c = Tensor(rng.normal(scale=10.0, size=(6, p.d_c)))
-    trace = mca2_forward(h, c, p, return_trace=True)
+    trace = composed_mca2(h, c, p)
+    assert np.array_equal(mca2_forward(h, c, p).data, trace.output.data)
     for g in (trace.gate_k.data, trace.gate_v.data):
         assert np.all(g > 0.0) and np.all(g < 1.0)
 
@@ -158,16 +168,28 @@ def test_permutation_equivariance():
     assert np.max(np.abs(permuted - base[perm])) < 1e-12
 
 
-def test_trace_is_consistent_with_output():
+@pytest.mark.parametrize("gate_override", [None, 0.0, 1.0])
+def test_block_matches_the_composed_reference_bit_for_bit(gate_override):
+    """The block with its fused gates gives the output and every gradient
+    of the composed reference, whose intermediates the tests above read."""
     rng = np.random.default_rng(10)
     p = random_params(rng)
-    h = Tensor(rng.normal(size=(3, p.d)))
-    c = Tensor(rng.normal(size=(3, p.d_c)))
-    plain = mca2_forward(h, c, p)
-    trace = mca2_forward(h, c, p, return_trace=True)
-    assert np.array_equal(plain.data, trace.output.data)
-    assert trace.gate_k.shape == (3, 1)
-    assert trace.k_mixed.shape == (3, p.d)
+    h = Tensor(rng.normal(scale=3.0, size=(4, p.d)), requires_grad=True)
+    c = Tensor(rng.normal(scale=3.0, size=(4, p.d_c)), requires_grad=True)
+    probe = Tensor(rng.normal(size=(4, p.d)))
+    leaves = [t for _, t in named_parameters(p)] + [h, c]
+    results = []
+    for build in (lambda: mca2_forward(h, c, p, gate_override=gate_override),
+                  lambda: composed_mca2(h, c, p, gate_override).output):
+        out = build()
+        backward(sum_all(mul(out, probe)))
+        results.append((out.data, [t.grad for t in leaves]))
+        for t in leaves:
+            t.zero_grad()
+    (got, got_g), (want, want_g) = results
+    assert np.array_equal(got, want)
+    for g, w in zip(got_g, want_g):
+        assert (g is None and w is None) or np.array_equal(g, w)
 
 
 def test_context_is_projected_once():
@@ -208,11 +230,11 @@ def test_output_rows_stay_in_value_hull(seed):
     p = random_params(rng, d=int(rng.integers(1, 6)), d_c=int(rng.integers(1, 5)))
     h = Tensor(rng.normal(size=(n, p.d)))
     c = Tensor(rng.normal(size=(n, p.d_c)))
-    trace = mca2_forward(h, c, p, return_trace=True)
+    out, trace = mca2_forward(h, c, p).data, composed_mca2(h, c, p)
     lo = trace.v_mixed.data.min(axis=0) - 1e-9
     hi = trace.v_mixed.data.max(axis=0) + 1e-9
-    assert np.all(trace.output.data >= lo)
-    assert np.all(trace.output.data <= hi)
+    assert np.all(out >= lo)
+    assert np.all(out <= hi)
 
 
 # ---- error contracts ----------------------------------------------------------------

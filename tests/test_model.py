@@ -10,6 +10,7 @@ finite differences.
 import json
 import math
 import tracemalloc
+from collections import Counter
 from dataclasses import asdict, replace
 
 import numpy as np
@@ -49,7 +50,7 @@ from maf.model import _instance_loss  # tested directly: it is the training obje
 from maf.model import _bucket_means, _pool_segments, _stack_frames
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
 from maf.synthetic import generate
-from maf.tensor import Segments, Tensor, backward, mul
+from maf.tensor import Segments, Tensor, backward
 from maf.text import SPECIALS, Vocabulary
 
 from oracles import (
@@ -61,6 +62,7 @@ from oracles import (
     loop_bucket_means,
     loop_decode_greedy,
     loop_train_step,
+    mul,
     numeric_gradient,
     scale,
     sum_all,
@@ -799,6 +801,33 @@ def test_pack_graph_bytes_grow_at_most_linearly():
     assert graph_bytes(items * 2) <= 2 * graph_bytes(items)
 
 
+def test_a_training_step_records_one_node_per_adapter_op():
+    """Each MCA2 gate and each GIF stream is one graph node: a 16-instance
+    gap MAF step records 92 nodes (108 while the gates were composed ops),
+    with no elementwise product, sigmoid or concatenation. Concat2's
+    [text | audio | video] input keeps its two concatenations."""
+    insts = generate(replace(GAP_SPEC, num_instances=16))
+
+    def ops(variant):
+        cfg, vocab, params = bound_params(replace(GAP_MODEL, variant=variant), insts)
+        loss = model_module._pack_loss(model_module._pack(pack_items(insts, vocab), cfg), cfg,
+                                       params)
+        seen, stack, count = set(), [loss], Counter()
+        while stack:
+            t = stack.pop()
+            if id(t) not in seen and t.parents:
+                seen.add(id(t))
+                count[t.op] += 1
+                stack.extend(t.parents)
+        return count
+
+    maf = ops("MAF")
+    assert sum(maf.values()) == 92, maf
+    assert (maf["gate"], maf["gated_stream"]) == (4, 2), maf
+    assert not {"mul", "sigmoid", "concat_last"} & maf.keys(), maf
+    assert ops("Concat2")["concat_last"] == 2
+
+
 def _traced_step(monkeypatch) -> tuple[int, int]:
     """Tracemalloc bytes alive when ``backward`` starts, and the traced
     peak of the whole step, for one 16-instance MAF training step at a
@@ -826,19 +855,21 @@ def _traced_step(monkeypatch) -> tuple[int, int]:
 def test_backward_adds_little_to_a_steps_peak_memory(monkeypatch):
     """A training step peaks at its forward graph: ``backward`` frees each
     node once walked, so the traced peak passes the bytes alive when
-    ``backward`` starts by under a tenth. Measured: 5.1 % (0.17 of
-    3.24 MB); 20 % while backward kept every node to the end of its walk."""
+    ``backward`` starts by under a tenth. Measured: 7.0 % (0.21 of
+    2.99 MB); 20 % while backward kept every node to the end of its walk."""
     alive, peak = _traced_step(monkeypatch)
     assert peak - alive < 0.1 * alive, (peak, alive)
 
 
 def test_the_forward_graph_keeps_little_that_backward_does_not_read(monkeypatch):
-    """MCA2's gated mix, the embedding and the biased projections are one
-    node each and keep only their inputs, so the bytes alive when
-    ``backward`` starts stay under 3.45 MB. Measured: 3.24 MB; 3.69 MB
-    while they were composed ops whose products no backward read."""
+    """MCA2's gates and gated mix, GIF's gated streams, the embedding and
+    the biased projections are one node each and keep only their inputs
+    (and a GIF stream its gate), so the bytes alive when ``backward``
+    starts stay under 3.10 MB. Measured: 2.99-3.01 MB; 3.12-3.15 MB while
+    the gates were composed ops whose products no backward read, 3.69 MB
+    while the gated mix, embedding and projections were too."""
     alive, _ = _traced_step(monkeypatch)
-    assert alive < 3.45e6, alive
+    assert alive < 3.10e6, alive
 
 
 @pytest.mark.parametrize("variant", VARIANTS)

@@ -66,6 +66,63 @@ def test_every_function_and_class_has_a_reader_outside_the_tests(definition):
         f"'{definition.name}' is read only by the tests, or only by itself"
 
 
+def _optional_parameters():
+    """(name, definition, parameter, position) for every parameter with a
+    default and every keyword-only one (position None) of a function or
+    method in the package. A method's position counts from its first
+    argument after self or cls, as its callers pass them."""
+    for path in sorted(PACKAGE.glob("*.py")):
+        for stmt in _TREES[path].body:
+            for fn in stmt.body if isinstance(stmt, ast.ClassDef) else [stmt]:
+                if not isinstance(fn, ast.FunctionDef):
+                    continue
+                # a class is called by its own name to run __init__
+                name = stmt.name if fn.name == "__init__" else fn.name
+                shift = int(fn is not stmt and not any(
+                    isinstance(d, ast.Name) and d.id == "staticmethod" for d in fn.decorator_list))
+                positional = fn.args.posonlyargs + fn.args.args
+                first = len(positional) - len(fn.args.defaults)
+                for i, arg in enumerate(positional[first:], start=first):
+                    yield name, fn, arg.arg, i - shift
+                for arg in fn.args.kwonlyargs:
+                    yield name, fn, arg.arg, None
+
+
+def _sets(call: ast.Call, parameter: str, position: int | None) -> bool:
+    """Whether a call passes the parameter, by keyword or by position; an
+    unpacked ``*args`` or ``**kwargs`` may pass it."""
+    if any(k.arg in (parameter, None) for k in call.keywords):
+        return True
+    if position is None:
+        return False
+    return any(isinstance(a, ast.Starred) for a in call.args[:position + 1]) \
+        or len(call.args) > position
+
+
+_OPTIONAL = list(_optional_parameters())
+# the imported name behind each ``import ... as`` alias of the readers
+_ORIGINAL = {a.asname: a.name for tree in _TREES.values() for a in ast.walk(tree)
+             if isinstance(a, ast.alias) and a.asname}
+
+
+def _callee(call: ast.Call) -> str | None:
+    """The name a call calls, ``f`` of ``f(...)`` and ``x.f(...)``, past any alias."""
+    name = getattr(call.func, "id", getattr(call.func, "attr", None))
+    return _ORIGINAL.get(name, name)
+
+
+@pytest.mark.parametrize("name, definition, parameter, position", _OPTIONAL,
+                         ids=[f"{name}({parameter}=)" for name, _, parameter, _ in _OPTIONAL])
+def test_every_optional_parameter_is_set_outside_the_tests(name, definition, parameter, position):
+    """A default no reader overrides, or a keyword-only option, is a mode
+    only the tests run; calls inside the definition itself do not count."""
+    inside = {id(n) for n in ast.walk(definition)}
+    calls = [c for tree in _TREES.values() for c in ast.walk(tree)
+             if isinstance(c, ast.Call) and id(c) not in inside and _callee(c) == name]
+    assert any(_sets(c, parameter, position) for c in calls), \
+        f"'{name}' parameter '{parameter}' is set only by the tests, or never"
+
+
 ORACLES = ROOT / "tests" / "oracles.py"
 # each function and class of the oracles, with the names its body reads
 _ORACLE_DEFS = {stmt.name: _names_read(stmt)
