@@ -17,12 +17,14 @@ Each instance is checked once, by ``_model_input``, on its way into the
 model; the packs only stack what it returns.
 ``generate_explanations`` encodes held-out instances on the same packs
 (their encoder half, ``_EncoderPack``), ``_PACK_INSTANCES`` at a time,
-then decodes each instance greedily on its own rows. A trained model is
-frozen (``train`` and ``load_checkpoint`` return parameters with no
-``requires_grad`` and no gradient), so its encoder records no graph.
-Greedy decoding is graph-free: it runs on arrays, through the forward
-arithmetic that the fused graph ops call (``tensor._attention``,
-``_add_layer_norm``, ``_feed_forward``).
+then decodes each instance greedily on its own rows and returns its
+tokens. A trained model is frozen (``train`` and ``load_checkpoint``
+return parameters with no ``requires_grad`` and no gradient), so its
+encoder records no graph. Greedy decoding is graph-free: it runs on
+arrays, through the forward arithmetic that the fused graph ops call
+(``tensor._attention``, ``_add_layer_norm``, ``_feed_forward``), and
+keeps each decoder layer's K/V caches as ``_attention``'s one-segment
+head stacks.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -171,9 +173,9 @@ class ModelConfig:
         if self.vocab_size is not None and self.vocab_size < 5:
             raise ConfigError(f"vocab_size must cover the four specials plus content, got {self.vocab_size}")
         size = _config_bytes(self)
-        if size > _MAX_MODEL_BYTES:
+        if size > _MAX_ALLOC_BYTES:
             raise ConfigError(f"the model would allocate {size} bytes, over the limit of "
-                              f"{_MAX_MODEL_BYTES}: its parameters and greedy decoding's buffers")
+                              f"{_MAX_ALLOC_BYTES}: its parameters and greedy decoding's buffers")
 
     def uses_audio(self) -> bool:
         return _FORMS[self.variant].audio
@@ -210,15 +212,15 @@ _MODEL_MINIMUMS = {
     "max_frames": 1, "max_windows": 1,
 }
 
-# What a config may ask parameter init and greedy decoding to allocate,
-# checked before anything is: 1 GiB. A float64 value is 8 bytes; a
-# parameter tensor's Python objects, with its gradient and Adam state,
-# about 1 KiB (906 bytes measured per tensor of a d=2 model with 1000 +
-# 1000 layers). A training step peaked at 6.4 times the parameter bytes
-# (d=256, ffn=1024, a 4-instance pack), so a model at the limit peaks
-# near 7 GB in training; d=768, ffn=3072 at the default depth (33M
-# values) is well inside it.
-_MAX_MODEL_BYTES = 2 ** 30
+# What a config may ask the program to allocate, checked before anything
+# is: 1 GiB, for the model here and for the corpus in ``synthetic``. A
+# float64 value is 8 bytes; a parameter tensor's Python objects, with its
+# gradient and Adam state, about 1 KiB (906 bytes measured per tensor of a
+# d=2 model with 1000 + 1000 layers). A training step peaked at 6.4 times
+# the parameter bytes (d=256, ffn=1024, a 4-instance pack), so a model at
+# the limit peaks near 7 GB in training; d=768, ffn=3072 at the default
+# depth (33M values) is well inside it.
+_MAX_ALLOC_BYTES = 2 ** 30
 _TENSOR_BYTES = 1024
 
 
@@ -549,10 +551,11 @@ def _embed(ids: Sequence[int], positions: np.ndarray, params: ModelParams) -> Te
 # Instances per encoder pass of ``generate_explanations``: the gap
 # config's minibatch. Training packs each whole minibatch instead, so its
 # graph memory grows with ``TrainConfig.batch_size``. Encoding the whole
-# 100-instance held-out set of a 6-epoch gap MAF as one pack (2 cores,
-# one BLAS thread) took 112.2 ms a pass against 113.6 ms (medians of 20
-# alternating passes, within noise) and raised peak RSS from 49.7 to
-# 51.7 MB, so 16 stays.
+# 100-instance held-out set of a 6-epoch gap MAF (seed 71) as one pack
+# raised the peak RSS of a process that trains it and then evaluates 10
+# times from 47.8-47.9 to 50.3-50.5 MB, while its evaluation passes took
+# 191-297 ms against 248-299 ms (medians of 10 passes, 6 processes each,
+# 2 cores, one BLAS thread: within noise), so 16 stays.
 _PACK_INSTANCES = 16
 
 
@@ -744,38 +747,26 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
     return linear(x, params.out_proj, params.out_bias)
 
 
-class _DecoderCache(NamedTuple):
-    """What one greedy decode keeps between steps, all arrays."""
-
-    positions: np.ndarray                          # limit x d position table
-    cross_kv: list[tuple[np.ndarray, np.ndarray]]  # per layer: encoder rows projected to K, V
-    keys: list[np.ndarray]                         # per layer: limit x d self-attention K rows
-    values: list[np.ndarray]                       # per layer: limit x d self-attention V rows
-
-
-def _attend_rows(q: np.ndarray, k: np.ndarray, v: np.ndarray, heads: int) -> np.ndarray:
-    """``attention(q, k, v, heads)`` with no layout, on arrays: one
-    segment, so the head stacks are plain reshapes."""
-    c = 1.0 / math.sqrt(q.shape[1] // heads)
-    return _attention(_split_heads(q[None], heads), _split_heads(k[None], heads),
-                      _split_heads(v[None], heads), c, None, None)[0]
-
-
-def _decode_step(token: int, t: int, cache: _DecoderCache, cfg: ModelConfig,
+def _decode_step(token: int, t: int, caches: list[tuple[np.ndarray, ...]], cfg: ModelConfig,
                  params: ModelParams) -> np.ndarray:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
     the teacher-forced pass on the prefix, in the arithmetic of its graph
-    ops (``tensor``'s array forwards), with no graph. Writes this row's
-    self-attention K/V into the cache; rows after t are never read, so no
-    causal fill."""
-    x = params.embedding.data[token:token + 1] * math.sqrt(cfg.d) + cache.positions[t:t + 1]
-    for layer, (cross_k, cross_v), keys, values in zip(params.dec, cache.cross_kv, cache.keys,
-                                                        cache.values):
+    ops (``tensor``'s array forwards), with no graph. Each layer's cache
+    holds its self-attention K, V and cross-attention K, V as the attention
+    kernel's one-segment head stacks; this writes row t of the first two,
+    and rows after t are never read, so no causal fill."""
+    x = (params.embedding.data[token:token + 1] * math.sqrt(cfg.d)
+         + sinusoidal_positions(cfg.max_target_len, cfg.d)[t:t + 1])
+    c = 1.0 / math.sqrt(cfg.d // cfg.heads)
+    for layer, (keys, values, cross_k, cross_v) in zip(params.dec, caches):
         sa, ca, ffn = layer.self_attn, layer.cross_attn, layer.ffn
-        keys[t], values[t] = (x @ sa.w_k.data)[0], (x @ sa.w_v.data)[0]
-        a = _attend_rows(x @ sa.w_q.data, keys[:t + 1], values[:t + 1], cfg.heads) @ sa.w_o.data
+        keys[:, :, t:t + 1] = _split_heads((x @ sa.w_k.data)[None], cfg.heads)
+        values[:, :, t:t + 1] = _split_heads((x @ sa.w_v.data)[None], cfg.heads)
+        q = _split_heads((x @ sa.w_q.data)[None], cfg.heads)
+        a = _attention(q, keys[:, :, :t + 1], values[:, :, :t + 1], c, None, None)[0] @ sa.w_o.data
         h = _add_layer_norm(x, a, layer.ln1.gain.data, layer.ln1.bias.data)[0]
-        a = _attend_rows(h @ ca.w_q.data, cross_k, cross_v, cfg.heads) @ ca.w_o.data
+        q = _split_heads((h @ ca.w_q.data)[None], cfg.heads)
+        a = _attention(q, cross_k, cross_v, c, None, None)[0] @ ca.w_o.data
         h = _add_layer_norm(h, a, layer.ln2.gain.data, layer.ln2.bias.data)[0]
         f = _feed_forward(h, ffn.w1.data, ffn.b1.data, ffn.w2.data, ffn.b2.data)[0]
         x = _add_layer_norm(h, f, layer.ln3.gain.data, layer.ln3.bias.data)[0]
@@ -787,21 +778,20 @@ def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) ->
     or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
     Incremental and graph-free, on arrays: the L x d encoder rows
-    ``enc_out`` are projected to each layer's cross-attention K/V once, and
-    each step computes one row of the teacher-forced decoder pass,
-    attending to the self-attention K/V cached from the steps before."""
-    limit, d = cfg.max_target_len, cfg.d
-    cache = _DecoderCache(
-        positions=sinusoidal_positions(limit, d),
-        cross_kv=[(enc_out @ layer.cross_attn.w_k.data, enc_out @ layer.cross_attn.w_v.data)
-                  for layer in params.dec],
-        keys=[np.empty((limit, d)) for _ in params.dec],
-        values=[np.empty((limit, d)) for _ in params.dec],
-    )
+    ``enc_out`` are projected to each layer's cross-attention K/V and split
+    into heads once, and each step computes one row of the teacher-forced
+    decoder pass, attending to the self-attention K/V cached from the steps
+    before in ``1 x heads x max_target_len x d/heads`` stacks."""
+    heads = cfg.heads
+    stack = (1, heads, cfg.max_target_len, cfg.d // heads)
+    caches = [(np.empty(stack), np.empty(stack),
+               _split_heads((enc_out @ layer.cross_attn.w_k.data)[None], heads),
+               _split_heads((enc_out @ layer.cross_attn.w_v.data)[None], heads))
+              for layer in params.dec]
     out: list[int] = []
     token = Vocabulary.BOS_ID
-    for t in range(limit):
-        token = int(np.argmax(_decode_step(token, t, cache, cfg, params)[0]))
+    for t in range(cfg.max_target_len):
+        token = int(np.argmax(_decode_step(token, t, caches, cfg, params)[0]))
         if token == Vocabulary.EOS_ID:
             break
         out.append(token)
@@ -997,15 +987,15 @@ def _frozen(params: ModelParams) -> ModelParams:
     return params
 
 
-def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -> list[str]:
-    """Greedy explanations, as token strings, in the order of ``insts``.
+def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -> list[list[str]]:
+    """Greedy explanations, as token lists, in the order of ``insts``.
 
     The encoder runs on packs of ``_PACK_INSTANCES`` instances, training's
     packs without their decoder half, and records no graph on a frozen
     model; each instance's L rows are sliced from its pack's output, and
     ``decode_greedy`` then runs once per instance."""
     cfg = tm.config
-    out: list[str] = []
+    out: list[list[str]] = []
     for lo in range(0, len(insts), _PACK_INSTANCES):
         items = [_model_input(instance_token_ids(inst, tm.vocab), inst.audio_features,
                               inst.video_features, cfg, f"instance '{inst.id}'")
@@ -1014,8 +1004,7 @@ def generate_explanations(tm: TrainedModel, insts: Sequence[DialogueInstance]) -
         rows = _encode_pack(pk, cfg, tm.params).data
         start = 0
         for n in pk.lengths:
-            out_ids = decode_greedy(rows[start:start + n], cfg, tm.params)
-            out.append(" ".join(tm.vocab.decode(out_ids)))
+            out.append(tm.vocab.decode(decode_greedy(rows[start:start + n], cfg, tm.params)))
             start += n
     return out
 

@@ -33,7 +33,8 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import TrainedModel, _check_minimums, _check_types, generate_explanations
+from .model import (TrainedModel, _MAX_ALLOC_BYTES, _check_minimums, _check_types,
+                    generate_explanations)
 from .text import tokenize
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -57,12 +58,11 @@ def _description_clause(action: int, target: int) -> str:
 
 # Least value of every size field: a class needs at least two values to
 # carry a label. The sizes have no greatest value of their own; the corpus
-# they make, which ``generate`` holds at once, is limited to 1 GiB: 8 bytes
-# per feature value and 2 KiB per instance (2037 bytes measured per
-# instance of one frame and one window).
+# they make, which ``generate`` holds at once, is limited to 1 GiB
+# (``model._MAX_ALLOC_BYTES``): 8 bytes per feature value and 2 KiB per
+# instance (2037 bytes measured per instance of one frame and one window).
 _SPEC_MINIMUMS = {"num_instances": 1, "speakers": 2, "actions": 2, "targets": 2, "frames": 1,
                   "windows": 1}
-_MAX_CORPUS_BYTES = 2 ** 30
 _INSTANCE_BYTES = 2048
 
 
@@ -96,9 +96,9 @@ class SyntheticSpec:
             raise ConfigError(f"targets ({self.targets}) exceed video_dim ({self.video_dim})")
         size = self.num_instances * (8 * (self.frames * self.audio_dim + self.windows * self.video_dim)
                                      + _INSTANCE_BYTES)
-        if size > _MAX_CORPUS_BYTES:
+        if size > _MAX_ALLOC_BYTES:
             raise ConfigError(f"the corpus would take {size} bytes, over the limit of "
-                              f"{_MAX_CORPUS_BYTES}: num_instances x (8 x (frames x audio_dim + "
+                              f"{_MAX_ALLOC_BYTES}: num_instances x (8 x (frames x audio_dim + "
                               f"windows x video_dim) + {_INSTANCE_BYTES})")
 
 
@@ -171,8 +171,8 @@ def evaluate_variant(tm: TrainedModel, test: Sequence[DialogueInstance]) -> dict
     """Accuracies and text-overlap scores for one trained model."""
     if not test:
         raise ContractError("evaluate_variant: empty test set")
-    # each hypothesis and reference is tokenised once, for every check
-    hyps = [tokenize(hyp) for hyp in generate_explanations(tm, test)]
+    # each reference is tokenised once, for every check
+    hyps = generate_explanations(tm, test)
     refs = [tokenize(inst.explanation) for inst in test]
     n = len(test)
     source_acc, target_acc = source_target_accuracy(hyps, test)

@@ -14,7 +14,8 @@ Conventions used throughout the package:
 * storage is row-major ``float64``; a Tensor is a 2-D matrix by
   construction (a scalar is ``1 x 1``), so ops take their Tensor operands
   as given and do not re-check them;
-* elementwise ops broadcast: an axis of size 1 stretches to match;
+* ``add`` takes two equal shapes; only a fused op's 1-row bias or
+  n x 1 gate is broadcast, as its docstring says;
 * a tensor that has been recorded in a graph is never mutated in place
   while the graph lives (the optimizer updates leaf ``.data`` in place,
   but only after every graph has been freed);
@@ -135,32 +136,18 @@ def _node(data: np.ndarray, op: str, parents: Sequence[Tensor], backward_fn) -> 
     return out
 
 
-# ---- broadcasting helpers ----------------------------------------------
-
-
-def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
-    """Sum an output gradient back down to a broadcast operand's shape."""
-    if grad.shape == shape:
-        return grad
-    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
-    return grad.sum(axis=axes, keepdims=True)
-
-
 # ---- elementwise arithmetic ---------------------------------------------
 
 
 def add(a: Tensor, b: Tensor) -> Tensor:
-    if any(x != y and 1 not in (x, y) for x, y in zip(a.shape, b.shape)):
-        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
-    out = a.data + b.data
+    """a + b of two equal shapes; each receives the output gradient as is."""
+    if a.shape != b.shape:
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} differ")
 
     def back(g):
-        return (
-            (a, _unbroadcast(g, a.shape) if a.requires_grad else None),
-            (b, _unbroadcast(g, b.shape) if b.requires_grad else None),
-        )
+        return ((a, g if a.requires_grad else None), (b, g if b.requires_grad else None))
 
-    return _node(out, "add", (a, b), back)
+    return _node(a.data + b.data, "add", (a, b), back)
 
 
 # ---- linear algebra ------------------------------------------------------

@@ -49,7 +49,9 @@ class Vocabulary:
     @classmethod
     def from_tokens(cls, tokens: Sequence[str]) -> "Vocabulary":
         """The vocabulary of a saved token list (a checkpoint's 'vocab'):
-        token i gets id i, so every token must be distinct."""
+        token i gets id i, so every token must be distinct, and each one
+        after the specials must be a token ``tokenize`` can produce, as in
+        a vocabulary ``from_texts`` builds: decoded ids are read as tokens."""
         tokens = list(tokens)
         if tokens[:4] != list(SPECIALS):
             raise ContractError("vocabulary token list must start with the four specials")
@@ -57,6 +59,9 @@ class Vocabulary:
         if len(index) < len(tokens):  # the index keeps a repeated token's last id only
             repeated = next(t for i, t in enumerate(tokens) if index[t] != i)
             raise ContractError(f"'vocab' repeats the token '{repeated}'")
+        odd = next((t for t in tokens[4:] if tokenize(t) != [t]), None)
+        if odd is not None:
+            raise ContractError(f"'vocab' token {odd!r} is not one token of the tokenizer")
         return cls(tokens=tokens, index=index)
 
     def __len__(self) -> int:

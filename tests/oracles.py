@@ -5,10 +5,10 @@ Python loops over matrix entries and forward-difference evaluation of the
 loss function. None of it calls the library's vectorized forward or
 backward code paths, so agreement is evidence, not tautology. The
 exceptions are references the library no longer runs: the graph ops
-``relu``, ``sum_all``, ``layer_norm_rows``, ``sub``, ``mul``, ``scale``,
-``sigmoid`` and ``gather_rows`` that the fused nodes must match bit for
-bit; ``composed_mca2``, the context-aware attention block on the
-composed gate ops, with every intermediate;
+``relu``, ``sum_all``, ``layer_norm_rows``, ``broadcast_add``, ``sub``,
+``mul``, ``scale``, ``sigmoid`` and ``gather_rows`` that the fused nodes
+must match bit for bit; ``composed_mca2``, the context-aware attention
+block on the composed gate ops, with every intermediate;
 ``decode_logits``, the teacher-forced pass, and ``loop_decode_greedy``,
 the decoding loop the cached decoder replaced; ``graph_decode_greedy``,
 the cached decoder as graph ops, which the array decoder must match bit
@@ -24,7 +24,8 @@ from types import SimpleNamespace
 
 import numpy as np
 
-from maf.tensor import Segments, Tensor, _node, _unbroadcast, add, attention, gate_mix, matmul
+from maf.errors import ShapeError
+from maf.tensor import Segments, Tensor, _node, add, attention, gate_mix, matmul
 
 FD_STEP = 1e-5
 
@@ -104,6 +105,29 @@ def sum_all(a: Tensor) -> Tensor:
     """Sum of all entries, returned as a 1x1 scalar tensor."""
     return _node(np.array([[a.data.sum()]]), "sum_all", (a,),
                  lambda g: ((a, np.full_like(a.data, g[0, 0])),))
+
+
+def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
+    """Sum an output gradient back down to a broadcast operand's shape."""
+    if grad.shape == shape:
+        return grad
+    axes = tuple(i for i, (g, s) in enumerate(zip(grad.shape, shape)) if s == 1 and g != 1)
+    return grad.sum(axis=axes, keepdims=True)
+
+
+def broadcast_add(a: Tensor, b: Tensor) -> Tensor:
+    """a + b where an axis of size 1 stretches to match: ``tensor.add``
+    before it took equal shapes only, for a bias row or a gate column."""
+    if any(x != y and 1 not in (x, y) for x, y in zip(a.shape, b.shape)):
+        raise ShapeError(f"add: shapes {a.shape} and {b.shape} do not broadcast")
+
+    def back(g):
+        return (
+            (a, _unbroadcast(g, a.shape) if a.requires_grad else None),
+            (b, _unbroadcast(g, b.shape) if b.requires_grad else None),
+        )
+
+    return _node(a.data + b.data, "add", (a, b), back)
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
@@ -388,7 +412,7 @@ def graph_decode_greedy(enc_out, cfg, params):
             k_rows[t], v_rows[t] = k.data[0], v.data[0]
             x = _decoder_layer(x, (Tensor(k_rows[:t + 1]), Tensor(v_rows[:t + 1])), kv,
                                layer, cfg.heads, Segments([1], [t + 1]), cross_layout)
-        rows.append(add(matmul(x, params.out_proj), params.out_bias).data[0])
+        rows.append(broadcast_add(matmul(x, params.out_proj), params.out_bias).data[0])
         token = int(np.argmax(rows[-1]))
         if token == Vocabulary.EOS_ID:
             break

@@ -51,7 +51,7 @@ from maf.model import _bucket_means, _pool_segments, _stack_frames
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
 from maf.synthetic import generate
 from maf.tensor import Segments, Tensor, backward
-from maf.text import SPECIALS, Vocabulary
+from maf.text import SPECIALS, Vocabulary, tokenize
 
 from oracles import (
     FD_STEP,
@@ -570,13 +570,15 @@ def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
         np.testing.assert_allclose(cached, full, rtol=0, atol=1e-12)
 
 
+@pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("cap", [2, GAP_MODEL.max_target_len])
 @pytest.mark.parametrize("heads", [1, 2])
 @pytest.mark.parametrize("variant", VARIANTS)
-def test_array_decoder_matches_the_graph_ops_bit_for_bit(monkeypatch, variant, heads, cap):
+def test_array_decoder_matches_the_graph_ops_bit_for_bit(monkeypatch, variant, heads, cap, depth):
     """Every step's logits equal, bit for bit, those of the same cached
-    decoder built from graph ops, so the array step runs their arithmetic."""
-    cfg, _, params, inst, ids = fixture_model(variant, heads=heads, decoder_layers=2,
+    decoder built from graph ops, so the array step runs their arithmetic,
+    through every layer's own cache."""
+    cfg, _, params, inst, ids = fixture_model(variant, heads=heads, decoder_layers=depth,
                                               max_target_len=cap)
     _randomise_adapter(params)
     enc = encode(ids, inst.audio_features, inst.video_features, cfg, params)
@@ -1129,7 +1131,7 @@ def test_overfits_a_single_instance():
     cfg = tiny_config(d=16, ffn=32, decoder_layers=1)
     tm = train(corpus, cfg, TrainConfig(lr=0.01, epochs=250, batch_size=1))
     assert tm.epoch_losses[-1] < 0.05
-    assert generate_explanations(tm, corpus) == [corpus[0].explanation]
+    assert generate_explanations(tm, corpus) == [tokenize(corpus[0].explanation)]
 
 
 def test_loss_log_lengths():
@@ -1210,13 +1212,24 @@ def test_generate_explanations_matches_encode_and_the_prefix_loop(monkeypatch, g
     monkeypatch.setattr(model_module, "decode_greedy", recording)
     got = generate_explanations(tm, insts)
     assert len(calls) == len(got) == n
-    for inst, (rows, ids), text in zip(insts, calls, got):
+    for inst, (rows, ids), toks in zip(insts, calls, got):
         enc = encode(instance_token_ids(inst, tm.vocab), inst.audio_features,
                      inst.video_features, cfg, tm.params)
         np.testing.assert_allclose(rows, enc.data, rtol=0, atol=1e-12, err_msg=inst.id)
         assert ids == loop_decode_greedy(enc, cfg, tm.params)[0], inst.id
-        assert text == " ".join(tm.vocab.decode(ids))
+        assert toks == tm.vocab.decode(ids)
     assert generate_explanations(tm, insts[::-1]) == got[::-1]
+
+
+def test_a_trained_vocabulary_token_is_its_own_tokenisation(gap_models):
+    """Every token after the specials tokenises to itself, so a hypothesis
+    scored as ``generate_explanations``' token list scores as its joined
+    text would, tokenised again."""
+    tokens = gap_models["MAF"].vocab.tokens[len(SPECIALS):]
+    assert len(tokens) > 20
+    for t in tokens:
+        assert tokenize(t) == [t]
+    assert tokenize(" ".join(tokens)) == tokens
 
 
 def test_generate_explanations_rejects_overlong_text(gap_models):
@@ -1341,7 +1354,9 @@ _NOT_VOCAB_SIZE = "'vocab' must be a list of vocab_size=[0-9]+ token strings"
     # the index would map a repeated word to its later id only
     (lambda h: _repeat(h, 5, h["vocab"][4]), "'vocab' repeats the token 'ana'"),
     (lambda h: _repeat(h, 5, "<eos>"), "'vocab' repeats the token '<eos>'"),
-], ids=["short", "long", "specials-last", "repeated", "repeated-eos"])
+    # decoded, it would score as the tokens of its text, not as itself
+    (lambda h: _repeat(h, 4, h["vocab"][4].upper()), "'vocab' token 'ANA' is not one token"),
+], ids=["short", "long", "specials-last", "repeated", "repeated-eos", "not-a-token"])
 def test_checkpoint_rejects_vocab_that_does_not_fit_the_config(tmp_path, mutate, match):
     _, tm, path = trained_tiny(tmp_path)
     tampered = tmp_path / "vocab.ckpt"
@@ -1361,6 +1376,10 @@ def test_vocabulary_from_tokens_rejects_a_repeated_token():
         Vocabulary.from_tokens(specials + ["<eos>"])
     with pytest.raises(ContractError, match="four specials"):
         Vocabulary.from_tokens(["a"] + specials)
+    # no tokenisation of a text yields these, so no trained model decodes them
+    for odd in ("Ana", "a_b", "two words", "a.", ""):
+        with pytest.raises(ContractError, match=f"token {odd!r} is not one token"):
+            Vocabulary.from_tokens(specials + ["a", odd])
 
 
 def test_checkpoint_rejects_truncation_and_trailing(tmp_path):

@@ -288,7 +288,7 @@ class _Canned:
 def _patch_generation(monkeypatch):
     monkeypatch.setattr(
         "maf.synthetic.generate_explanations",
-        lambda tm, insts: [tm.mapping[inst.id] for inst in insts],
+        lambda tm, insts: [tokenize(tm.mapping[inst.id]) for inst in insts],
     )
 
 

@@ -43,6 +43,7 @@ from maf.tensor import (
 )
 
 from oracles import (
+    broadcast_add,
     gather_rows,
     gradients_close,
     layer_norm_rows,
@@ -200,7 +201,8 @@ def test_grad_broadcast_row_and_col():
     row = leaf(rng, 1, 4)
     col = leaf(rng, 3, 1)
     one = leaf(rng, 1, 1)
-    check_grads(lambda: sum_all(mul(add(a, row), add(col, one))), [a, row, col, one])
+    check_grads(lambda: sum_all(mul(broadcast_add(a, row), broadcast_add(col, one))),
+                [a, row, col, one])
 
 
 def test_grad_matmul_chain():
@@ -298,12 +300,14 @@ def test_fused_nodes_match_the_composed_ops_bit_for_bit():
         (lambda: add_layer_norm(x, y, gain, bias),
          lambda: layer_norm_rows(add(x, y), gain, bias), [x, y, gain, bias], probe),
         (lambda: feed_forward(x, w1, b1, w2, b2),
-         lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe),
+         lambda: broadcast_add(matmul(relu(broadcast_add(matmul(x, w1), b1)), w2), b2),
+         [x, w1, b1, w2, b2], probe),
         (lambda: gate_mix(g, x, y),
          lambda: add(mul(sub(one, g), x), mul(g, y)), [g, x, y], probe),
         (lambda: embed(table, ids, c, y.data),
          lambda: add(scale(gather_rows(table, ids), c), Tensor(y.data)), [table], probe),
-        (lambda: linear(x, w1, b1), lambda: add(matmul(x, w1), b1), [x, w1, b1], wide_probe),
+        (lambda: linear(x, w1, b1), lambda: broadcast_add(matmul(x, w1), b1), [x, w1, b1],
+         wide_probe),
         (lambda: gate(x, w_x, y, w_y), lambda: sigmoid(add(matmul(x, w_x), matmul(y, w_y))),
          [x, w_x, y, w_y], narrow_probe),
         (lambda: gated_stream(x, y, w_cat, bias),
@@ -487,6 +491,11 @@ def test_matmul_shape_mismatch():
 def test_broadcast_incompatible_shapes():
     with pytest.raises(ShapeError):
         add(Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 2))))
+    # add takes equal shapes only: a bias row is linear's to add
+    with pytest.raises(ShapeError, match=r"\(4, 3\) and \(1, 3\) differ"):
+        add(Tensor(np.zeros((4, 3))), Tensor(np.zeros((1, 3))))
+    with pytest.raises(ShapeError):
+        add(Tensor(np.zeros((1, 3))), Tensor(np.zeros((4, 3))))
 
 
 def test_backward_rejects_non_scalar():
@@ -649,7 +658,8 @@ def test_feed_forward_masks_exact_zero_pre_activations_as_relu_does():
     probe = Tensor(rng.normal(size=(6, 4)))
     (got, got_g), (want, want_g) = _fused_and_composed_gradients(
         lambda: feed_forward(x, w1, b1, w2, b2),
-        lambda: add(matmul(relu(add(matmul(x, w1), b1)), w2), b2), [x, w1, b1, w2, b2], probe)
+        lambda: broadcast_add(matmul(relu(broadcast_add(matmul(x, w1), b1)), w2), b2),
+        [x, w1, b1, w2, b2], probe)
     assert np.array_equal(got, want)
     for g, w in zip(got_g, want_g):
         assert np.array_equal(g, w)
