@@ -11,8 +11,10 @@ The dataclasses are the only schema of the JSON files: a config's keys
 are the fields of ``ExperimentConfig`` (its sections those of
 ``ModelConfig``, ``TrainConfig`` and ``SyntheticSpec``) and a metric
 file's those of ``MetricRow``. Both are read by ``model._build`` and
-type-checked field by field by ``model._check_types``. The report ends
-with the fusion gap: each variant's action accuracy over TextOnly's.
+checked field by field by ``model._check_fields``, each value's type and
+then the rule on its field; a ``validate`` adds the rules that read two
+fields or more. The report ends with the fusion gap: each variant's
+action accuracy over TextOnly's.
 
 Every metric row embeds the resolved config hash, the seed, and the
 package version. Output files never contain timestamps, so re-running a
@@ -34,7 +36,7 @@ from .data import (corpus_stats, instances_for, load_and_validate, read_json_obj
                    split)
 from .errors import ConfigError, MafError, ParseError
 from .metrics import MetricReport
-from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_types,
+from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
                     load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
 from .synthetic import SyntheticSpec, evaluate_variant, generate
@@ -63,9 +65,9 @@ class ExperimentConfig:
     train: TrainConfig = field(default_factory=TrainConfig)
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
-    test_instances: int = 100
-    variants: list[str] = field(default_factory=lambda: ["MAF"])
-    seeds: list[int] = field(default_factory=lambda: [1, 2, 3])
+    test_instances: int = _ruled(100, lo=1)
+    variants: list[str] = _ruled(["MAF"], among=VARIANTS)
+    seeds: list[int] = _ruled([1, 2, 3], lo=0)
     out: str | None = None
 
     def resolved(self) -> dict:
@@ -75,7 +77,7 @@ class ExperimentConfig:
         return d
 
     def validate(self) -> None:
-        _check_types(self)
+        _check_fields(self)
         if self.model.vocab_size is not None:
             raise ConfigError(f"'vocab_size' in config section 'model' must be null: training "
                               f"binds it to the vocabulary, got {self.model.vocab_size!r}")
@@ -87,19 +89,12 @@ class ExperimentConfig:
             raise ConfigError("exactly one of 'dataset' and 'synthetic' must be configured")
         if not self.variants:
             raise ConfigError("variants list is empty")
-        for v in self.variants:
-            if v not in VARIANTS:
-                raise ConfigError(f"unknown variant '{v}', expected one of {VARIANTS}")
         if len(set(self.variants)) != len(self.variants):
             raise ConfigError(f"variants contain duplicates: {self.variants}")
         if not self.seeds:
             raise ConfigError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
-        if min(self.seeds) < 0:
-            raise ConfigError(f"'seeds' must be >= 0, got {min(self.seeds)}")
-        if self.test_instances < 1:
-            raise ConfigError(f"test_instances must be >= 1, got {self.test_instances}")
 
 
 def _file_sha256(path: str) -> str:
@@ -127,8 +122,10 @@ def config_hash(cfg: ExperimentConfig) -> str:
 
 
 def load_experiment_config(path: str | None, args: argparse.Namespace | None = None) -> ExperimentConfig:
-    """Read the JSON config file and apply flag overrides. Top-level types
-    are checked here too: report and stats read ``out``/``dataset`` unvalidated."""
+    """Read the JSON config file and apply flag overrides, then check the
+    top-level fields' types and rules (``model._check_fields``), since
+    report, stats and gen-synthetic never call ``validate``: an out-of-range
+    ``seeds``, ``variants`` or ``test_instances`` is refused here."""
     raw: dict = {}
     if path is not None:
         p = Path(path)
@@ -149,7 +146,7 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             cfg.variants = [args.variant]
         if getattr(args, "out", None):
             cfg.out = args.out
-    _check_types(cfg)
+    _check_fields(cfg)
     return cfg
 
 
@@ -193,19 +190,19 @@ class MetricRow:
     artifact_version: str
     config_hash: str
     variant: str
-    seed: int
-    fusion_layer_index: int
-    action_acc: float
-    source_acc: float
-    target_acc: float
-    exact_match: float
-    R1: float
-    R2: float
-    RL: float
-    B1: float
-    B2: float
-    B3: float
-    B4: float
+    seed: int = _ruled(lo=0)
+    fusion_layer_index: int = _ruled(lo=1)
+    action_acc: float = _ruled(lo=0.0, hi=1.0)
+    source_acc: float = _ruled(lo=0.0, hi=1.0)
+    target_acc: float = _ruled(lo=0.0, hi=1.0)
+    exact_match: float = _ruled(lo=0.0, hi=1.0)
+    R1: float = _ruled(lo=0.0, hi=1.0)
+    R2: float = _ruled(lo=0.0, hi=1.0)
+    RL: float = _ruled(lo=0.0, hi=1.0)
+    B1: float = _ruled(lo=0.0, hi=1.0)
+    B2: float = _ruled(lo=0.0, hi=1.0)
+    B3: float = _ruled(lo=0.0, hi=1.0)
+    B4: float = _ruled(lo=0.0, hi=1.0)
 
 
 _SCORES = tuple(name for name, hint in get_type_hints(MetricRow).items() if hint is float)
@@ -341,12 +338,9 @@ def _read_metric_row(path: Path) -> MetricRow:
     raw = read_json_object(path.read_bytes(), what, ParseError)
     try:
         row = _build(MetricRow, raw, complete=True)
-        _check_types(row)
+        _check_fields(row)
     except ConfigError as exc:  # the bad input is the file, not the run's config
         raise ParseError(f"{what}: {exc}") from None
-    for key in _SCORES:
-        if not 0.0 <= getattr(row, key) <= 1.0:
-            raise ParseError(f"{what}: '{key}' must lie in [0, 1], got {getattr(row, key)!r}")
     return row
 
 

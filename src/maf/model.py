@@ -57,7 +57,7 @@ import math
 import reprlib
 import sys
 import types
-from dataclasses import asdict, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
@@ -134,35 +134,43 @@ VARIANTS = tuple(_FORMS)
 # ---- configuration ---------------------------------------------------------
 
 
+def _ruled(default=MISSING, **rule):
+    """A dataclass field with a rule that ``_check_fields`` holds its value
+    to: ``lo``, its least value; ``hi``, its greatest; ``among``, the values
+    allowed. A list field's rule holds for each item."""
+    if isinstance(default, list):
+        return field(default_factory=default.copy, metadata=rule)
+    return field(default=default, metadata=rule)
+
+
 @dataclass
 class ModelConfig:
-    """Architecture and fusion settings. ``vocab_size`` is bound by train()."""
+    """Architecture and fusion settings. ``vocab_size`` is bound by train().
 
-    vocab_size: int | None = None
-    d: int = 64
-    encoder_layers: int = 2
-    decoder_layers: int = 2
-    ffn: int = 128
-    heads: int = 2
+    No size has a greatest value of its own: a config is refused when what
+    it allocates is too large (``_config_bytes``), and the input caps
+    ``max_text_len``, ``max_frames`` and ``max_windows`` allocate nothing."""
+
+    vocab_size: int | None = _ruled(None, lo=5)  # the four specials plus content
+    d: int = _ruled(64, lo=1)
+    encoder_layers: int = _ruled(2, lo=1)
+    decoder_layers: int = _ruled(2, lo=1)
+    ffn: int = _ruled(128, lo=1)
+    heads: int = _ruled(2, lo=1)
     fusion_layer_index: int = 2   # adapter runs before this encoder layer, 1-based
-    d_c_audio: int = 16
-    d_c_video: int = 32
-    audio_raw_dim: int = 16
-    video_raw_dim: int = 32
-    max_text_len: int = 32
-    max_target_len: int = 16
-    max_frames: int = 512
-    max_windows: int = 512
-    variant: str = "MAF"
-    seed: int = 1
+    d_c_audio: int = _ruled(16, lo=1)
+    d_c_video: int = _ruled(32, lo=1)
+    audio_raw_dim: int = _ruled(16, lo=1)
+    video_raw_dim: int = _ruled(32, lo=1)
+    max_text_len: int = _ruled(32, lo=1)
+    max_target_len: int = _ruled(16, lo=2)  # one target token plus EOS at least
+    max_frames: int = _ruled(512, lo=1)
+    max_windows: int = _ruled(512, lo=1)
+    variant: str = _ruled("MAF", among=VARIANTS)
+    seed: int = _ruled(1, lo=0)  # NumPy's seeding takes no negative seed
 
     def validate(self) -> None:
-        _check_types(self)
-        if self.variant not in VARIANTS:
-            raise ConfigError(f"unknown variant '{self.variant}', expected one of {VARIANTS}")
-        _check_minimums(self, _MODEL_MINIMUMS)
-        if self.seed < 0:
-            raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
+        _check_fields(self)
         if self.d % self.heads != 0:
             raise ConfigError(f"heads must divide d: d={self.d}, heads={self.heads}")
         if not (1 <= self.fusion_layer_index <= self.encoder_layers):
@@ -170,8 +178,6 @@ class ModelConfig:
                 f"fusion_layer_index must lie in 1..{self.encoder_layers}, "
                 f"got {self.fusion_layer_index}"
             )
-        if self.vocab_size is not None and self.vocab_size < 5:
-            raise ConfigError(f"vocab_size must cover the four specials plus content, got {self.vocab_size}")
         size = _config_bytes(self)
         if size > _MAX_ALLOC_BYTES:
             raise ConfigError(f"the model would allocate {size} bytes, over the limit of "
@@ -186,31 +192,16 @@ class ModelConfig:
 
 @dataclass
 class TrainConfig:
-    lr: float = 1e-3
-    epochs: int = 10
-    batch_size: int = 16
+    lr: float = _ruled(1e-3, lo=0.0)
+    epochs: int = _ruled(10, lo=1)
+    batch_size: int = _ruled(16, lo=1)
     grad_clip: float = 1.0
 
     def validate(self) -> None:
-        _check_types(self)
-        if self.lr < 0:
-            raise ConfigError(f"lr must be >= 0, got {self.lr}")
-        if self.epochs < 1 or self.batch_size < 1:
-            raise ConfigError("epochs and batch_size must be >= 1")
+        _check_fields(self)
         if self.grad_clip <= 0:
             raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
 
-
-# Least value of every size field. No field has a greatest value of its
-# own: a config is refused when what it allocates is too large
-# (``_config_bytes``), and the input caps ``max_text_len``, ``max_frames``
-# and ``max_windows`` allocate nothing.
-_MODEL_MINIMUMS = {
-    "d": 1, "encoder_layers": 1, "decoder_layers": 1, "ffn": 1, "heads": 1, "d_c_audio": 1,
-    "d_c_video": 1, "audio_raw_dim": 1, "video_raw_dim": 1, "max_text_len": 1,
-    "max_target_len": 2,  # one target token plus EOS at least
-    "max_frames": 1, "max_windows": 1,
-}
 
 # What a config may ask the program to allocate, checked before anything
 # is: 1 GiB, for the model here and for the corpus in ``synthetic``. A
@@ -241,14 +232,6 @@ def _config_bytes(cfg: ModelConfig) -> int:
     return params + 8 * (1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
 
 
-def _check_minimums(cfg, minimums: dict[str, int]) -> None:
-    """Each named integer field of a config is at least its minimum."""
-    for name, lo in minimums.items():
-        value = getattr(cfg, name)
-        if value < lo:
-            raise ConfigError(f"'{name}' must be >= {lo}, got {value}")
-
-
 def _holds(value, hint) -> bool:
     """Does a value read from JSON fit the annotation? A bool is never a
     number, and a float must be finite as a float: JSON's NaN and Infinity,
@@ -264,20 +247,31 @@ def _holds(value, hint) -> bool:
     return isinstance(value, hint)
 
 
-def _check_types(cfg) -> None:
-    """Every field of a dataclass read from JSON must hold its annotated type."""
+def _check_fields(cfg) -> None:
+    """Every field of a dataclass read from JSON must hold its annotated
+    type, then meet its rule (``_ruled``): each item of a list, and no
+    ``None``, which has no range."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _holds(value, hints[f.name]):
             raise ConfigError(f"'{f.name}' must be {f.type}, got {reprlib.repr(value)}")
+        rule = f.metadata
+        for v in (value if isinstance(value, list) else () if value is None else (value,)):
+            if "lo" in rule and v < rule["lo"]:
+                raise ConfigError(f"'{f.name}' must be >= {rule['lo']}, got {reprlib.repr(v)}")
+            if "hi" in rule and v > rule["hi"]:
+                raise ConfigError(f"'{f.name}' must be <= {rule['hi']}, got {reprlib.repr(v)}")
+            if "among" in rule and v not in rule["among"]:
+                raise ConfigError(f"'{f.name}' must be one of {rule['among']}, "
+                                  f"got {reprlib.repr(v)}")
 
 
 def _build(cls, raw, section: str | None = None, complete: bool = False):
     """Dataclass ``cls``, a config or a metric row, from a JSON object: an
     unknown key is an error, a missing one takes its default (an error if
     ``complete``), a field typed as a dataclass is built from its own
-    object. Value types are left to ``_check_types``."""
+    object. Value types and rules are left to ``_check_fields``."""
     if not isinstance(raw, dict):
         raise ConfigError(f"config section '{section}' must be an object")
     hints = get_type_hints(cls)

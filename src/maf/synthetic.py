@@ -33,8 +33,7 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus, source_target_accuracy
-from .model import (TrainedModel, _MAX_ALLOC_BYTES, _check_minimums, _check_types,
-                    generate_explanations)
+from .model import TrainedModel, _MAX_ALLOC_BYTES, _check_fields, _ruled, generate_explanations
 from .text import tokenize
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -56,40 +55,33 @@ def _description_clause(action: int, target: int) -> str:
     return f"while {first} and {second}"
 
 
-# Least value of every size field: a class needs at least two values to
-# carry a label. The sizes have no greatest value of their own; the corpus
-# they make, which ``generate`` holds at once, is limited to 1 GiB
-# (``model._MAX_ALLOC_BYTES``): 8 bytes per feature value and 2 KiB per
-# instance (2037 bytes measured per instance of one frame and one window).
-_SPEC_MINIMUMS = {"num_instances": 1, "speakers": 2, "actions": 2, "targets": 2, "frames": 1,
-                  "windows": 1}
+# The corpus a spec makes, which ``generate`` holds at once, is limited to
+# 1 GiB (``model._MAX_ALLOC_BYTES``): 8 bytes per feature value and 2 KiB
+# per instance (2037 bytes measured per instance of one frame and one
+# window). No size has a greatest value of its own.
 _INSTANCE_BYTES = 2048
 
 
 @dataclass
 class SyntheticSpec:
     """Generator settings. Class patterns are rows of the identity, so the
-    class counts may not exceed the corresponding feature width."""
+    class counts may not exceed the corresponding feature width; a class
+    needs at least two values to carry a label."""
 
-    num_instances: int = 600
-    speakers: int = 6
-    actions: int = 5
-    targets: int = 6
-    frames: int = 12
-    windows: int = 8
-    noise: float = 0.1
-    seed: int = 1
+    num_instances: int = _ruled(600, lo=1)
+    speakers: int = _ruled(6, lo=2)
+    actions: int = _ruled(5, lo=2)
+    targets: int = _ruled(6, lo=2)
+    frames: int = _ruled(12, lo=1)
+    windows: int = _ruled(8, lo=1)
+    noise: float = _ruled(0.1, lo=0.0)
+    seed: int = _ruled(1, lo=0)
     audio_dim: int = 16
     video_dim: int = 32
     rich_templates: bool = False
 
     def validate(self) -> None:
-        _check_types(self)
-        _check_minimums(self, _SPEC_MINIMUMS)
-        if self.noise < 0:
-            raise ConfigError(f"noise must be >= 0, got {self.noise}")
-        if self.seed < 0:
-            raise ConfigError(f"'seed' must be >= 0, got {self.seed}")
+        _check_fields(self)
         if self.actions > self.audio_dim:
             raise ConfigError(f"actions ({self.actions}) exceed audio_dim ({self.audio_dim})")
         if self.targets > self.video_dim:

@@ -9,10 +9,12 @@ import argparse
 import io
 import itertools
 import json
+import math
 from contextlib import redirect_stderr
-from dataclasses import fields
+from dataclasses import fields, replace
 from operator import delitem
 from pathlib import Path
+from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
 import pytest
@@ -36,7 +38,7 @@ from maf.experiments import (
     load_experiment_config,
     main,
 )
-from maf.model import ModelConfig, TrainConfig, load_checkpoint
+from maf.model import ModelConfig, TrainConfig, _check_fields, load_checkpoint
 from maf.synthetic import SyntheticSpec
 
 
@@ -200,7 +202,7 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
     "overrides, fragment",
     [
         (dict(variants=[]), "variants"),
-        (dict(variants=["Fancy"]), "unknown variant"),
+        (dict(variants=["Fancy"]), "'variants' must be one of"),
         (dict(seeds=[]), "seeds"),
         (dict(seeds=[1, 1]), "duplicates"),
         (dict(test_instances=0), "test_instances"),
@@ -212,9 +214,62 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
     ],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
-    cfg = load(tmp_path, **overrides)
+    """Loading checks each field's own rule (an unknown variant, a negative
+    seed), validate the rest; either way the config is refused."""
     with pytest.raises(ConfigError, match=fragment):
-        cfg.validate()
+        load(tmp_path, **overrides).validate()
+
+
+# int and float fields with no rule of their own, and the rule that bounds them
+_UNRULED = {
+    (ModelConfig, "fusion_layer_index"): "1..encoder_layers, in ModelConfig.validate",
+    (TrainConfig, "grad_clip"): "an exclusive bound, > 0, in TrainConfig.validate",
+    (SyntheticSpec, "audio_dim"): "at least actions, in SyntheticSpec.validate",
+    (SyntheticSpec, "video_dim"): "at least targets, in SyntheticSpec.validate",
+}
+_VALID = {
+    ModelConfig: ModelConfig(vocab_size=50),
+    TrainConfig: TrainConfig(),
+    SyntheticSpec: SyntheticSpec(),
+    ExperimentConfig: ExperimentConfig(synthetic=SyntheticSpec()),
+    MetricRow: MetricRow(**metric_row()),
+}
+
+
+def _bounds_and_past(rule: dict) -> list[tuple]:
+    """(a value the rule accepts, the value just past it) per bound."""
+    pairs = []
+    if "lo" in rule:
+        lo = rule["lo"]
+        pairs.append((lo, lo - 1 if isinstance(lo, int) else math.nextafter(lo, -math.inf)))
+    if "hi" in rule:
+        hi = rule["hi"]
+        pairs.append((hi, hi + 1 if isinstance(hi, int) else math.nextafter(hi, math.inf)))
+    pairs += [(v, "not " + v) for v in rule.get("among", ())]
+    return pairs
+
+
+@pytest.mark.parametrize("cls, f", [pytest.param(cls, f, id=f"{cls.__name__}.{f.name}")
+                                    for cls in _VALID for f in fields(cls)])
+def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
+    """Every rule declared on a field: the bound passes the field checker
+    (a rule on two fields may still refuse it), the value just past it is
+    refused naming the field, by ``validate`` where the class has one, and
+    so is one such item in a list. A number field with no rule must be in
+    ``_UNRULED``."""
+    hint = get_type_hints(cls)[f.name]
+    is_list = get_origin(hint) is list
+    item = get_args(hint)[0] if is_list else hint
+    if not f.metadata:
+        assert not {int, float} & {item, *get_args(item)} or (cls, f.name) in _UNRULED
+        return
+    base = _VALID[cls]
+    for ok, bad in _bounds_and_past(f.metadata):
+        _check_fields(replace(base, **{f.name: [ok] if is_list else ok}))
+        for value in ([bad], [ok, bad]) if is_list else (bad,):
+            obj = replace(base, **{f.name: value})
+            with pytest.raises(ConfigError, match=f"'{f.name}' must be "):
+                obj.validate() if hasattr(obj, "validate") else _check_fields(obj)
 
 
 def test_data_source_is_required():
@@ -457,7 +512,7 @@ def test_report_prints_the_fusion_gap(tmp_path):
         # JSON's NaN, and an int beyond float range, are numbers no range check stops
         (dict(action_acc=float("nan")), "'action_acc' must be float, got nan"),
         (dict(action_acc=10**400), "'action_acc' must be float, got 1000"),
-        (dict(action_acc=1.5), "'action_acc' must lie in [0, 1], got 1.5"),
+        (dict(action_acc=1.5), "'action_acc' must be <= 1.0, got 1.5"),
         # the layout before the scores had one name each
         (dict(meteor=None), "unknown key 'meteor'"),
         (dict(target_acc=DROP, target_word_acc=0.5), "unknown key 'target_word_acc'"),

@@ -134,7 +134,7 @@ def test_default_config_is_valid():
 @pytest.mark.parametrize(
     "kw, fragment",
     [
-        (dict(variant="Fancy"), "unknown variant"),
+        (dict(variant="Fancy"), "'variant' must be one of"),
         (dict(d=9), "heads must divide d"),
         (dict(d_c_audio=0), "d_c_audio"),
         (dict(fusion_layer_index=0), "fusion_layer_index"),
@@ -193,7 +193,7 @@ def test_modality_usage_by_variant():
 def test_train_config_rejections():
     with pytest.raises(ConfigError, match="lr"):
         TrainConfig(lr=-0.1).validate()
-    with pytest.raises(ConfigError, match="epochs and batch_size"):
+    with pytest.raises(ConfigError, match="'epochs' must be >= 1"):
         TrainConfig(epochs=0).validate()
     with pytest.raises(ConfigError, match="grad_clip"):
         TrainConfig(grad_clip=0.0).validate()
