@@ -95,6 +95,16 @@ class ExperimentConfig:
             raise ConfigError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
+        if self.synthetic is None:
+            return
+        # each modality that a variant reads: the corpus must fit the model
+        s, m, forms = self.synthetic, self.model, [_FORMS[v] for v in self.variants]
+        if any(f.audio for f in forms) and (s.audio_dim != m.audio_raw_dim or s.frames > m.max_frames):
+            raise ConfigError(f"synthetic audio (audio_dim={s.audio_dim}, frames={s.frames}) does not "
+                              f"fit the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
+        if any(f.video for f in forms) and (s.video_dim != m.video_raw_dim or s.windows > m.max_windows):
+            raise ConfigError(f"synthetic video (video_dim={s.video_dim}, windows={s.windows}) does not "
+                              f"fit the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
 
 
 def _file_sha256(path: str) -> str:
@@ -157,7 +167,8 @@ def _out_path(cfg: ExperimentConfig) -> Path:
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
-    """The output directory, made if missing; runs make it after their inputs load."""
+    """The output directory, made if missing. A run makes it just before its
+    first write, so one that fails loading or training leaves none."""
     out = _out_path(cfg)
     try:
         out.mkdir(parents=True, exist_ok=True)
@@ -227,15 +238,16 @@ def _single_cell(cfg: ExperimentConfig, what: str) -> tuple[str, int]:
 def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> list[dict]:
     """Train and score every (variant, fusion layer, file tag) cell at every
     seed; write each cell's metric row and loss log, then the report."""
+    _out_path(cfg)  # a missing --out is refused before any work
     digest = config_hash(cfg)
     rows = []
     for seed in cfg.seeds:
         train_insts, test_insts = _prepare_data(cfg, seed)
-        out = _out_dir(cfg)
         for variant, layer, tag in cells:
             mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
             tm = train(train_insts, mcfg, cfg.train)
             row = _metric_row(digest, variant, seed, layer, evaluate_variant(tm, test_insts))
+            out = _out_dir(cfg)
             _dump_json(out / f"metrics_{tag}_seed{seed}.json", row)
             _write_loss_log(out / f"loss_{tag}_seed{seed}.csv", tm.step_losses)
             rows.append(row)
@@ -250,9 +262,10 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     """Train one (variant, seed) cell; write checkpoint + loss log."""
     cfg.validate()
     variant, seed = _single_cell(cfg, "train")
+    _out_path(cfg)  # a missing --out is refused before any work
     train_insts, _ = _prepare_data(cfg, seed)
-    out = _out_dir(cfg)
     tm = train(train_insts, replace(cfg.model, variant=variant, seed=seed), cfg.train)
+    out = _out_dir(cfg)
     ckpt = out / f"checkpoint_{variant}_seed{seed}.ckpt"
     save_checkpoint(tm, ckpt)
     loss_log = out / f"loss_{variant}_seed{seed}.csv"

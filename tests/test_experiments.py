@@ -272,6 +272,17 @@ def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
                 obj.validate() if hasattr(obj, "validate") else _check_fields(obj)
 
 
+def test_only_the_modalities_a_variant_reads_must_fit_the_model(tmp_path):
+    """TA reads audio, so the generated frames must fit the model's cap; no
+    variant reads video, so the windows may exceed theirs."""
+    cfg = load(tmp_path, variants=["TextOnly", "TA"])
+    cfg.model.max_windows = 1
+    cfg.validate()
+    cfg.model.max_frames = 1
+    with pytest.raises(ConfigError, match="synthetic audio"):
+        cfg.validate()
+
+
 def test_data_source_is_required():
     cfg = ExperimentConfig()
     cfg.model.vocab_size = None
@@ -639,6 +650,37 @@ def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, sectio
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("model, synthetic, fragment", [
+    ({"max_frames": 4}, {"frames": 12}, "synthetic audio (audio_dim=16, frames=12) does not fit "
+                                        "the model (audio_raw_dim=16, max_frames=4)"),
+    ({"audio_raw_dim": 8}, {}, "(audio_dim=16, frames=4) does not fit the model (audio_raw_dim=8"),
+    ({"max_windows": 2}, {}, "(video_dim=32, windows=3) does not fit the model (video_raw_dim=32, "
+                             "max_windows=2)"),
+    ({"video_raw_dim": 16}, {}, "(video_dim=32, windows=3) does not fit the model (video_raw_dim=16"),
+])
+def test_cli_synthetic_data_the_model_cannot_read_exits_2(tmp_path, capsys, model, synthetic,
+                                                          fragment):
+    """A generated corpus that does not fit the model is a config error,
+    raised before any data is generated or any file written."""
+    raw = config_dict(tmp_path / "run")
+    raw["model"].update(model)
+    raw["synthetic"].update(synthetic)
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["train", "--config", str(path)]) == 2
+    assert fragment in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "ablate"])
+def test_cli_diverged_training_exits_3_and_writes_nothing(tmp_path, capsys, command):
+    path = write_config(tmp_path, train={"lr": 1e200, "epochs": 1, "batch_size": 8})
+    with np.errstate(over="ignore", invalid="ignore"):
+        assert main([command, "--config", str(path)]) == 3
+    assert "non-finite loss at step" in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
 
 
 def test_cli_removed_bleu_smoothing_key_exits_2(tmp_path, capsys):
