@@ -873,7 +873,9 @@ class Adam:
         # step-local work space: kept between steps, it would add to the peak
         # memory of every pack's graph
         u = np.empty_like(g)
-        total = math.sqrt(float(g @ g))
+        # NumPy's pairwise sum, not a BLAS dot, whose order follows the thread count
+        np.multiply(g, g, out=u)
+        total = math.sqrt(float(np.add.reduce(u)))
         if total > self.grad_clip:
             g *= self.grad_clip / total
         m *= _BETA1

@@ -10,8 +10,11 @@ import io
 import itertools
 import json
 import math
+import os
+import subprocess
+import sys
 from contextlib import redirect_stderr
-from dataclasses import fields, replace
+from dataclasses import asdict, fields, replace
 from operator import delitem
 from pathlib import Path
 from typing import get_args, get_origin, get_type_hints
@@ -39,6 +42,7 @@ from maf.experiments import (
     main,
 )
 from maf.model import ModelConfig, TrainConfig, _check_fields, load_checkpoint
+from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN
 from maf.synthetic import SyntheticSpec
 
 
@@ -688,6 +692,29 @@ def test_cli_removed_bleu_smoothing_key_exits_2(tmp_path, capsys):
     path = write_config(tmp_path, bleu_smoothing=False)
     assert main(["train", "--config", str(path)]) == 2
     assert "unknown key 'bleu_smoothing'" in capsys.readouterr().err
+
+
+def test_cli_train_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
+    """``maf train`` at the gap operating point (2 epochs, seed 71) in three
+    processes, with the BLAS and OpenMP thread counts at 1, at 2 and unset:
+    the checkpoint and the loss log are byte-identical."""
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"model": asdict(GAP_MODEL), "synthetic": asdict(GAP_SPEC),
+                                "train": asdict(replace(GAP_TRAIN, epochs=2)),
+                                "variants": ["MAF"], "seeds": [71]}), encoding="utf-8")
+    src = str(Path(maf.__file__).resolve().parent.parent)
+    outputs = []
+    for threads in ("1", "2", None):
+        env = {k: v for k, v in os.environ.items()
+               if k not in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS")}
+        if threads:
+            env.update(OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads)
+        out = tmp_path / f"threads-{threads}"
+        subprocess.run([sys.executable, "-m", "maf", "train", "--config", str(path), "--out", str(out)],
+                       env={**env, "PYTHONPATH": src}, check=True, capture_output=True, timeout=600)
+        outputs.append([(out / name).read_bytes()
+                        for name in ("checkpoint_MAF_seed71.ckpt", "loss_MAF_seed71.csv")])
+    assert outputs[0] == outputs[1] == outputs[2]
 
 
 def test_cli_runtime_errors_exit_3(tmp_path, capsys):
