@@ -9,18 +9,15 @@ File format: one JSON record per line with fields exactly
 ``id, utterances, audio_features, video_features, explanation,
 sarcasm_source, sarcasm_target, action_word, description`` (description is
 nullable). Text fields and utterance speakers and texts are JSON strings.
-A feature field holds either the matrix inline (list of rows of JSON
-numbers) or a path, relative and inside the corpus file's directory, to a
-binary sidecar file: uint64 row count, uint64 column count, then
-row-major float64 values, all little-endian. The loader converts no
-types: anything else is a ParseError naming the field and the line.
+A feature field holds the matrix inline, a list of rows of JSON numbers.
+The loader converts no types: anything else is a ParseError naming the
+field and the line.
 """
 
 from __future__ import annotations
 
 import json
 import math
-import struct
 from collections import Counter
 from dataclasses import dataclass, field
 from itertools import chain
@@ -40,8 +37,6 @@ __all__ = [
     "load_and_validate",
     "read_json_object",
     "save_corpus",
-    "read_matrix_file",
-    "write_matrix_file",
     "validate_instance",
     "split",
     "instances_for",
@@ -120,32 +115,7 @@ def validate_instance(inst: DialogueInstance, line: int | None = None) -> None:
                  "matrix contains NaN or infinite values", line)
 
 
-# ---- file i/o: sidecar matrices, JSON documents, corpus files -----------------
-
-_HEADER = struct.Struct("<QQ")
-
-
-def write_matrix_file(path: str | Path, matrix: np.ndarray) -> None:
-    arr = np.ascontiguousarray(matrix, dtype="<f8")
-    if arr.ndim != 2:
-        raise ContractError(f"sidecar matrices are 2-D, got ndim={arr.ndim}")
-    with open(path, "wb") as fh:
-        fh.write(_HEADER.pack(arr.shape[0], arr.shape[1]))
-        fh.write(arr.tobytes(order="C"))
-
-
-def read_matrix_file(path: str | Path) -> np.ndarray:
-    raw = Path(path).read_bytes()
-    if len(raw) < _HEADER.size:
-        raise ParseError(f"sidecar file '{path}' is too short for a header")
-    rows, cols = _HEADER.unpack_from(raw)
-    expected = _HEADER.size + rows * cols * 8
-    if len(raw) != expected:
-        raise ParseError(
-            f"sidecar file '{path}' declares {rows}x{cols} but holds {len(raw) - _HEADER.size} bytes"
-        )
-    flat = np.frombuffer(raw, dtype="<f8", offset=_HEADER.size)
-    return flat.reshape(rows, cols).astype(np.float64)
+# ---- file i/o: JSON documents, corpus files --------------------------------------
 
 
 def read_json_object(raw: bytes, what: str, error: Callable[[str], Exception]) -> dict:
@@ -176,33 +146,9 @@ def _string_field(value, field_name: str, line: int) -> str:
     return value
 
 
-def _sidecar(value: str, field_name: str, base: Path, line: int) -> np.ndarray:
-    try:
-        target = (base / value).resolve()
-        found = target.is_file()
-    except (OSError, ValueError):  # a NUL byte, or a name too long for the file system
-        raise ParseError(f"{field_name} sidecar {_json_text(value)} is not a usable path",
-                         line) from None
-    if Path(value).is_absolute() or not target.is_relative_to(base.resolve()):
-        raise ParseError(f"{field_name} sidecar '{value}' is not a relative path inside "
-                         f"the corpus directory", line)
-    if not found:
-        raise ParseError(f"{field_name} sidecar '{value}' not found next to the corpus", line)
-    try:
-        return read_matrix_file(target)
-    except OSError as exc:
-        raise ParseError(f"{field_name} sidecar '{value}' cannot be read ({exc.strerror})",
-                         line) from None
-    except ParseError as exc:  # a short or inconsistent file: say which field and line
-        raise ParseError(f"{field_name} sidecar '{value}': {exc}", line) from None
-
-
-def _matrix_from_field(value, field_name: str, base: Path, line: int) -> np.ndarray:
-    if isinstance(value, str):
-        return _sidecar(value, field_name, base, line)
+def _matrix_from_field(value, field_name: str, line: int) -> np.ndarray:
     if not isinstance(value, list):
-        raise ParseError(f"{field_name} must be a matrix or a sidecar path, got {_json_text(value)}",
-                         line)
+        raise ParseError(f"{field_name} must be a matrix, got {_json_text(value)}", line)
     if not all(isinstance(row, list) for row in value):
         raise ParseError(f"{field_name} must be a list of equal-length rows", line)
     # every cell a JSON number: NumPy would read true as 1.0 and "2" as 2.0
@@ -218,7 +164,7 @@ def _matrix_from_field(value, field_name: str, base: Path, line: int) -> np.ndar
     return arr
 
 
-def _instance_from_record(rec: dict, base: Path, line: int) -> DialogueInstance:
+def _instance_from_record(rec: dict, line: int) -> DialogueInstance:
     missing = [f for f in _FIELDS if f not in rec]
     if missing:
         raise ParseError(f"missing field(s) {missing}", line)
@@ -242,8 +188,8 @@ def _instance_from_record(rec: dict, base: Path, line: int) -> DialogueInstance:
     strings = {name: _string_field(rec[name], name, line) for name in _STRING_FIELDS}
     return DialogueInstance(
         utterances=utterances,
-        audio_features=_matrix_from_field(rec["audio_features"], "audio_features", base, line),
-        video_features=_matrix_from_field(rec["video_features"], "video_features", base, line),
+        audio_features=_matrix_from_field(rec["audio_features"], "audio_features", line),
+        video_features=_matrix_from_field(rec["video_features"], "video_features", line),
         description=desc,
         **strings,
     )
@@ -255,8 +201,6 @@ def load_and_validate(path: str | Path) -> list[DialogueInstance]:
     Parse failures raise ParseError and invariant breaches ValidationError,
     both carrying the 1-based line number. Duplicate ids are rejected.
     """
-    path = Path(path)
-    base = path.parent
     instances: list[DialogueInstance] = []
     seen_ids: set[str] = set()
     with open(path, "rb") as fh:
@@ -264,7 +208,7 @@ def load_and_validate(path: str | Path) -> list[DialogueInstance]:
             if not raw.strip():
                 continue
             rec = read_json_object(raw, "record", lambda message: ParseError(message, line_no))
-            inst = _instance_from_record(rec, base, line_no)
+            inst = _instance_from_record(rec, line_no)
             validate_instance(inst, line=line_no)
             if inst.id in seen_ids:
                 raise ValidationError(f"id '{inst.id}' appears more than once",

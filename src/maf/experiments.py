@@ -16,9 +16,10 @@ then the rule on its field; a ``validate`` adds the rules that read two
 fields or more. The report ends with the fusion gap: each variant's
 action accuracy over TextOnly's.
 
-Every metric row embeds the resolved config hash, the seed, and the
-package version. Output files never contain timestamps, so re-running a
-command with the same config and seed reproduces them byte for byte.
+Every metric row embeds the resolved config hash (for ``evaluate``, with
+the checkpoint's bytes), the seed, and the package version. Output files
+never contain timestamps, so re-running a command with the same config
+and seed reproduces them byte for byte.
 """
 
 from __future__ import annotations
@@ -95,16 +96,20 @@ class ExperimentConfig:
             raise ConfigError("seeds list is empty")
         if len(set(self.seeds)) != len(self.seeds):
             raise ConfigError(f"seeds contain duplicates: {self.seeds}")
-        if self.synthetic is None:
-            return
-        # each modality that a variant reads: the corpus must fit the model
-        s, m, forms = self.synthetic, self.model, [_FORMS[v] for v in self.variants]
-        if any(f.audio for f in forms) and (s.audio_dim != m.audio_raw_dim or s.frames > m.max_frames):
-            raise ConfigError(f"synthetic audio (audio_dim={s.audio_dim}, frames={s.frames}) does not "
-                              f"fit the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
-        if any(f.video for f in forms) and (s.video_dim != m.video_raw_dim or s.windows > m.max_windows):
-            raise ConfigError(f"synthetic video (video_dim={s.video_dim}, windows={s.windows}) does not "
-                              f"fit the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
+        _check_synthetic_fits(self.synthetic, self.model, self.variants)
+
+
+def _check_synthetic_fits(s: SyntheticSpec | None, m: ModelConfig, variants: Sequence[str]) -> None:
+    """Each modality that a variant reads: a synthetic corpus must fit the model."""
+    if s is None:
+        return
+    forms = [_FORMS[v] for v in variants]
+    if any(f.audio for f in forms) and (s.audio_dim != m.audio_raw_dim or s.frames > m.max_frames):
+        raise ConfigError(f"synthetic audio (audio_dim={s.audio_dim}, frames={s.frames}) does not "
+                          f"fit the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
+    if any(f.video for f in forms) and (s.video_dim != m.video_raw_dim or s.windows > m.max_windows):
+        raise ConfigError(f"synthetic video (video_dim={s.video_dim}, windows={s.windows}) does not "
+                          f"fit the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
 
 
 def _file_sha256(path: str) -> str:
@@ -115,13 +120,16 @@ def _file_sha256(path: str) -> str:
     return digest.hexdigest()
 
 
-def _identity(cfg: ExperimentConfig) -> tuple[str, dict]:
-    """What identifies the experiment, and its hash. A corpus enters by the
-    SHA-256 of its bytes, not by its path, so one experiment reads and
-    hashes alike from any directory."""
+def _identity(cfg: ExperimentConfig, checkpoint: str | None = None) -> tuple[str, dict]:
+    """What identifies the experiment, and its hash. A corpus, and the
+    checkpoint that ``evaluate`` scores, enter by the SHA-256 of their
+    bytes, not by their paths, so one experiment reads and hashes alike
+    from any directory."""
     resolved = cfg.resolved()
     if cfg.dataset is not None:
         resolved["dataset"] = _file_sha256(cfg.dataset)
+    if checkpoint is not None:
+        resolved["checkpoint"] = _file_sha256(checkpoint)
     blob = json.dumps(resolved, sort_keys=True).encode("utf-8")
     return hashlib.sha256(blob).hexdigest()[:12], resolved
 
@@ -277,18 +285,22 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
-    """Score an existing checkpoint on the held-out data for one seed."""
+    """Score an existing checkpoint on the held-out data for one seed. The
+    model is the checkpoint's; the config's ``model`` section is validated
+    but not used. The row's hash covers the checkpoint's bytes."""
     cfg.validate()
     if len(cfg.seeds) != 1:
         raise ConfigError(f"evaluate uses one seed; narrow with --seed (got {cfg.seeds})")
     seed = cfg.seeds[0]
+    _out_path(cfg)  # a missing --out is refused before any work
     tm = load_checkpoint(checkpoint)
-    _, test_insts = _prepare_data(cfg, seed)
-    out = _out_dir(cfg)
-    scores = evaluate_variant(tm, test_insts)
     mcfg = tm.config
-    row = _metric_row(config_hash(cfg), mcfg.variant, seed, mcfg.fusion_layer_index, scores)
-    _dump_json(out / f"metrics_{mcfg.variant}_seed{seed}.json", row)
+    _check_synthetic_fits(cfg.synthetic, mcfg, [mcfg.variant])
+    _, test_insts = _prepare_data(cfg, seed)
+    scores = evaluate_variant(tm, test_insts)
+    row = _metric_row(_identity(cfg, checkpoint)[0], mcfg.variant, seed, mcfg.fusion_layer_index,
+                      scores)
+    _dump_json(_out_dir(cfg) / f"metrics_{mcfg.variant}_seed{seed}.json", row)
     return row
 
 

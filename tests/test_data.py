@@ -1,5 +1,5 @@
-"""Dataset layer: file parsing and validation diagnostics, sidecar
-matrices, deterministic splits, annotation merging, corpus statistics."""
+"""Dataset layer: file parsing and validation diagnostics, deterministic
+splits, annotation merging, corpus statistics."""
 
 import itertools
 import json
@@ -17,11 +17,9 @@ from maf.data import (
     instances_for,
     load_and_validate,
     merge_annotations,
-    read_matrix_file,
     save_corpus,
     split,
     validate_instance,
-    write_matrix_file,
 )
 from maf.errors import ContractError, ParseError, ValidationError
 from maf.experiments import main as cli_main
@@ -100,32 +98,6 @@ def test_blank_lines_are_skipped(tmp_path):
     assert len(load_and_validate(p)) == 1
 
 
-def test_sidecar_matrices_load_from_relative_paths(tmp_path):
-    inst = make_instance()
-    audio = np.arange(12.0).reshape(3, 4)
-    write_matrix_file(tmp_path / "a0.bin", audio)
-    rec = record_dict(inst)
-    rec["audio_features"] = "a0.bin"
-    write_records(tmp_path / "c.jsonl", [rec])
-    loaded = load_and_validate(tmp_path / "c.jsonl")
-    assert np.array_equal(loaded[0].audio_features, audio)
-
-
-@pytest.mark.parametrize("where", ["outside", "absolute"])
-def test_sidecar_path_must_stay_inside_the_corpus_directory(tmp_path, where):
-    """A sidecar that exists but lies outside the corpus directory, named
-    with '..' or by an absolute path, is refused with the line."""
-    corpus_dir = tmp_path / "corpus"
-    corpus_dir.mkdir()
-    write_matrix_file(tmp_path / "x.bin", np.ones((3, 4)))
-    rec = record_dict(make_instance())
-    rec["audio_features"] = "../x.bin" if where == "outside" else str(tmp_path / "x.bin")
-    write_records(corpus_dir / "c.jsonl", [rec])
-    with pytest.raises(ParseError, match="inside the corpus directory") as err:
-        load_and_validate(corpus_dir / "c.jsonl")
-    assert err.value.line == 1
-
-
 # ---- parse errors with line numbers ---------------------------------------------
 
 
@@ -181,14 +153,6 @@ def test_ragged_matrix_rejected(tmp_path):
         load_and_validate(tmp_path / "c.jsonl")
 
 
-def test_missing_sidecar_named_in_error(tmp_path):
-    rec = record_dict(make_instance())
-    rec["video_features"] = "nowhere.bin"
-    write_records(tmp_path / "c.jsonl", [rec])
-    with pytest.raises(ParseError, match="nowhere.bin"):
-        load_and_validate(tmp_path / "c.jsonl")
-
-
 def test_non_string_description_rejected(tmp_path):
     rec = record_dict(make_instance())
     rec["description"] = 7
@@ -212,6 +176,7 @@ def test_non_string_description_rejected(tmp_path):
         (lambda r: r.update(video_features=[[1.0], 2.0]), "video_features"),
         (lambda r: r.update(audio_features=[[10 ** 400]]), "audio_features"),
         (lambda r: r.update(audio_features={"rows": 1}), "audio_features"),
+        (lambda r: r.update(audio_features="a0.bin"), "audio_features"),
     ],
 )
 def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
@@ -228,22 +193,6 @@ def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
     assert field in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("value", ["", ".", "sub", "a\x00.bin", "x" * 300, "short.bin"])
-def test_unusable_sidecar_path_is_a_parse_error(tmp_path, value):
-    """The corpus directory itself, a subdirectory, a NUL byte, a name the
-    file system refuses or a cut-short file: a ParseError with the line,
-    never an OSError."""
-    write_matrix_file(tmp_path / "a.bin", np.ones((3, 4)))
-    (tmp_path / "short.bin").write_bytes((tmp_path / "a.bin").read_bytes()[:-8])
-    (tmp_path / "sub").mkdir()
-    rec = record_dict(make_instance())
-    rec["video_features"] = value
-    write_records(tmp_path / "c.jsonl", [rec])
-    with pytest.raises(ParseError, match="video_features sidecar") as err:
-        load_and_validate(tmp_path / "c.jsonl")
-    assert err.value.line == 1
-
-
 def test_line_that_is_not_utf8_is_a_parse_error(tmp_path):
     line = json.dumps(record_dict(make_instance(explanation="spk0 mocks caf\u00e9")), ensure_ascii=False)
     raw = line.encode("utf-8")
@@ -256,13 +205,10 @@ def test_line_that_is_not_utf8_is_a_parse_error(tmp_path):
 
 @pytest.fixture(scope="module")
 def fuzz_dir(tmp_path_factory):
-    """A corpus directory with one sidecar and one subdirectory, and a
-    counter that names each mutant file: writing a fresh file is much
-    cheaper than overwriting one on some file systems."""
-    d = tmp_path_factory.mktemp("fuzz")
-    write_matrix_file(d / "a.bin", np.ones((3, 4)))
-    (d / "sub").mkdir()
-    return d, itertools.count()
+    """A corpus directory and a counter that names each mutant file:
+    writing a fresh file is much cheaper than overwriting one on some file
+    systems."""
+    return tmp_path_factory.mktemp("fuzz"), itertools.count()
 
 
 _JSON_VALUES = st.recursive(
@@ -278,12 +224,11 @@ _SIDECARS = st.sampled_from(["a.bin", "../a.bin", "sub/../../a.bin", "", ".", "s
 @given(action=st.sampled_from(["drop", "add", "retype", "truncate", "sidecar"]), data=st.data())
 def test_mutated_corpus_line_raises_only_parse_or_validation_errors(fuzz_dir, action, data):
     """Drop, add or retype a key of a record, of an utterance or a feature
-    cell, cut the line short at any byte, or give a feature field a bad or
-    escaping sidecar path: loading either succeeds or raises ParseError or
+    cell, cut the line short at any byte, or give a feature field a string
+    such as a file path: loading either succeeds or raises ParseError or
     ValidationError, never anything else."""
     d, names = fuzz_dir
     rec = record_dict(make_instance(explanation="spk0 mocks caf\u00e9"))
-    rec["audio_features"] = "a.bin"
     where = data.draw(st.sampled_from(["record", "utterance", "cell"]))
     target = {"record": rec, "utterance": rec["utterances"][0],
               "cell": rec["video_features"][0]}[where]
@@ -355,36 +300,6 @@ def test_duplicate_ids_rejected(tmp_path):
         load_and_validate(tmp_path / "c.jsonl")
     assert err.value.rule == "unique"
     assert err.value.line == 2
-
-
-# ---- binary sidecar files -----------------------------------------------------------
-
-
-def test_matrix_file_round_trip_is_exact(tmp_path):
-    rng = np.random.default_rng(0)
-    m = rng.normal(size=(7, 5))
-    p = tmp_path / "m.bin"
-    write_matrix_file(p, m)
-    assert np.array_equal(read_matrix_file(p), m)
-    # header is 16 bytes, payload 8 bytes per value
-    assert p.stat().st_size == 16 + 7 * 5 * 8
-
-
-def test_matrix_file_rejects_truncation(tmp_path):
-    p = tmp_path / "m.bin"
-    write_matrix_file(p, np.ones((2, 3)))
-    raw = p.read_bytes()
-    p.write_bytes(raw[:-8])
-    with pytest.raises(ParseError, match="2x3"):
-        read_matrix_file(p)
-    p.write_bytes(raw[:10])
-    with pytest.raises(ParseError, match="header"):
-        read_matrix_file(p)
-
-
-def test_write_matrix_rejects_non_2d():
-    with pytest.raises(ContractError):
-        write_matrix_file("/tmp/never-written.bin", np.zeros(3))
 
 
 # ---- splits -------------------------------------------------------------------------

@@ -328,13 +328,44 @@ def test_train_then_evaluate(tmp_path):
     row = cmd_evaluate(cfg, str(ckpt))
     metrics_file = tmp_path / "run" / "metrics_MAF_seed1.json"
     assert metrics_file.exists()
-    assert row["config_hash"] == config_hash(cfg)
+    # the experiment plus the checkpoint's bytes: not the training run's hash
+    assert row["config_hash"] != config_hash(cfg)
+    int(row["config_hash"], 16)
+    assert len(row["config_hash"]) == 12
     assert row["artifact_version"] == maf.__version__
     assert row["variant"] == "MAF"
     assert row["seed"] == 1
     assert list(row) == [f.name for f in fields(MetricRow)]
     assert 0.0 <= row["exact_match"] <= 1.0
     assert json.loads(metrics_file.read_text(encoding="utf-8")) == row
+
+
+def test_evaluate_row_names_its_checkpoint(tmp_path):
+    """Two checkpoints scored under one config give different hashes; one
+    checkpoint scored twice writes byte-identical metric files."""
+    ckpts = [Path(cmd_train(load(tmp_path, seeds=[seed], out=str(tmp_path / f"train{seed}")))
+                  ["checkpoint"]) for seed in (1, 2)]
+    rows = [cmd_evaluate(load(tmp_path, out=str(tmp_path / f"eval{k}")), str(ckpt))
+            for k, ckpt in enumerate([*ckpts, ckpts[0]])]
+    assert rows[0]["config_hash"] != rows[1]["config_hash"]
+    assert ((tmp_path / "eval0" / "metrics_MAF_seed1.json").read_bytes()
+            == (tmp_path / "eval2" / "metrics_MAF_seed1.json").read_bytes())
+
+
+def test_cli_evaluate_checks_the_data_against_the_checkpoint_model(tmp_path, capsys):
+    """A checkpoint that caps audio at 4 frames, scored under a config whose
+    own model takes the 12 generated frames: the config validates, but the
+    data does not fit the checkpoint's model. Exit 2, and no --out."""
+    ckpt = cmd_train(load(tmp_path, model={**config_dict(None)["model"], "max_frames": 4},
+                          out=str(tmp_path / "train")))["checkpoint"]
+    raw = config_dict(tmp_path / "scores")
+    raw["synthetic"]["frames"] = 12
+    path = tmp_path / "eval.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    assert main(["evaluate", "--config", str(path), "--checkpoint", ckpt]) == 2
+    assert ("synthetic audio (audio_dim=16, frames=12) does not fit the model "
+            "(audio_raw_dim=16, max_frames=4)") in capsys.readouterr().err
+    assert not (tmp_path / "scores").exists()
 
 
 def test_train_requires_a_single_cell(tmp_path):

@@ -15,10 +15,7 @@ PACKAGE = ROOT / "src" / "maf"
 READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py")),
            ROOT / "tests" / "test_acceptance.py"]
 # names with no reader in the code, each with the reason it stays
-EXEMPT = {
-    # writes the sidecar matrix files the README documents for building a corpus
-    "data.write_matrix_file",
-}
+EXEMPT: set[str] = set()
 
 
 def _names_read(tree: ast.AST) -> set[str]:
