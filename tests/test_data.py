@@ -91,6 +91,19 @@ def test_golden_three_record_round_trip(tmp_path):
                                    b.action_word, b.description)
 
 
+def test_inline_matrix_round_trip_is_bit_exact(tmp_path):
+    """Every float64 survives save and load byte for byte: random values,
+    the extremes of the range, a subnormal and a negative zero."""
+    rng = np.random.default_rng(0)
+    audio = rng.normal(size=(7, 5))
+    video = np.array([[1.7976931348623157e308, -5e-324, -0.0, 0.1, 1 / 3]])
+    p = tmp_path / "c.jsonl"
+    save_corpus([make_instance(audio_features=audio, video_features=video)], p)
+    loaded = load_and_validate(p)[0]
+    assert loaded.audio_features.tobytes() == audio.tobytes()
+    assert loaded.video_features.tobytes() == video.tobytes()
+
+
 def test_blank_lines_are_skipped(tmp_path):
     p = tmp_path / "gaps.jsonl"
     rec = json.dumps(record_dict(make_instance()))
@@ -177,6 +190,8 @@ def test_non_string_description_rejected(tmp_path):
         (lambda r: r.update(audio_features=[[10 ** 400]]), "audio_features"),
         (lambda r: r.update(audio_features={"rows": 1}), "audio_features"),
         (lambda r: r.update(audio_features="a0.bin"), "audio_features"),
+        (lambda r: r.update(audio_features=[1.0, 2.0]), "audio_features"),
+        (lambda r: r.update(video_features=[[[1.0]]]), "video_features"),
     ],
 )
 def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
@@ -191,6 +206,43 @@ def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
     assert err.value.line == 2
     assert cli_main(["stats", "--dataset", str(tmp_path / "c.jsonl")]) == 3
     assert field in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("field, value", [
+    ("audio_features", "a.bin"),
+    ("audio_features", "../a.bin"),
+    ("audio_features", "absolute"),
+    ("video_features", "nowhere.bin"),
+    ("video_features", ""),
+    ("video_features", "."),
+    ("video_features", "sub"),
+    ("video_features", "a\x00.bin"),
+    pytest.param("video_features", "x" * 300, id="video_features-name-too-long"),
+])
+def test_file_name_in_a_feature_field_is_refused_unread(tmp_path, field, value):
+    """A string is never taken as a path: a file of that name beside the
+    corpus, outside it, missing, a directory or a name the file system
+    refuses all give the same 'must be a matrix' ParseError with the line,
+    never an OSError."""
+    corpus_dir = tmp_path / "corpus"
+    (corpus_dir / "sub").mkdir(parents=True)
+    (corpus_dir / "a.bin").write_bytes(b"\0" * 64)
+    (tmp_path / "a.bin").write_bytes(b"\0" * 64)
+    rec = record_dict(make_instance())
+    rec[field] = str(tmp_path / "a.bin") if value == "absolute" else value
+    write_records(corpus_dir / "c.jsonl", [rec])
+    with pytest.raises(ParseError, match=f"{field} must be a matrix, got ") as err:
+        load_and_validate(corpus_dir / "c.jsonl")
+    assert err.value.line == 1
+
+
+def test_line_cut_inside_a_matrix_is_a_parse_error(tmp_path):
+    line = json.dumps(record_dict(make_instance()))
+    cut = line.index('"video_features"') + len('"video_features": [[')
+    (tmp_path / "c.jsonl").write_text(line + "\n" + line[:cut] + "\n")
+    with pytest.raises(ParseError, match="not valid JSON") as err:
+        load_and_validate(tmp_path / "c.jsonl")
+    assert err.value.line == 2
 
 
 def test_line_that_is_not_utf8_is_a_parse_error(tmp_path):
