@@ -38,6 +38,7 @@ __all__ = [
     "read_json_object",
     "save_corpus",
     "validate_instance",
+    "instance_texts",
     "split",
     "instances_for",
     "merge_annotations",
@@ -82,6 +83,15 @@ class DialogueInstance:
 
     def speakers(self) -> list[str]:
         return [u.speaker for u in self.utterances]
+
+
+def instance_texts(inst: DialogueInstance) -> Iterable[str]:
+    """The texts a vocabulary is built from: each speaker and utterance,
+    then the explanation."""
+    for u in inst.utterances:
+        yield u.speaker
+        yield u.text
+    yield inst.explanation
 
 
 # ---- validation ------------------------------------------------------------
@@ -361,12 +371,8 @@ def corpus_stats(corpus: Sequence[DialogueInstance]) -> CorpusStats:
         num_utts += len(inst.utterances)
         utt_hist[len(inst.utterances)] += 1
         speakers_total += len(set(inst.speakers()))
-        for u in inst.utterances:
-            toks = tokenize(u.text)
-            total_words += len(toks)
-            vocab.update(toks)
-            vocab.add(u.speaker.lower())
-        vocab.update(tokenize(inst.explanation))
+        total_words += sum(len(tokenize(u.text)) for u in inst.utterances)
+        vocab.update(*map(tokenize, instance_texts(inst)))
         sources[inst.sarcasm_source] += 1
     n = len(corpus)
     return CorpusStats(

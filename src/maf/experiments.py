@@ -27,10 +27,13 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
 from typing import Sequence, get_type_hints
+
+import numpy as np
 
 from . import __version__
 from .data import (corpus_stats, instances_for, load_and_validate, read_json_object, save_corpus,
@@ -279,7 +282,10 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     loss_log = out / f"loss_{variant}_seed{seed}.csv"
     _write_loss_log(loss_log, tm.step_losses)
     digest, resolved = _identity(cfg)
-    _dump_json(out / "run_config.json", {"config_hash": digest, **resolved})
+    # not hashed: past the gap config, the BLAS thread count decides the GEMMs' bytes
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    _dump_json(out / "run_config.json", {"config_hash": digest, **resolved, "threads": threads,
+                                         "numpy_version": np.__version__})
     return {"checkpoint": str(ckpt), "loss_log": str(loss_log),
             "final_loss": tm.epoch_losses[-1]}
 

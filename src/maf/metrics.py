@@ -1,11 +1,12 @@
 """Generation metrics: n-gram overlap F1, LCS F1, clipped-precision BLEU,
-and token-membership accuracy for structured explanation attributes.
+exact match, and token-membership accuracy for structured explanation
+attributes.
 
 All scorers share the package tokenizer, score a single reference per
 hypothesis, and return fractions in [0, 1]; report tables convert to
 percentages. Corpus scores are arithmetic means of per-instance scores.
-The corpus scorers ``score_corpus`` and ``source_target_accuracy`` take
-texts already tokenised, so a scoring pass tokenises each text once.
+``score_corpus`` is the one corpus scorer: it takes hypotheses already
+tokenised and returns every score of a metric row.
 """
 
 from __future__ import annotations
@@ -22,7 +23,6 @@ __all__ = [
     "rouge_n",
     "rouge_l",
     "bleu_k",
-    "source_target_accuracy",
     "score_corpus",
     "MetricReport",
     "METRIC_COLUMNS",
@@ -115,45 +115,26 @@ def bleu_k(hyp: str, ref: str, k: int) -> float:
     return _bleu(_count(tokenize(hyp), tokenize(ref), k), k)
 
 
-def _check_pairs(hyps: Sequence[Sequence[str]], others: Sequence, what: str) -> None:
-    """Refuse unequal lengths, nothing to score, and a string where a token
-    list belongs: scored as one, it would count characters."""
-    if len(hyps) != len(others):
-        raise ContractError(f"got {len(hyps)} hypotheses for {len(others)} {what}")
+# each attribute accuracy, with the gold attribute it reads
+_ATTRIBUTES = {"action_acc": "action_word", "source_acc": "sarcasm_source",
+               "target_acc": "sarcasm_target"}
+
+
+def score_corpus(hyps: Sequence[Sequence[str]], golds: Sequence) -> dict[str, float]:
+    """Every score of a metric row, as a fraction, of token lists against
+    gold instances (``explanation`` and the ``_ATTRIBUTES``, as a
+    ``DialogueInstance`` has them). The overlap columns and ``exact_match``
+    compare a hypothesis with the tokenised explanation; an attribute hits
+    when the hypothesis holds every token of it, and one with no token never
+    hits. A string hypothesis is refused: it would count characters."""
+    if len(hyps) != len(golds):
+        raise ContractError(f"got {len(hyps)} hypotheses for {len(golds)} golds")
     if not hyps:
         raise ContractError("nothing to score")
-    if any(isinstance(x, str) for x in (*hyps, *others)):
-        raise ContractError(f"hypotheses and {what} must be token lists (text.tokenize), "
-                            f"not strings")
-
-
-def source_target_accuracy(hyps: Sequence[Sequence[str]], golds: Sequence) -> tuple[float, float]:
-    """Fraction of tokenised hypotheses containing the gold source / target
-    token(s).
-
-    Each of ``golds`` has ``sarcasm_source`` and ``sarcasm_target``
-    attributes, as a ``DialogueInstance`` does. Matching is exact token
-    membership after shared tokenization; multi-word golds must appear in
-    full.
-    """
-    _check_pairs(hyps, golds, "golds")
-
-    def contains(hyp_tokens: Sequence[str], gold: str) -> bool:
-        want = tokenize(gold)
-        return bool(want) and all(w in hyp_tokens for w in want)
-
-    src_hits = tgt_hits = 0
-    for toks, gold in zip(hyps, golds):
-        src_hits += contains(toks, gold.sarcasm_source)
-        tgt_hits += contains(toks, gold.sarcasm_target)
-    return src_hits / len(hyps), tgt_hits / len(hyps)
-
-
-def score_corpus(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -> dict[str, float]:
-    """Mean per-instance scores for the standard columns, as fractions, of
-    tokenised hypotheses against tokenised references."""
-    _check_pairs(hyps, refs, "references")
+    if any(isinstance(h, str) for h in hyps):
+        raise ContractError("hypotheses must be token lists (text.tokenize), not strings")
     n = len(hyps)
+    refs = [tokenize(g.explanation) for g in golds]
     counts = [_count(h, r, 4) for h, r in zip(hyps, refs)]
     out = {
         "R1": sum(_rouge_n(c, 1) for c in counts) / n,
@@ -162,23 +143,28 @@ def score_corpus(hyps: Sequence[Sequence[str]], refs: Sequence[Sequence[str]]) -
     }
     for k in (1, 2, 3, 4):
         out[f"B{k}"] = sum(_bleu(c, k) for c in counts) / n
+    for col, attr in _ATTRIBUTES.items():
+        wants = [tokenize(getattr(g, attr)) for g in golds]
+        out[col] = sum(bool(w) and all(t in h for t in w) for h, w in zip(hyps, wants)) / n
+    out["exact_match"] = sum(h == r for h, r in zip(hyps, refs)) / n
     return out
 
 
 # ---- report rendering ----------------------------------------------------
 
-# column layout mirrors the standard generation-quality table; the two
-# model-based columns are not computed here and render as dashes
-METRIC_COLUMNS = ("R1", "R2", "RL", "B1", "B2", "B3", "B4", "M", "BS", "source_acc", "target_acc")
-_UNCOMPUTED = ("M", "BS")
+# column layout mirrors the standard generation-quality table, then the
+# scores ``score_corpus`` adds; no scorer here computes the two model-based
+# columns, M and BS, so they render as dashes
+METRIC_COLUMNS = ("R1", "R2", "RL", "B1", "B2", "B3", "B4", "M", "BS",
+                  "action_acc", "source_acc", "target_acc", "exact_match")
 
 
 @dataclass
 class MetricReport:
     """Rows of per-variant scores, renderable as aligned text or CSV.
 
-    Row values are fractions; rendering multiplies by 100. Missing keys
-    and the model-based columns render as a dash.
+    Row values are fractions; rendering multiplies by 100. A string value
+    renders as it is, and a missing key as a dash.
     """
 
     rows: list[dict] = field(default_factory=list)
@@ -189,27 +175,19 @@ class MetricReport:
         self.rows.append(row)
 
     def _cell(self, row: dict, col: str) -> str:
-        if col in _UNCOMPUTED or col not in row or row[col] is None:
-            return "-"
-        v = row[col]
-        if isinstance(v, str):
-            return v
-        return f"{100.0 * v:.2f}"
+        v = row.get(col, "-")
+        return v if isinstance(v, str) else f"{100.0 * v:.2f}"
+
+    def _table(self) -> list[list[str]]:
+        """The header, then each row's label and cells."""
+        return [["label", *METRIC_COLUMNS]] + [
+            [str(row["label"])] + [self._cell(row, c) for c in METRIC_COLUMNS] for row in self.rows]
 
     def to_csv(self) -> str:
-        header = "label," + ",".join(METRIC_COLUMNS)
-        lines = [header]
-        for row in self.rows:
-            lines.append(",".join([str(row["label"])] + [self._cell(row, c) for c in METRIC_COLUMNS]))
-        return "\n".join(lines) + "\n"
+        return "".join(",".join(r) + "\n" for r in self._table())
 
     def to_text(self) -> str:
-        cols = ("label",) + METRIC_COLUMNS
-        table = [list(cols)]
-        for row in self.rows:
-            table.append([str(row["label"])] + [self._cell(row, c) for c in METRIC_COLUMNS])
-        widths = [max(len(r[i]) for r in table) for i in range(len(cols))]
-        out = []
-        for r in table:
-            out.append("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip())
-        return "\n".join(out) + "\n"
+        table = self._table()
+        widths = [max(map(len, col)) for col in zip(*table)]
+        return "".join("  ".join(cell.ljust(w) for cell, w in zip(r, widths)).rstrip() + "\n"
+                       for r in table)

@@ -59,11 +59,11 @@ import sys
 import types
 from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
-from typing import Iterable, NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
+from typing import NamedTuple, Sequence, Union, get_args, get_origin, get_type_hints
 
 import numpy as np
 
-from .data import DialogueInstance, read_json_object, validate_instance
+from .data import DialogueInstance, instance_texts, read_json_object, validate_instance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
@@ -795,19 +795,8 @@ def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) ->
 # ---- instances to token ids -------------------------------------------------------
 
 
-def instance_texts(inst: DialogueInstance) -> Iterable[str]:
-    for u in inst.utterances:
-        yield u.speaker
-        yield u.text
-    yield inst.explanation
-
-
 def build_vocabulary(instances: Sequence[DialogueInstance]) -> Vocabulary:
-    def texts():
-        for inst in instances:
-            yield from instance_texts(inst)
-
-    return Vocabulary.from_texts(texts())
+    return Vocabulary.from_texts(t for inst in instances for t in instance_texts(inst))
 
 
 def instance_token_ids(inst: DialogueInstance, vocab: Vocabulary) -> list[int]:

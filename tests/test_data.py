@@ -23,6 +23,8 @@ from maf.data import (
 )
 from maf.errors import ContractError, ParseError, ValidationError
 from maf.experiments import main as cli_main
+from maf.model import build_vocabulary
+from maf.text import SPECIALS
 
 
 def make_instance(k=0, n_utts=2, **overrides):
@@ -502,6 +504,15 @@ def test_stats_match_brute_force_recount():
     assert s.source_speaker_counts == {"spk0": 50}
     assert sum(s.utterance_count_histogram.values()) == 50
     assert s.render().startswith("dialogues")
+
+
+def test_stats_count_the_vocabulary_a_model_builds():
+    """Speakers are tokenised like every other text: "Dr. Rosesh" is two
+    words, as in the vocabulary a model trained on the corpus holds."""
+    inst = make_instance(utterances=[Utterance("Dr. Rosesh", "hi"), Utterance("bo", "yo")])
+    # dr rosesh bo hi yo, then spk0 mocks thing0 from the explanation
+    assert corpus_stats([inst]).vocabulary_size == 8
+    assert len(build_vocabulary([inst])) == 8 + len(SPECIALS)
 
 
 def test_stats_reject_empty_corpus():

@@ -340,6 +340,20 @@ def test_train_then_evaluate(tmp_path):
     assert json.loads(metrics_file.read_text(encoding="utf-8")) == row
 
 
+def test_run_config_names_the_thread_setting(tmp_path, monkeypatch):
+    """``run_config.json`` records the thread variables as the process saw
+    them, null when unset, and the NumPy version; neither enters the hash."""
+    monkeypatch.setenv("OMP_NUM_THREADS", "3")
+    monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
+    cfg = load(tmp_path)
+    cmd_train(cfg)
+    run_config = json.loads((tmp_path / "run" / "run_config.json").read_text(encoding="utf-8"))
+    assert run_config["threads"] == {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
+                                     "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
+    assert run_config["numpy_version"] == np.__version__
+    assert run_config["config_hash"] == config_hash(cfg)
+
+
 def test_evaluate_row_names_its_checkpoint(tmp_path):
     """Two checkpoints scored under one config give different hashes; one
     checkpoint scored twice writes byte-identical metric files."""

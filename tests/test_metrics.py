@@ -15,19 +15,25 @@ from maf.metrics import (
     rouge_l,
     rouge_n,
     score_corpus,
-    source_target_accuracy,
 )
 from maf.text import tokenize
 
 class Gold(NamedTuple):
-    """What ``source_target_accuracy`` reads of a gold instance."""
+    """What ``score_corpus`` reads of a gold instance."""
 
     sarcasm_source: str
     sarcasm_target: str
+    action_word: str = ""
+    explanation: str = ""
 
 
 def tokenised(texts):
     return [tokenize(t) for t in texts]
+
+
+def source_target(hyps, golds):
+    row = score_corpus(hyps, golds)
+    return row["source_acc"], row["target_acc"]
 
 
 short_texts = st.lists(
@@ -141,15 +147,15 @@ def test_rouge1_and_bleu1_agree_without_repeats_or_brevity(hyp, ref):
     assert bleu_k(hyp, ref, 1) == pytest.approx(rouge_n(hyp, ref, 1), abs=1e-12)
 
 
-# ---- source/target accuracy ------------------------------------------------------------
+# ---- attribute accuracy ----------------------------------------------------------------------
 
 
 def test_accuracy_all_hits_and_all_misses():
     golds = [Gold("maya", "the food") for _ in range(3)]
     hits = ["maya hates the food today"] * 3
-    assert source_target_accuracy(tokenised(hits), golds) == (1.0, 1.0)
+    assert source_target(tokenised(hits), golds) == (1.0, 1.0)
     misses = ["nothing relevant here"] * 3
-    assert source_target_accuracy(tokenised(misses), golds) == (0.0, 0.0)
+    assert source_target(tokenised(misses), golds) == (0.0, 0.0)
 
 
 def test_accuracy_mixed_manual_tally():
@@ -165,30 +171,44 @@ def test_accuracy_mixed_manual_tally():
         "monisha laughs at neighbours", # source hit, target miss (partial phrase)
         "someone recites poetry",       # source miss, target hit
     ]
-    src, tgt = source_target_accuracy(tokenised(hyps), golds)
+    src, tgt = source_target(tokenised(hyps), golds)
     assert src == pytest.approx(2.0 / 4.0)
     assert tgt == pytest.approx(3.0 / 4.0)
 
 
 def test_accuracy_multi_word_gold_requires_all_tokens():
     golds = [Gold("maya sarabhai", "x")]
-    assert source_target_accuracy([["maya", "speaks"]], golds)[0] == 0.0
-    assert source_target_accuracy([["sarabhai", "maya", "speaks"]], golds)[0] == 1.0
+    assert source_target([["maya", "speaks"]], golds)[0] == 0.0
+    assert source_target([["sarabhai", "maya", "speaks"]], golds)[0] == 1.0
 
 
 def test_accuracy_works_with_attribute_objects():
     class Plain:
         sarcasm_source = "maya"
         sarcasm_target = "food"
+        action_word = "mocks"
+        explanation = "Maya mocks food."
 
-    assert source_target_accuracy([["maya", "food"]], [Plain()]) == (1.0, 1.0)
+    row = score_corpus([["maya", "mocks", "food"]], [Plain()])
+    assert [row[k] for k in ("action_acc", "source_acc", "target_acc", "exact_match")] == [1.0] * 4
+
+
+def test_action_accuracy_follows_the_shared_token_rule():
+    """The action word is tokenised like every other gold attribute: a
+    capitalised or two-token action hits, an action with no token never
+    does."""
+    hyps = [["maya", "mocks", "food"], ["eyes", "maya", "rolls"], ["maya", "rolls"], [], ["maya"]]
+    golds = [Gold("maya", "food", "Mocks"), Gold("maya", "food", "rolls eyes"),
+             Gold("maya", "food", "rolls eyes"), Gold("maya", "food", ""),
+             Gold("maya", "food", "?!")]
+    assert score_corpus(hyps, golds)["action_acc"] == pytest.approx(2 / 5)
 
 
 def test_accuracy_rejects_length_mismatch_and_empty():
     with pytest.raises(ContractError):
-        source_target_accuracy([["a"]], [])
+        source_target([["a"]], [])
     with pytest.raises(ContractError):
-        source_target_accuracy([], [])
+        source_target([], [])
 
 
 # ---- corpus aggregation -------------------------------------------------------------------
@@ -196,8 +216,9 @@ def test_accuracy_rejects_length_mismatch_and_empty():
 
 def test_score_corpus_is_mean_of_per_instance_scores():
     hyps = ["a b c", "a b", "x y"]
-    refs = ["a b d", "a b c", "x y"]
-    got = score_corpus(tokenised(hyps), tokenised(refs))
+    refs = ["a b d", "a b c", "X, y!"]
+    got = score_corpus(tokenised(hyps), [Gold("", "", explanation=r) for r in refs])
+    assert got["exact_match"] == pytest.approx(1 / 3)  # compared after tokenization
     for key, fn in (("R1", lambda h, r: rouge_n(h, r, 1)),
                     ("R2", lambda h, r: rouge_n(h, r, 2)),
                     ("RL", rouge_l)):
@@ -210,32 +231,30 @@ def test_score_corpus_is_mean_of_per_instance_scores():
 
 def test_score_corpus_rejects_mismatch():
     with pytest.raises(ContractError):
-        score_corpus([["a"]], [["a"], ["b"]])
+        score_corpus([["a"]], [Gold("a", "b"), Gold("a", "b")])
 
 
-def test_corpus_scorers_refuse_untokenised_text():
+def test_score_corpus_refuses_untokenised_text():
     """A string where a token list belongs would be scored character by
-    character, so both corpus scorers refuse it."""
+    character, so the scorer refuses it."""
     with pytest.raises(ContractError, match="token lists"):
-        source_target_accuracy(["a"], [Gold("a", "b")])
+        source_target(["a"], [Gold("a", "b")])
     with pytest.raises(ContractError, match="token lists"):
-        score_corpus([["a", "b"]], ["a b"])
-    with pytest.raises(ContractError, match="token lists"):
-        score_corpus(["a b"], [["a", "b"]])
+        score_corpus(["a b"], [Gold("a", "b", explanation="a b")])
 
 
 # ---- report table ---------------------------------------------------------------------------
 
 
 def test_report_columns_follow_the_table_layout():
-    assert METRIC_COLUMNS == ("R1", "R2", "RL", "B1", "B2", "B3", "B4",
-                              "M", "BS", "source_acc", "target_acc")
+    assert METRIC_COLUMNS == ("R1", "R2", "RL", "B1", "B2", "B3", "B4", "M", "BS",
+                              "action_acc", "source_acc", "target_acc", "exact_match")
 
 
 def test_report_renders_percentages_and_dashes():
     rep = MetricReport()
-    rep.add_row("MAF", {"R1": 0.5, "R2": 0.25, "RL": 0.5, "B1": 1.0,
-                        "source_acc": 0.75, "target_acc": 1.0})
+    rep.add_row("MAF", {"R1": 0.5, "R2": 0.25, "RL": 0.5, "B1": 1.0, "action_acc": 0.5,
+                        "source_acc": 0.75, "target_acc": 1.0, "exact_match": 0.25})
     text = rep.to_text()
     lines = text.splitlines()
     assert lines[0].split() == ["label"] + list(METRIC_COLUMNS)
@@ -251,7 +270,7 @@ def test_report_renders_percentages_and_dashes():
 
     csv = rep.to_csv()
     assert csv.splitlines()[0] == "label," + ",".join(METRIC_COLUMNS)
-    assert csv.splitlines()[1] == "MAF,50.00,25.00,50.00,100.00,-,-,-,-,-,75.00,100.00"
+    assert csv.splitlines()[1] == "MAF,50.00,25.00,50.00,100.00,-,-,-,-,-,50.00,75.00,100.00,25.00"
 
 
 def test_report_passes_string_cells_through():

@@ -1,5 +1,5 @@
-"""Every public name of the package, and every function and class it
-defines, has a reader outside the tests: code that only tests run belongs
+"""Every public name of the package, and every function, class and method
+it defines, has a reader outside the tests: code that only tests run belongs
 in ``tests/oracles.py``, not in ``src/``, and a helper whose last caller
 is gone goes with it. Every oracle there has a reader among the tests."""
 
@@ -18,17 +18,20 @@ READERS = [*sorted(PACKAGE.glob("*.py")), *sorted((ROOT / "scripts").glob("*.py"
 EXEMPT: set[str] = set()
 
 
+def _name_read(node: ast.AST) -> str | None:
+    """The name a node loads, reads as an attribute or imports, if any."""
+    if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+        return node.id
+    if isinstance(node, ast.Attribute):
+        return node.attr
+    if isinstance(node, ast.alias):
+        return node.name
+    return None
+
+
 def _names_read(tree: ast.AST) -> set[str]:
     """Names a syntax tree loads, reads as attributes or imports."""
-    names = set()
-    for node in ast.walk(tree):
-        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
-            names.add(node.id)
-        elif isinstance(node, ast.Attribute):
-            names.add(node.attr)
-        elif isinstance(node, ast.alias):
-            names.add(node.name)
-    return names
+    return {name for node in ast.walk(tree) if (name := _name_read(node)) is not None}
 
 
 _TREES = {path: ast.parse(path.read_text(encoding="utf-8")) for path in READERS}
@@ -61,6 +64,23 @@ def test_every_function_and_class_has_a_reader_outside_the_tests(definition):
     count, so recursion keeps nothing alive."""
     assert any(definition.name in names for stmt, names in _STATEMENTS if stmt is not definition), \
         f"'{definition.name}' is read only by the tests, or only by itself"
+
+
+_METHODS = [(f"{path.stem}.{cls.name}.{fn.name}", fn) for path in sorted(PACKAGE.glob("*.py"))
+            for cls in _TREES[path].body if isinstance(cls, ast.ClassDef)
+            for fn in cls.body if isinstance(fn, ast.FunctionDef)
+            and not (fn.name.startswith("__") and fn.name.endswith("__"))]
+
+
+@pytest.mark.parametrize("method", [m for _, m in _METHODS], ids=[name for name, _ in _METHODS])
+def test_every_method_has_a_reader_outside_itself(method):
+    """Every method and property but the dunders is read by a reader, a
+    sibling method included; a read inside the method itself does not
+    count, so recursion keeps nothing alive."""
+    inside = {id(n) for n in ast.walk(method)}
+    assert any(_name_read(node) == method.name for tree in _TREES.values()
+               for node in ast.walk(tree) if id(node) not in inside), \
+        f"'{method.name}' is read only by the tests, or only by itself"
 
 
 def _optional_parameters():
