@@ -5,10 +5,10 @@ dialogue with aligned audio/video feature matrices and a gold sarcasm
 explanation plus its structured attributes (source speaker, target,
 action word, optional description).
 
-File format: one JSON record per line with fields exactly
-``id, utterances, audio_features, video_features, explanation,
-sarcasm_source, sarcasm_target, action_word, description`` (description is
-nullable). Text fields and utterance speakers and texts are JSON strings.
+File format: one JSON record per line whose keys are exactly the fields
+of ``DialogueInstance`` (``description`` is nullable). Utterances are
+``{speaker, text}`` objects; the ``str`` fields and utterance speakers and
+texts are JSON strings.
 A feature field holds the matrix inline, a list of rows of JSON numbers.
 The loader converts no types: anything else is a ParseError naming the
 field and the line.
@@ -19,10 +19,10 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence
+from typing import Callable, Iterable, Sequence, get_type_hints
 
 import numpy as np
 
@@ -47,20 +47,6 @@ __all__ = [
     "CorpusStats",
 ]
 
-_FIELDS = (
-    "id",
-    "utterances",
-    "audio_features",
-    "video_features",
-    "explanation",
-    "sarcasm_source",
-    "sarcasm_target",
-    "action_word",
-    "description",
-)
-_STRING_FIELDS = ("id", "explanation", "sarcasm_source", "sarcasm_target", "action_word")
-
-
 @dataclass
 class Utterance:
     speaker: str
@@ -83,6 +69,13 @@ class DialogueInstance:
 
     def speakers(self) -> list[str]:
         return [u.speaker for u in self.utterances]
+
+
+# a corpus line's keys, in declaration order, then those holding strings and matrices
+_FIELDS = tuple(f.name for f in fields(DialogueInstance))
+_STRING_FIELDS = tuple(name for name, hint in get_type_hints(DialogueInstance).items() if hint is str)
+_MATRIX_FIELDS = tuple(name for name, hint in get_type_hints(DialogueInstance).items()
+                       if hint is np.ndarray)
 
 
 def instance_texts(inst: DialogueInstance) -> Iterable[str]:
@@ -196,13 +189,8 @@ def _instance_from_record(rec: dict, line: int) -> DialogueInstance:
     if desc is not None and not isinstance(desc, str):
         raise ParseError("description must be a string or null", line)
     strings = {name: _string_field(rec[name], name, line) for name in _STRING_FIELDS}
-    return DialogueInstance(
-        utterances=utterances,
-        audio_features=_matrix_from_field(rec["audio_features"], "audio_features", line),
-        video_features=_matrix_from_field(rec["video_features"], "video_features", line),
-        description=desc,
-        **strings,
-    )
+    matrices = {name: _matrix_from_field(rec[name], name, line) for name in _MATRIX_FIELDS}
+    return DialogueInstance(utterances=utterances, description=desc, **strings, **matrices)
 
 
 def load_and_validate(path: str | Path) -> list[DialogueInstance]:
@@ -228,22 +216,17 @@ def load_and_validate(path: str | Path) -> list[DialogueInstance]:
     return instances
 
 
+def _json_value(value):
+    """A matrix as its list of rows, an utterance as its ``{speaker, text}`` object."""
+    return value.tolist() if isinstance(value, np.ndarray) else vars(value)
+
+
 def save_corpus(instances: Iterable[DialogueInstance], path: str | Path) -> None:
     """Write instances one JSON record per line, feature matrices inline."""
     with open(path, "w", encoding="utf-8") as fh:
         for inst in instances:
-            rec = {
-                "id": inst.id,
-                "utterances": [{"speaker": u.speaker, "text": u.text} for u in inst.utterances],
-                "audio_features": inst.audio_features.tolist(),
-                "video_features": inst.video_features.tolist(),
-                "explanation": inst.explanation,
-                "sarcasm_source": inst.sarcasm_source,
-                "sarcasm_target": inst.sarcasm_target,
-                "action_word": inst.action_word,
-                "description": inst.description,
-            }
-            fh.write(json.dumps(rec, sort_keys=True) + "\n")
+            rec = {name: getattr(inst, name) for name in _FIELDS}
+            fh.write(json.dumps(rec, sort_keys=True, default=_json_value) + "\n")
 
 
 # ---- splitting ----------------------------------------------------------------

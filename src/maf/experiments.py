@@ -9,12 +9,14 @@ success, 2 configuration error or unknown flag, 3 runtime error
 
 The dataclasses are the only schema of the JSON files: a config's keys
 are the fields of ``ExperimentConfig`` (its sections those of
-``ModelConfig``, ``TrainConfig`` and ``SyntheticSpec``) and a metric
-file's those of ``MetricRow``. Both are read by ``model._build`` and
-checked field by field by ``model._check_fields``, each value's type and
-then the rule on its field; a ``validate`` adds the rules that read two
-fields or more. The report ends with the fusion gap: each variant's
-action accuracy over TextOnly's.
+``ModelConfig``, ``TrainConfig`` and ``SyntheticSpec``), a metric file's
+those of ``MetricRow``, whose scores are ``metrics.SCORES``, and a corpus
+line's those of ``data.DialogueInstance``. Configs and metric files are
+read by ``model._build`` and checked field by field by
+``model._check_fields``, each value's type and then the rule on its
+field; a ``validate`` adds the rules that read two fields or more. The
+report ends with the fusion gap: each variant's action accuracy over
+TextOnly's.
 
 Every metric row embeds the resolved config hash (for ``evaluate``, with
 the checkpoint's bytes), the seed, and the package version. Output files
@@ -29,9 +31,9 @@ import hashlib
 import json
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
-from typing import Sequence, get_type_hints
+from typing import Sequence
 
 import numpy as np
 
@@ -39,7 +41,7 @@ from . import __version__
 from .data import (corpus_stats, instances_for, load_and_validate, read_json_object, save_corpus,
                    split)
 from .errors import ConfigError, MafError, ParseError
-from .metrics import MetricReport
+from .metrics import SCORES, MetricReport
 from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
                     load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
@@ -172,9 +174,16 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
 
 
 def _out_path(cfg: ExperimentConfig) -> Path:
+    """The output directory, not made yet. It, or else its nearest existing
+    ancestor, must be a directory, so an ``--out`` no run could write to is
+    refused before any work."""
     if not cfg.out:
         raise ConfigError("an output directory is required (--out or config 'out')")
-    return Path(cfg.out)
+    out = Path(cfg.out)
+    existing = next(p for p in (out, *out.parents) if p.exists())
+    if not existing.is_dir():
+        raise ConfigError(f"'{out}' cannot be an output directory: '{existing}' is not a directory")
+    return out
 
 
 def _out_dir(cfg: ExperimentConfig) -> Path:
@@ -204,30 +213,36 @@ def _dump_json(path: Path, payload) -> None:
     path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
 
 
-@dataclass
-class MetricRow:
-    """One metric file, one key per field: the run, then the scores of
-    ``synthetic.evaluate_variant`` as fractions. ``maf report`` reads it back."""
-
-    artifact_version: str
-    config_hash: str
-    variant: str
-    seed: int = _ruled(lo=0)
-    fusion_layer_index: int = _ruled(lo=1)
-    action_acc: float = _ruled(lo=0.0, hi=1.0)
-    source_acc: float = _ruled(lo=0.0, hi=1.0)
-    target_acc: float = _ruled(lo=0.0, hi=1.0)
-    exact_match: float = _ruled(lo=0.0, hi=1.0)
-    R1: float = _ruled(lo=0.0, hi=1.0)
-    R2: float = _ruled(lo=0.0, hi=1.0)
-    RL: float = _ruled(lo=0.0, hi=1.0)
-    B1: float = _ruled(lo=0.0, hi=1.0)
-    B2: float = _ruled(lo=0.0, hi=1.0)
-    B3: float = _ruled(lo=0.0, hi=1.0)
-    B4: float = _ruled(lo=0.0, hi=1.0)
+def _blas() -> dict | None:
+    """The name and version of the BLAS that NumPy was built with; None on a
+    NumPy before 1.26, whose ``show_config`` returns nothing."""
+    try:
+        config = np.show_config(mode="dicts")
+    except TypeError:  # no ``mode`` argument
+        return None
+    blas = config.get("Build Dependencies", {}).get("blas", {})
+    return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-_SCORES = tuple(name for name, hint in get_type_hints(MetricRow).items() if hint is float)
+def _write_run_config(out: Path, cfg: ExperimentConfig) -> None:
+    """``run_config.json``: the config hash and the resolved config it
+    hashes, then what the hash leaves out: the thread variables as the
+    process saw them, the NumPy version and its BLAS. Past the gap config,
+    the BLAS thread count decides the GEMMs' bytes."""
+    digest, resolved = _identity(cfg)
+    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
+    _dump_json(out / "run_config.json", {"config_hash": digest, **resolved, "threads": threads,
+                                         "numpy_version": np.__version__, "blas": _blas()})
+
+
+# string annotations, as in every other dataclass here, so ``_check_fields`` names types alike
+MetricRow = make_dataclass("MetricRow", [
+    ("artifact_version", "str"), ("config_hash", "str"), ("variant", "str"),
+    ("seed", "int", _ruled(lo=0)), ("fusion_layer_index", "int", _ruled(lo=1)),
+    *((name, "float", _ruled(lo=0.0, hi=1.0)) for name in SCORES),
+], namespace={"__module__": __name__, "__doc__": """One metric file, one key per field: the
+    run, then the ``metrics.SCORES`` of ``synthetic.evaluate_variant`` as fractions. ``maf
+    report`` reads it back."""})
 
 
 def _metric_row(digest: str, variant: str, seed: int, layer: int, scores: dict) -> dict:
@@ -248,7 +263,8 @@ def _single_cell(cfg: ExperimentConfig, what: str) -> tuple[str, int]:
 
 def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> list[dict]:
     """Train and score every (variant, fusion layer, file tag) cell at every
-    seed; write each cell's metric row and loss log, then the report."""
+    seed; write each cell's metric row and loss log, then ``run_config.json``
+    and the report."""
     _out_path(cfg)  # a missing --out is refused before any work
     digest = config_hash(cfg)
     rows = []
@@ -262,6 +278,7 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
             _dump_json(out / f"metrics_{tag}_seed{seed}.json", row)
             _write_loss_log(out / f"loss_{tag}_seed{seed}.csv", tm.step_losses)
             rows.append(row)
+    _write_run_config(_out_dir(cfg), cfg)
     cmd_report(cfg)
     return rows
 
@@ -281,11 +298,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     save_checkpoint(tm, ckpt)
     loss_log = out / f"loss_{variant}_seed{seed}.csv"
     _write_loss_log(loss_log, tm.step_losses)
-    digest, resolved = _identity(cfg)
-    # not hashed: past the gap config, the BLAS thread count decides the GEMMs' bytes
-    threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
-    _dump_json(out / "run_config.json", {"config_hash": digest, **resolved, "threads": threads,
-                                         "numpy_version": np.__version__})
+    _write_run_config(out, cfg)
     return {"checkpoint": str(ckpt), "loss_log": str(loss_log),
             "final_loss": tm.epoch_losses[-1]}
 
@@ -397,9 +410,9 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
         label = f"{variant}@L{layer}" if sweep else variant
         members = sorted(groups[key], key=lambda r: r.seed)
         for row in members:
-            report.add_row(f"{label} s{row.seed}", {k: getattr(row, k) for k in _SCORES})
+            report.add_row(f"{label} s{row.seed}", {k: getattr(row, k) for k in SCORES})
         report.add_row(f"{label} mean",
-                       {k: _mean_std([getattr(r, k) for r in members]) for k in _SCORES})
+                       {k: _mean_std([getattr(r, k) for r in members]) for k in SCORES})
         action_means[key] = (label, sum(r.action_acc for r in members) / len(members))
 
     header = ("# fusion-mechanism comparison: rows differ only in the fusion pathway "

@@ -24,6 +24,7 @@ __all__ = [
     "rouge_l",
     "bleu_k",
     "score_corpus",
+    "SCORES",
     "MetricReport",
     "METRIC_COLUMNS",
 ]
@@ -115,15 +116,21 @@ def bleu_k(hyp: str, ref: str, k: int) -> float:
     return _bleu(_count(tokenize(hyp), tokenize(ref), k), k)
 
 
+# each overlap score, with its score of one pair's counts
+_OVERLAP = {"R1": lambda c: _rouge_n(c, 1), "R2": lambda c: _rouge_n(c, 2), "RL": _rouge_l,
+            "B1": lambda c: _bleu(c, 1), "B2": lambda c: _bleu(c, 2),
+            "B3": lambda c: _bleu(c, 3), "B4": lambda c: _bleu(c, 4)}
 # each attribute accuracy, with the gold attribute it reads
 _ATTRIBUTES = {"action_acc": "action_word", "source_acc": "sarcasm_source",
                "target_acc": "sarcasm_target"}
+# every score of a metric row, in the order ``score_corpus`` returns them
+SCORES = (*_OVERLAP, *_ATTRIBUTES, "exact_match")
 
 
 def score_corpus(hyps: Sequence[Sequence[str]], golds: Sequence) -> dict[str, float]:
-    """Every score of a metric row, as a fraction, of token lists against
+    """The ``SCORES`` of a metric row, as fractions, of token lists against
     gold instances (``explanation`` and the ``_ATTRIBUTES``, as a
-    ``DialogueInstance`` has them). The overlap columns and ``exact_match``
+    ``DialogueInstance`` has them). The overlap scores and exact match
     compare a hypothesis with the tokenised explanation; an attribute hits
     when the hypothesis holds every token of it, and one with no token never
     hits. A string hypothesis is refused: it would count characters."""
@@ -133,21 +140,13 @@ def score_corpus(hyps: Sequence[Sequence[str]], golds: Sequence) -> dict[str, fl
         raise ContractError("nothing to score")
     if any(isinstance(h, str) for h in hyps):
         raise ContractError("hypotheses must be token lists (text.tokenize), not strings")
-    n = len(hyps)
     refs = [tokenize(g.explanation) for g in golds]
     counts = [_count(h, r, 4) for h, r in zip(hyps, refs)]
-    out = {
-        "R1": sum(_rouge_n(c, 1) for c in counts) / n,
-        "R2": sum(_rouge_n(c, 2) for c in counts) / n,
-        "RL": sum(_rouge_l(c) for c in counts) / n,
-    }
-    for k in (1, 2, 3, 4):
-        out[f"B{k}"] = sum(_bleu(c, k) for c in counts) / n
-    for col, attr in _ATTRIBUTES.items():
-        wants = [tokenize(getattr(g, attr)) for g in golds]
-        out[col] = sum(bool(w) and all(t in h for t in w) for h, w in zip(hyps, wants)) / n
-    out["exact_match"] = sum(h == r for h, r in zip(hyps, refs)) / n
-    return out
+    overlap = [sum(map(score, counts)) for score in _OVERLAP.values()]
+    wants = [[tokenize(getattr(g, attr)) for g in golds] for attr in _ATTRIBUTES.values()]
+    attributes = [sum(bool(w) and all(t in h for t in w) for h, w in zip(hyps, ws)) for ws in wants]
+    exact = sum(h == r for h, r in zip(hyps, refs))
+    return {name: total / len(hyps) for name, total in zip(SCORES, (*overlap, *attributes, exact))}
 
 
 # ---- report rendering ----------------------------------------------------
@@ -155,8 +154,7 @@ def score_corpus(hyps: Sequence[Sequence[str]], golds: Sequence) -> dict[str, fl
 # column layout mirrors the standard generation-quality table, then the
 # scores ``score_corpus`` adds; no scorer here computes the two model-based
 # columns, M and BS, so they render as dashes
-METRIC_COLUMNS = ("R1", "R2", "RL", "B1", "B2", "B3", "B4", "M", "BS",
-                  "action_acc", "source_acc", "target_acc", "exact_match")
+METRIC_COLUMNS = (*_OVERLAP, "M", "BS", *SCORES[len(_OVERLAP):])
 
 
 @dataclass

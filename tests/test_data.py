@@ -4,6 +4,7 @@ splits, annotation merging, corpus statistics."""
 import itertools
 import json
 import math
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -77,6 +78,9 @@ def test_golden_three_record_round_trip(tmp_path):
     originals = [make_instance(k, n_utts=2 + k) for k in range(3)]
     p = tmp_path / "golden.jsonl"
     save_corpus(originals, p)
+    # one key per field of the record, and no other
+    assert [list(json.loads(line)) for line in p.read_text(encoding="utf-8").splitlines()] \
+        == 3 * [sorted(f.name for f in fields(DialogueInstance))]
     loaded = load_and_validate(p)
     assert len(loaded) == 3
     # serialize again: byte-identical files means identical structure

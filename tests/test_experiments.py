@@ -24,6 +24,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import maf
+from maf import experiments
 from maf.data import load_and_validate
 from maf.errors import ConfigError, ParseError
 from maf.experiments import (
@@ -41,6 +42,7 @@ from maf.experiments import (
     load_experiment_config,
     main,
 )
+from maf.metrics import SCORES
 from maf.model import ModelConfig, TrainConfig, _check_fields, load_checkpoint
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN
 from maf.synthetic import SyntheticSpec
@@ -336,22 +338,32 @@ def test_train_then_evaluate(tmp_path):
     assert row["variant"] == "MAF"
     assert row["seed"] == 1
     assert list(row) == [f.name for f in fields(MetricRow)]
+    assert [name for name, hint in get_type_hints(MetricRow).items() if hint is float] == list(SCORES)
     assert 0.0 <= row["exact_match"] <= 1.0
     assert json.loads(metrics_file.read_text(encoding="utf-8")) == row
 
 
-def test_run_config_names_the_thread_setting(tmp_path, monkeypatch):
-    """``run_config.json`` records the thread variables as the process saw
-    them, null when unset, and the NumPy version; neither enters the hash."""
+@pytest.mark.parametrize("command", [cmd_train, cmd_ablate, cmd_sweep_fusion_layer])
+def test_run_config_names_the_thread_setting(tmp_path, monkeypatch, command):
+    """``run_config.json``, beside the checkpoint of ``train`` and the report
+    of a grid, records the thread variables as the process saw them, null
+    when unset, the NumPy version and its BLAS; none enters the hash."""
     monkeypatch.setenv("OMP_NUM_THREADS", "3")
     monkeypatch.delenv("MKL_NUM_THREADS", raising=False)
     cfg = load(tmp_path)
-    cmd_train(cfg)
+    command(cfg)
     run_config = json.loads((tmp_path / "run" / "run_config.json").read_text(encoding="utf-8"))
     assert run_config["threads"] == {"OPENBLAS_NUM_THREADS": os.environ.get("OPENBLAS_NUM_THREADS"),
                                      "OMP_NUM_THREADS": "3", "MKL_NUM_THREADS": None}
     assert run_config["numpy_version"] == np.__version__
+    try:
+        blas = np.show_config(mode="dicts")["Build Dependencies"]["blas"]
+    except TypeError:  # NumPy before 1.26 cannot report its BLAS
+        assert run_config["blas"] is None
+    else:
+        assert run_config["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert run_config["config_hash"] == config_hash(cfg)
+    assert {k: run_config[k] for k in cfg.resolved()} == cfg.resolved()
 
 
 def test_evaluate_row_names_its_checkpoint(tmp_path):
@@ -380,6 +392,26 @@ def test_cli_evaluate_checks_the_data_against_the_checkpoint_model(tmp_path, cap
     assert ("synthetic audio (audio_dim=16, frames=12) does not fit the model "
             "(audio_raw_dim=16, max_frames=4)") in capsys.readouterr().err
     assert not (tmp_path / "scores").exists()
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
+def test_an_out_that_cannot_be_a_directory_is_refused_before_any_work(tmp_path, monkeypatch,
+                                                                       capsys, command):
+    """An existing file, or a path under one: exit 2 before anything is
+    loaded or trained, and nothing is made."""
+    calls = []
+    for name in ("train", "load_checkpoint"):
+        monkeypatch.setattr(experiments, name, lambda *a, **k: calls.append(a))
+    path = write_config(tmp_path)
+    blocker = tmp_path / "file"
+    blocker.write_text("not a directory", encoding="utf-8")
+    flags = ["--checkpoint", str(tmp_path / "model.ckpt")] if command == "evaluate" else []
+    for out in (blocker, blocker / "sub"):
+        assert main([command, "--config", str(path), "--out", str(out), *flags]) == 2
+        assert (f"config error: '{out}' cannot be an output directory: '{blocker}' is not a "
+                f"directory") in capsys.readouterr().err
+    assert calls == []
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["exp.json", "file"]
 
 
 def test_train_requires_a_single_cell(tmp_path):
@@ -427,7 +459,8 @@ def test_corpus_runs_write_the_same_bytes_whatever_the_path_spelling(tmp_path, m
     assert main(["gen-synthetic", "--config", str(path), "--out", str(tmp_path / "corpus.jsonl")]) == 0
     monkeypatch.chdir(tmp_path)
     spellings = ["corpus.jsonl", "./corpus.jsonl", str(tmp_path / "corpus.jsonl")]
-    written = {"ablate": ["loss_MAF_seed1.csv", "metrics_MAF_seed1.json", "report.csv", "report.txt"],
+    written = {"ablate": ["loss_MAF_seed1.csv", "metrics_MAF_seed1.json", "report.csv", "report.txt",
+                          "run_config.json"],
                "train": ["checkpoint_MAF_seed1.ckpt", "loss_MAF_seed1.csv", "run_config.json"]}
     for command, names in written.items():
         runs = []

@@ -10,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from maf.errors import ContractError
 from maf.metrics import (
     METRIC_COLUMNS,
+    SCORES,
     MetricReport,
     bleu_k,
     rouge_l,
@@ -218,6 +219,7 @@ def test_score_corpus_is_mean_of_per_instance_scores():
     hyps = ["a b c", "a b", "x y"]
     refs = ["a b d", "a b c", "X, y!"]
     got = score_corpus(tokenised(hyps), [Gold("", "", explanation=r) for r in refs])
+    assert tuple(got) == SCORES
     assert got["exact_match"] == pytest.approx(1 / 3)  # compared after tokenization
     for key, fn in (("R1", lambda h, r: rouge_n(h, r, 1)),
                     ("R2", lambda h, r: rouge_n(h, r, 2)),
@@ -249,6 +251,9 @@ def test_score_corpus_refuses_untokenised_text():
 def test_report_columns_follow_the_table_layout():
     assert METRIC_COLUMNS == ("R1", "R2", "RL", "B1", "B2", "B3", "B4", "M", "BS",
                               "action_acc", "source_acc", "target_acc", "exact_match")
+    # every score, then the two model-based columns after B4
+    b4 = SCORES.index("B4") + 1
+    assert METRIC_COLUMNS == (*SCORES[:b4], "M", "BS", *SCORES[b4:])
 
 
 def test_report_renders_percentages_and_dashes():
