@@ -19,7 +19,7 @@ from __future__ import annotations
 import json
 import math
 from collections import Counter
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
 from typing import Callable, Iterable, Sequence, get_type_hints
@@ -38,13 +38,10 @@ __all__ = [
     "read_json_object",
     "save_corpus",
     "validate_instance",
-    "instance_texts",
     "split",
     "instances_for",
     "merge_annotations",
     "cosine_token_similarity",
-    "corpus_stats",
-    "CorpusStats",
 ]
 
 @dataclass
@@ -76,15 +73,6 @@ _FIELDS = tuple(f.name for f in fields(DialogueInstance))
 _STRING_FIELDS = tuple(name for name, hint in get_type_hints(DialogueInstance).items() if hint is str)
 _MATRIX_FIELDS = tuple(name for name, hint in get_type_hints(DialogueInstance).items()
                        if hint is np.ndarray)
-
-
-def instance_texts(inst: DialogueInstance) -> Iterable[str]:
-    """The texts a vocabulary is built from: each speaker and utterance,
-    then the explanation."""
-    for u in inst.utterances:
-        yield u.speaker
-        yield u.text
-    yield inst.explanation
 
 
 # ---- validation ------------------------------------------------------------
@@ -312,60 +300,3 @@ def merge_annotations(a: str, b: str) -> MergeOutcome:
         return MergeOutcome(similarity=sim, chosen=chosen)
     return MergeOutcome(similarity=sim, conflict=(a, b))
 
-
-# ---- corpus statistics ------------------------------------------------------------
-
-
-@dataclass
-class CorpusStats:
-    num_dialogues: int
-    num_utterances: int
-    avg_utterances_per_dialogue: float
-    avg_words_per_utterance: float
-    avg_words_per_dialogue: float
-    avg_speakers_per_dialogue: float
-    vocabulary_size: int
-    utterance_count_histogram: dict[int, int] = field(default_factory=dict)
-    source_speaker_counts: dict[str, int] = field(default_factory=dict)
-
-    def render(self) -> str:
-        lines = [
-            f"dialogues                 {self.num_dialogues}",
-            f"utterances                {self.num_utterances}",
-            f"utterances per dialogue   {self.avg_utterances_per_dialogue:.2f}",
-            f"words per utterance       {self.avg_words_per_utterance:.2f}",
-            f"words per dialogue        {self.avg_words_per_dialogue:.2f}",
-            f"speakers per dialogue     {self.avg_speakers_per_dialogue:.2f}",
-            f"vocabulary size           {self.vocabulary_size}",
-        ]
-        return "\n".join(lines)
-
-
-def corpus_stats(corpus: Sequence[DialogueInstance]) -> CorpusStats:
-    if not corpus:
-        raise ContractError("corpus_stats needs at least one instance")
-    num_utts = 0
-    total_words = 0
-    speakers_total = 0
-    vocab: set[str] = set()
-    utt_hist: Counter = Counter()
-    sources: Counter = Counter()
-    for inst in corpus:
-        num_utts += len(inst.utterances)
-        utt_hist[len(inst.utterances)] += 1
-        speakers_total += len(set(inst.speakers()))
-        total_words += sum(len(tokenize(u.text)) for u in inst.utterances)
-        vocab.update(*map(tokenize, instance_texts(inst)))
-        sources[inst.sarcasm_source] += 1
-    n = len(corpus)
-    return CorpusStats(
-        num_dialogues=n,
-        num_utterances=num_utts,
-        avg_utterances_per_dialogue=num_utts / n,
-        avg_words_per_utterance=total_words / num_utts,
-        avg_words_per_dialogue=total_words / n,
-        avg_speakers_per_dialogue=speakers_total / n,
-        vocabulary_size=len(vocab),
-        utterance_count_histogram=dict(sorted(utt_hist.items())),
-        source_speaker_counts=dict(sorted(sources.items())),
-    )

@@ -1,7 +1,7 @@
 """Experiment runner and command-line interface.
 
 Subcommands: train, evaluate, ablate, sweep-fusion-layer, gen-synthetic,
-stats, report. All state flows through the JSON config file and flags;
+report. All state flows through the JSON config file and flags;
 --seed and --variant narrow the config's grids to a single cell, and a
 subcommand takes only the flags it reads (``_COMMANDS``). Exit codes: 0
 success, 2 configuration error or unknown flag, 3 runtime error
@@ -38,8 +38,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .data import (corpus_stats, instances_for, load_and_validate, read_json_object, save_corpus,
-                   split)
+from .data import instances_for, load_and_validate, read_json_object, save_corpus, split
 from .errors import ConfigError, MafError, ParseError
 from .metrics import SCORES, MetricReport
 from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
@@ -51,13 +50,11 @@ __all__ = [
     "ExperimentConfig",
     "MetricRow",
     "load_experiment_config",
-    "config_hash",
     "cmd_train",
     "cmd_evaluate",
     "cmd_ablate",
     "cmd_sweep_fusion_layer",
     "cmd_gen_synthetic",
-    "cmd_stats",
     "cmd_report",
     "main",
 ]
@@ -139,15 +136,10 @@ def _identity(cfg: ExperimentConfig, checkpoint: str | None = None) -> tuple[str
     return hashlib.sha256(blob).hexdigest()[:12], resolved
 
 
-def config_hash(cfg: ExperimentConfig) -> str:
-    """The 12-hex-digit hash of what identifies the experiment."""
-    return _identity(cfg)[0]
-
-
 def load_experiment_config(path: str | None, args: argparse.Namespace | None = None) -> ExperimentConfig:
     """Read the JSON config file and apply flag overrides, then check the
     top-level fields' types and rules (``model._check_fields``), since
-    report, stats and gen-synthetic never call ``validate``: an out-of-range
+    report and gen-synthetic never call ``validate``: an out-of-range
     ``seeds``, ``variants`` or ``test_instances`` is refused here."""
     raw: dict = {}
     if path is not None:
@@ -224,12 +216,11 @@ def _blas() -> dict | None:
     return {"name": blas.get("name"), "version": blas.get("version")}
 
 
-def _write_run_config(out: Path, cfg: ExperimentConfig) -> None:
+def _write_run_config(out: Path, digest: str, resolved: dict) -> None:
     """``run_config.json``: the config hash and the resolved config it
-    hashes, then what the hash leaves out: the thread variables as the
-    process saw them, the NumPy version and its BLAS. Past the gap config,
-    the BLAS thread count decides the GEMMs' bytes."""
-    digest, resolved = _identity(cfg)
+    hashes (``_identity``), then what the hash leaves out: the thread
+    variables as the process saw them, the NumPy version and its BLAS. Past
+    the gap config, the BLAS thread count decides the GEMMs' bytes."""
     threads = {v: os.environ.get(v) for v in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")}
     _dump_json(out / "run_config.json", {"config_hash": digest, **resolved, "threads": threads,
                                          "numpy_version": np.__version__, "blas": _blas()})
@@ -266,7 +257,7 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
     seed; write each cell's metric row and loss log, then ``run_config.json``
     and the report."""
     _out_path(cfg)  # a missing --out is refused before any work
-    digest = config_hash(cfg)
+    digest, resolved = _identity(cfg)
     rows = []
     for seed in cfg.seeds:
         train_insts, test_insts = _prepare_data(cfg, seed)
@@ -278,7 +269,7 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
             _dump_json(out / f"metrics_{tag}_seed{seed}.json", row)
             _write_loss_log(out / f"loss_{tag}_seed{seed}.csv", tm.step_losses)
             rows.append(row)
-    _write_run_config(_out_dir(cfg), cfg)
+    _write_run_config(_out_dir(cfg), digest, resolved)
     cmd_report(cfg)
     return rows
 
@@ -298,7 +289,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     save_checkpoint(tm, ckpt)
     loss_log = out / f"loss_{variant}_seed{seed}.csv"
     _write_loss_log(loss_log, tm.step_losses)
-    _write_run_config(out, cfg)
+    _write_run_config(out, *_identity(cfg))
     return {"checkpoint": str(ckpt), "loss_log": str(loss_log),
             "final_loss": tm.epoch_losses[-1]}
 
@@ -350,22 +341,6 @@ def cmd_gen_synthetic(cfg: ExperimentConfig, out_file: str) -> int:
     instances = generate(cfg.synthetic)
     save_corpus(instances, out_file)
     return len(instances)
-
-
-def cmd_stats(dataset: str | None) -> str:
-    """Corpus statistics table for a dataset file."""
-    if not dataset:
-        raise ConfigError("stats needs --dataset FILE")
-    stats = corpus_stats(load_and_validate(dataset))
-    lines = [stats.render(), ""]
-    lines.append("utterances-per-dialogue histogram:")
-    for k, v in stats.utterance_count_histogram.items():
-        lines.append(f"  {k:>3}  {v}")
-    lines.append("top source speakers:")
-    top = sorted(stats.source_speaker_counts.items(), key=lambda kv: (-kv[1], kv[0]))[:10]
-    for name, count in top:
-        lines.append(f"  {name}  {count}")
-    return "\n".join(lines) + "\n"
 
 
 def _mean_std(values: list[float]) -> str:
@@ -451,7 +426,6 @@ _COMMANDS = {
     "ablate": ("train and evaluate every configured variant and seed", _GRID_FLAGS),
     "sweep-fusion-layer": ("move the adapter across encoder layers", _GRID_FLAGS),
     "gen-synthetic": ("write a synthetic corpus file", ("--config", "--out")),
-    "stats": ("print corpus statistics for a dataset file", ("--config", "--dataset")),
     "report": ("aggregate metric files in the output directory", ("--config", "--out")),
 }
 
@@ -488,8 +462,6 @@ def main(argv: Sequence[str] | None = None) -> int:
                 raise ConfigError("gen-synthetic needs --out FILE")
             count = cmd_gen_synthetic(cfg, cfg.out)
             print(f"wrote {count} instances to {cfg.out}")
-        elif args.command == "stats":
-            print(cmd_stats(cfg.dataset), end="")
         elif args.command == "report":
             text, _ = cmd_report(cfg)
             print(text, end="")

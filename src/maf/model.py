@@ -63,7 +63,7 @@ from typing import NamedTuple, Sequence, Union, get_args, get_origin, get_type_h
 
 import numpy as np
 
-from .data import DialogueInstance, instance_texts, read_json_object, validate_instance
+from .data import DialogueInstance, read_json_object, validate_instance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
@@ -796,7 +796,14 @@ def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) ->
 
 
 def build_vocabulary(instances: Sequence[DialogueInstance]) -> Vocabulary:
-    return Vocabulary.from_texts(t for inst in instances for t in instance_texts(inst))
+    """The tokens of each speaker and utterance, then the explanation."""
+    def texts():
+        for inst in instances:
+            for u in inst.utterances:
+                yield u.speaker
+                yield u.text
+            yield inst.explanation
+    return Vocabulary.from_texts(texts())
 
 
 def instance_token_ids(inst: DialogueInstance, vocab: Vocabulary) -> list[int]:

@@ -1,5 +1,5 @@
 """Dataset layer: file parsing and validation diagnostics, deterministic
-splits, annotation merging, corpus statistics."""
+splits, annotation merging, the texts a vocabulary holds."""
 
 import itertools
 import json
@@ -10,10 +10,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from maf import experiments
 from maf.data import (
     DialogueInstance,
     Utterance,
-    corpus_stats,
     cosine_token_similarity,
     instances_for,
     load_and_validate,
@@ -200,18 +200,23 @@ def test_non_string_description_rejected(tmp_path):
         (lambda r: r.update(video_features=[[[1.0]]]), "video_features"),
     ],
 )
-def test_mistyped_field_is_a_parse_error(tmp_path, capsys, mutate, field):
+def test_mistyped_field_is_a_parse_error(tmp_path, capsys, monkeypatch, mutate, field):
     """Nothing is coerced: a null explanation does not become "None", nor
     a true feature cell 1.0. The error names the field and the line, and
-    the CLI exits 3."""
+    ``maf train`` exits 3 before training or making its output directory."""
     good, bad = record_dict(make_instance(0)), record_dict(make_instance(1))
     mutate(bad)
     write_records(tmp_path / "c.jsonl", [good, bad])
     with pytest.raises(ParseError, match=field) as err:
         load_and_validate(tmp_path / "c.jsonl")
     assert err.value.line == 2
-    assert cli_main(["stats", "--dataset", str(tmp_path / "c.jsonl")]) == 3
-    assert field in capsys.readouterr().err
+    monkeypatch.setattr(experiments, "train", lambda *a, **k: pytest.fail("train was called"))
+    out = tmp_path / "run"
+    assert cli_main(["train", "--dataset", str(tmp_path / "c.jsonl"), "--seed", "1",
+                     "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("error: line 2: ") and field in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("field, value", [
@@ -478,47 +483,13 @@ def test_cosine_counts_repeated_tokens():
     assert cosine_token_similarity("Hello!", "hello") == pytest.approx(1.0)
 
 
-# ---- corpus statistics -------------------------------------------------------------------
+# ---- vocabulary ----------------------------------------------------------------------------
 
 
-def test_stats_two_one_word_utterances():
-    inst = make_instance(
-        utterances=[Utterance("a", "hi"), Utterance("b", "yo")],
-        sarcasm_source="a",
-    )
-    s = corpus_stats([inst])
-    assert s.num_dialogues == 1
-    assert s.num_utterances == 2
-    assert s.avg_utterances_per_dialogue == 2.0
-    assert s.avg_words_per_utterance == 1.0
-    assert s.avg_words_per_dialogue == 2.0
-    assert s.avg_speakers_per_dialogue == 2.0
-    assert s.utterance_count_histogram == {2: 1}
-
-
-def test_stats_match_brute_force_recount():
-    corpus = [make_instance(k, n_utts=2 + (k % 4)) for k in range(50)]
-    s = corpus_stats(corpus)
-    utts = sum(len(i.utterances) for i in corpus)
-    words = sum(len(u.text.split()) for i in corpus for u in i.utterances)
-    assert s.num_dialogues == 50
-    assert s.num_utterances == utts
-    assert s.avg_utterances_per_dialogue == pytest.approx(utts / 50)
-    assert s.avg_words_per_utterance == pytest.approx(words / utts)
-    assert s.source_speaker_counts == {"spk0": 50}
-    assert sum(s.utterance_count_histogram.values()) == 50
-    assert s.render().startswith("dialogues")
-
-
-def test_stats_count_the_vocabulary_a_model_builds():
-    """Speakers are tokenised like every other text: "Dr. Rosesh" is two
-    words, as in the vocabulary a model trained on the corpus holds."""
+def test_vocabulary_tokenises_speakers_like_every_text():
+    """A model's vocabulary holds the tokens of each speaker and utterance
+    and of the explanation: "Dr. Rosesh" is two words."""
     inst = make_instance(utterances=[Utterance("Dr. Rosesh", "hi"), Utterance("bo", "yo")])
     # dr rosesh bo hi yo, then spk0 mocks thing0 from the explanation
-    assert corpus_stats([inst]).vocabulary_size == 8
     assert len(build_vocabulary([inst])) == 8 + len(SPECIALS)
 
-
-def test_stats_reject_empty_corpus():
-    with pytest.raises(ContractError):
-        corpus_stats([])

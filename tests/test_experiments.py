@@ -30,15 +30,14 @@ from maf.errors import ConfigError, ParseError
 from maf.experiments import (
     ExperimentConfig,
     MetricRow,
+    _identity,
     _parser,
     cmd_ablate,
     cmd_evaluate,
     cmd_gen_synthetic,
     cmd_report,
-    cmd_stats,
     cmd_sweep_fusion_layer,
     cmd_train,
-    config_hash,
     load_experiment_config,
     main,
 )
@@ -299,15 +298,15 @@ def test_data_source_is_required():
 def test_config_hash_is_stable_and_sensitive(tmp_path):
     a = load(tmp_path)
     b = load(tmp_path)
-    assert config_hash(a) == config_hash(b)
-    assert len(config_hash(a)) == 12
-    int(config_hash(a), 16)
+    assert _identity(a)[0] == _identity(b)[0]
+    assert len(_identity(a)[0]) == 12
+    int(_identity(a)[0], 16)
     b.seeds = [4]
-    assert config_hash(a) != config_hash(b)
+    assert _identity(a)[0] != _identity(b)[0]
     # the output directory is a location, not an experiment identity
     c = load(tmp_path)
     c.out = "somewhere/else"
-    assert config_hash(a) == config_hash(c)
+    assert _identity(a)[0] == _identity(c)[0]
 
 
 # ---- training and evaluation commands --------------------------------------------
@@ -325,13 +324,13 @@ def test_train_then_evaluate(tmp_path):
     assert len(log) == 1 + 2  # 16 instances / batch 8 = 2 steps, 1 epoch
 
     run_config = json.loads((tmp_path / "run" / "run_config.json").read_text(encoding="utf-8"))
-    assert run_config["config_hash"] == config_hash(cfg)
+    assert run_config["config_hash"] == _identity(cfg)[0]
 
     row = cmd_evaluate(cfg, str(ckpt))
     metrics_file = tmp_path / "run" / "metrics_MAF_seed1.json"
     assert metrics_file.exists()
     # the experiment plus the checkpoint's bytes: not the training run's hash
-    assert row["config_hash"] != config_hash(cfg)
+    assert row["config_hash"] != _identity(cfg)[0]
     int(row["config_hash"], 16)
     assert len(row["config_hash"]) == 12
     assert row["artifact_version"] == maf.__version__
@@ -362,7 +361,7 @@ def test_run_config_names_the_thread_setting(tmp_path, monkeypatch, command):
         assert run_config["blas"] is None
     else:
         assert run_config["blas"] == {"name": blas["name"], "version": blas["version"]}
-    assert run_config["config_hash"] == config_hash(cfg)
+    assert run_config["config_hash"] == _identity(cfg)[0]
     assert {k: run_config[k] for k in cfg.resolved()} == cfg.resolved()
 
 
@@ -479,6 +478,28 @@ def test_corpus_runs_write_the_same_bytes_whatever_the_path_spelling(tmp_path, m
         assert "error:" in capsys.readouterr().err
 
 
+def test_a_grid_hashes_its_corpus_once(tmp_path, monkeypatch):
+    """``run_config.json`` and every metric row of a grid carry one hash,
+    taken before the first cell trains: a corpus rewritten mid-run changes
+    neither."""
+    path = write_config(tmp_path, variants=["TextOnly", "MAF"])
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-synthetic", "--config", str(path), "--out", str(corpus)]) == 0
+    real_train = experiments.train
+
+    def train_then_rewrite(*args, **kwargs):
+        model = real_train(*args, **kwargs)
+        corpus.write_bytes(corpus.read_bytes() + b"\n")  # new bytes, the same records
+        return model
+
+    monkeypatch.setattr(experiments, "train", train_then_rewrite)
+    rows = cmd_ablate(load(tmp_path, variants=["TextOnly", "MAF"], dataset=str(corpus),
+                           synthetic=None))
+    run_config = json.loads((tmp_path / "run" / "run_config.json").read_text(encoding="utf-8"))
+    assert len(rows) == 2
+    assert {row["config_hash"] for row in rows} == {run_config["config_hash"]}
+
+
 def test_sweep_fusion_layer(tmp_path):
     cfg = load(tmp_path)
     rows = cmd_sweep_fusion_layer(cfg)
@@ -511,16 +532,13 @@ def test_sweep_refuses_a_variant_without_adapter(tmp_path, capsys):
     assert not (tmp_path / "run").exists()
 
 
-def test_gen_synthetic_and_stats(tmp_path):
+def test_gen_synthetic_writes_a_loadable_corpus(tmp_path):
     cfg = load(tmp_path)
     corpus_file = tmp_path / "syn.jsonl"
     count = cmd_gen_synthetic(cfg, str(corpus_file))
     assert count == 16
     corpus = load_and_validate(corpus_file)
     assert len(corpus) == 16
-    text = cmd_stats(str(corpus_file))
-    assert "dialogues" in text
-    assert "utterances-per-dialogue histogram:" in text
 
 
 def test_gen_synthetic_is_byte_deterministic(tmp_path):
@@ -795,16 +813,32 @@ def test_cli_train_writes_the_same_bytes_at_any_blas_thread_count(tmp_path):
     assert outputs[0] == outputs[1] == outputs[2]
 
 
-def test_cli_runtime_errors_exit_3(tmp_path, capsys):
+def _never_train(*args, **kwargs):
+    pytest.fail("train was called")
+
+
+def test_cli_runtime_errors_exit_3(tmp_path, capsys, monkeypatch):
     path = write_config(tmp_path)
     code = main(["evaluate", "--config", str(path), "--checkpoint",
                  str(tmp_path / "missing.ckpt")])
     assert code == 3
     assert "error:" in capsys.readouterr().err
 
+    # a corrupt corpus stops ``maf train`` before it trains or makes --out
+    monkeypatch.setattr(experiments, "train", _never_train)
     corrupt = tmp_path / "corrupt.jsonl"
     corrupt.write_text("{broken\n", encoding="utf-8")
-    assert main(["stats", "--dataset", str(corrupt)]) == 3
+    out = tmp_path / "run"
+    assert main(["train", "--dataset", str(corrupt), "--seed", "1", "--out", str(out)]) == 3
+    assert capsys.readouterr().err.startswith("error: line 1: record is not valid JSON")
+    assert not out.exists()
+
+
+def test_cli_stats_is_not_a_subcommand(capsys):
+    with pytest.raises(SystemExit) as exit:
+        main(["stats", "--dataset", "corpus.jsonl"])
+    assert exit.value.code == 2
+    assert "invalid choice: 'stats'" in capsys.readouterr().err
 
 
 @pytest.mark.parametrize(
@@ -957,11 +991,12 @@ def cli_inputs(tiny_checkpoint):
 @given(kind=st.sampled_from(["config", "checkpoint", "metric", "corpus"]),
        mutation=st.sampled_from(["retype", "truncate", "non-utf8"]), data=st.data())
 def test_cli_on_mutated_input_files_exits_2_or_3(cli_inputs, kind, mutation, data):
-    """``maf train``, ``evaluate``, ``report`` and ``stats`` on a broken
-    config, checkpoint, metric or corpus file: a retyped field, a file cut
-    short inside its JSON, or a byte that is not UTF-8. Every mutant is
-    invalid by construction, and the CLI exits 2 for a config and 3 for
-    the rest, with a one-line message and no traceback."""
+    """``maf train``, ``evaluate`` and ``report`` on a broken config,
+    checkpoint, metric or corpus file: a retyped field, a file cut short
+    inside its JSON, or a byte that is not UTF-8. Every mutant is invalid
+    by construction, and the CLI exits 2 for a config and 3 for the rest,
+    with a one-line message and no traceback; a broken corpus stops
+    ``train`` before it trains or makes its output directory."""
     config_path, blob, metric, corpus, names = cli_inputs
     d = config_path.parent / f"cli{next(names)}"
     d.mkdir()
@@ -1002,26 +1037,37 @@ def test_cli_on_mutated_input_files_exits_2_or_3(cli_inputs, kind, mutation, dat
     argv = {"config": ["train", "--config", str(path)],
             "checkpoint": ["evaluate", "--config", str(config_path), "--checkpoint", str(path)],
             "metric": ["report", "--out", str(d)],
-            "corpus": ["stats", "--dataset", str(path)]}[kind]
+            "corpus": ["train", "--dataset", str(path), "--seed", "1", "--out", str(d / "run")]}[kind]
     err = io.StringIO()
-    with redirect_stderr(err):
+    with redirect_stderr(err), pytest.MonkeyPatch.context() as mp:
+        if kind == "corpus":
+            mp.setattr(experiments, "train", _never_train)
         code = main(argv)
     assert code == (2 if kind == "config" else 3), err.getvalue()
     assert err.getvalue().startswith("config error: " if code == 2 else "error: ")
+    if kind == "corpus":
+        assert err.getvalue().startswith("error: line "), err.getvalue()
+        assert not (d / "run").exists()
 
 
-# the flags each subcommand takes: the CLI table of the README
-_GRID_FLAGS = ("--config", "--seed", "--out", "--variant", "--dataset")
-_TAKES = {
-    "train": _GRID_FLAGS,
-    "evaluate": ("--config", "--seed", "--out", "--dataset", "--checkpoint"),
-    "ablate": _GRID_FLAGS,
-    "sweep-fusion-layer": _GRID_FLAGS,
-    "gen-synthetic": ("--config", "--out"),
-    "stats": ("--config", "--dataset"),
-    "report": ("--config", "--out"),
-}
+def _readme_flag_table() -> dict:
+    """The flags each subcommand takes, from the README's ``| subcommand |
+    flags |`` table: a row may name several subcommands."""
+    lines = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").splitlines()
+    start = lines.index("| subcommand | flags |") + 2  # past the header and its rule
+    takes = {}
+    for line in itertools.takewhile(lambda row: row.startswith("|"), lines[start:]):
+        commands, flags = (cell.strip().replace("`", "") for cell in line.strip("|").split("|"))
+        takes.update((command.strip(), tuple(flags.split())) for command in commands.split(","))
+    return takes
+
+
+_TAKES = _readme_flag_table()
 _ALL_FLAGS = sorted(set(itertools.chain(*_TAKES.values())))
+
+
+def test_readme_flag_table_is_the_cli():
+    assert _TAKES == {name: flags for name, (_, flags) in experiments._COMMANDS.items()}
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c in _TAKES for f in _ALL_FLAGS
@@ -1044,23 +1090,13 @@ def test_cli_subcommand_parses_its_own_flags(command):
     assert given == {"command", *(f.removeprefix("--") for f in _TAKES[command])}
 
 
-def test_cli_stats_needs_dataset(tmp_path, capsys):
-    assert main(["stats"]) == 2
+def test_cli_gen_synthetic_needs_out(tmp_path, capsys):
     assert main(["gen-synthetic", "--config", str(write_config(tmp_path, out=None))]) == 2
 
 
 def test_cli_requires_a_subcommand(capsys):
     with pytest.raises(SystemExit):
         main([])
-
-
-def test_cli_stats_renders(tmp_path, capsys):
-    path = write_config(tmp_path)
-    corpus_file = tmp_path / "syn.jsonl"
-    assert main(["gen-synthetic", "--config", str(path), "--out", str(corpus_file)]) == 0
-    capsys.readouterr()
-    assert main(["stats", "--dataset", str(corpus_file)]) == 0
-    assert "top source speakers:" in capsys.readouterr().out
 
 
 def test_cli_report_round_trip(tmp_path, capsys):
