@@ -493,3 +493,19 @@ def test_vocabulary_tokenises_speakers_like_every_text():
     # dr rosesh bo hi yo, then spk0 mocks thing0 from the explanation
     assert len(build_vocabulary([inst])) == 8 + len(SPECIALS)
 
+
+def test_vocabulary_matches_brute_force_token_set():
+    """The vocabulary is the specials, then the sorted tokens of every
+    speaker, utterance and explanation; no other field adds a token."""
+    corpus = [make_instance(k, n_utts=2 + (k % 4), description=f"zebra{k}",
+                            sarcasm_target=f"quokka{k}", action_word="yawns")
+              for k in range(50)]
+    words = set()
+    for inst in corpus:
+        for u in inst.utterances:
+            words.update(u.speaker.lower().split() + u.text.lower().split())
+        words.update(inst.explanation.lower().split())
+    vocab = build_vocabulary(corpus)
+    assert vocab.tokens == list(SPECIALS) + sorted(words)
+    assert not {t for t in vocab.tokens if t.startswith(("zebra", "quokka", "yawns"))}
+

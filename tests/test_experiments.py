@@ -1050,6 +1050,42 @@ def test_cli_on_mutated_input_files_exits_2_or_3(cli_inputs, kind, mutation, dat
         assert not (d / "run").exists()
 
 
+# a corpus broken in each way the loader locates: (its lines from the valid
+# corpus's lines, the start of the message)
+_CORRUPT_CORPORA = {
+    "not JSON": (lambda lines: [b"{broken\n", *lines], "error: line 1: record is not valid JSON"),
+    "not UTF-8": (lambda lines: [lines[0], b"\xff" + lines[1]],
+                  "error: line 2: record is not UTF-8 text"),
+    "a repeated id": (lambda lines: [lines[0], lines[1], lines[0]],
+                      "error: line 3: field 'id' violates rule 'unique'"),
+}
+
+
+@pytest.mark.parametrize("corruption", sorted(_CORRUPT_CORPORA))
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
+def test_cli_corrupt_corpus_stops_before_any_work(cli_inputs, tmp_path, capsys, monkeypatch,
+                                                  command, corruption):
+    """Every subcommand that reads ``--dataset`` exits 3 on a corrupt
+    corpus with the line's message, before it trains or scores a model or
+    makes its output directory."""
+    config_path, blob, _, corpus, _ = cli_inputs
+    corrupt, message = _CORRUPT_CORPORA[corruption]
+    path = tmp_path / "corrupt.jsonl"
+    path.write_bytes(b"".join(corrupt(corpus.splitlines(keepends=True))))
+    monkeypatch.setattr(experiments, "train", _never_train)
+    monkeypatch.setattr(experiments, "evaluate_variant",
+                        lambda *a, **k: pytest.fail("evaluate_variant was called"))
+    out = tmp_path / "run"
+    argv = [command, "--config", str(config_path), "--dataset", str(path), "--out", str(out)]
+    if command == "evaluate":
+        checkpoint = tmp_path / "model.ckpt"
+        checkpoint.write_bytes(blob)
+        argv += ["--checkpoint", str(checkpoint)]
+    assert main(argv) == 3
+    assert capsys.readouterr().err.startswith(message)
+    assert not out.exists()
+
+
 def _readme_flag_table() -> dict:
     """The flags each subcommand takes, from the README's ``| subcommand |
     flags |`` table: a row may name several subcommands."""
