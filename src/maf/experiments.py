@@ -31,6 +31,7 @@ import hashlib
 import json
 import os
 import sys
+from collections import Counter
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
 from pathlib import Path
 from typing import Sequence
@@ -365,17 +366,22 @@ def _read_metric_row(path: Path) -> MetricRow:
 
 def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     """Aggregate metric files under the run directory into text and CSV
-    tables: one row per run, then a mean ± sample-std row per group. The
-    text report ends with the fusion gap: each group's seed-mean action
-    accuracy minus TextOnly's at the same fusion layer (no TextOnly group,
-    no gap lines). Re-rendering the same directory is byte-identical."""
+    tables: one row per run, then a mean ± sample-std row per group. Under
+    the text table, each distinct ``config_hash`` with its row count; the
+    header says the host stack, data and training are held fixed only when
+    one hash covers every row. The text report ends with the fusion gap:
+    each group's seed-mean action accuracy minus TextOnly's at the same
+    fusion layer (no TextOnly group, no gap lines). Re-rendering the same
+    directory is byte-identical."""
     out = _out_path(cfg)
     files = sorted(out.glob("metrics_*.json"))  # none in a missing directory
     if not files:
         raise ConfigError(f"nothing to report: no metrics_*.json files in '{out}'")
+    rows = [_read_metric_row(f) for f in files]
     groups: dict = {}
-    for row in map(_read_metric_row, files):
+    for row in rows:
         groups.setdefault((row.variant, row.fusion_layer_index), []).append(row)
+    hashes = Counter(row.config_hash for row in rows)
 
     sweep = len({k[1] for k in groups}) > 1
     report = MetricReport()
@@ -390,9 +396,13 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
                        {k: _mean_std([getattr(r, k) for r in members]) for k in SCORES})
         action_means[key] = (label, sum(r.action_acc for r in members) / len(members))
 
-    header = ("# fusion-mechanism comparison: rows differ only in the fusion pathway "
-              "(and seed); host stack, data, and training are held fixed\n")
-    text = header + report.to_text()
+    if len(hashes) == 1:
+        header = ("# fusion-mechanism comparison: rows differ only in the fusion pathway "
+                  "(and seed); host stack, data, and training are held fixed\n")
+    else:
+        header = f"# fusion-mechanism comparison: the rows pool {len(hashes)} configs, listed below\n"
+    text = header + report.to_text() + "\n" + "".join(
+        f"config {h}: {n} {'row' if n == 1 else 'rows'}\n" for h, n in sorted(hashes.items()))
     gaps = []
     for (variant, layer), (label, mean) in action_means.items():
         floor = action_means.get(("TextOnly", layer))

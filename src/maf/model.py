@@ -20,11 +20,12 @@ model; the packs only stack what it returns.
 then decodes each instance greedily on its own rows and returns its
 tokens. A trained model is frozen (``train`` and ``load_checkpoint``
 return parameters with no ``requires_grad`` and no gradient), so its
-encoder records no graph. Greedy decoding is graph-free: it runs on
-arrays, through the forward arithmetic that the fused graph ops call
-(``tensor._attention``, ``_add_layer_norm``, ``_feed_forward``), and
-keeps each decoder layer's K/V caches as ``_attention``'s one-segment
-head stacks.
+encoder records no graph. Greedy decoding is graph-free: a step runs
+on one 1-D row, through the forward arithmetic that the fused graph ops
+call (``tensor._attention``, ``_feed_forward``, and
+``_add_layer_norm_row``, the one-row form of ``_add_layer_norm``), and
+keeps each decoder layer's self-attention K/V as one of
+``_attention``'s one-segment head stacks, a view of K and V rows.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -71,7 +72,7 @@ from .tensor import (
     Segments,
     Slot,
     Tensor,
-    _add_layer_norm,
+    _add_layer_norm_row,
     _attention,
     _feed_forward,
     _split_heads,
@@ -217,10 +218,11 @@ _TENSOR_BYTES = 1024
 
 def _config_bytes(cfg: ModelConfig) -> int:
     """Bytes that parameter init and greedy decoding allocate for ``cfg``:
-    each parameter's values and Tensor, then decoding's position table and
-    per-layer K/V rows. Counted on the slots of one layer per stack times
-    the depth, so an absurd depth costs nothing to count; a vocabulary not
-    yet bound counts no rows."""
+    each parameter's values and Tensor, then decoding's position table and,
+    per decoder layer, its K/V rows and fused d x 3d self-attention
+    weights. Counted on the slots of one layer per stack times the depth,
+    so an absurd depth costs nothing to count; a vocabulary not yet bound
+    counts no rows."""
     one = _param_slots(replace(cfg, vocab_size=cfg.vocab_size or 0, encoder_layers=1,
                                decoder_layers=1))
 
@@ -229,7 +231,8 @@ def _config_bytes(cfg: ModelConfig) -> int:
 
     params = (cost(one) + (cfg.encoder_layers - 1) * cost(one.enc)
               + (cfg.decoder_layers - 1) * cost(one.dec))
-    return params + 8 * (1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+    return params + 8 * ((1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+                         + 3 * cfg.d * cfg.d * cfg.decoder_layers)
 
 
 def _holds(value, hint) -> bool:
@@ -741,51 +744,98 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
     return linear(x, params.out_proj, params.out_bias)
 
 
-def _decode_step(token: int, t: int, caches: list[tuple[np.ndarray, ...]], cfg: ModelConfig,
+class _LayerCache(NamedTuple):
+    """One decoder layer's arrays for greedy decoding, gathered once per
+    ``decode_greedy`` call: weights as stored, gains and biases as 1-D
+    rows, and the K/V that a step attends to as ``_attention``'s
+    one-segment head stacks.
+
+    The self-attention stacks are a head view of K and V rows, so each
+    head's stack has the strides of the graph op's, which splits rows. On
+    a contiguous head-major stack of width d/heads < 4, the
+    weights-times-V product sums in another order: 4 heads at d = 8
+    differed from the graph op by an ulp."""
+
+    qkv: np.ndarray         # d x 3d: self-attention's [w_q | w_k | w_v]
+    kv: np.ndarray          # 2 x heads x max_target_len x d/heads: K, V; a view of rows
+    self_o: np.ndarray
+    ln1: tuple[np.ndarray, np.ndarray]
+    cross_q: np.ndarray
+    cross_k: np.ndarray     # 1 x heads x L x d/heads: the encoder rows, projected once
+    cross_v: np.ndarray
+    cross_o: np.ndarray
+    ln2: tuple[np.ndarray, np.ndarray]
+    ffn: tuple[np.ndarray, ...]  # w1, b1, w2, b2
+    ln3: tuple[np.ndarray, np.ndarray]
+
+
+class _DecodeCache(NamedTuple):
+    """What a greedy decode's steps read besides the embedding table."""
+
+    layers: list[_LayerCache]
+    out_proj: np.ndarray
+    out_bias: np.ndarray    # 1 x vocab, so a step's logits are 1 x vocab
+
+
+def _norm_rows(p: LayerNormParams) -> tuple[np.ndarray, np.ndarray]:
+    return p.gain.data[0], p.bias.data[0]
+
+
+def _decode_step(token: int, t: int, caches: _DecodeCache, cfg: ModelConfig,
                  params: ModelParams) -> np.ndarray:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
     the teacher-forced pass on the prefix, in the arithmetic of its graph
-    ops (``tensor``'s array forwards), with no graph. Each layer's cache
-    holds its self-attention K, V and cross-attention K, V as the attention
-    kernel's one-segment head stacks; this writes row t of the first two,
-    and rows after t are never read, so no causal fill."""
-    x = (params.embedding.data[token:token + 1] * math.sqrt(cfg.d)
-         + sinusoidal_positions(cfg.max_target_len, cfg.d)[t:t + 1])
-    c = 1.0 / math.sqrt(cfg.d // cfg.heads)
-    for layer, (keys, values, cross_k, cross_v) in zip(params.dec, caches):
-        sa, ca, ffn = layer.self_attn, layer.cross_attn, layer.ffn
-        keys[:, :, t:t + 1] = _split_heads((x @ sa.w_k.data)[None], cfg.heads)
-        values[:, :, t:t + 1] = _split_heads((x @ sa.w_v.data)[None], cfg.heads)
-        q = _split_heads((x @ sa.w_q.data)[None], cfg.heads)
-        a = _attention(q, keys[:, :, :t + 1], values[:, :, :t + 1], c, None, None)[0] @ sa.w_o.data
-        h = _add_layer_norm(x, a, layer.ln1.gain.data, layer.ln1.bias.data)[0]
-        q = _split_heads((h @ ca.w_q.data)[None], cfg.heads)
-        a = _attention(q, cross_k, cross_v, c, None, None)[0] @ ca.w_o.data
-        h = _add_layer_norm(h, a, layer.ln2.gain.data, layer.ln2.bias.data)[0]
-        f = _feed_forward(h, ffn.w1.data, ffn.b1.data, ffn.w2.data, ffn.b2.data)[0]
-        x = _add_layer_norm(h, f, layer.ln3.gain.data, layer.ln3.bias.data)[0]
-    return x @ params.out_proj.data + params.out_bias.data
+    ops, with no graph. The row is 1-D: one product gives its Q, K and V,
+    ``_attention`` and ``_feed_forward`` run on it as they are, and
+    ``_add_layer_norm_row`` stands for ``_add_layer_norm``. This writes
+    row t of each layer's K/V, and rows after t are never read, so no
+    causal fill."""
+    d, heads = cfg.d, cfg.heads
+    w = d // heads
+    c = 1.0 / math.sqrt(w)
+    x = params.embedding.data[token] * math.sqrt(d) + sinusoidal_positions(cfg.max_target_len, d)[t]
+    for qkv, kv, self_o, ln1, cross_q, cross_k, cross_v, cross_o, ln2, ffn, ln3 in caches.layers:
+        r = x @ qkv
+        kv[:, :, t] = r[d:].reshape(2, heads, w)
+        q = r[:d].reshape(1, heads, 1, w)
+        a = _attention(q, kv[:1, :, :t + 1], kv[1:, :, :t + 1], c, None, None)[0][0] @ self_o
+        h = _add_layer_norm_row(x, a, *ln1)
+        q = (h @ cross_q).reshape(1, heads, 1, w)
+        a = _attention(q, cross_k, cross_v, c, None, None)[0][0] @ cross_o
+        h = _add_layer_norm_row(h, a, *ln2)
+        x = _add_layer_norm_row(h, _feed_forward(h, *ffn)[0], *ln3)
+    return x @ caches.out_proj + caches.out_bias
 
 
 def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
     or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
-    Incremental and graph-free, on arrays: the L x d encoder rows
-    ``enc_out`` are projected to each layer's cross-attention K/V and split
-    into heads once, and each step computes one row of the teacher-forced
-    decoder pass, attending to the self-attention K/V cached from the steps
-    before in ``1 x heads x max_target_len x d/heads`` stacks."""
+    Incremental and graph-free, on arrays: each decoder layer's arrays are
+    gathered once into a ``_LayerCache``, with the L x d encoder rows
+    ``enc_out`` projected to its cross-attention K/V and split into heads,
+    and self-attention's [w_q | w_k | w_v] as one d x 3d matrix. Each step
+    computes one row of the teacher-forced decoder pass as a 1-D row of
+    width d, attending to the self-attention K/V cached from the steps
+    before in one ``2 x heads x max_target_len x d/heads`` stack per
+    layer."""
     heads = cfg.heads
-    stack = (1, heads, cfg.max_target_len, cfg.d // heads)
-    caches = [(np.empty(stack), np.empty(stack),
-               _split_heads((enc_out @ layer.cross_attn.w_k.data)[None], heads),
-               _split_heads((enc_out @ layer.cross_attn.w_v.data)[None], heads))
-              for layer in params.dec]
+    rows = (2, cfg.max_target_len, cfg.d)
+    layers = []
+    for p in params.dec:
+        sa, ca, ffn = p.self_attn, p.cross_attn, p.ffn
+        layers.append(_LayerCache(
+            np.concatenate([sa.w_q.data, sa.w_k.data, sa.w_v.data], axis=1),
+            _split_heads(np.empty(rows), heads),
+            sa.w_o.data, _norm_rows(p.ln1), ca.w_q.data,
+            _split_heads((enc_out @ ca.w_k.data)[None], heads),
+            _split_heads((enc_out @ ca.w_v.data)[None], heads), ca.w_o.data, _norm_rows(p.ln2),
+            (ffn.w1.data, ffn.b1.data[0], ffn.w2.data, ffn.b2.data[0]), _norm_rows(p.ln3)))
+    caches = _DecodeCache(layers, params.out_proj.data, params.out_bias.data)
     out: list[int] = []
     token = Vocabulary.BOS_ID
     for t in range(cfg.max_target_len):
-        token = int(np.argmax(_decode_step(token, t, caches, cfg, params)[0]))
+        token = int(_decode_step(token, t, caches, cfg, params).argmax())
         if token == Vocabulary.EOS_ID:
             break
         out.append(token)

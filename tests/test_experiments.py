@@ -450,6 +450,24 @@ def test_reruns_are_byte_identical(tmp_path):
         assert (out / name).read_bytes() == first[name], name
 
 
+def test_report_over_two_single_variant_runs_lists_both_hashes(tmp_path):
+    """``--variant`` narrows the hashed config, so one variant and then
+    another into one ``--out`` write rows of two hashes; ``maf report``
+    over both succeeds and names each."""
+    path = write_config(tmp_path, variants=["TextOnly", "MAF"])
+    for variant in ("TextOnly", "MAF"):
+        assert main(["ablate", "--config", str(path), "--variant", variant]) == 0
+    assert main(["report", "--config", str(path)]) == 0
+    out = tmp_path / "run"
+    digests = {json.loads((out / f"metrics_{v}_seed1.json").read_text(encoding="utf-8"))["config_hash"]
+               for v in ("TextOnly", "MAF")}
+    assert len(digests) == 2
+    text = (out / "report.txt").read_text(encoding="utf-8")
+    assert "the rows pool 2 configs" in text
+    for digest in digests:
+        assert f"\nconfig {digest}: 1 row\n" in text
+
+
 def test_corpus_runs_write_the_same_bytes_whatever_the_path_spelling(tmp_path, monkeypatch, capsys):
     """The corpus enters the config hash and ``run_config.json`` by its
     bytes, so no file that ``maf ablate`` or ``maf train`` writes for one
@@ -581,8 +599,26 @@ def test_report_aggregates_seeds(tmp_path):
     text, csv = cmd_report(cfg)
     assert "MAF s1" in text and "MAF s2" in text
     assert "60.00±14.14" in text  # mean and sample std of 50 and 70
+    assert text.startswith("# fusion-mechanism comparison: rows differ only in the fusion pathway")
+    assert text.endswith("\nconfig abc: 2 rows\n")
     again_text, again_csv = cmd_report(cfg)
     assert (text, csv) == (again_text, again_csv)
+
+
+def test_report_names_the_configs_it_pools(tmp_path):
+    """Rows of two config hashes: the report lists each hash with its row
+    count under the table, and its header claims nothing held fixed."""
+    cfg = load(tmp_path)
+    out = tmp_path / "run"
+    out.mkdir()
+    for variant, seed, digest in (("MAF", 1, "aaa"), ("MAF", 2, "bbb"), ("TextOnly", 1, "bbb")):
+        row = metric_row(variant=variant, seed=seed, config_hash=digest)
+        (out / f"metrics_{variant}_seed{seed}.json").write_text(json.dumps(row), encoding="utf-8")
+    text, csv = cmd_report(cfg)
+    assert text.startswith("# fusion-mechanism comparison: the rows pool 2 configs, listed below\n")
+    assert "held fixed" not in text
+    assert "\nconfig aaa: 1 row\nconfig bbb: 2 rows\n\naction gap" in text
+    assert "config" not in csv
 
 
 def test_report_prints_the_fusion_gap(tmp_path):

@@ -165,12 +165,13 @@ def test_config_sizes_are_bounded_only_by_what_they_allocate():
 def test_config_bytes_count_what_init_and_decoding_allocate(variant):
     """The limit is checked on the parameter slots of one layer per stack
     times the depth; that equals the tensors init builds, and decoding's
-    position table and K/V rows."""
+    position table, K/V rows and fused self-attention weights."""
     cfg = tiny_config(vocab_size=30, variant=variant, encoder_layers=3, decoder_layers=2,
                       max_target_len=5)
     named = named_parameters(init_model_params(cfg))
     params = sum(8 * t.data.size + model_module._TENSOR_BYTES for _, t in named)
-    decoding = 8 * (1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+    decoding = 8 * ((1 + 2 * cfg.decoder_layers) * cfg.max_target_len * cfg.d
+                    + 3 * cfg.d ** 2 * cfg.decoder_layers)
     assert model_module._config_bytes(cfg) == params + decoding
 
 
@@ -572,7 +573,7 @@ def test_cached_greedy_decoding_matches_the_prefix_loop(monkeypatch, variant):
 
 @pytest.mark.parametrize("depth", [1, 2, 3])
 @pytest.mark.parametrize("cap", [2, GAP_MODEL.max_target_len])
-@pytest.mark.parametrize("heads", [1, 2])
+@pytest.mark.parametrize("heads", [1, 2, 4])
 @pytest.mark.parametrize("variant", VARIANTS)
 def test_array_decoder_matches_the_graph_ops_bit_for_bit(monkeypatch, variant, heads, cap, depth):
     """Every step's logits equal, bit for bit, those of the same cached
