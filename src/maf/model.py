@@ -23,9 +23,11 @@ return parameters with no ``requires_grad`` and no gradient), so its
 encoder records no graph. Greedy decoding is graph-free: a step runs
 on one 1-D row, through the forward arithmetic that the fused graph ops
 call (``tensor._attention``, ``_feed_forward``, and
-``_add_layer_norm_row``, the one-row form of ``_add_layer_norm``), and
-keeps each decoder layer's self-attention K/V as one of
-``_attention``'s one-segment head stacks, a view of K and V rows.
+``_add_layer_norm_row``, the one-row form of ``_add_layer_norm``). A
+call holds, per decoder layer, the fused self-attention QKV weights, its
+K/V as one of ``_attention``'s one-segment head stacks (a view of K and V
+rows) and the cross-attention K/V; a step reads every other weight from
+the parameters as stored.
 
 Adapter variants, selected by ``ModelConfig.variant``:
 
@@ -38,9 +40,9 @@ Adapter variants, selected by ``ModelConfig.variant``:
 
 ``_FORMS`` holds this table as data: which modalities a variant reads,
 how each stream attends, and how the streams merge. Parameter init,
-``ModelConfig.uses_audio``/``uses_video`` and the adapter read it, so
-MAF, NoGIF, DPA, TA and TV run one code path, and a variant holds
-parameters only for what it reads.
+model input, the encoder packs and the adapter read it, so MAF, NoGIF,
+DPA, TA and TV run one code path, and a variant holds parameters only
+for what it reads.
 
 A gate is set only through its parameters: a fusion gate is pinned by
 W = 0, b = c, which is the constant gate c. The one explicit pin is
@@ -183,12 +185,6 @@ class ModelConfig:
         if size > _MAX_ALLOC_BYTES:
             raise ConfigError(f"the model would allocate {size} bytes, over the limit of "
                               f"{_MAX_ALLOC_BYTES}: its parameters and greedy decoding's buffers")
-
-    def uses_audio(self) -> bool:
-        return _FORMS[self.variant].audio
-
-    def uses_video(self) -> bool:
-        return _FORMS[self.variant].video
 
 
 @dataclass
@@ -550,9 +546,9 @@ def _embed(ids: Sequence[int], positions: np.ndarray, params: ModelParams) -> Te
 # graph memory grows with ``TrainConfig.batch_size``. Encoding the whole
 # 100-instance held-out set of a 6-epoch gap MAF (seed 71) as one pack
 # raised the peak RSS of a process that trains it and then evaluates 10
-# times from 47.8-47.9 to 50.3-50.5 MB, while its evaluation passes took
-# 191-297 ms against 248-299 ms (medians of 10 passes, 6 processes each,
-# 2 cores, one BLAS thread: within noise), so 16 stays.
+# times from 49.0-49.1 to 51.3 MB, while its evaluation passes took
+# 108.6-121.5 ms against 113.6-128.7 ms (medians of 10 passes, 2 processes
+# each, 2 cores, one BLAS thread: within noise), so 16 stays.
 _PACK_INSTANCES = 16
 
 
@@ -624,13 +620,14 @@ def _encoder_pack(items: Sequence[tuple], cfg: ModelConfig) -> _EncoderPack:
     ``_model_input`` returned it: this only stacks, and stacks audio and
     video only if the variant reads them."""
     lengths = [len(src) for src, _, _ in items]
+    form = _FORMS[cfg.variant]
     return _EncoderPack(
         ids=[i for src, _, _ in items for i in src],
         positions=_segment_positions(lengths, cfg.d),
         lengths=lengths,
         layout=Segments(lengths, lengths),
-        audio=_stack_frames([a for _, a, _ in items], lengths) if cfg.uses_audio() else None,
-        video=_stack_frames([v for _, _, v in items], lengths) if cfg.uses_video() else None,
+        audio=_stack_frames([a for _, a, _ in items], lengths) if form.audio else None,
+        video=_stack_frames([v for _, _, v in items], lengths) if form.video else None,
     )
 
 
@@ -710,6 +707,7 @@ def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
     Tensor of 1 to its cap of frames at the configured raw width. A
     modality the variant does not read becomes None."""
     ids = list(text_ids)
+    form = _FORMS[cfg.variant]
     if not ids:
         raise ContractError(f"{where}: empty token sequence")
     if len(ids) > cfg.max_text_len:
@@ -717,9 +715,9 @@ def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
                             f"max_text_len={cfg.max_text_len}")
     return (ids,
             _checked_frames(audio, cfg.audio_raw_dim, f"{where}: audio", cfg.max_frames)
-            if cfg.uses_audio() else None,
+            if form.audio else None,
             _checked_frames(video, cfg.video_raw_dim, f"{where}: video", cfg.max_windows)
-            if cfg.uses_video() else None)
+            if form.video else None)
 
 
 def _encode_pack(pk: _EncoderPack, cfg: ModelConfig, params: ModelParams) -> Tensor:
@@ -744,94 +742,59 @@ def _decoder_stack(x: Tensor, enc_out: Tensor, cfg: ModelConfig, params: ModelPa
     return linear(x, params.out_proj, params.out_bias)
 
 
-class _LayerCache(NamedTuple):
-    """One decoder layer's arrays for greedy decoding, gathered once per
-    ``decode_greedy`` call: weights as stored, gains and biases as 1-D
-    rows, and the K/V that a step attends to as ``_attention``'s
-    one-segment head stacks.
-
-    The self-attention stacks are a head view of K and V rows, so each
-    head's stack has the strides of the graph op's, which splits rows. On
-    a contiguous head-major stack of width d/heads < 4, the
-    weights-times-V product sums in another order: 4 heads at d = 8
-    differed from the graph op by an ulp."""
-
-    qkv: np.ndarray         # d x 3d: self-attention's [w_q | w_k | w_v]
-    kv: np.ndarray          # 2 x heads x max_target_len x d/heads: K, V; a view of rows
-    self_o: np.ndarray
-    ln1: tuple[np.ndarray, np.ndarray]
-    cross_q: np.ndarray
-    cross_k: np.ndarray     # 1 x heads x L x d/heads: the encoder rows, projected once
-    cross_v: np.ndarray
-    cross_o: np.ndarray
-    ln2: tuple[np.ndarray, np.ndarray]
-    ffn: tuple[np.ndarray, ...]  # w1, b1, w2, b2
-    ln3: tuple[np.ndarray, np.ndarray]
-
-
-class _DecodeCache(NamedTuple):
-    """What a greedy decode's steps read besides the embedding table."""
-
-    layers: list[_LayerCache]
-    out_proj: np.ndarray
-    out_bias: np.ndarray    # 1 x vocab, so a step's logits are 1 x vocab
-
-
-def _norm_rows(p: LayerNormParams) -> tuple[np.ndarray, np.ndarray]:
-    return p.gain.data[0], p.bias.data[0]
-
-
-def _decode_step(token: int, t: int, caches: _DecodeCache, cfg: ModelConfig,
+def _decode_step(token: int, t: int, caches: list[tuple[np.ndarray, ...]], cfg: ModelConfig,
                  params: ModelParams) -> np.ndarray:
     """Logits (1 x vocab) for position ``t`` given ``token`` there: row t of
     the teacher-forced pass on the prefix, in the arithmetic of its graph
     ops, with no graph. The row is 1-D: one product gives its Q, K and V,
     ``_attention`` and ``_feed_forward`` run on it as they are, and
-    ``_add_layer_norm_row`` stands for ``_add_layer_norm``. This writes
-    row t of each layer's K/V, and rows after t are never read, so no
-    causal fill."""
+    ``_add_layer_norm_row`` stands for ``_add_layer_norm``. Every weight
+    but the fused QKV is read from ``params`` as stored, gains and biases
+    as their one row. This writes row t of each layer's K/V, and rows
+    after t are never read, so no causal fill."""
     d, heads = cfg.d, cfg.heads
     w = d // heads
     c = 1.0 / math.sqrt(w)
     x = params.embedding.data[token] * math.sqrt(d) + sinusoidal_positions(cfg.max_target_len, d)[t]
-    for qkv, kv, self_o, ln1, cross_q, cross_k, cross_v, cross_o, ln2, ffn, ln3 in caches.layers:
+    for p, (qkv, kv, cross_k, cross_v) in zip(params.dec, caches):
+        ln1, ln2, ln3, ffn = p.ln1, p.ln2, p.ln3, p.ffn
         r = x @ qkv
         kv[:, :, t] = r[d:].reshape(2, heads, w)
         q = r[:d].reshape(1, heads, 1, w)
-        a = _attention(q, kv[:1, :, :t + 1], kv[1:, :, :t + 1], c, None, None)[0][0] @ self_o
-        h = _add_layer_norm_row(x, a, *ln1)
-        q = (h @ cross_q).reshape(1, heads, 1, w)
-        a = _attention(q, cross_k, cross_v, c, None, None)[0][0] @ cross_o
-        h = _add_layer_norm_row(h, a, *ln2)
-        x = _add_layer_norm_row(h, _feed_forward(h, *ffn)[0], *ln3)
-    return x @ caches.out_proj + caches.out_bias
+        a = _attention(q, kv[:1, :, :t + 1], kv[1:, :, :t + 1], c, None, None)[0][0]
+        h = _add_layer_norm_row(x, a @ p.self_attn.w_o.data, ln1.gain.data[0], ln1.bias.data[0])
+        q = (h @ p.cross_attn.w_q.data).reshape(1, heads, 1, w)
+        a = _attention(q, cross_k, cross_v, c, None, None)[0][0]
+        h = _add_layer_norm_row(h, a @ p.cross_attn.w_o.data, ln2.gain.data[0], ln2.bias.data[0])
+        f = _feed_forward(h, ffn.w1.data, ffn.b1.data[0], ffn.w2.data, ffn.b2.data[0])[0]
+        x = _add_layer_norm_row(h, f, ln3.gain.data[0], ln3.bias.data[0])
+    return x @ params.out_proj.data + params.out_bias.data
 
 
 def decode_greedy(enc_out: np.ndarray, cfg: ModelConfig, params: ModelParams) -> list[int]:
     """Greedy argmax decoding from the begin sentinel until the end sentinel
     or ``cfg.max_target_len`` steps. Returns content ids, no sentinels.
 
-    Incremental and graph-free, on arrays: each decoder layer's arrays are
-    gathered once into a ``_LayerCache``, with the L x d encoder rows
-    ``enc_out`` projected to its cross-attention K/V and split into heads,
-    and self-attention's [w_q | w_k | w_v] as one d x 3d matrix. Each step
-    computes one row of the teacher-forced decoder pass as a 1-D row of
-    width d, attending to the self-attention K/V cached from the steps
-    before in one ``2 x heads x max_target_len x d/heads`` stack per
-    layer."""
+    Incremental and graph-free, on arrays. A call's decode state is one
+    4-tuple per decoder layer: self-attention's [w_q | w_k | w_v] as one
+    d x 3d matrix; its K/V cache, one ``2 x heads x max_target_len x
+    d/heads`` stack; and the cross-attention K and V head stacks, the L x d
+    encoder rows ``enc_out`` projected once. Each step computes one row of
+    the teacher-forced decoder pass as a 1-D row of width d.
+
+    The K/V stack is a head view of K and V rows, so each head's stack has
+    the strides of the graph op's, which splits rows. On a contiguous
+    head-major stack of width d/heads < 4, the weights-times-V product
+    sums in another order: 4 heads at d = 8 differed from the graph op by
+    an ulp."""
     heads = cfg.heads
     rows = (2, cfg.max_target_len, cfg.d)
-    layers = []
-    for p in params.dec:
-        sa, ca, ffn = p.self_attn, p.cross_attn, p.ffn
-        layers.append(_LayerCache(
-            np.concatenate([sa.w_q.data, sa.w_k.data, sa.w_v.data], axis=1),
-            _split_heads(np.empty(rows), heads),
-            sa.w_o.data, _norm_rows(p.ln1), ca.w_q.data,
-            _split_heads((enc_out @ ca.w_k.data)[None], heads),
-            _split_heads((enc_out @ ca.w_v.data)[None], heads), ca.w_o.data, _norm_rows(p.ln2),
-            (ffn.w1.data, ffn.b1.data[0], ffn.w2.data, ffn.b2.data[0]), _norm_rows(p.ln3)))
-    caches = _DecodeCache(layers, params.out_proj.data, params.out_bias.data)
+    caches = [(np.concatenate([p.self_attn.w_q.data, p.self_attn.w_k.data, p.self_attn.w_v.data],
+                              axis=1),
+               _split_heads(np.empty(rows), heads),
+               _split_heads((enc_out @ p.cross_attn.w_k.data)[None], heads),
+               _split_heads((enc_out @ p.cross_attn.w_v.data)[None], heads))
+              for p in params.dec]
     out: list[int] = []
     token = Vocabulary.BOS_ID
     for t in range(cfg.max_target_len):

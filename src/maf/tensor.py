@@ -198,12 +198,8 @@ def _add_layer_norm(x: np.ndarray, y: np.ndarray, gain: np.ndarray,
     """``add_layer_norm``'s forward on arrays: the output, the normalised
     rows and each row's 1/std, the last two for its backward."""
     s = x + y
-    d = s.shape[1]
-    # row means as sum / d: what ndarray.mean computes; np.add.reduce is what
-    # ndarray.sum computes, both without their Python wrappers, which cost
-    # as much as the arithmetic on a decoder step's one row
-    sc = s - np.add.reduce(s, 1, keepdims=True) / d
-    inv = 1.0 / np.sqrt(np.add.reduce(sc ** 2, 1, keepdims=True) / d + _LN_EPS)
+    sc = s - s.mean(1, keepdims=True)
+    inv = 1.0 / np.sqrt((sc ** 2).mean(1, keepdims=True) + _LN_EPS)
     shat = sc * inv
     return shat * gain + bias, shat, inv
 
@@ -215,6 +211,8 @@ def _add_layer_norm_row(x: np.ndarray, y: np.ndarray, gain: np.ndarray,
     array calls where the matrix form makes 13."""
     s = x + y
     d = s.shape[0]
+    # ndarray.mean is np.add.reduce / d behind a Python wrapper, which on
+    # one row costs as much as the arithmetic
     sc = s - np.add.reduce(s) / d
     inv = 1.0 / math.sqrt(np.add.reduce(sc ** 2) / d + _LN_EPS)
     return sc * inv * gain + bias
@@ -470,7 +468,8 @@ def _attention(qs: np.ndarray, ks: np.ndarray, vs: np.ndarray, c: float,
     logits = (qs @ ks.swapaxes(-1, -2)) * c
     if fill is not None:
         logits += fill
-    # ndarray.max and .sum without their Python wrappers, as in _add_layer_norm
+    # ndarray.max and .sum without their Python wrappers, which cost as much
+    # as the arithmetic on a decoder step's one-query stacks
     e = np.exp(logits - np.maximum.reduce(logits, -1, keepdims=True))
     w = e / np.add.reduce(e, -1, keepdims=True)
     return _merge_heads(w @ vs, q_sel), w

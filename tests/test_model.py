@@ -186,9 +186,8 @@ def test_modality_usage_by_variant():
         "NoGIF": (True, True),
     }
     for variant, (audio, video) in table.items():
-        cfg = tiny_config(variant=variant)
-        assert cfg.uses_audio() == audio
-        assert cfg.uses_video() == video
+        form = model_module._FORMS[variant]
+        assert (form.audio, form.video) == (audio, video)
 
 
 def test_train_config_rejections():
@@ -1308,6 +1307,22 @@ def test_checkpoint_bytes_are_deterministic(tmp_path):
     reloaded = tmp_path / "reloaded.ckpt"
     save_checkpoint(load_checkpoint(path), reloaded)
     assert path.read_bytes() == reloaded.read_bytes()
+
+
+def test_evaluation_leaves_the_model_untouched(tmp_path):
+    """Greedy decoding reads the weights in place: on a trained model they
+    are views into Adam's flat buffer. Two evaluations of the trained model
+    and of its loaded checkpoint leave every parameter's bytes and the
+    checkpoint's bytes as they were, and give the same explanations."""
+    corpus, tm, path = trained_tiny(tmp_path)
+    outputs = []
+    for m in (tm, load_checkpoint(path)):
+        before = [(name, t.data.tobytes()) for name, t in named_parameters(m.params)]
+        outputs += [generate_explanations(m, corpus), generate_explanations(m, corpus)]
+        assert [(name, t.data.tobytes()) for name, t in named_parameters(m.params)] == before
+        save_checkpoint(m, tmp_path / "after.ckpt")
+        assert (tmp_path / "after.ckpt").read_bytes() == path.read_bytes()
+    assert all(out == outputs[0] for out in outputs)
 
 
 def _tamper_header(path, out, mutate):
