@@ -615,6 +615,48 @@ def test_decode_greedy_records_no_graph_node(monkeypatch):
     assert nodes == []
 
 
+@pytest.mark.parametrize("heads", [1, 2, 4])
+def test_a_decode_call_holds_four_arrays_per_decoder_layer(monkeypatch, heads):
+    """One state per ``decode_greedy`` call, handed to every step: per
+    decoder layer, the fused [w_q | w_k | w_v], the self-attention K/V
+    head stack as a head view of whole K and V rows, and the cross-attention
+    K and V of the encoder rows split into heads. After the call, the first
+    layer's K and V rows hold each step's input row projected."""
+    cfg, _, params, inst, ids = fixture_model(heads=heads, decoder_layers=2, max_target_len=5)
+    enc = encode(ids, inst.audio_features, inst.video_features, cfg, params).data
+    seen = []
+    step = model_module._decode_step
+
+    def recording_step(token, t, caches, *rest):
+        seen.append((token, caches))
+        return step(token, t, caches, *rest)
+
+    monkeypatch.setattr(model_module, "_decode_step", recording_step)
+    decode_greedy(enc, cfg, params)
+    caches = seen[0][1]
+    assert all(c is caches for _, c in seen)
+    d, w, cap = cfg.d, cfg.d // heads, cfg.max_target_len
+    assert len(caches) == cfg.decoder_layers
+    for p, state in zip(params.dec, caches):
+        assert len(state) == 4
+        qkv, kv, cross_k, cross_v = state
+        a = p.self_attn
+        assert np.array_equal(qkv, np.concatenate([a.w_q.data, a.w_k.data, a.w_v.data], axis=1))
+        assert kv.shape == (2, heads, cap, w)
+        assert kv.strides[2:] == (d * kv.itemsize, kv.itemsize)
+        for got, weight in ((cross_k, p.cross_attn.w_k), (cross_v, p.cross_attn.w_v)):
+            want = (enc @ weight.data).reshape(len(enc), heads, w).transpose(1, 0, 2)
+            assert got.shape == (1, heads, len(enc), w)
+            np.testing.assert_allclose(got[0], want, rtol=1e-12, atol=1e-12)
+    kv = caches[0][1]
+    pos = sinusoidal_positions(cap, d)
+    for t, (token, _) in enumerate(seen):
+        x = params.embedding.data[token] * math.sqrt(d) + pos[t]
+        for i, weight in enumerate((params.dec[0].self_attn.w_k, params.dec[0].self_attn.w_v)):
+            np.testing.assert_allclose(kv[i, :, t].reshape(d), x @ weight.data,
+                                       rtol=1e-12, atol=1e-12)
+
+
 def test_encode_deterministic():
     cfg, _, params, inst, ids = fixture_model()
     a = encode(ids, inst.audio_features, inst.video_features, cfg, params)
@@ -632,6 +674,27 @@ def test_modality_feature_contracts():
     small_params = init_model_params(small)
     with pytest.raises(ContractError, match="exceed"):
         encode(ids, np.zeros((5, AUDIO_DIM)), inst.video_features, small, small_params)
+
+
+@pytest.mark.parametrize("variant", VARIANTS)
+def test_encode_reads_exactly_the_modalities_its_variant_names(variant):
+    """An encoding moves with a modality's features exactly when
+    ``_FORMS`` says the variant reads that modality, and a modality it does
+    not read is never checked: a wrong-width matrix there changes nothing."""
+    form = model_module._FORMS[variant]
+    cfg, _, params, inst, ids = fixture_model(variant)
+    _randomise_adapter(params)
+    audio, video = inst.audio_features, inst.video_features
+    base = encode(ids, audio, video, cfg, params).data
+    rng = np.random.default_rng(5)
+    moved_audio = encode(ids, audio + rng.normal(size=audio.shape), video, cfg, params).data
+    moved_video = encode(ids, audio, video + rng.normal(size=video.shape), cfg, params).data
+    assert (not np.array_equal(moved_audio, base)) == form.audio
+    assert (not np.array_equal(moved_video, base)) == form.video
+    junk = np.zeros((1, 99))
+    unread = encode(ids, audio if form.audio else junk, video if form.video else junk,
+                    cfg, params).data
+    assert np.array_equal(unread, base)
 
 
 def test_fusion_layer_placement_changes_concat_output():
