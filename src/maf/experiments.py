@@ -5,7 +5,7 @@ report. All state flows through the JSON config file and flags;
 --seed and --variant narrow the config's grids to a single cell, and a
 subcommand takes only the flags it reads (``_COMMANDS``). Exit codes: 0
 success, 2 configuration error or unknown flag, 3 runtime error
-(divergence, missing or malformed files).
+(divergence, missing or malformed files), 130 interrupted (Ctrl-C).
 
 The dataclasses are the only schema of the JSON files: a config's keys
 are the fields of ``ExperimentConfig`` (its sections those of
@@ -45,7 +45,7 @@ from .metrics import SCORES, MetricReport
 from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
                     load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
-from .synthetic import SyntheticSpec, evaluate_variant, generate
+from .synthetic import _AUDIO_DIM, _VIDEO_DIM, SyntheticSpec, evaluate_variant, generate
 
 __all__ = [
     "ExperimentConfig",
@@ -70,8 +70,8 @@ class ExperimentConfig:
     dataset: str | None = None
     synthetic: SyntheticSpec | None = None
     test_instances: int = _ruled(100, lo=1)
-    variants: list[str] = _ruled(["MAF"], among=VARIANTS)
-    seeds: list[int] = _ruled([1, 2, 3], lo=0)
+    variants: list[str] = _ruled(["MAF"], among=VARIANTS, distinct=True)
+    seeds: list[int] = _ruled([1, 2, 3], lo=0, distinct=True)
     out: str | None = None
 
     def resolved(self) -> dict:
@@ -91,28 +91,21 @@ class ExperimentConfig:
             self.synthetic.validate()
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of 'dataset' and 'synthetic' must be configured")
-        if not self.variants:
-            raise ConfigError("variants list is empty")
-        if len(set(self.variants)) != len(self.variants):
-            raise ConfigError(f"variants contain duplicates: {self.variants}")
-        if not self.seeds:
-            raise ConfigError("seeds list is empty")
-        if len(set(self.seeds)) != len(self.seeds):
-            raise ConfigError(f"seeds contain duplicates: {self.seeds}")
         _check_synthetic_fits(self.synthetic, self.model, self.variants)
 
 
 def _check_synthetic_fits(s: SyntheticSpec | None, m: ModelConfig, variants: Sequence[str]) -> None:
-    """Each modality that a variant reads: a synthetic corpus must fit the model."""
+    """Each modality that a variant reads: a synthetic corpus, of the
+    generator's fixed feature widths, must fit the model."""
     if s is None:
         return
     forms = [_FORMS[v] for v in variants]
-    if any(f.audio for f in forms) and (s.audio_dim != m.audio_raw_dim or s.frames > m.max_frames):
-        raise ConfigError(f"synthetic audio (audio_dim={s.audio_dim}, frames={s.frames}) does not "
-                          f"fit the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
-    if any(f.video for f in forms) and (s.video_dim != m.video_raw_dim or s.windows > m.max_windows):
-        raise ConfigError(f"synthetic video (video_dim={s.video_dim}, windows={s.windows}) does not "
-                          f"fit the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
+    if any(f.audio for f in forms) and (m.audio_raw_dim != _AUDIO_DIM or s.frames > m.max_frames):
+        raise ConfigError(f"synthetic audio ({_AUDIO_DIM} wide, frames={s.frames}) does not fit "
+                          f"the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
+    if any(f.video for f in forms) and (m.video_raw_dim != _VIDEO_DIM or s.windows > m.max_windows):
+        raise ConfigError(f"synthetic video ({_VIDEO_DIM} wide, windows={s.windows}) does not fit "
+                          f"the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
 
 
 def _file_sha256(path: str) -> str:
@@ -141,7 +134,9 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
     """Read the JSON config file and apply flag overrides, then check the
     top-level fields' types and rules (``model._check_fields``), since
     report and gen-synthetic never call ``validate``: an out-of-range
-    ``seeds``, ``variants`` or ``test_instances`` is refused here."""
+    ``seeds``, ``variants`` or ``test_instances``, or an empty or repeated
+    list, is refused here. A flag given, even as an empty value, replaces
+    what the config says."""
     raw: dict = {}
     if path is not None:
         p = Path(path)
@@ -153,14 +148,14 @@ def load_experiment_config(path: str | None, args: argparse.Namespace | None = N
             raise ConfigError(f"config file '{path}' cannot be read: {exc.strerror}") from None
     cfg = _build(ExperimentConfig, raw)
     if args is not None:
-        if getattr(args, "dataset", None):
+        if getattr(args, "dataset", None) is not None:
             cfg.dataset = args.dataset
             cfg.synthetic = None
         if getattr(args, "seed", None) is not None:
             cfg.seeds = [args.seed]
-        if getattr(args, "variant", None):
+        if getattr(args, "variant", None) is not None:
             cfg.variants = [args.variant]
-        if getattr(args, "out", None):
+        if getattr(args, "out", None) is not None:
             cfg.out = args.out
     _check_fields(cfg)
     return cfg
@@ -481,6 +476,9 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (MafError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 3
+    except KeyboardInterrupt:  # Ctrl-C
+        print("interrupted", file=sys.stderr)
+        return 130
     return 0
 
 

@@ -140,7 +140,8 @@ VARIANTS = tuple(_FORMS)
 def _ruled(default=MISSING, **rule):
     """A dataclass field with a rule that ``_check_fields`` holds its value
     to: ``lo``, its least value; ``hi``, its greatest; ``among``, the values
-    allowed. A list field's rule holds for each item."""
+    allowed. A list field's rule holds for each item, and ``distinct`` for
+    the list: at least one item, none twice."""
     if isinstance(default, list):
         return field(default_factory=default.copy, metadata=rule)
     return field(default=default, metadata=rule)
@@ -192,12 +193,9 @@ class TrainConfig:
     lr: float = _ruled(1e-3, lo=0.0)
     epochs: int = _ruled(10, lo=1)
     batch_size: int = _ruled(16, lo=1)
-    grad_clip: float = 1.0
 
     def validate(self) -> None:
         _check_fields(self)
-        if self.grad_clip <= 0:
-            raise ConfigError(f"grad_clip must be > 0, got {self.grad_clip}")
 
 
 # What a config may ask the program to allocate, checked before anything
@@ -248,14 +246,17 @@ def _holds(value, hint) -> bool:
 
 def _check_fields(cfg) -> None:
     """Every field of a dataclass read from JSON must hold its annotated
-    type, then meet its rule (``_ruled``): each item of a list, and no
-    ``None``, which has no range."""
+    type, then meet its rule (``_ruled``): a list as a whole, then each of
+    its items, and no ``None``, which has no range."""
     hints = get_type_hints(type(cfg))
     for f in fields(cfg):
         value = getattr(cfg, f.name)
         if not _holds(value, hints[f.name]):
             raise ConfigError(f"'{f.name}' must be {f.type}, got {reprlib.repr(value)}")
         rule = f.metadata
+        if rule.get("distinct") and not 0 < len(value) == len(set(value)):
+            raise ConfigError(f"'{f.name}' must be a non-empty list without duplicates, "
+                              f"got {reprlib.repr(value)}")
         for v in (value if isinstance(value, list) else () if value is None else (value,)):
             if "lo" in rule and v < rule["lo"]:
                 raise ConfigError(f"'{f.name}' must be >= {rule['lo']}, got {reprlib.repr(v)}")
@@ -843,12 +844,13 @@ class TrainedModel:
     step_losses: list[float] = field(default_factory=list)
 
 
-# Adam's moment decay rates and the guard added to its denominator
-_BETA1, _BETA2, _ADAM_EPS = 0.9, 0.999, 1e-8
+# Adam's moment decay rates, the guard added to its denominator, and the
+# global gradient norm that every step clips to
+_BETA1, _BETA2, _ADAM_EPS, _GRAD_CLIP = 0.9, 0.999, 1e-8, 1.0
 
 
 class Adam:
-    """Adam with bias correction; every step clips to global norm ``grad_clip``.
+    """Adam with bias correction; every step clips to global norm ``_GRAD_CLIP``.
 
     Parameters, first and second moments each live in one flat buffer, and
     every parameter's ``data`` becomes a view into the parameter buffer, so
@@ -859,10 +861,9 @@ class Adam:
     reaches the loss.
     """
 
-    def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float, grad_clip: float):
+    def __init__(self, named: Sequence[tuple[str, Tensor]], lr: float):
         self.named = list(named)
         self.lr = lr
-        self.grad_clip = grad_clip
         self.t = 0
         ends = np.cumsum([t.data.size for _, t in self.named])
         self._params = np.concatenate([t.data.reshape(-1) for _, t in self.named])
@@ -885,8 +886,8 @@ class Adam:
         # NumPy's pairwise sum, not a BLAS dot, whose order follows the thread count
         np.multiply(g, g, out=u)
         total = math.sqrt(float(np.add.reduce(u)))
-        if total > self.grad_clip:
-            g *= self.grad_clip / total
+        if total > _GRAD_CLIP:
+            g *= _GRAD_CLIP / total
         m *= _BETA1
         np.multiply(g, 1.0 - _BETA1, out=u)
         m += u
@@ -959,7 +960,7 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
         prepared.append((*item, tgt))
 
     shuffle_rng = np.random.default_rng(np.random.SeedSequence(cfg.seed).spawn(3)[2])
-    opt = Adam(named_parameters(params), lr=tcfg.lr, grad_clip=tcfg.grad_clip)
+    opt = Adam(named_parameters(params), lr=tcfg.lr)
 
     step = 0
     epoch_losses: list[float] = []

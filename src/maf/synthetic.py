@@ -34,7 +34,8 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus
-from .model import TrainedModel, _MAX_ALLOC_BYTES, _check_fields, _ruled, generate_explanations
+from .model import (ModelConfig, TrainedModel, _MAX_ALLOC_BYTES, _check_fields, _ruled,
+                    generate_explanations)
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
 
@@ -55,6 +56,10 @@ def _description_clause(action: int, target: int) -> str:
     return f"while {first} and {second}"
 
 
+# Feature widths of every synthetic instance: a model at its default raw
+# widths reads the corpus as generated.
+_AUDIO_DIM, _VIDEO_DIM = ModelConfig.audio_raw_dim, ModelConfig.video_raw_dim
+
 # The corpus a spec makes, which ``generate`` holds at once, is limited to
 # 1 GiB (``model._MAX_ALLOC_BYTES``): 8 bytes per feature value and 2 KiB
 # per instance (2037 bytes measured per instance of one frame and one
@@ -64,34 +69,29 @@ _INSTANCE_BYTES = 2048
 
 @dataclass
 class SyntheticSpec:
-    """Generator settings. Class patterns are rows of the identity, so the
-    class counts may not exceed the corresponding feature width; a class
-    needs at least two values to carry a label."""
+    """Generator settings. Audio frames are ``_AUDIO_DIM`` wide and video
+    windows ``_VIDEO_DIM``, ``ModelConfig``'s default raw widths. Class
+    patterns are rows of the identity, so a class count is at most its
+    feature width; a class needs at least two values to carry a label."""
 
     num_instances: int = _ruled(600, lo=1)
     speakers: int = _ruled(6, lo=2)
-    actions: int = _ruled(5, lo=2)
-    targets: int = _ruled(6, lo=2)
+    actions: int = _ruled(5, lo=2, hi=_AUDIO_DIM)
+    targets: int = _ruled(6, lo=2, hi=_VIDEO_DIM)
     frames: int = _ruled(12, lo=1)
     windows: int = _ruled(8, lo=1)
     noise: float = _ruled(0.1, lo=0.0)
     seed: int = _ruled(1, lo=0)
-    audio_dim: int = 16
-    video_dim: int = 32
     rich_templates: bool = False
 
     def validate(self) -> None:
         _check_fields(self)
-        if self.actions > self.audio_dim:
-            raise ConfigError(f"actions ({self.actions}) exceed audio_dim ({self.audio_dim})")
-        if self.targets > self.video_dim:
-            raise ConfigError(f"targets ({self.targets}) exceed video_dim ({self.video_dim})")
-        size = self.num_instances * (8 * (self.frames * self.audio_dim + self.windows * self.video_dim)
+        size = self.num_instances * (8 * (self.frames * _AUDIO_DIM + self.windows * _VIDEO_DIM)
                                      + _INSTANCE_BYTES)
         if size > _MAX_ALLOC_BYTES:
             raise ConfigError(f"the corpus would take {size} bytes, over the limit of "
-                              f"{_MAX_ALLOC_BYTES}: num_instances x (8 x (frames x audio_dim + "
-                              f"windows x video_dim) + {_INSTANCE_BYTES})")
+                              f"{_MAX_ALLOC_BYTES}: num_instances x (8 x (frames x {_AUDIO_DIM} + "
+                              f"windows x {_VIDEO_DIM}) + {_INSTANCE_BYTES})")
 
 
 def speaker_name(i: int) -> str:
@@ -129,10 +129,10 @@ def generate(spec: SyntheticSpec) -> list[DialogueInstance]:
             ))
 
         # class pattern on every frame; orthonormal basis row + noise
-        audio = np.zeros((spec.frames, spec.audio_dim))
+        audio = np.zeros((spec.frames, _AUDIO_DIM))
         audio[:, action] = 1.0
         audio += spec.noise * rng.standard_normal(audio.shape)
-        video = np.zeros((spec.windows, spec.video_dim))
+        video = np.zeros((spec.windows, _VIDEO_DIM))
         video[:, target] = 1.0
         video += spec.noise * rng.standard_normal(video.shape)
 

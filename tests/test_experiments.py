@@ -11,8 +11,10 @@ import itertools
 import json
 import math
 import os
+import signal
 import subprocess
 import sys
+import time
 from contextlib import redirect_stderr
 from dataclasses import asdict, fields, replace
 from operator import delitem
@@ -215,7 +217,8 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
         (dict(seeds=[2, -1]), "seeds"),
         # training binds it to the vocabulary, so a set value would misstate the run
         (dict(model={"vocab_size": 7}), "'vocab_size'"),
-        (dict(variants=["TextOnly", "MAF", "TextOnly"]), "variants contain duplicates"),
+        (dict(variants=["TextOnly", "MAF", "TextOnly"]), "'variants' must be a non-empty list "
+                                                          "without duplicates"),
     ],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
@@ -228,9 +231,6 @@ def test_experiment_validation(tmp_path, overrides, fragment):
 # int and float fields with no rule of their own, and the rule that bounds them
 _UNRULED = {
     (ModelConfig, "fusion_layer_index"): "1..encoder_layers, in ModelConfig.validate",
-    (TrainConfig, "grad_clip"): "an exclusive bound, > 0, in TrainConfig.validate",
-    (SyntheticSpec, "audio_dim"): "at least actions, in SyntheticSpec.validate",
-    (SyntheticSpec, "video_dim"): "at least targets, in SyntheticSpec.validate",
 }
 _VALID = {
     ModelConfig: ModelConfig(vocab_size=50),
@@ -241,8 +241,11 @@ _VALID = {
 }
 
 
-def _bounds_and_past(rule: dict) -> list[tuple]:
-    """(a value the rule accepts, the value just past it) per bound."""
+def _bounds_and_past(rule: dict, valid) -> list[tuple]:
+    """(a field value the rule accepts, the values just past it) per bound,
+    for a field whose value ``valid`` is valid. A list's item bound is
+    tried on one-item lists, the item past it alone and after the accepted
+    one; ``distinct`` on no item and on the first valid item twice."""
     pairs = []
     if "lo" in rule:
         lo = rule["lo"]
@@ -251,6 +254,11 @@ def _bounds_and_past(rule: dict) -> list[tuple]:
         hi = rule["hi"]
         pairs.append((hi, hi + 1 if isinstance(hi, int) else math.nextafter(hi, math.inf)))
     pairs += [(v, "not " + v) for v in rule.get("among", ())]
+    if not isinstance(valid, list):
+        return [(ok, [bad]) for ok, bad in pairs]
+    pairs = [([ok], [[bad], [ok, bad]]) for ok, bad in pairs]
+    if rule.get("distinct"):
+        pairs.append((valid[:1], [[], valid[:1] * 2]))
     return pairs
 
 
@@ -260,8 +268,9 @@ def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
     """Every rule declared on a field: the bound passes the field checker
     (a rule on two fields may still refuse it), the value just past it is
     refused naming the field, by ``validate`` where the class has one, and
-    so is one such item in a list. A number field with no rule must be in
-    ``_UNRULED``."""
+    so is one such item in a list, and a list with no item or one item
+    twice where the field is ``distinct``. A number field with no rule
+    must be in ``_UNRULED``."""
     hint = get_type_hints(cls)[f.name]
     is_list = get_origin(hint) is list
     item = get_args(hint)[0] if is_list else hint
@@ -269,9 +278,9 @@ def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
         assert not {int, float} & {item, *get_args(item)} or (cls, f.name) in _UNRULED
         return
     base = _VALID[cls]
-    for ok, bad in _bounds_and_past(f.metadata):
-        _check_fields(replace(base, **{f.name: [ok] if is_list else ok}))
-        for value in ([bad], [ok, bad]) if is_list else (bad,):
+    for ok, past in _bounds_and_past(f.metadata, getattr(base, f.name)):
+        _check_fields(replace(base, **{f.name: ok}))
+        for value in past:
             obj = replace(base, **{f.name: value})
             with pytest.raises(ConfigError, match=f"'{f.name}' must be "):
                 obj.validate() if hasattr(obj, "validate") else _check_fields(obj)
@@ -388,7 +397,7 @@ def test_cli_evaluate_checks_the_data_against_the_checkpoint_model(tmp_path, cap
     path = tmp_path / "eval.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["evaluate", "--config", str(path), "--checkpoint", ckpt]) == 2
-    assert ("synthetic audio (audio_dim=16, frames=12) does not fit the model "
+    assert ("synthetic audio (16 wide, frames=12) does not fit the model "
             "(audio_raw_dim=16, max_frames=4)") in capsys.readouterr().err
     assert not (tmp_path / "scores").exists()
 
@@ -696,7 +705,8 @@ def test_cli_ablate_refuses_duplicate_variants(tmp_path, capsys):
     """A repeated variant would train its cell twice into one metric file."""
     path = write_config(tmp_path, variants=["TextOnly", "TextOnly"])
     assert main(["ablate", "--config", str(path)]) == 2
-    assert "config error: variants contain duplicates" in capsys.readouterr().err
+    assert "config error: 'variants' must be a non-empty list without duplicates" \
+        in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -752,10 +762,9 @@ def test_cli_deeply_nested_json_is_a_clean_error(tmp_path, capsys, reader, code)
         (dict(dataset=5), "dataset"),
         # JSON's NaN and Infinity are floats that every range check lets through
         (dict(train={"lr": float("nan")}), "lr"),
-        (dict(train={"grad_clip": float("inf")}), "grad_clip"),
+        (dict(synthetic={"noise": float("inf")}), "noise"),
         # an int is a float only if it converts to a finite one
         (dict(train={"lr": 10**400}), "lr"),
-        (dict(train={"grad_clip": 10**400}), "grad_clip"),
         # NumPy's seeding takes no negative seed
         (dict(seeds=[-1]), "seeds"),
         (dict(model={"seed": -1}), "seed"),
@@ -789,12 +798,12 @@ def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, sectio
 
 
 @pytest.mark.parametrize("model, synthetic, fragment", [
-    ({"max_frames": 4}, {"frames": 12}, "synthetic audio (audio_dim=16, frames=12) does not fit "
+    ({"max_frames": 4}, {"frames": 12}, "synthetic audio (16 wide, frames=12) does not fit "
                                         "the model (audio_raw_dim=16, max_frames=4)"),
-    ({"audio_raw_dim": 8}, {}, "(audio_dim=16, frames=4) does not fit the model (audio_raw_dim=8"),
-    ({"max_windows": 2}, {}, "(video_dim=32, windows=3) does not fit the model (video_raw_dim=32, "
+    ({"audio_raw_dim": 8}, {}, "(16 wide, frames=4) does not fit the model (audio_raw_dim=8"),
+    ({"max_windows": 2}, {}, "(32 wide, windows=3) does not fit the model (video_raw_dim=32, "
                              "max_windows=2)"),
-    ({"video_raw_dim": 16}, {}, "(video_dim=32, windows=3) does not fit the model (video_raw_dim=16"),
+    ({"video_raw_dim": 16}, {}, "(32 wide, windows=3) does not fit the model (video_raw_dim=16"),
 ])
 def test_cli_synthetic_data_the_model_cannot_read_exits_2(tmp_path, capsys, model, synthetic,
                                                           fragment):
@@ -867,6 +876,54 @@ def test_cli_runtime_errors_exit_3(tmp_path, capsys, monkeypatch):
     out = tmp_path / "run"
     assert main(["train", "--dataset", str(corrupt), "--seed", "1", "--out", str(out)]) == 3
     assert capsys.readouterr().err.startswith("error: line 1: record is not valid JSON")
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flag, code, fragment", [
+    ("--variant=", 2, "config error: 'variants' must be one of"),
+    ("--dataset=", 3, "error: "),  # as a missing corpus file is
+    ("--out=", 2, "config error: an output directory is required"),
+], ids=["variant", "dataset", "out"])
+def test_cli_a_flag_given_an_empty_value_is_applied(tmp_path, capsys, monkeypatch, flag, code,
+                                                     fragment):
+    """An empty value replaces what the config says, a synthetic source and
+    an ``out`` included, and is refused as that value: nothing trains and
+    no output directory is made."""
+    monkeypatch.setattr(experiments, "train", _never_train)
+    path = write_config(tmp_path, variants=["TextOnly"])
+    assert main(["ablate", "--config", str(path), flag]) == code
+    assert capsys.readouterr().err.startswith(fragment)
+    assert not (tmp_path / "run").exists()
+
+
+def test_cli_ctrl_c_is_a_clean_exit(tmp_path):
+    """One ``maf train`` child, interrupted while it trains: exit 130, the
+    one line ``interrupted`` on stderr, and no output directory. The child
+    restores Python's own SIGINT handler, since a parent that ignores
+    SIGINT passes that on."""
+    path = tmp_path / "gap.json"
+    path.write_text(json.dumps({"model": asdict(GAP_MODEL), "synthetic": asdict(GAP_SPEC),
+                                "train": asdict(replace(GAP_TRAIN, epochs=50)),
+                                "variants": ["MAF"], "seeds": [1]}), encoding="utf-8")
+    out = tmp_path / "run"
+    child = ("import signal, sys\n"
+             "signal.signal(signal.SIGINT, signal.default_int_handler)\n"
+             "from maf.experiments import main\n"
+             "print('ready', flush=True)\n"
+             f"sys.exit(main(['train', '--config', {str(path)!r}, '--out', {str(out)!r}]))\n")
+    src = str(Path(maf.__file__).resolve().parent.parent)
+    proc = subprocess.Popen([sys.executable, "-c", child], env={**os.environ, "PYTHONPATH": src},
+                            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    try:
+        assert proc.stdout.readline() == "ready\n"
+        time.sleep(0.5)  # into main; 50 epochs at the gap point train for about 20 s
+        proc.send_signal(signal.SIGINT)
+        _, err = proc.communicate(timeout=120)
+    finally:
+        proc.kill()
+        proc.wait()
+    assert proc.returncode == 130
+    assert err == "interrupted\n"
     assert not out.exists()
 
 

@@ -195,15 +195,13 @@ def test_train_config_rejections():
         TrainConfig(lr=-0.1).validate()
     with pytest.raises(ConfigError, match="'epochs' must be >= 1"):
         TrainConfig(epochs=0).validate()
-    with pytest.raises(ConfigError, match="grad_clip"):
-        TrainConfig(grad_clip=0.0).validate()
     TrainConfig(lr=0.0).validate()  # a frozen run is allowed
     with pytest.raises(ConfigError, match="'lr' must be float, got nan"):
         TrainConfig(lr=math.nan).validate()
-    with pytest.raises(ConfigError, match="'grad_clip' must be float, got inf"):
-        TrainConfig(grad_clip=math.inf).validate()
+    with pytest.raises(ConfigError, match="'lr' must be float, got inf"):
+        TrainConfig(lr=math.inf).validate()
     # an int is a float only if it converts to a finite one
-    TrainConfig(lr=1, grad_clip=2).validate()
+    TrainConfig(lr=1).validate()
     with pytest.raises(ConfigError, match="'lr' must be float, got 1000"):
         TrainConfig(lr=10**400).validate()
 
@@ -1060,11 +1058,12 @@ def test_whole_batch_training_matches_the_loop_step(monkeypatch, variant):
 # ---- optimiser ---------------------------------------------------------------
 
 
-def test_adam_first_steps_match_closed_form():
+def test_adam_first_steps_match_closed_form(monkeypatch):
     """With a constant gradient, bias correction makes the first updates
     exactly lr-sized (up to the eps guard)."""
+    monkeypatch.setattr(model_module, "_GRAD_CLIP", 100.0)
     p = Tensor(np.array([[1.0, -2.0]]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1, grad_clip=100.0)
+    opt = Adam([("p", p)], lr=0.1)
     for expected_shift in (1, 2):
         p.grad = np.array([[3.0, -4.0]])
         opt.step()
@@ -1072,10 +1071,11 @@ def test_adam_first_steps_match_closed_form():
         assert np.allclose(p.data, want, rtol=0, atol=1e-8), expected_shift
 
 
-def test_adam_clip_only_engages_above_threshold():
+def test_adam_clip_only_engages_above_threshold(monkeypatch):
     def run(clip, grads):
+        monkeypatch.setattr(model_module, "_GRAD_CLIP", clip)
         p = Tensor(np.array([[0.0, 0.0]]), requires_grad=True)
-        opt = Adam([("p", p)], lr=0.1, grad_clip=clip)
+        opt = Adam([("p", p)], lr=0.1)
         for g in grads:
             p.grad = np.array([g])
             opt.step()
@@ -1088,10 +1088,11 @@ def test_adam_clip_only_engages_above_threshold():
 
 
 class LoopAdam:
-    """``model.Adam``'s interface over ``oracles.loop_adam_step``."""
+    """``model.Adam``'s interface over ``oracles.loop_adam_step``, clipping
+    to the same ``model._GRAD_CLIP``."""
 
-    def __init__(self, named, lr, grad_clip):
-        self.named, self.lr, self.grad_clip = list(named), lr, grad_clip
+    def __init__(self, named, lr):
+        self.named, self.lr = list(named), lr
         self.t, self.m, self.v = 0, {}, {}
 
     def zero_grad(self):
@@ -1100,22 +1101,23 @@ class LoopAdam:
 
     def step(self):
         self.t += 1
-        loop_adam_step(self.named, self.m, self.v, self.t, self.lr, self.grad_clip)
+        loop_adam_step(self.named, self.m, self.v, self.t, self.lr, model_module._GRAD_CLIP)
 
 
 @pytest.mark.parametrize("clip", [1.0, 1e9])
-def test_flat_adam_matches_the_loop_step(clip):
+def test_flat_adam_matches_the_loop_step(monkeypatch, clip):
     """Eight steps over tensors of four shapes, gradients large enough to
     clip at 1 on every other step and never at 1e9. Unclipped, the flat
     step is bit-identical to the loop; clipping only reorders the norm's
     sum."""
+    monkeypatch.setattr(model_module, "_GRAD_CLIP", clip)
     rng = np.random.default_rng(4)
     shapes = [(3, 4), (1, 5), (2, 2), (6, 1)]
     start = [rng.normal(size=s) for s in shapes]
     flat = [Tensor(x.copy(), requires_grad=True) for x in start]
     loop = [Tensor(x.copy(), requires_grad=True) for x in start]
-    opt = Adam([(f"p{i}", t) for i, t in enumerate(flat)], lr=0.05, grad_clip=clip)
-    ref = LoopAdam([(f"p{i}", t) for i, t in enumerate(loop)], lr=0.05, grad_clip=clip)
+    opt = Adam([(f"p{i}", t) for i, t in enumerate(flat)], lr=0.05)
+    ref = LoopAdam([(f"p{i}", t) for i, t in enumerate(loop)], lr=0.05)
     clipped = 0
     for step in range(8):
         grads = [rng.normal(scale=3.0 if step % 2 else 0.1, size=s) for s in shapes]
@@ -1150,7 +1152,7 @@ def test_flat_adam_training_matches_the_loop_step(monkeypatch, variant):
 
 def test_adam_zero_grad_clears_everything():
     p = Tensor(np.array([[1.0]]), requires_grad=True)
-    opt = Adam([("p", p)], lr=0.1, grad_clip=1.0)
+    opt = Adam([("p", p)], lr=0.1)
     p.grad = np.array([[2.0]])
     opt.zero_grad()
     assert p.grad is None

@@ -5,6 +5,9 @@ is gone goes with it. Every oracle there has a reader among the tests."""
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -187,3 +190,22 @@ def test_json_is_parsed_only_by_read_json_object():
     parses = [(path.stem, where) for path in sorted(PACKAGE.glob("*.py"))
               for where in _json_parses(_TREES[path])]
     assert parses == [("data", "read_json_object")]
+
+
+def test_the_package_needs_only_numpy():
+    """NumPy is the one runtime dependency in pyproject.toml. The suite runs
+    with the test extra installed, so a stray import of a test package
+    shows only in a fresh interpreter: importing ``maf`` and every module
+    of it loads no package but NumPy beyond the standard library."""
+    names = [m.__name__ for m in _MODULES]
+    child = ("import importlib, sys\n"
+             "before = set(sys.modules)\n"
+             f"for name in {names!r}:\n"
+             "    importlib.import_module(name)\n"
+             "new = {m.split('.')[0] for m in set(sys.modules) - before}\n"
+             "print(sorted(new - set(sys.stdlib_module_names)))\n"
+             "loaded = {m.split('.')[0] for m in sys.modules}\n"
+             "print(sorted({'scipy', 'hypothesis', 'pytest'} & loaded))\n")
+    run = subprocess.run([sys.executable, "-c", child], capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": str(PACKAGE.parent)}, check=True, timeout=120)
+    assert run.stdout == "['maf', 'numpy']\n[]\n"

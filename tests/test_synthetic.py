@@ -14,7 +14,7 @@ import scipy.stats
 
 from maf.data import validate_instance
 from maf.errors import ConfigError, ContractError
-from maf.model import TrainConfig, train
+from maf.model import ModelConfig, TrainConfig, train
 from maf.presets import GAP_MODEL, GAP_SPEC, GAP_VARIANTS, TEST_SEED_SALT
 from maf.synthetic import (
     SyntheticSpec,
@@ -50,11 +50,11 @@ def test_default_spec_is_valid():
         (dict(targets=1), "targets"),
         (dict(frames=0), "frames"),
         (dict(noise=-0.5), "noise"),
-        (dict(actions=17, audio_dim=16), "audio_dim"),
-        (dict(targets=33, video_dim=32), "video_dim"),
+        (dict(actions=17), "'actions' must be <= 16"),
+        (dict(targets=33), "'targets' must be <= 32"),
         (dict(seed=-1), "seed"),
         (dict(windows=10**6), "the corpus would take"),
-        (dict(num_instances=10_000, frames=4096, audio_dim=64), "the corpus would take"),
+        (dict(num_instances=10_000, frames=4096), "the corpus would take"),
         # 384 MB of features, but 2 KiB of objects per instance on top
         (dict(num_instances=10**6, frames=1, windows=1), "the corpus would take"),
     ],
@@ -97,8 +97,8 @@ def test_generate_depends_on_seed():
 
 def test_feature_shapes(corpus):
     for inst in corpus:
-        assert inst.audio_features.shape == (SPEC.frames, SPEC.audio_dim)
-        assert inst.video_features.shape == (SPEC.windows, SPEC.video_dim)
+        assert inst.audio_features.shape == (SPEC.frames, ModelConfig().audio_raw_dim)
+        assert inst.video_features.shape == (SPEC.windows, ModelConfig().video_raw_dim)
         assert 2 <= len(inst.utterances) <= 3
 
 
@@ -149,10 +149,10 @@ def test_noiseless_features_are_exact_basis_rows():
     for inst in clean:
         a = int(inst.action_word.removeprefix("act"))
         t = int(inst.sarcasm_target.removeprefix("tgt"))
-        want_a = np.zeros(SPEC.audio_dim)
+        want_a = np.zeros(ModelConfig().audio_raw_dim)
         want_a[a] = 1.0
         assert np.array_equal(inst.audio_features, np.tile(want_a, (SPEC.frames, 1)))
-        want_v = np.zeros(SPEC.video_dim)
+        want_v = np.zeros(ModelConfig().video_raw_dim)
         want_v[t] = 1.0
         assert np.array_equal(inst.video_features, np.tile(want_v, (SPEC.windows, 1)))
 
