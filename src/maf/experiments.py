@@ -30,6 +30,7 @@ import argparse
 import hashlib
 import json
 import os
+import reprlib
 import sys
 from collections import Counter
 from dataclasses import asdict, dataclass, field, make_dataclass, replace
@@ -42,8 +43,8 @@ from . import __version__
 from .data import instances_for, load_and_validate, read_json_object, save_corpus, split
 from .errors import ConfigError, MafError, ParseError
 from .metrics import SCORES, MetricReport
-from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
-                    load_checkpoint, save_checkpoint, train)
+from .model import (_FORMS, _MAX_FRAMES, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields,
+                    _ruled, load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
 from .synthetic import _AUDIO_DIM, _VIDEO_DIM, SyntheticSpec, evaluate_variant, generate
 
@@ -61,6 +62,11 @@ __all__ = [
 ]
 
 
+# each key the run sets itself, and where from: a config leaves it out, and so does the hash
+_BOUND = (("model", "vocab_size", "the vocabulary"), ("model", "variant", "each entry of 'variants'"),
+          ("model", "seed", "each entry of 'seeds'"), ("synthetic", "seed", "each entry of 'seeds'"))
+
+
 @dataclass
 class ExperimentConfig:
     """The JSON config file, one key per field; see ``model._build``."""
@@ -75,20 +81,24 @@ class ExperimentConfig:
     out: str | None = None
 
     def resolved(self) -> dict:
-        """Everything that identifies the experiment: all but ``out``."""
+        """Everything that identifies the experiment: all but ``out`` and ``_BOUND``."""
         d = asdict(self)
         del d["out"]
+        for section, key, _ in _BOUND:
+            (d[section] or {}).pop(key, None)
         return d
 
     def validate(self) -> None:
         _check_fields(self)
-        if self.model.vocab_size is not None:
-            raise ConfigError(f"'vocab_size' in config section 'model' must be null: training "
-                              f"binds it to the vocabulary, got {self.model.vocab_size!r}")
         self.model.validate()
         self.train.validate()
         if self.synthetic is not None:
             self.synthetic.validate()
+        for section, key, source in _BOUND:
+            part = getattr(self, section)
+            if part is not None and getattr(part, key) != getattr(type(part), key):  # its default
+                raise ConfigError(f"'{key}' in config section '{section}' must be left out: the run "
+                                  f"sets it from {source}, got {reprlib.repr(getattr(part, key))}")
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of 'dataset' and 'synthetic' must be configured")
         _check_synthetic_fits(self.synthetic, self.model, self.variants)
@@ -100,12 +110,12 @@ def _check_synthetic_fits(s: SyntheticSpec | None, m: ModelConfig, variants: Seq
     if s is None:
         return
     forms = [_FORMS[v] for v in variants]
-    if any(f.audio for f in forms) and (m.audio_raw_dim != _AUDIO_DIM or s.frames > m.max_frames):
+    if any(f.audio for f in forms) and (m.audio_raw_dim != _AUDIO_DIM or s.frames > _MAX_FRAMES):
         raise ConfigError(f"synthetic audio ({_AUDIO_DIM} wide, frames={s.frames}) does not fit "
-                          f"the model (audio_raw_dim={m.audio_raw_dim}, max_frames={m.max_frames})")
-    if any(f.video for f in forms) and (m.video_raw_dim != _VIDEO_DIM or s.windows > m.max_windows):
+                          f"the model (audio_raw_dim={m.audio_raw_dim}, at most {_MAX_FRAMES} frames)")
+    if any(f.video for f in forms) and (m.video_raw_dim != _VIDEO_DIM or s.windows > _MAX_FRAMES):
         raise ConfigError(f"synthetic video ({_VIDEO_DIM} wide, windows={s.windows}) does not fit "
-                          f"the model (video_raw_dim={m.video_raw_dim}, max_windows={m.max_windows})")
+                          f"the model (video_raw_dim={m.video_raw_dim}, at most {_MAX_FRAMES} windows)")
 
 
 def _file_sha256(path: str) -> str:
@@ -185,16 +195,17 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _prepare_data(cfg: ExperimentConfig, seed: int):
-    """Train and held-out instances for one seed."""
-    if cfg.dataset is not None:
-        corpus = load_and_validate(cfg.dataset)
-        ids = split(corpus, seed)
-        return instances_for(corpus, ids.train), instances_for(corpus, ids.test)
-    train_spec = replace(cfg.synthetic, seed=seed)
-    test_spec = replace(cfg.synthetic, seed=seed ^ TEST_SEED_SALT,
-                        num_instances=cfg.test_instances)
-    return generate(train_spec), generate(test_spec)
+def _prepare_data(cfg: ExperimentConfig, seeds: Sequence[int]):
+    """Each seed's train and held-out instances, made as the seed is
+    reached; a corpus file is read once."""
+    corpus = load_and_validate(cfg.dataset) if cfg.dataset is not None else None
+    for seed in seeds:
+        if corpus is None:
+            yield generate(replace(cfg.synthetic, seed=seed)), generate(replace(
+                cfg.synthetic, seed=seed ^ TEST_SEED_SALT, num_instances=cfg.test_instances))
+        else:
+            ids = split(corpus, seed)
+            yield instances_for(corpus, ids.train), instances_for(corpus, ids.test)
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -255,8 +266,7 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
     _out_path(cfg)  # a missing --out is refused before any work
     digest, resolved = _identity(cfg)
     rows = []
-    for seed in cfg.seeds:
-        train_insts, test_insts = _prepare_data(cfg, seed)
+    for seed, (train_insts, test_insts) in zip(cfg.seeds, _prepare_data(cfg, cfg.seeds)):
         for variant, layer, tag in cells:
             mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
             tm = train(train_insts, mcfg, cfg.train)
@@ -278,7 +288,7 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     variant, seed = _single_cell(cfg, "train")
     _out_path(cfg)  # a missing --out is refused before any work
-    train_insts, _ = _prepare_data(cfg, seed)
+    train_insts, _ = next(_prepare_data(cfg, [seed]))
     tm = train(train_insts, replace(cfg.model, variant=variant, seed=seed), cfg.train)
     out = _out_dir(cfg)
     ckpt = out / f"checkpoint_{variant}_seed{seed}.ckpt"
@@ -302,7 +312,7 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
     tm = load_checkpoint(checkpoint)
     mcfg = tm.config
     _check_synthetic_fits(cfg.synthetic, mcfg, [mcfg.variant])
-    _, test_insts = _prepare_data(cfg, seed)
+    _, test_insts = next(_prepare_data(cfg, [seed]))
     scores = evaluate_variant(tm, test_insts)
     row = _metric_row(_identity(cfg, checkpoint)[0], mcfg.variant, seed, mcfg.fusion_layer_index,
                       scores)

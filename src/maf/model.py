@@ -23,7 +23,7 @@ return parameters with no ``requires_grad`` and no gradient), so its
 encoder records no graph. Greedy decoding is graph-free: a step runs
 on one 1-D row, through the forward arithmetic that the fused graph ops
 call (``tensor._attention``, ``_feed_forward``, and
-``_add_layer_norm_row``, the one-row form of ``_add_layer_norm``). A
+``_add_layer_norm_row``, the one-row form of ``add_layer_norm``). A
 call holds, per decoder layer, the fused self-attention QKV weights, its
 K/V as one of ``_attention``'s one-segment head stacks (a view of K and V
 rows) and the cross-attention K/V; a step reads every other weight from
@@ -152,8 +152,8 @@ class ModelConfig:
     """Architecture and fusion settings. ``vocab_size`` is bound by train().
 
     No size has a greatest value of its own: a config is refused when what
-    it allocates is too large (``_config_bytes``), and the input caps
-    ``max_text_len``, ``max_frames`` and ``max_windows`` allocate nothing."""
+    it allocates is too large (``_config_bytes``), and the input cap
+    ``max_text_len`` allocates nothing."""
 
     vocab_size: int | None = _ruled(None, lo=5)  # the four specials plus content
     d: int = _ruled(64, lo=1)
@@ -168,8 +168,6 @@ class ModelConfig:
     video_raw_dim: int = _ruled(32, lo=1)
     max_text_len: int = _ruled(32, lo=1)
     max_target_len: int = _ruled(16, lo=2)  # one target token plus EOS at least
-    max_frames: int = _ruled(512, lo=1)
-    max_windows: int = _ruled(512, lo=1)
     variant: str = _ruled("MAF", among=VARIANTS)
     seed: int = _ruled(1, lo=0)  # NumPy's seeding takes no negative seed
 
@@ -590,7 +588,10 @@ def _segment_positions(lengths: Sequence[int], d: int) -> np.ndarray:
     return np.concatenate([sinusoidal_positions(n, d) for n in lengths])
 
 
-def _checked_frames(features, raw: int, label: str, cap: int) -> Tensor:
+_MAX_FRAMES = 512  # the most audio frames or video windows one instance may carry
+
+
+def _checked_frames(features, raw: int, label: str) -> Tensor:
     if not isinstance(features, Tensor):
         features = Tensor(features)
     f = features.shape[0]
@@ -598,8 +599,8 @@ def _checked_frames(features, raw: int, label: str, cap: int) -> Tensor:
         raise ContractError(
             f"{label}: zero-frame modality; represent a silent modality as one all-zero frame"
         )
-    if f > cap:
-        raise ContractError(f"{label}: {f} frames exceed the configured cap of {cap}")
+    if f > _MAX_FRAMES:
+        raise ContractError(f"{label}: {f} frames exceed the cap of {_MAX_FRAMES}")
     if features.shape[1] != raw:
         raise ShapeError(f"{label}: feature width {features.shape[1]} does not match "
                          f"the configured raw width {raw}")
@@ -705,7 +706,7 @@ def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
                  where: str) -> tuple[list[int], Tensor | None, Tensor | None]:
     """One instance as model input, checked here and only here: 1 to
     ``max_text_len`` text ids, and each modality the variant reads as a
-    Tensor of 1 to its cap of frames at the configured raw width. A
+    Tensor of 1 to ``_MAX_FRAMES`` frames at the configured raw width. A
     modality the variant does not read becomes None."""
     ids = list(text_ids)
     form = _FORMS[cfg.variant]
@@ -715,10 +716,8 @@ def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
         raise ContractError(f"{where}: {len(ids)} text tokens exceed "
                             f"max_text_len={cfg.max_text_len}")
     return (ids,
-            _checked_frames(audio, cfg.audio_raw_dim, f"{where}: audio", cfg.max_frames)
-            if form.audio else None,
-            _checked_frames(video, cfg.video_raw_dim, f"{where}: video", cfg.max_windows)
-            if form.video else None)
+            _checked_frames(audio, cfg.audio_raw_dim, f"{where}: audio") if form.audio else None,
+            _checked_frames(video, cfg.video_raw_dim, f"{where}: video") if form.video else None)
 
 
 def _encode_pack(pk: _EncoderPack, cfg: ModelConfig, params: ModelParams) -> Tensor:
@@ -749,7 +748,7 @@ def _decode_step(token: int, t: int, caches: list[tuple[np.ndarray, ...]], cfg: 
     the teacher-forced pass on the prefix, in the arithmetic of its graph
     ops, with no graph. The row is 1-D: one product gives its Q, K and V,
     ``_attention`` and ``_feed_forward`` run on it as they are, and
-    ``_add_layer_norm_row`` stands for ``_add_layer_norm``. Every weight
+    ``_add_layer_norm_row`` stands for ``add_layer_norm``. Every weight
     but the fused QKV is read from ``params`` as stored, gains and biases
     as their one row. This writes row t of each layer's K/V, and rows
     after t are never read, so no causal fill."""

@@ -33,13 +33,12 @@ Conventions used throughout the package:
   ``attention`` are one graph node each where composed ops would be
   several: the same arithmetic in the same order, so the same bits, with
   no intermediate product kept that backward does not read;
-* the forwards of the fused ops ``add_layer_norm``, ``feed_forward`` and
-  ``attention`` are private array functions (``_attention`` takes the
-  stacked heads of any layout), which the ops call and greedy decoding
-  calls directly, with no Tensor at all; decoding's step is one 1-D row,
-  so it calls ``_feed_forward`` and ``_attention`` on it as they are and
-  ``_add_layer_norm_row``, the layer norm's forward for one row, with the
-  same bits;
+* the forwards of the fused ops ``feed_forward`` and ``attention`` are
+  private array functions (``_attention`` takes the stacked heads of any
+  layout), which the ops call and greedy decoding calls directly, with no
+  Tensor at all; decoding's step is one 1-D row, so it calls them on it
+  as they are, and ``_add_layer_norm_row``, ``add_layer_norm``'s forward
+  for one row, with the same bits;
 * a parameter tree is first built of ``Slot``s, shapes with no storage,
   which ``allocate`` fills: its size is known before anything is
   allocated.
@@ -193,20 +192,9 @@ def concat_last(a: Tensor, b: Tensor) -> Tensor:
 _LN_EPS = 1e-5
 
 
-def _add_layer_norm(x: np.ndarray, y: np.ndarray, gain: np.ndarray,
-                    bias: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """``add_layer_norm``'s forward on arrays: the output, the normalised
-    rows and each row's 1/std, the last two for its backward."""
-    s = x + y
-    sc = s - s.mean(1, keepdims=True)
-    inv = 1.0 / np.sqrt((sc ** 2).mean(1, keepdims=True) + _LN_EPS)
-    shat = sc * inv
-    return shat * gain + bias, shat, inv
-
-
 def _add_layer_norm_row(x: np.ndarray, y: np.ndarray, gain: np.ndarray,
                         bias: np.ndarray) -> np.ndarray:
-    """``_add_layer_norm``'s output for one row, all four arguments 1-D: its
+    """``add_layer_norm``'s output for one row, all four arguments 1-D: its
     arithmetic in its order, with the mean and 1/std as scalars, so 8
     array calls where the matrix form makes 13."""
     s = x + y
@@ -236,7 +224,10 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
     if gain.shape != (1, d) or bias.shape != (1, d):
         raise ShapeError(f"add_layer_norm: gain/bias must be (1, {d}), got {gain.shape} "
                          f"and {bias.shape}")
-    out, shat, inv = _add_layer_norm(x.data, y.data, gain.data, bias.data)
+    s = x.data + y.data
+    sc = s - s.mean(1, keepdims=True)
+    inv = 1.0 / np.sqrt((sc ** 2).mean(1, keepdims=True) + _LN_EPS)
+    shat = sc * inv
 
     def back(g):
         gs = None
@@ -251,7 +242,7 @@ def add_layer_norm(x: Tensor, y: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
         gbias = g.sum(axis=0, keepdims=True) if bias.requires_grad else None
         return ((x, gs), (y, gs), (gain, ggain), (bias, gbias))
 
-    return _node(out, "add_layer_norm", (x, y, gain, bias), back)
+    return _node(shat * gain.data + bias.data, "add_layer_norm", (x, y, gain, bias), back)
 
 
 def feed_forward(x: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor) -> Tensor:

@@ -19,6 +19,7 @@ from contextlib import redirect_stderr
 from dataclasses import asdict, fields, replace
 from operator import delitem
 from pathlib import Path
+from types import SimpleNamespace
 from typing import get_args, get_origin, get_type_hints
 
 import numpy as np
@@ -228,6 +229,91 @@ def test_experiment_validation(tmp_path, overrides, fragment):
         load(tmp_path, **overrides).validate()
 
 
+def _fail_if_called(name):
+    return lambda *args, **kwargs: pytest.fail(f"{name} was called")
+
+
+@pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
+@pytest.mark.parametrize("section, key, value", [
+    ("model", "vocab_size", 50), ("model", "variant", "DPA"), ("model", "seed", 7),
+    ("synthetic", "seed", 7),
+])
+def test_cli_a_key_the_run_sets_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
+                                                            command, section, key, value):
+    """The run takes ``model.vocab_size`` from the vocabulary,
+    ``model.variant`` from each entry of ``variants``, and ``model.seed``
+    and ``synthetic.seed`` from each entry of ``seeds``. A config that sets
+    one exits 2 naming it, from a synthetic source or a ``--dataset``,
+    before any data is generated or read, any model trained or loaded, or
+    ``--out`` made."""
+    for name in ("generate", "load_and_validate", "train", "load_checkpoint"):
+        monkeypatch.setattr(experiments, name, _fail_if_called(name))
+    raw = config_dict(tmp_path / "run")
+    raw[section][key] = value
+    path = tmp_path / "exp.json"
+    path.write_text(json.dumps(raw), encoding="utf-8")
+    argv = [command, "--config", str(path)]
+    if command == "evaluate":
+        argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
+    sources = [[], ["--dataset", str(tmp_path / "corpus.jsonl")]] if section == "model" else [[]]
+    for source in sources:
+        assert main(argv + source) == 2
+        assert (f"config error: '{key}' in config section '{section}' must be left out: the run "
+                f"sets it from ") in capsys.readouterr().err
+    assert not (tmp_path / "run").exists()
+
+
+# a valid value other than the tiny config's, where adding 1 (or doubling
+# a float, or negating a bool) would break a rule on two fields
+_OTHER_VALUE = {"d": 10, "heads": 4, "fusion_layer_index": 1, "vocab_size": 50, "variant": "DPA"}
+
+
+def test_every_config_setting_is_refused_or_reaches_the_run(tmp_path, monkeypatch):
+    """Each leaf field of an experiment config, set alone to another valid
+    value, makes ``maf ablate`` exit 2, or reaches the run: its value is on
+    the ``SyntheticSpec`` given to ``generate`` (``test_instances`` as the
+    held-out spec's ``num_instances``), or on the ``ModelConfig`` or
+    ``TrainConfig`` given to ``train``. Only the keys the run sets itself
+    exit 2. The data source, the output directory and the grid are not
+    settings of a run; nothing trains."""
+    seen = []
+    real_generate = experiments.generate
+    monkeypatch.setattr(experiments, "generate", lambda spec: seen.append(spec) or real_generate(spec))
+    monkeypatch.setattr(experiments, "train", lambda insts, mcfg, tcfg: seen.extend([mcfg, tcfg])
+                        or SimpleNamespace(step_losses=[1.0]))
+    monkeypatch.setattr(experiments, "evaluate_variant", lambda tm, insts: dict.fromkeys(SCORES, 0.0))
+    # TextOnly reads no modality, so any raw width or frame count fits it
+    base = config_dict(None, variants=["TextOnly"])
+    leaves = [(None, f.name, ExperimentConfig) for f in fields(ExperimentConfig)
+              if f.name not in ("model", "train", "synthetic", "dataset", "out", "variants", "seeds")]
+    leaves += [(section, f.name, cls) for section, cls in
+               (("model", ModelConfig), ("train", TrainConfig), ("synthetic", SyntheticSpec))
+               for f in fields(cls)]
+    refused = set()
+    for section, name, cls in leaves:
+        raw = json.loads(json.dumps(base))
+        part = raw if section is None else raw[section]
+        old = part.get(name, getattr(cls(), name))
+        value = (_OTHER_VALUE[name] if name in _OTHER_VALUE else not old if isinstance(old, bool)
+                 else 2 * old if isinstance(old, float) else old + 1)
+        part[name] = value
+        raw["out"] = str(tmp_path / f"{section}.{name}")
+        path = tmp_path / f"{section}.{name}.json"
+        path.write_text(json.dumps(raw), encoding="utf-8")
+        seen.clear()
+        code = main(["ablate", "--config", str(path)])
+        where = f"{section}.{name}" if section else name
+        if code == 2:
+            assert not seen, where
+            refused.add(where)
+            continue
+        assert code == 0, where
+        attr = "num_instances" if name == "test_instances" else name
+        owner = SyntheticSpec if section is None else cls
+        assert any(getattr(obj, attr) == value for obj in seen if isinstance(obj, owner)), where
+    assert refused == {"model.vocab_size", "model.variant", "model.seed", "synthetic.seed"}
+
+
 # int and float fields with no rule of their own, and the rule that bounds them
 _UNRULED = {
     (ModelConfig, "fusion_layer_index"): "1..encoder_layers, in ModelConfig.validate",
@@ -287,12 +373,12 @@ def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
 
 
 def test_only_the_modalities_a_variant_reads_must_fit_the_model(tmp_path):
-    """TA reads audio, so the generated frames must fit the model's cap; no
-    variant reads video, so the windows may exceed theirs."""
+    """TA reads audio, so the generated frames must fit the model's cap of
+    512; no variant reads video, so the windows may exceed it."""
     cfg = load(tmp_path, variants=["TextOnly", "TA"])
-    cfg.model.max_windows = 1
+    cfg.synthetic.windows = 513
     cfg.validate()
-    cfg.model.max_frames = 1
+    cfg.synthetic.frames = 513
     with pytest.raises(ConfigError, match="synthetic audio"):
         cfg.validate()
 
@@ -372,6 +458,9 @@ def test_run_config_names_the_thread_setting(tmp_path, monkeypatch, command):
         assert run_config["blas"] == {"name": blas["name"], "version": blas["version"]}
     assert run_config["config_hash"] == _identity(cfg)[0]
     assert {k: run_config[k] for k in cfg.resolved()} == cfg.resolved()
+    # the keys the run sets itself are neither hashed nor recorded
+    assert {"vocab_size", "variant", "seed"}.isdisjoint(run_config["model"])
+    assert "seed" not in run_config["synthetic"]
 
 
 def test_evaluate_row_names_its_checkpoint(tmp_path):
@@ -387,18 +476,18 @@ def test_evaluate_row_names_its_checkpoint(tmp_path):
 
 
 def test_cli_evaluate_checks_the_data_against_the_checkpoint_model(tmp_path, capsys):
-    """A checkpoint that caps audio at 4 frames, scored under a config whose
-    own model takes the 12 generated frames: the config validates, but the
-    data does not fit the checkpoint's model. Exit 2, and no --out."""
-    ckpt = cmd_train(load(tmp_path, model={**config_dict(None)["model"], "max_frames": 4},
-                          out=str(tmp_path / "train")))["checkpoint"]
-    raw = config_dict(tmp_path / "scores")
-    raw["synthetic"]["frames"] = 12
+    """A MAF checkpoint scored under a TextOnly config whose corpus has 513
+    audio frames, one past the cap: the config validates, since TextOnly
+    reads no audio, but the data does not fit the checkpoint's model.
+    Exit 2, and no --out."""
+    ckpt = cmd_train(load(tmp_path, out=str(tmp_path / "train")))["checkpoint"]
+    raw = config_dict(tmp_path / "scores", variants=["TextOnly"])
+    raw["synthetic"]["frames"] = 513
     path = tmp_path / "eval.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["evaluate", "--config", str(path), "--checkpoint", ckpt]) == 2
-    assert ("synthetic audio (16 wide, frames=12) does not fit the model "
-            "(audio_raw_dim=16, max_frames=4)") in capsys.readouterr().err
+    assert ("synthetic audio (16 wide, frames=513) does not fit the model "
+            "(audio_raw_dim=16, at most 512 frames)") in capsys.readouterr().err
     assert not (tmp_path / "scores").exists()
 
 
@@ -525,6 +614,29 @@ def test_a_grid_hashes_its_corpus_once(tmp_path, monkeypatch):
     run_config = json.loads((tmp_path / "run" / "run_config.json").read_text(encoding="utf-8"))
     assert len(rows) == 2
     assert {row["config_hash"] for row in rows} == {run_config["config_hash"]}
+
+
+def test_a_dataset_grid_reads_its_corpus_once(tmp_path, monkeypatch):
+    """A two-seed ``maf ablate --dataset`` parses its corpus file once, and
+    each seed's loss log and metric scores are those of a one-seed run."""
+    path = write_config(tmp_path, seeds=[1, 2])
+    corpus = tmp_path / "corpus.jsonl"
+    assert main(["gen-synthetic", "--config", str(path), "--out", str(corpus)]) == 0
+    loads = []
+    real_load = experiments.load_and_validate
+    monkeypatch.setattr(experiments, "load_and_validate", lambda p: loads.append(p) or real_load(p))
+    both = tmp_path / "both"
+    assert main(["ablate", "--config", str(path), "--dataset", str(corpus), "--out", str(both)]) == 0
+    assert len(loads) == 1
+    for seed in (1, 2):
+        one = tmp_path / f"seed{seed}"
+        assert main(["ablate", "--config", str(path), "--dataset", str(corpus), "--seed", str(seed),
+                     "--out", str(one)]) == 0
+        name = f"loss_MAF_seed{seed}.csv"
+        assert (one / name).read_bytes() == (both / name).read_bytes()
+        first, second = (json.loads((d / f"metrics_MAF_seed{seed}.json").read_text(encoding="utf-8"))
+                         for d in (one, both))
+        assert {**first, "config_hash": None} == {**second, "config_hash": None}
 
 
 def test_sweep_fusion_layer(tmp_path):
@@ -798,11 +910,11 @@ def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, sectio
 
 
 @pytest.mark.parametrize("model, synthetic, fragment", [
-    ({"max_frames": 4}, {"frames": 12}, "synthetic audio (16 wide, frames=12) does not fit "
-                                        "the model (audio_raw_dim=16, max_frames=4)"),
+    ({}, {"frames": 513}, "synthetic audio (16 wide, frames=513) does not fit the model "
+                          "(audio_raw_dim=16, at most 512 frames)"),
     ({"audio_raw_dim": 8}, {}, "(16 wide, frames=4) does not fit the model (audio_raw_dim=8"),
-    ({"max_windows": 2}, {}, "(32 wide, windows=3) does not fit the model (video_raw_dim=32, "
-                             "max_windows=2)"),
+    ({}, {"windows": 513}, "(32 wide, windows=513) does not fit the model (video_raw_dim=32, "
+                           "at most 512 windows)"),
     ({"video_raw_dim": 16}, {}, "(32 wide, windows=3) does not fit the model (video_raw_dim=16"),
 ])
 def test_cli_synthetic_data_the_model_cannot_read_exits_2(tmp_path, capsys, model, synthetic,
@@ -962,6 +1074,8 @@ def test_cli_stats_is_not_a_subcommand(capsys):
         (lambda h: h["config"].update(variant="TA") or h.update(params=[
             e for e in h["params"] if not e["name"].startswith(("video_enc.", "adapter.mca2_video."))
         ]), '"name": "adapter.gif.w_video"'),
+        # a checkpoint written while the config held the frame caps
+        (lambda h: h["config"].update(max_frames=512, max_windows=512), "unknown key 'max_frames'"),
     ],
 )
 def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, fragment):

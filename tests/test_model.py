@@ -158,7 +158,7 @@ def test_config_sizes_are_bounded_only_by_what_they_allocate():
     """Transformer-base widths fit the allocation limit, and an input cap
     allocates nothing, so neither is refused."""
     ModelConfig(vocab_size=50, d=768, ffn=3072, heads=12).validate()
-    tiny_config(max_frames=10**9, max_windows=10**9, max_text_len=10**9).validate()
+    tiny_config(max_text_len=10**9).validate()
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -668,10 +668,8 @@ def test_modality_feature_contracts():
         encode(ids, np.zeros((5, AUDIO_DIM + 1)), inst.video_features, cfg, params)
     with pytest.raises(ContractError, match="silent modality"):
         encode(ids, np.zeros((0, AUDIO_DIM)), inst.video_features, cfg, params)
-    small = tiny_config(vocab_size=cfg.vocab_size, max_frames=4)
-    small_params = init_model_params(small)
-    with pytest.raises(ContractError, match="exceed"):
-        encode(ids, np.zeros((5, AUDIO_DIM)), inst.video_features, small, small_params)
+    with pytest.raises(ContractError, match="513 frames exceed the cap of 512"):
+        encode(ids, np.zeros((513, AUDIO_DIM)), inst.video_features, cfg, params)
 
 
 @pytest.mark.parametrize("variant", VARIANTS)
@@ -1026,14 +1024,15 @@ def test_train_backpropagates_once_per_minibatch(monkeypatch):
 
 def test_train_rejects_an_overlong_modality_before_the_first_step(monkeypatch):
     """Each instance is checked once, as it becomes model input, so one
-    with more audio frames than ``max_frames`` stops training before any
-    optimizer step: at seed 3 the shuffle puts it in the last minibatch."""
+    with more audio frames than ``model._MAX_FRAMES`` stops training before
+    any optimizer step: at seed 3 the shuffle puts it in the last minibatch."""
     steps = []
     monkeypatch.setattr(Adam, "step", lambda opt: steps.append(1))
+    monkeypatch.setattr(model_module, "_MAX_FRAMES", 6)
     corpus = tiny_corpus(k=8)
     corpus[7] = replace(corpus[7], audio_features=np.zeros((7, AUDIO_DIM)))
-    with pytest.raises(ContractError, match="7 frames exceed the configured cap of 6"):
-        train(corpus, tiny_config(max_frames=6, seed=3),
+    with pytest.raises(ContractError, match="7 frames exceed the cap of 6"):
+        train(corpus, tiny_config(seed=3),
               TrainConfig(lr=1e-3, epochs=1, batch_size=2))
     assert steps == []
 

@@ -25,7 +25,6 @@ from maf.synthetic import generate
 from maf.tensor import (
     Segments,
     Tensor,
-    _add_layer_norm,
     _add_layer_norm_row,
     add,
     add_layer_norm,
@@ -324,16 +323,16 @@ def test_fused_nodes_match_the_composed_ops_bit_for_bit():
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 32, 127, 128, 129, 768])
 def test_row_layer_norm_matches_the_matrix_form_bit_for_bit(width):
-    """Greedy decoding's one-row layer norm gives ``_add_layer_norm``'s
-    output bits at widths on both sides of NumPy's pairwise-sum blocks:
-    rows of magnitude 1e-6 to 1e6, one far from 0 with a small spread, and
-    a constant row, whose variance is 0."""
+    """Greedy decoding's one-row layer norm gives ``add_layer_norm``'s
+    output bits on 1-row Tensors, at widths on both sides of NumPy's
+    pairwise-sum blocks: rows of magnitude 1e-6 to 1e6, one far from 0 with
+    a small spread, and a constant row, whose variance is 0."""
     rng = np.random.default_rng(width)
     gain, bias = rng.normal(size=width), rng.normal(size=width)
     pairs = [rng.normal(scale=m, size=(2, width)) for m in (1e-6, 1e-3, 1.0, 1e3, 1e6)]
     pairs += [1e3 + rng.normal(scale=1e-3, size=(2, width)), np.full((2, width), 3.5)]
     for x, y in pairs:
-        want = _add_layer_norm(x[None], y[None], gain[None], bias[None])[0][0]
+        want = add_layer_norm(*(Tensor(a[None]) for a in (x, y, gain, bias))).data[0]
         assert np.array_equal(_add_layer_norm_row(x, y, gain, bias), want)
 
 
