@@ -14,9 +14,11 @@ those of ``MetricRow``, whose scores are ``metrics.SCORES``, and a corpus
 line's those of ``data.DialogueInstance``. Configs and metric files are
 read by ``model._build`` and checked field by field by
 ``model._check_fields``, each value's type and then the rule on its
-field; a ``validate`` adds the rules that read two fields or more. The
-report ends with the fusion gap: each variant's action accuracy over
-TextOnly's.
+field; a ``validate`` adds the rules that read two fields or more, and
+refuses the keys the run sets itself (``_BOUND``): ``model.train`` reads
+the vocabulary and the raw audio and video widths from its data, and each
+grid cell sets the variant and seeds. The report ends with the fusion
+gap: each variant's action accuracy over TextOnly's.
 
 Every metric row embeds the resolved config hash (for ``evaluate``, with
 the checkpoint's bytes), the seed, and the package version. Output files
@@ -43,10 +45,10 @@ from . import __version__
 from .data import instances_for, load_and_validate, read_json_object, save_corpus, split
 from .errors import ConfigError, MafError, ParseError
 from .metrics import SCORES, MetricReport
-from .model import (_FORMS, _MAX_FRAMES, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields,
-                    _ruled, load_checkpoint, save_checkpoint, train)
+from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
+                    load_checkpoint, save_checkpoint, train)
 from .presets import TEST_SEED_SALT
-from .synthetic import _AUDIO_DIM, _VIDEO_DIM, SyntheticSpec, evaluate_variant, generate
+from .synthetic import SyntheticSpec, evaluate_variant, generate
 
 __all__ = [
     "ExperimentConfig",
@@ -63,8 +65,11 @@ __all__ = [
 
 
 # each key the run sets itself, and where from: a config leaves it out, and so does the hash
-_BOUND = (("model", "vocab_size", "the vocabulary"), ("model", "variant", "each entry of 'variants'"),
-          ("model", "seed", "each entry of 'seeds'"), ("synthetic", "seed", "each entry of 'seeds'"))
+_BOUND = (("model", "vocab_size", "the vocabulary"),
+          ("model", "audio_raw_dim", "the training data's audio width"),
+          ("model", "video_raw_dim", "the training data's video width"),
+          ("model", "variant", "each entry of 'variants'"), ("model", "seed", "each entry of 'seeds'"),
+          ("synthetic", "seed", "each entry of 'seeds'"))
 
 
 @dataclass
@@ -101,21 +106,6 @@ class ExperimentConfig:
                                   f"sets it from {source}, got {reprlib.repr(getattr(part, key))}")
         if (self.dataset is None) == (self.synthetic is None):
             raise ConfigError("exactly one of 'dataset' and 'synthetic' must be configured")
-        _check_synthetic_fits(self.synthetic, self.model, self.variants)
-
-
-def _check_synthetic_fits(s: SyntheticSpec | None, m: ModelConfig, variants: Sequence[str]) -> None:
-    """Each modality that a variant reads: a synthetic corpus, of the
-    generator's fixed feature widths, must fit the model."""
-    if s is None:
-        return
-    forms = [_FORMS[v] for v in variants]
-    if any(f.audio for f in forms) and (m.audio_raw_dim != _AUDIO_DIM or s.frames > _MAX_FRAMES):
-        raise ConfigError(f"synthetic audio ({_AUDIO_DIM} wide, frames={s.frames}) does not fit "
-                          f"the model (audio_raw_dim={m.audio_raw_dim}, at most {_MAX_FRAMES} frames)")
-    if any(f.video for f in forms) and (m.video_raw_dim != _VIDEO_DIM or s.windows > _MAX_FRAMES):
-        raise ConfigError(f"synthetic video ({_VIDEO_DIM} wide, windows={s.windows}) does not fit "
-                          f"the model (video_raw_dim={m.video_raw_dim}, at most {_MAX_FRAMES} windows)")
 
 
 def _file_sha256(path: str) -> str:
@@ -195,17 +185,15 @@ def _out_dir(cfg: ExperimentConfig) -> Path:
     return out
 
 
-def _prepare_data(cfg: ExperimentConfig, seeds: Sequence[int]):
-    """Each seed's train and held-out instances, made as the seed is
-    reached; a corpus file is read once."""
-    corpus = load_and_validate(cfg.dataset) if cfg.dataset is not None else None
-    for seed in seeds:
-        if corpus is None:
-            yield generate(replace(cfg.synthetic, seed=seed)), generate(replace(
-                cfg.synthetic, seed=seed ^ TEST_SEED_SALT, num_instances=cfg.test_instances))
-        else:
-            ids = split(corpus, seed)
-            yield instances_for(corpus, ids.train), instances_for(corpus, ids.test)
+def _instances(cfg: ExperimentConfig, corpus: list | None, seed: int, held_out: bool) -> list:
+    """One seed's training instances, or its held-out ones: split from
+    ``corpus``, the ``dataset`` file that the caller reads once, or else
+    generated from the ``synthetic`` spec."""
+    if corpus is not None:
+        ids = split(corpus, seed)
+        return instances_for(corpus, ids.test if held_out else ids.train)
+    return generate(replace(cfg.synthetic, seed=seed ^ TEST_SEED_SALT, num_instances=cfg.test_instances)
+                    if held_out else replace(cfg.synthetic, seed=seed))
 
 
 def _dump_json(path: Path, payload) -> None:
@@ -265,8 +253,11 @@ def _run_grid(cfg: ExperimentConfig, cells: Sequence[tuple[str, int, str]]) -> l
     and the report."""
     _out_path(cfg)  # a missing --out is refused before any work
     digest, resolved = _identity(cfg)
+    corpus = load_and_validate(cfg.dataset) if cfg.dataset is not None else None
     rows = []
-    for seed, (train_insts, test_insts) in zip(cfg.seeds, _prepare_data(cfg, cfg.seeds)):
+    for seed in cfg.seeds:
+        train_insts = _instances(cfg, corpus, seed, held_out=False)
+        test_insts = _instances(cfg, corpus, seed, held_out=True)
         for variant, layer, tag in cells:
             mcfg = replace(cfg.model, variant=variant, seed=seed, fusion_layer_index=layer)
             tm = train(train_insts, mcfg, cfg.train)
@@ -288,8 +279,9 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
     cfg.validate()
     variant, seed = _single_cell(cfg, "train")
     _out_path(cfg)  # a missing --out is refused before any work
-    train_insts, _ = next(_prepare_data(cfg, [seed]))
-    tm = train(train_insts, replace(cfg.model, variant=variant, seed=seed), cfg.train)
+    corpus = load_and_validate(cfg.dataset) if cfg.dataset is not None else None
+    tm = train(_instances(cfg, corpus, seed, held_out=False),
+               replace(cfg.model, variant=variant, seed=seed), cfg.train)
     out = _out_dir(cfg)
     ckpt = out / f"checkpoint_{variant}_seed{seed}.ckpt"
     save_checkpoint(tm, ckpt)
@@ -302,8 +294,9 @@ def cmd_train(cfg: ExperimentConfig) -> dict:
 
 def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
     """Score an existing checkpoint on the held-out data for one seed. The
-    model is the checkpoint's; the config's ``model`` section is validated
-    but not used. The row's hash covers the checkpoint's bytes."""
+    model is the checkpoint's, and the data must fit its raw widths; the
+    config's ``model`` section is validated but not used. The row's hash
+    covers the checkpoint's bytes."""
     cfg.validate()
     if len(cfg.seeds) != 1:
         raise ConfigError(f"evaluate uses one seed; narrow with --seed (got {cfg.seeds})")
@@ -311,9 +304,8 @@ def cmd_evaluate(cfg: ExperimentConfig, checkpoint: str) -> dict:
     _out_path(cfg)  # a missing --out is refused before any work
     tm = load_checkpoint(checkpoint)
     mcfg = tm.config
-    _check_synthetic_fits(cfg.synthetic, mcfg, [mcfg.variant])
-    _, test_insts = next(_prepare_data(cfg, [seed]))
-    scores = evaluate_variant(tm, test_insts)
+    corpus = load_and_validate(cfg.dataset) if cfg.dataset is not None else None
+    scores = evaluate_variant(tm, _instances(cfg, corpus, seed, held_out=True))
     row = _metric_row(_identity(cfg, checkpoint)[0], mcfg.variant, seed, mcfg.fusion_layer_index,
                       scores)
     _dump_json(_out_dir(cfg) / f"metrics_{mcfg.variant}_seed{seed}.json", row)

@@ -149,7 +149,8 @@ def _ruled(default=MISSING, **rule):
 
 @dataclass
 class ModelConfig:
-    """Architecture and fusion settings. ``vocab_size`` is bound by train().
+    """Architecture and fusion settings. ``train`` binds ``vocab_size``, and
+    the raw widths ``audio_raw_dim`` and ``video_raw_dim``, from its data.
 
     No size has a greatest value of its own: a config is refused when what
     it allocates is too large (``_config_bytes``), and the input cap
@@ -603,7 +604,7 @@ def _checked_frames(features, raw: int, label: str) -> Tensor:
         raise ContractError(f"{label}: {f} frames exceed the cap of {_MAX_FRAMES}")
     if features.shape[1] != raw:
         raise ShapeError(f"{label}: feature width {features.shape[1]} does not match "
-                         f"the configured raw width {raw}")
+                         f"the model's width {raw}")
     return features
 
 
@@ -706,8 +707,9 @@ def _model_input(text_ids: Sequence[int], audio, video, cfg: ModelConfig,
                  where: str) -> tuple[list[int], Tensor | None, Tensor | None]:
     """One instance as model input, checked here and only here: 1 to
     ``max_text_len`` text ids, and each modality the variant reads as a
-    Tensor of 1 to ``_MAX_FRAMES`` frames at the configured raw width. A
-    modality the variant does not read becomes None."""
+    Tensor of 1 to ``_MAX_FRAMES`` frames at the model's raw width, which
+    ``train`` took from its first instance. A modality the variant does not
+    read becomes None."""
     ids = list(text_ids)
     form = _FORMS[cfg.variant]
     if not ids:
@@ -931,7 +933,8 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
     ``backward``. Graph memory therefore grows with ``tcfg.batch_size``.
 
     The vocabulary is built from ``instances`` (pass the training split
-    only); each is checked with ``validate_instance``, then as model input
+    only), and the raw audio and video widths are the first instance's;
+    each is checked with ``validate_instance``, then as model input
     (``_model_input``), all before the first step.
     Deterministic given cfg.seed: shuffling, init, and every loss.
     Raises TrainingDivergedError naming the step if the loss goes
@@ -944,7 +947,8 @@ def train(instances: Sequence[DialogueInstance], cfg: ModelConfig,
     for inst in instances:
         validate_instance(inst)
     vocab = build_vocabulary(instances)
-    cfg = replace(cfg, vocab_size=len(vocab))
+    cfg = replace(cfg, vocab_size=len(vocab), audio_raw_dim=instances[0].audio_features.shape[1],
+                  video_raw_dim=instances[0].video_features.shape[1])
     params = init_model_params(cfg)
 
     prepared = []

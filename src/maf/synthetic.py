@@ -34,7 +34,7 @@ import numpy as np
 from .data import DialogueInstance, Utterance
 from .errors import ConfigError, ContractError
 from .metrics import score_corpus
-from .model import (ModelConfig, TrainedModel, _MAX_ALLOC_BYTES, _check_fields, _ruled,
+from .model import (ModelConfig, TrainedModel, _MAX_ALLOC_BYTES, _MAX_FRAMES, _check_fields, _ruled,
                     generate_explanations)
 
 __all__ = ["SyntheticSpec", "generate", "evaluate_variant"]
@@ -56,30 +56,31 @@ def _description_clause(action: int, target: int) -> str:
     return f"while {first} and {second}"
 
 
-# Feature widths of every synthetic instance: a model at its default raw
-# widths reads the corpus as generated.
+# Feature widths of every synthetic instance, whose one home is
+# ``ModelConfig``'s default raw widths.
 _AUDIO_DIM, _VIDEO_DIM = ModelConfig.audio_raw_dim, ModelConfig.video_raw_dim
 
 # The corpus a spec makes, which ``generate`` holds at once, is limited to
 # 1 GiB (``model._MAX_ALLOC_BYTES``): 8 bytes per feature value and 2 KiB
 # per instance (2037 bytes measured per instance of one frame and one
-# window). No size has a greatest value of its own.
+# window). The instance count has no greatest value of its own.
 _INSTANCE_BYTES = 2048
 
 
 @dataclass
 class SyntheticSpec:
     """Generator settings. Audio frames are ``_AUDIO_DIM`` wide and video
-    windows ``_VIDEO_DIM``, ``ModelConfig``'s default raw widths. Class
-    patterns are rows of the identity, so a class count is at most its
-    feature width; a class needs at least two values to carry a label."""
+    windows ``_VIDEO_DIM``, ``ModelConfig``'s default raw widths, and an
+    instance has at most ``model._MAX_FRAMES`` of each. Class patterns are
+    rows of the identity, so a class count is at most its feature width; a
+    class needs at least two values to carry a label."""
 
     num_instances: int = _ruled(600, lo=1)
     speakers: int = _ruled(6, lo=2)
     actions: int = _ruled(5, lo=2, hi=_AUDIO_DIM)
     targets: int = _ruled(6, lo=2, hi=_VIDEO_DIM)
-    frames: int = _ruled(12, lo=1)
-    windows: int = _ruled(8, lo=1)
+    frames: int = _ruled(12, lo=1, hi=_MAX_FRAMES)
+    windows: int = _ruled(8, lo=1, hi=_MAX_FRAMES)
     noise: float = _ruled(0.1, lo=0.0)
     seed: int = _ruled(1, lo=0)
     rich_templates: bool = False

@@ -199,6 +199,10 @@ def test_non_string_description_rejected(tmp_path):
         (lambda r: r.update(audio_features=[1.0, 2.0]), "audio_features"),
         (lambda r: r.update(video_features=[[[1.0]]]), "video_features"),
     ],
+    ids=["id-int", "speaker-object", "text-list", "explanation-null", "sarcasm_source-bool",
+         "sarcasm_target-int", "action_word-float", "audio-bool-cells", "video-str-cell",
+         "video-ragged", "audio-huge-int", "audio-object", "audio-file-name", "audio-1-d",
+         "video-3-d"],
 )
 def test_mistyped_field_is_a_parse_error(tmp_path, capsys, monkeypatch, mutate, field):
     """Nothing is coerced: a null explanation does not become "None", nor

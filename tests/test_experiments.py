@@ -11,6 +11,7 @@ import itertools
 import json
 import math
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -28,7 +29,7 @@ from hypothesis import given, settings, strategies as st
 
 import maf
 from maf import experiments
-from maf.data import load_and_validate
+from maf.data import load_and_validate, save_corpus, split
 from maf.errors import ConfigError, ParseError
 from maf.experiments import (
     ExperimentConfig,
@@ -46,8 +47,8 @@ from maf.experiments import (
 )
 from maf.metrics import SCORES
 from maf.model import ModelConfig, TrainConfig, _check_fields, load_checkpoint
-from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN
-from maf.synthetic import SyntheticSpec
+from maf.presets import GAP_MODEL, GAP_SPEC, GAP_TRAIN, TEST_SEED_SALT
+from maf.synthetic import SyntheticSpec, generate
 
 
 def config_dict(default_out, **overrides):
@@ -220,7 +221,13 @@ def test_dataset_flag_replaces_synthetic(tmp_path):
         (dict(model={"vocab_size": 7}), "'vocab_size'"),
         (dict(variants=["TextOnly", "MAF", "TextOnly"]), "'variants' must be a non-empty list "
                                                           "without duplicates"),
+        # the cap on an instance's frames and windows holds though no variant reads them
+        (dict(variants=["TextOnly"], synthetic={"frames": 513}), "'frames' must be <= 512"),
+        (dict(variants=["TextOnly"], synthetic={"windows": 513}), "'windows' must be <= 512"),
     ],
+    ids=["variants-empty", "variants-unknown", "seeds-empty", "seeds-repeated", "test_instances-0",
+         "dataset-and-synthetic", "seeds-negative", "vocab_size-set", "variants-repeated",
+         "frames-past-cap", "windows-past-cap"],
 )
 def test_experiment_validation(tmp_path, overrides, fragment):
     """Loading checks each field's own rule (an unknown variant, a negative
@@ -235,17 +242,18 @@ def _fail_if_called(name):
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
 @pytest.mark.parametrize("section, key, value", [
-    ("model", "vocab_size", 50), ("model", "variant", "DPA"), ("model", "seed", 7),
-    ("synthetic", "seed", 7),
+    ("model", "vocab_size", 50), ("model", "audio_raw_dim", 7), ("model", "video_raw_dim", 5),
+    ("model", "variant", "DPA"), ("model", "seed", 7), ("synthetic", "seed", 7),
 ])
 def test_cli_a_key_the_run_sets_is_refused_before_any_work(tmp_path, capsys, monkeypatch,
                                                             command, section, key, value):
     """The run takes ``model.vocab_size`` from the vocabulary,
-    ``model.variant`` from each entry of ``variants``, and ``model.seed``
-    and ``synthetic.seed`` from each entry of ``seeds``. A config that sets
-    one exits 2 naming it, from a synthetic source or a ``--dataset``,
-    before any data is generated or read, any model trained or loaded, or
-    ``--out`` made."""
+    ``model.audio_raw_dim`` and ``video_raw_dim`` from the training data's
+    feature widths, ``model.variant`` from each entry of ``variants``, and
+    ``model.seed`` and ``synthetic.seed`` from each entry of ``seeds``. A
+    config that sets one exits 2 naming it and its source, from a synthetic
+    source or a ``--dataset``, before any data is generated or read, any
+    model trained or loaded, or ``--out`` made."""
     for name in ("generate", "load_and_validate", "train", "load_checkpoint"):
         monkeypatch.setattr(experiments, name, _fail_if_called(name))
     raw = config_dict(tmp_path / "run")
@@ -256,10 +264,11 @@ def test_cli_a_key_the_run_sets_is_refused_before_any_work(tmp_path, capsys, mon
     if command == "evaluate":
         argv += ["--checkpoint", str(tmp_path / "model.ckpt")]
     sources = [[], ["--dataset", str(tmp_path / "corpus.jsonl")]] if section == "model" else [[]]
+    where_from = next(source for s, k, source in experiments._BOUND if (s, k) == (section, key))
     for source in sources:
         assert main(argv + source) == 2
         assert (f"config error: '{key}' in config section '{section}' must be left out: the run "
-                f"sets it from ") in capsys.readouterr().err
+                f"sets it from {where_from}, got {value!r}") in capsys.readouterr().err
     assert not (tmp_path / "run").exists()
 
 
@@ -282,7 +291,6 @@ def test_every_config_setting_is_refused_or_reaches_the_run(tmp_path, monkeypatc
     monkeypatch.setattr(experiments, "train", lambda insts, mcfg, tcfg: seen.extend([mcfg, tcfg])
                         or SimpleNamespace(step_losses=[1.0]))
     monkeypatch.setattr(experiments, "evaluate_variant", lambda tm, insts: dict.fromkeys(SCORES, 0.0))
-    # TextOnly reads no modality, so any raw width or frame count fits it
     base = config_dict(None, variants=["TextOnly"])
     leaves = [(None, f.name, ExperimentConfig) for f in fields(ExperimentConfig)
               if f.name not in ("model", "train", "synthetic", "dataset", "out", "variants", "seeds")]
@@ -311,7 +319,8 @@ def test_every_config_setting_is_refused_or_reaches_the_run(tmp_path, monkeypatc
         attr = "num_instances" if name == "test_instances" else name
         owner = SyntheticSpec if section is None else cls
         assert any(getattr(obj, attr) == value for obj in seen if isinstance(obj, owner)), where
-    assert refused == {"model.vocab_size", "model.variant", "model.seed", "synthetic.seed"}
+    assert refused == {"model.vocab_size", "model.audio_raw_dim", "model.video_raw_dim",
+                       "model.variant", "model.seed", "synthetic.seed"}
 
 
 # int and float fields with no rule of their own, and the rule that bounds them
@@ -370,17 +379,6 @@ def test_each_field_rule_accepts_its_bound_and_refuses_past_it(cls, f):
             obj = replace(base, **{f.name: value})
             with pytest.raises(ConfigError, match=f"'{f.name}' must be "):
                 obj.validate() if hasattr(obj, "validate") else _check_fields(obj)
-
-
-def test_only_the_modalities_a_variant_reads_must_fit_the_model(tmp_path):
-    """TA reads audio, so the generated frames must fit the model's cap of
-    512; no variant reads video, so the windows may exceed it."""
-    cfg = load(tmp_path, variants=["TextOnly", "TA"])
-    cfg.synthetic.windows = 513
-    cfg.validate()
-    cfg.synthetic.frames = 513
-    with pytest.raises(ConfigError, match="synthetic audio"):
-        cfg.validate()
 
 
 def test_data_source_is_required():
@@ -477,18 +475,96 @@ def test_evaluate_row_names_its_checkpoint(tmp_path):
 
 def test_cli_evaluate_checks_the_data_against_the_checkpoint_model(tmp_path, capsys):
     """A MAF checkpoint scored under a TextOnly config whose corpus has 513
-    audio frames, one past the cap: the config validates, since TextOnly
-    reads no audio, but the data does not fit the checkpoint's model.
-    Exit 2, and no --out."""
+    audio frames, one past the cap, which holds whatever variant the config
+    names: exit 2 on the field's rule, before the checkpoint is read, and no
+    --out."""
     ckpt = cmd_train(load(tmp_path, out=str(tmp_path / "train")))["checkpoint"]
     raw = config_dict(tmp_path / "scores", variants=["TextOnly"])
     raw["synthetic"]["frames"] = 513
     path = tmp_path / "eval.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["evaluate", "--config", str(path), "--checkpoint", ckpt]) == 2
-    assert ("synthetic audio (16 wide, frames=513) does not fit the model "
-            "(audio_raw_dim=16, at most 512 frames)") in capsys.readouterr().err
+    assert "config error: 'frames' must be <= 512, got 513" in capsys.readouterr().err
     assert not (tmp_path / "scores").exists()
+
+
+def _narrow_corpus(path: Path, wider: str | None = None) -> list:
+    """A corpus file of 40 synthetic instances whose audio is 7 wide and
+    video 5 wide: the generated features cut to their first columns, which
+    hold each instance's class (3 actions, 3 targets). The instance whose
+    id is ``wider`` has 8-wide audio. Returns the instances."""
+    spec = SyntheticSpec(**{**config_dict(None)["synthetic"], "num_instances": 40})
+    insts = [replace(inst, audio_features=inst.audio_features[:, :8 if inst.id == wider else 7],
+                     video_features=inst.video_features[:, :5]) for inst in generate(spec)]
+    save_corpus(insts, path)
+    return insts
+
+
+def test_cli_ablate_reads_the_feature_widths_of_its_corpus(tmp_path):
+    """A corpus of 7-wide audio and 5-wide video, under a config that names
+    no width: ``maf ablate`` trains MAF, TA and TV on it and writes their
+    metric rows."""
+    corpus = tmp_path / "narrow.jsonl"
+    _narrow_corpus(corpus)
+    path = write_config(tmp_path, variants=["MAF", "TA", "TV"])
+    assert main(["ablate", "--config", str(path), "--dataset", str(corpus)]) == 0
+    assert sorted(p.name for p in (tmp_path / "run").glob("metrics_*.json")) == [
+        "metrics_MAF_seed1.json", "metrics_TA_seed1.json", "metrics_TV_seed1.json"]
+
+
+@pytest.fixture(scope="module")
+def narrow_checkpoint(tmp_path_factory):
+    """A config file, a 7/5-wide corpus file and the MAF checkpoint that
+    ``maf train`` writes from them."""
+    d = tmp_path_factory.mktemp("narrow")
+    corpus = d / "narrow.jsonl"
+    _narrow_corpus(corpus)
+    path = write_config(d)
+    assert main(["train", "--config", str(path), "--dataset", str(corpus)]) == 0
+    return path, corpus, d / "run" / "checkpoint_MAF_seed1.ckpt"
+
+
+def test_cli_train_and_evaluate_a_corpus_of_other_widths(narrow_checkpoint, tmp_path):
+    """The checkpoint records the corpus's widths, 7 and 5, and ``maf
+    evaluate`` scores it on the same corpus's held-out split."""
+    path, corpus, ckpt = narrow_checkpoint
+    header = json.loads(ckpt.read_bytes().split(b"\n", 1)[0])
+    assert (header["config"]["audio_raw_dim"], header["config"]["video_raw_dim"]) == (7, 5)
+    loaded = load_checkpoint(ckpt).config
+    assert (loaded.audio_raw_dim, loaded.video_raw_dim) == (7, 5)
+    out = tmp_path / "scores"
+    assert main(["evaluate", "--config", str(path), "--dataset", str(corpus),
+                 "--checkpoint", str(ckpt), "--out", str(out)]) == 0
+    assert (out / "metrics_MAF_seed1.json").exists()
+
+
+def test_cli_evaluate_on_data_of_other_widths_exits_3(narrow_checkpoint, tmp_path, capsys):
+    """The 7/5 checkpoint scored on the gap config's synthetic held-out
+    data, whose audio is 16 wide: exit 3 naming both widths, and no --out."""
+    ckpt = narrow_checkpoint[2]
+    gap = tmp_path / "gap.json"
+    gap.write_text(json.dumps({"synthetic": asdict(GAP_SPEC), "seeds": [1]}), encoding="utf-8")
+    out = tmp_path / "scores"
+    assert main(["evaluate", "--config", str(gap), "--checkpoint", str(ckpt), "--out", str(out)]) == 3
+    assert ("audio: feature width 16 does not match the model's width 7"
+            in capsys.readouterr().err)
+    assert not out.exists()
+
+
+def test_cli_a_training_instance_of_another_width_exits_3_before_the_first_step(
+        tmp_path, capsys, monkeypatch):
+    """The model takes its widths from the first training instance; the
+    second, 8 wide, stops ``maf train`` with exit 3 naming it and both
+    widths, before any step and with no --out."""
+    corpus = tmp_path / "narrow.jsonl"
+    train_ids = split(_narrow_corpus(corpus), 1).train
+    _narrow_corpus(corpus, wider=train_ids[1])
+    monkeypatch.setattr(maf.model, "_batch_backward", _fail_if_called("_batch_backward"))
+    path = write_config(tmp_path)
+    assert main(["train", "--config", str(path), "--dataset", str(corpus)]) == 3
+    assert capsys.readouterr().err == (f"error: instance '{train_ids[1]}': audio: feature width 8 "
+                                       f"does not match the model's width 7\n")
+    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
@@ -639,6 +715,48 @@ def test_a_dataset_grid_reads_its_corpus_once(tmp_path, monkeypatch):
         assert {**first, "config_hash": None} == {**second, "config_hash": None}
 
 
+def _spy_on_generate(monkeypatch) -> list:
+    """The specs ``experiments.generate`` is called with, in order."""
+    specs = []
+    real_generate = experiments.generate
+    monkeypatch.setattr(experiments, "generate", lambda spec: specs.append(spec) or real_generate(spec))
+    return specs
+
+
+def test_train_and_evaluate_generate_only_the_side_they_read(tmp_path, monkeypatch):
+    """``maf train`` generates the seed's training set alone, and ``maf
+    evaluate`` its held-out set alone (``seed ^ TEST_SEED_SALT``,
+    ``test_instances`` of them)."""
+    specs = _spy_on_generate(monkeypatch)
+    path = write_config(tmp_path, seeds=[2])
+    assert main(["train", "--config", str(path)]) == 0
+    spec = load(tmp_path, seeds=[2]).synthetic
+    assert specs == [replace(spec, seed=2)]
+    specs.clear()
+    assert main(["evaluate", "--config", str(path), "--checkpoint",
+                 str(tmp_path / "run" / "checkpoint_MAF_seed2.ckpt")]) == 0
+    assert specs == [replace(spec, seed=2 ^ TEST_SEED_SALT, num_instances=6)]
+
+
+def test_a_grid_generates_each_seed_s_training_then_held_out_set(tmp_path, monkeypatch):
+    """A two-seed ``maf ablate`` generates seed 1's training set, then its
+    held-out set, then seed 2's. Each seed's loss log is the one ``maf
+    train`` writes, and its scores are those ``maf evaluate`` gives that
+    checkpoint."""
+    specs = _spy_on_generate(monkeypatch)
+    cfg = load(tmp_path, seeds=[1, 2])
+    cmd_ablate(cfg)
+    assert specs == [replace(cfg.synthetic, **side) for seed in (1, 2)
+                     for side in ({"seed": seed}, {"seed": seed ^ TEST_SEED_SALT, "num_instances": 6})]
+    for seed in (1, 2):
+        one = load(tmp_path, seeds=[seed], out=str(tmp_path / f"seed{seed}"))
+        tm = cmd_train(one)
+        assert (Path(tm["loss_log"]).read_bytes()
+                == (tmp_path / "run" / f"loss_MAF_seed{seed}.csv").read_bytes())
+        grid_row = json.loads((tmp_path / "run" / f"metrics_MAF_seed{seed}.json").read_text(encoding="utf-8"))
+        assert {**cmd_evaluate(one, tm["checkpoint"]), "config_hash": None} == {**grid_row, "config_hash": None}
+
+
 def test_sweep_fusion_layer(tmp_path):
     cfg = load(tmp_path)
     rows = cmd_sweep_fusion_layer(cfg)
@@ -785,8 +903,12 @@ def test_report_prints_the_fusion_gap(tmp_path):
         (dict(meteor=None), "unknown key 'meteor'"),
         (dict(target_acc=DROP, target_word_acc=0.5), "unknown key 'target_word_acc'"),
         # Python's JSON parser recurses once per level
-        pytest.param("[" * 100_000, "nested too deeply", id="nested-100000-deep"),
+        ("[" * 100_000, "nested too deeply"),
     ],
+    ids=["not-json", "not-object", "no-seed", "no-variant", "no-fusion_layer_index", "variant-int",
+         "seed-bool", "fusion_layer_index-str", "action_acc-str", "action_acc-nan",
+         "action_acc-huge-int", "action_acc-above-1", "old-key-meteor", "old-key-target_word_acc",
+         "nested-100000-deep"],
 )
 def test_cli_report_rejects_broken_metric_files(tmp_path, capsys, content, fragment):
     """A metric file that is not a ``MetricRow`` (``content`` is its text,
@@ -889,46 +1011,27 @@ def test_cli_mistyped_config_exits_2(tmp_path, capsys, overrides, field):
     assert f"config error: '{field}' must be" in capsys.readouterr().err
 
 
-@pytest.mark.parametrize("section, field, fragment", [
-    ("model", "d", "the model would allocate"),
-    ("model", "ffn", "the model would allocate"),
-    ("model", "encoder_layers", "the model would allocate"),
-    ("model", "max_target_len", "the model would allocate"),
-    ("synthetic", "num_instances", "the corpus would take"),
-    ("synthetic", "frames", "the corpus would take"),
-    ("synthetic", "windows", "the corpus would take"),
-])
-def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, section, field, fragment):
+@pytest.mark.parametrize("section, values, fragment", [
+    ("model", {"d": 10**15}, "the model would allocate"),
+    ("model", {"ffn": 10**15}, "the model would allocate"),
+    ("model", {"encoder_layers": 10**15}, "the model would allocate"),
+    ("model", {"max_target_len": 10**15}, "the model would allocate"),
+    ("synthetic", {"num_instances": 10**15}, "the corpus would take"),
+    # an instance's frames and windows stop at their cap, so the count passes the limit
+    ("synthetic", {"num_instances": 10_000, "frames": 512, "windows": 512}, "the corpus would take"),
+    ("synthetic", {"frames": 10**15}, "'frames' must be <= 512"),
+    ("synthetic", {"windows": 10**15}, "'windows' must be <= 512"),
+], ids=["model-d", "model-ffn", "model-encoder_layers", "model-max_target_len",
+        "synthetic-num_instances", "synthetic-at-frame-caps", "synthetic-frames", "synthetic-windows"])
+def test_cli_oversized_config_exits_2_before_allocating(tmp_path, capsys, section, values, fragment):
     """A size whose allocation would pass its limit is a config error,
     raised before data generation or parameter init tries to allocate."""
     raw = config_dict(tmp_path / "run")
-    raw[section][field] = 10**15
+    raw[section].update(values)
     path = tmp_path / "huge.json"
     path.write_text(json.dumps(raw), encoding="utf-8")
     assert main(["train", "--config", str(path)]) == 2
     assert f"config error: {fragment}" in capsys.readouterr().err
-
-
-@pytest.mark.parametrize("model, synthetic, fragment", [
-    ({}, {"frames": 513}, "synthetic audio (16 wide, frames=513) does not fit the model "
-                          "(audio_raw_dim=16, at most 512 frames)"),
-    ({"audio_raw_dim": 8}, {}, "(16 wide, frames=4) does not fit the model (audio_raw_dim=8"),
-    ({}, {"windows": 513}, "(32 wide, windows=513) does not fit the model (video_raw_dim=32, "
-                           "at most 512 windows)"),
-    ({"video_raw_dim": 16}, {}, "(32 wide, windows=3) does not fit the model (video_raw_dim=16"),
-])
-def test_cli_synthetic_data_the_model_cannot_read_exits_2(tmp_path, capsys, model, synthetic,
-                                                          fragment):
-    """A generated corpus that does not fit the model is a config error,
-    raised before any data is generated or any file written."""
-    raw = config_dict(tmp_path / "run")
-    raw["model"].update(model)
-    raw["synthetic"].update(synthetic)
-    path = tmp_path / "exp.json"
-    path.write_text(json.dumps(raw), encoding="utf-8")
-    assert main(["train", "--config", str(path)]) == 2
-    assert fragment in capsys.readouterr().err
-    assert not (tmp_path / "run").exists()
 
 
 @pytest.mark.parametrize("command", ["train", "ablate"])
@@ -1077,6 +1180,10 @@ def test_cli_stats_is_not_a_subcommand(capsys):
         # a checkpoint written while the config held the frame caps
         (lambda h: h["config"].update(max_frames=512, max_windows=512), "unknown key 'max_frames'"),
     ],
+    ids=["old-key-sigmoid_gates", "no-config", "no-heads", "header-a-list", "no-vocab",
+         "params-not-list", "params-entry-without-rows", "d-str", "ffn-0", "max_text_len-nan",
+         "seed-negative", "unknown-key", "rows-huge", "vocab_size-huge", "d-huge",
+         "decoder_layers-huge", "TA-with-video-gate", "old-keys-frame-caps"],
 )
 def test_cli_evaluate_rejects_bad_checkpoint_config(tmp_path, capsys, mutate, fragment):
     path = write_config(tmp_path)
@@ -1268,7 +1375,8 @@ _CORRUPT_CORPORA = {
 }
 
 
-@pytest.mark.parametrize("corruption", sorted(_CORRUPT_CORPORA))
+@pytest.mark.parametrize("corruption", sorted(_CORRUPT_CORPORA),
+                         ids=lambda name: name.replace("a ", "").replace(" ", "-"))
 @pytest.mark.parametrize("command", ["train", "evaluate", "ablate", "sweep-fusion-layer"])
 def test_cli_corrupt_corpus_stops_before_any_work(cli_inputs, tmp_path, capsys, monkeypatch,
                                                   command, corruption):
@@ -1311,6 +1419,14 @@ _ALL_FLAGS = sorted(set(itertools.chain(*_TAKES.values())))
 
 def test_readme_flag_table_is_the_cli():
     assert _TAKES == {name: flags for name, (_, flags) in experiments._COMMANDS.items()}
+
+
+def test_readme_lists_the_keys_the_run_sets():
+    """The backticked ``section.key`` names of the README's sentence that
+    follows "(`experiments._BOUND`):" are ``_BOUND``'s keys, in order."""
+    text = " ".join((Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8").split())
+    sentence = text.split("(`experiments._BOUND`):", 1)[1].split(". ", 1)[0]
+    assert re.findall(r"`(\w+\.\w+)`", sentence) == [f"{s}.{k}" for s, k, _ in experiments._BOUND]
 
 
 @pytest.mark.parametrize("command, flag", [(c, f) for c in _TAKES for f in _ALL_FLAGS

@@ -148,6 +148,9 @@ def test_default_config_is_valid():
         (dict(encoder_layers=10**12), "the model would allocate"),
         (dict(max_target_len=10**9), "the model would allocate"),
     ],
+    ids=["variant-unknown", "heads-not-dividing-d", "d_c_audio-0", "fusion_layer_index-0",
+         "fusion_layer_index-past-encoder", "max_target_len-1", "ffn-0", "vocab_size-4", "seed-negative",
+         "d-huge", "encoder_layers-huge", "max_target_len-huge"],
 )
 def test_config_validation_rejects(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):

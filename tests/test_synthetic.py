@@ -53,11 +53,16 @@ def test_default_spec_is_valid():
         (dict(actions=17), "'actions' must be <= 16"),
         (dict(targets=33), "'targets' must be <= 32"),
         (dict(seed=-1), "seed"),
-        (dict(windows=10**6), "the corpus would take"),
-        (dict(num_instances=10_000, frames=4096), "the corpus would take"),
+        # one cap, model._MAX_FRAMES, on an instance's audio frames and video windows
+        (dict(windows=10**6), "'windows' must be <= 512"),
+        (dict(num_instances=10_000, frames=4096), "'frames' must be <= 512"),
+        (dict(num_instances=10_000, frames=512, windows=512), "the corpus would take"),
         # 384 MB of features, but 2 KiB of objects per instance on top
         (dict(num_instances=10**6, frames=1, windows=1), "the corpus would take"),
     ],
+    ids=["num_instances-0", "speakers-1", "actions-1", "targets-1", "frames-0", "noise-negative",
+         "actions-past-audio-width", "targets-past-video-width", "seed-negative", "windows-past-cap",
+         "frames-past-cap", "corpus-at-frame-caps", "corpus-of-one-frame-instances"],
 )
 def test_spec_rejects(kw, fragment):
     with pytest.raises(ConfigError, match=fragment):
