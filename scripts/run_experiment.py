@@ -7,7 +7,8 @@
 The argument is the `maf` subcommand to run on its config, built from the
 gap operating point in `maf.presets`. The config is written to
 `<out>/<command>_config.json`, so `maf <command> --config` on it reruns
-the experiment. The ablation takes roughly six minutes.
+the experiment. The ablation's 15 cells took 59-64 s on 2 cores with one
+BLAS thread (Python 3.11, NumPy 2.4 on OpenBLAS 0.3).
 """
 
 import argparse

@@ -18,11 +18,13 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from collections import Counter
+from contextlib import contextmanager
 from dataclasses import dataclass, fields
 from itertools import chain
 from pathlib import Path
-from typing import Callable, Iterable, Sequence, get_type_hints
+from typing import Callable, Iterable, Iterator, Sequence, get_type_hints
 
 import numpy as np
 
@@ -37,6 +39,7 @@ __all__ = [
     "load_and_validate",
     "read_json_object",
     "save_corpus",
+    "atomic_write",
     "validate_instance",
     "split",
     "instances_for",
@@ -209,9 +212,28 @@ def _json_value(value):
     return value.tolist() if isinstance(value, np.ndarray) else vars(value)
 
 
+@contextmanager
+def atomic_write(path: str | Path, binary: bool = False) -> Iterator:
+    """A file to write ``path``'s new bytes into, in place of ``path`` itself:
+    a temporary sibling named ``.<name>.<pid>.tmp``, which replaces ``path``
+    (``os.replace``, atomic within a file system) once the block ends. A
+    block that raises, ``KeyboardInterrupt`` included, removes the temporary
+    and leaves ``path`` as it was. The leading ``.`` keeps the temporary out
+    of the output globs."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") if binary else open(tmp, "w", encoding="utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+
+
 def save_corpus(instances: Iterable[DialogueInstance], path: str | Path) -> None:
     """Write instances one JSON record per line, feature matrices inline."""
-    with open(path, "w", encoding="utf-8") as fh:
+    with atomic_write(path) as fh:
         for inst in instances:
             rec = {name: getattr(inst, name) for name in _FIELDS}
             fh.write(json.dumps(rec, sort_keys=True, default=_json_value) + "\n")

@@ -42,7 +42,7 @@ from typing import Sequence
 import numpy as np
 
 from . import __version__
-from .data import instances_for, load_and_validate, read_json_object, save_corpus, split
+from .data import atomic_write, instances_for, load_and_validate, read_json_object, save_corpus, split
 from .errors import ConfigError, MafError, ParseError
 from .metrics import SCORES, MetricReport
 from .model import (_FORMS, VARIANTS, ModelConfig, TrainConfig, _build, _check_fields, _ruled,
@@ -196,8 +196,13 @@ def _instances(cfg: ExperimentConfig, corpus: list | None, seed: int, held_out: 
                     if held_out else replace(cfg.synthetic, seed=seed))
 
 
+def _write_text(path: Path, text: str) -> None:
+    with atomic_write(path) as fh:
+        fh.write(text)
+
+
 def _dump_json(path: Path, payload) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n", encoding="utf-8")
+    _write_text(path, json.dumps(payload, sort_keys=True, indent=2) + "\n")
 
 
 def _blas() -> dict | None:
@@ -237,7 +242,7 @@ def _metric_row(digest: str, variant: str, seed: int, layer: int, scores: dict) 
 
 def _write_loss_log(path: Path, step_losses: Sequence[float]) -> None:
     lines = ["step,loss"] + [f"{i},{loss!r}" for i, loss in enumerate(step_losses, start=1)]
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    _write_text(path, "\n".join(lines) + "\n")
 
 
 def _single_cell(cfg: ExperimentConfig, what: str) -> tuple[str, int]:
@@ -408,8 +413,8 @@ def cmd_report(cfg: ExperimentConfig) -> tuple[str, str]:
     if gaps:
         text += "\n" + "\n".join(gaps) + "\n"
     csv = report.to_csv()
-    (out / "report.txt").write_text(text, encoding="utf-8")
-    (out / "report.csv").write_text(csv, encoding="utf-8")
+    _write_text(out / "report.txt", text)
+    _write_text(out / "report.csv", csv)
     return text, csv
 
 

@@ -66,7 +66,7 @@ from typing import NamedTuple, Sequence, Union, get_args, get_origin, get_type_h
 
 import numpy as np
 
-from .data import DialogueInstance, read_json_object, validate_instance
+from .data import DialogueInstance, atomic_write, read_json_object, validate_instance
 from .errors import ConfigError, ContractError, ParseError, ShapeError, TrainingDivergedError
 from .gif import GifParams, gif_fuse
 from .mca2 import Mca2Params, mca2_forward
@@ -1043,7 +1043,7 @@ def save_checkpoint(tm: TrainedModel, path: str | Path) -> None:
         "vocab": tm.vocab.tokens,
         "params": _param_table(named),
     }
-    with open(path, "wb") as fh:
+    with atomic_write(path, binary=True) as fh:
         fh.write(json.dumps(header, sort_keys=True).encode("utf-8"))
         fh.write(b"\n")
         for _, t in named:

@@ -349,11 +349,8 @@ def gate(a: Tensor, w_a: Tensor, b: Tensor, w_b: Tensor) -> Tensor:
         raise ShapeError(f"gate: cannot sum the products {a.shape} @ {w_a.shape} and "
                          f"{b.shape} @ {w_b.shape}")
     z = a.data @ w_a.data + b.data @ w_b.data
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ex = np.exp(z[~pos])
-    out[~pos] = ex / (1.0 + ex)
+    e = np.exp(-np.abs(z))  # never overflows: 1/(1+e^-z) for z >= 0, e^z/(1+e^z) below
+    out = np.where(z >= 0, 1.0, e) / (1.0 + e)
 
     def back(g):
         gz = g * out * (1.0 - out)

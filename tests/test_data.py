@@ -14,6 +14,7 @@ from maf import experiments
 from maf.data import (
     DialogueInstance,
     Utterance,
+    atomic_write,
     cosine_token_similarity,
     instances_for,
     load_and_validate,
@@ -108,6 +109,21 @@ def test_inline_matrix_round_trip_is_bit_exact(tmp_path):
     loaded = load_and_validate(p)[0]
     assert loaded.audio_features.tobytes() == audio.tobytes()
     assert loaded.video_features.tobytes() == video.tobytes()
+
+
+def test_an_atomic_write_that_raises_creates_nothing(tmp_path):
+    """A block that raises before its end leaves no file at the path and no
+    temporary beside it; one that ends puts the bytes at the path alone."""
+    p = tmp_path / "c.jsonl"
+    with pytest.raises(KeyboardInterrupt):
+        with atomic_write(p) as fh:
+            fh.write("half a record")
+            raise KeyboardInterrupt
+    assert list(tmp_path.iterdir()) == []
+    with atomic_write(p, binary=True) as fh:
+        fh.write(b"a whole record\n")
+    assert list(tmp_path.iterdir()) == [p]
+    assert p.read_bytes() == b"a whole record\n"
 
 
 def test_blank_lines_are_skipped(tmp_path):

@@ -6,6 +6,7 @@ out, byte-identical on repetition.
 """
 
 import argparse
+import errno
 import io
 import itertools
 import json
@@ -28,7 +29,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 import maf
-from maf import experiments
+from maf import data, experiments
 from maf.data import load_and_validate, save_corpus, split
 from maf.errors import ConfigError, ParseError
 from maf.experiments import (
@@ -1140,6 +1141,63 @@ def test_cli_ctrl_c_is_a_clean_exit(tmp_path):
     assert proc.returncode == 130
     assert err == "interrupted\n"
     assert not out.exists()
+    assert not list(tmp_path.rglob(".*"))  # no temporary file either
+
+
+class _FillingFile:
+    """A file open for writing whose disk fills once ``room`` writes are in:
+    each further write raises ``exc``."""
+
+    def __init__(self, fh, room: int, exc: BaseException):
+        self.fh, self.room, self.exc = fh, room, exc
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc_info):
+        self.fh.close()
+
+    def write(self, chunk):
+        if self.room == 0:
+            raise self.exc
+        self.room -= 1
+        return self.fh.write(chunk)
+
+
+# (subcommand, the file whose write fails, the writes that go in first): a
+# checkpoint fails after its header line and first parameter blob, a corpus
+# after its first record, and a metric row or loss log at its one write
+_FAILING_WRITES = [("train", "checkpoint_MAF_seed1.ckpt", 3), ("ablate", "metrics_MAF_seed1.json", 0),
+                   ("ablate", "loss_MAF_seed1.csv", 0), ("gen-synthetic", "corpus.jsonl", 1)]
+
+
+@pytest.mark.parametrize("exc, code", [(OSError(errno.ENOSPC, "No space left on device"), 3),
+                                       (KeyboardInterrupt(), 130)], ids=["disk-full", "ctrl-c"])
+@pytest.mark.parametrize("command, name, room", _FAILING_WRITES,
+                         ids=[f"{c}-{n}" for c, n, _ in _FAILING_WRITES])
+def test_a_failed_write_leaves_the_previous_file_whole(tmp_path, monkeypatch, command, name, room,
+                                                       exc, code):
+    """Run A writes a file; run B, with other settings, into the same place,
+    fails part way through writing it: A's bytes stay, and no temporary
+    file is left beside them."""
+    corpus = command == "gen-synthetic"  # its --out is the file itself
+    out = tmp_path / "run"
+    target = tmp_path / name if corpus else out / name
+    argv = [command, "--out", str(target if corpus else out)]
+    assert main([*argv, "--config", str(write_config(tmp_path, "a.json"))]) == 0
+    before = target.read_bytes()
+    real_open = open
+
+    def filling_open(file, mode="r", **kwargs):
+        fh = real_open(file, mode, **kwargs)
+        return _FillingFile(fh, room, exc) if "w" in mode and name in Path(file).name else fh
+
+    monkeypatch.setattr(data, "open", filling_open, raising=False)
+    config_b = write_config(tmp_path, "b.json", train={"lr": 1e-3, "epochs": 2, "batch_size": 8},
+                            synthetic={**config_dict(out)["synthetic"], "num_instances": 12})
+    assert main([*argv, "--config", str(config_b)]) == code
+    assert target.read_bytes() == before
+    assert not list(tmp_path.rglob(".*"))
 
 
 def test_cli_stats_is_not_a_subcommand(capsys):

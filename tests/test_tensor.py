@@ -294,7 +294,7 @@ def test_fused_nodes_match_the_composed_ops_bit_for_bit():
     g, table = Tensor(rng.uniform(size=(5, 1)), requires_grad=True), leaf(rng, 6, 4)
     ids, c, one = [3, 0, 3, 5, 1], math.sqrt(4), Tensor(np.ones((5, 1)))
     probe, wide_probe = Tensor(rng.normal(size=(5, 4))), Tensor(rng.normal(size=(5, 7)))
-    # logits of either sign and some far out, so both branches of the logistic run
+    # logits of either sign and some far out, so both branches of the oracle's logistic run
     w_x, w_y = leaf(rng, 4, 1, lo=-3.0, hi=3.0), leaf(rng, 4, 1, lo=-3.0, hi=3.0)
     w_cat, narrow_probe = leaf(rng, 8, 4), Tensor(rng.normal(size=(5, 1)))
     cases = [
@@ -319,6 +319,26 @@ def test_fused_nodes_match_the_composed_ops_bit_for_bit():
         assert np.array_equal(got, want)
         for gg, w in zip(got_g, want_g):
             assert gg is not None and np.array_equal(gg, w)
+
+
+@pytest.mark.parametrize("logit", [0.0, -0.0, 1e-300, -1e-300, 30.0, -30.0, 709.0, -709.0,
+                                   745.0, -745.0, 800.0, -800.0, np.inf, -np.inf, np.nan])
+def test_gate_matches_the_two_branch_logistic_at_the_float_edges(logit):
+    """The gate's one-expression logistic against the oracle's two branches,
+    at a logit of either sign: 0, subnormal, where exp(-|z|) is tiny,
+    subnormal or 0, and inf and NaN. Forward always; back where the logit is
+    finite, as an infinite one makes its weight's gradient inf * 0."""
+    a, w_a = Tensor(np.array([[logit]]), requires_grad=True), Tensor(np.ones((1, 1)), requires_grad=True)
+    b, w_b = Tensor(np.zeros((1, 1)), requires_grad=True), Tensor(np.ones((1, 1)), requires_grad=True)
+    fused = lambda: gate(a, w_a, b, w_b)  # noqa: E731
+    composed = lambda: sigmoid(add(matmul(a, w_a), matmul(b, w_b)))  # noqa: E731
+    assert np.array_equal(fused().data, composed().data, equal_nan=True)
+    if np.isfinite(logit):
+        (got, got_g), (want, want_g) = _fused_and_composed_gradients(
+            fused, composed, [a, w_a, b, w_b], Tensor(np.ones((1, 1))))
+        assert np.array_equal(got, want)
+        for gg, w in zip(got_g, want_g):
+            assert np.array_equal(gg, w)
 
 
 @pytest.mark.parametrize("width", [1, 7, 8, 9, 32, 127, 128, 129, 768])
